@@ -1,4 +1,4 @@
-"""E9 -- Ablations of the design choices documented in DESIGN.md.
+"""E9 -- Ablations of the design choices documented in DESIGN.md ("P3", "P5").
 
 * P3 interpretation: the literal reading (``strict_p3``) rejects the paper's
   own Fig. 1b worked example; the S2-excluding reading accepts it.

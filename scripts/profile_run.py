@@ -1,7 +1,9 @@
 """Profile one consensus run and gate the graph-analysis share of its time.
 
-Runs a single BFT-CUP execution on a generated extended k-OSR graph under
-``cProfile`` and prints the top functions by internal time.  The script also
+Runs a single BFT-CUP execution on a generated extended k-OSR graph (or,
+with ``--mode bft-cupft``, a BFT-CUPFT execution whose nodes run the core
+search instead of the sink search) under ``cProfile`` and prints the top
+functions by internal time.  The script also
 computes which fraction of the run's total internal time was spent in the
 graph-analysis layer (``repro/graphs/`` plus the discovery/locator modules
 of ``repro/core/``): with the incremental sink/core analysis this share must
@@ -23,6 +25,12 @@ per receiver) trips the gate immediately.
 Run exactly what CI runs::
 
     PYTHONPATH=src python scripts/profile_run.py --max-analysis-share 0.35 --max-crypto-share 0.10
+    PYTHONPATH=src python scripts/profile_run.py --mode bft-cupft --f 3 --non-sink-size 35 --max-analysis-share 0.80
+
+The second cell is dominated by the core search on purpose (small dense
+views, every ``g`` tried; about 64% analysis with the bitmask graph core):
+its gate trips once the analysis time of that cell more than doubles, e.g.
+when the search falls back to recounting in-neighbours per ``g``.
 """
 
 from __future__ import annotations
@@ -56,16 +64,19 @@ CRYPTO_PATH_MARKERS = ("repro/crypto/",)
 
 
 def profile_run(
-    *, non_sink_size: int, synchrony: str, seed: int
+    *, mode: ProtocolMode, f: int, non_sink_size: int, synchrony: str, seed: int
 ) -> tuple[pstats.Stats, bool]:
     """Execute one profiled consensus run; returns the stats and solved flag."""
-    spec = GraphSpec.bft_cup(
-        f=1, non_sink_size=non_sink_size, extra_edge_probability=0.0, seed=7
-    )
+    if mode is ProtocolMode.BFT_CUPFT:
+        spec = GraphSpec.bft_cupft(f=f, non_core_size=non_sink_size, seed=7)
+    else:
+        spec = GraphSpec.bft_cup(
+            f=f, non_sink_size=non_sink_size, extra_edge_probability=0.0, seed=7
+        )
     scenario = Scenario(
-        name=f"profile-{non_sink_size}",
+        name=f"profile-{mode.value}-{non_sink_size}",
         graph=spec,
-        mode=ProtocolMode.BFT_CUP,
+        mode=mode,
         synchrony=(
             SynchronySpec.synchronous()
             if synchrony == "synchronous"
@@ -101,10 +112,17 @@ def layer_share(stats: pstats.Stats, markers: tuple[str, ...]) -> tuple[float, f
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
+        "--mode",
+        choices=[ProtocolMode.BFT_CUP.value, ProtocolMode.BFT_CUPFT.value],
+        default=ProtocolMode.BFT_CUP.value,
+        help="protocol to profile: bft-cup runs the sink search, bft-cupft the core search",
+    )
+    parser.add_argument("--f", type=int, default=1, help="fault threshold of the generated graph")
+    parser.add_argument(
         "--non-sink-size",
         type=int,
         default=196,
-        help="correct non-sink layer size of the generated graph (n = size + 4)",
+        help="correct non-sink (bft-cup) or non-core (bft-cupft) layer size of the generated graph",
     )
     parser.add_argument(
         "--synchrony",
@@ -137,7 +155,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     stats, solved = profile_run(
-        non_sink_size=args.non_sink_size, synchrony=args.synchrony, seed=args.seed
+        mode=ProtocolMode(args.mode),
+        f=args.f,
+        non_sink_size=args.non_sink_size,
+        synchrony=args.synchrony,
+        seed=args.seed,
     )
     stats.sort_stats("tottime").print_stats(args.top)
     share, analysis, total = layer_share(stats, ANALYSIS_PATH_MARKERS)
@@ -145,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"graph-analysis share: {share:.1%} "
         f"({analysis:.3f}s of {total:.3f}s internal time, "
-        f"n={args.non_sink_size + 4}, {args.synchrony}, solved={solved})"
+        f"{args.mode}, f={args.f}, size={args.non_sink_size}, {args.synchrony}, solved={solved})"
     )
     print(f"crypto share: {crypto_share:.1%} ({crypto:.3f}s of {total:.3f}s internal time)")
     if not solved:

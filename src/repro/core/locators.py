@@ -9,8 +9,8 @@ changed *in a way the predicates can observe*:
   and returns the sink ``S1 ∪ S2`` once ``isSinkGdi(f, S1, S2)`` holds.
 * :class:`CoreLocator` -- Algorithm 4: no fault threshold; returns the core
   once the view contains a strongest sink with no equally-strong proper
-  subset (Theorem 8, as clarified in DESIGN.md), together with the implied
-  fault-threshold estimate ``f_Gdi``.
+  subset (Theorem 8, as clarified in DESIGN.md, "Core rule"), together with
+  the implied fault-threshold estimate ``f_Gdi``.
 
 Three layers make the locators cheap on large graphs:
 
@@ -29,8 +29,8 @@ Three layers make the locators cheap on large graphs:
    keyed by the exact view content (:meth:`DiscoveryState.view_key`): in a
    run, all correct nodes converge towards the same received-PD view, so
    most searches are exact repeats of a search some other node already ran.
-   The same store memoises the sub-searches (connectivity checks, SCC
-   seeding, subsink scans) of the searches that do miss.
+   The same store memoises the sub-searches (connectivity checks, subsink
+   scans) of the searches that do miss.
 
 None of the layers changes any result: the searches are pure functions of
 the view, the threshold and the options, and every skip is backed by the

@@ -278,8 +278,8 @@ def figure_4a() -> FigureScenario:
     non-core members arranged in two layers, each with two node-disjoint
     paths to every core member.
 
-    Note (documented in DESIGN.md): the alternative reading of the caption
-    -- a core strictly inside the sink component of ``Gsafe`` -- requires a
+    Note (DESIGN.md, "Fig. 4a caption"): the alternative reading of the
+    caption -- a core strictly inside the sink component of ``Gsafe`` -- requires a
     core of connectivity at least ``f + 2`` and admits two fault
     assignments, both satisfying the BFT-CUPFT requirements, that are
     indistinguishable to some correct process yet have different cores; no

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -32,7 +33,7 @@ FaultPlacement = Literal["sink", "non_sink", "mixed", "none"]
 ExtraEdgeSampling = Literal["pairwise", "skip"]
 
 
-def _sampled_indices(rng: random.Random, probability: float, count: int):
+def _sampled_indices(rng: random.Random, probability: float, count: int) -> Iterator[int]:
     """Yield each index in ``range(count)`` independently with ``probability``.
 
     Geometric skip sampling: instead of one Bernoulli draw per index, draw
@@ -198,7 +199,8 @@ def generate_bft_cup_graph(
             # Scenario I) is not enough: a correct process whose witness set
             # S1 misses some of those knowers would not place the Byzantine
             # process in S2, so different correct processes could return
-            # sink sets differing in their Byzantine members (see DESIGN.md).
+            # sink sets differing in their Byzantine members (DESIGN.md,
+            # "Byzantine sink members in generated graphs").
             for knower in sink_members:
                 graph.add_edge(knower, member)
             for target in rng.sample(sink_members, min(f + 1, len(sink_members))):

@@ -19,37 +19,26 @@ static oracle (where the view is the full knowledge connectivity graph) and
 by the online Sink / Core algorithms (where the view is what a process has
 received so far).
 
+The evaluation itself lives in :mod:`repro.graphs.view_index` (one bitmask
+kernel for P1-P5); this module is the set-level API over it.
+
 Interpretation of properties P3 and P5
 --------------------------------------
-See DESIGN.md: P3 is implemented as "at most ``f`` members of ``S1`` have an
-outgoing edge to ``known \\ (S1 ∪ S2)``" (the reading consistent with the
-paper's worked example and with the definition of ``S2``).  The literal
-reading ("... to ``known \\ S1``") is available through ``strict_p3=True``
-and is exercised by the ablation benchmark.
-
-Additionally, the implementation enforces ``|S2| <= f`` (called *P5* in this
-code base).  ``S2`` models the sink members whose participant detectors were
-not received because they may be Byzantine (Scenario I of Section III) or
-slow (Scenario II); both scenarios in the paper, the worked example of
-Algorithm 2 (``S2 = {2}``, ``f = 1``) and the instances used in Observation 1
-(``|S2| = 1, f = 1`` and ``|S2| = 2, f = 2``) satisfy this bound.  Without it
-the degenerate ``g = 0`` splits (where ``S2`` absorbs every out-neighbour of
-``S1``) would let *any* strongly connected set of processes declare itself a
-sink, which breaks the Core algorithm of Section VI.  The bound can be
-disabled with ``bound_s2=False`` for the ablation benchmark.
+See DESIGN.md ("P3" and "P5"): P3 is implemented as "at most ``f`` members
+of ``S1`` have an outgoing edge to ``known \\ (S1 ∪ S2)``"; the literal
+reading ("... to ``known \\ S1``") is available through ``strict_p3=True``.
+Additionally ``|S2| <= f`` is enforced (called *P5* in this code base); the
+bound can be disabled with ``bound_s2=False``.  Both switches exist for the
+ablation benchmark.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
 
-from repro.graphs.connectivity import is_k_strongly_connected
 from repro.graphs.knowledge_graph import KnowledgeGraph, ProcessId
-from repro.graphs.search_memo import SinkSearchMemo, sink_search_memo
-
-PdView = Mapping[ProcessId, frozenset[ProcessId]]
+from repro.graphs.view_index import ViewIndex
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,15 +56,26 @@ class KnowledgeView:
         (``S_received``).  For Byzantine processes the claimed PD may be
         arbitrary; for correct processes it is their true PD (signatures
         prevent forgery).
+    received:
+        Processes whose participant detector is available in this view
+        (the keys of ``pds``), computed once.
     """
 
     known: frozenset[ProcessId]
     pds: Mapping[ProcessId, frozenset[ProcessId]]
+    received: frozenset[ProcessId] = field(init=False, compare=False, repr=False)
+    _index: ViewIndex | None = field(init=False, default=None, compare=False, repr=False)
 
-    @property
-    def received(self) -> frozenset[ProcessId]:
-        """Processes whose participant detector is available in this view."""
-        return frozenset(self.pds)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "received", frozenset(self.pds))
+
+    def index(self) -> ViewIndex:
+        """The bitmask form of this view, built on first use."""
+        index = self._index
+        if index is None:
+            index = ViewIndex(self.known, self.pds)
+            object.__setattr__(self, "_index", index)
+        return index
 
     def subview(self, nodes: Iterable[ProcessId]) -> "KnowledgeView":
         """Restrict the view to ``nodes`` (used when searching inside a sink)."""
@@ -86,19 +86,9 @@ class KnowledgeView:
         )
 
     def induced_graph(self, nodes: Iterable[ProcessId]) -> KnowledgeGraph:
-        """Build the graph induced by ``nodes`` using the received PDs."""
-        keep = set(nodes)
-        graph = KnowledgeGraph()
-        for node in keep:  # lint: allow[DET-ORDER-SET] order-insensitive graph build on a hot path
-            graph.add_process(node)
-        for node in keep:  # lint: allow[DET-ORDER-SET] order-insensitive graph build on a hot path
-            pd = self.pds.get(node)
-            if pd is None:
-                continue
-            for target in pd:
-                if target in keep:
-                    graph.add_edge(node, target)
-        return graph
+        """Build the graph induced by the processes of the view among ``nodes``, using the received PDs."""
+        index = self.index()
+        return index.induced_graph(index.mask(frozenset(nodes)))
 
     @classmethod
     def full(cls, graph: KnowledgeGraph) -> "KnowledgeView":
@@ -125,23 +115,10 @@ def derived_s2(
     ``S2`` contains every known process outside ``S1`` that has more than
     ``f`` in-neighbours in ``S1`` (according to the received PDs).
     """
-    counts: dict[ProcessId, int] = {}
-    for member in s1:  # lint: allow[DET-ORDER-SET] commutative count fold; result is consumed as a set
-        for target in view.pds.get(member, frozenset()):
-            if target not in s1:
-                counts[target] = counts.get(target, 0) + 1
     if f < 0:
-        # Every known process outside S1 trivially has more than f
-        # in-neighbours, including those with zero counted edges, so the
-        # full difference is needed here (and only here).
-        return frozenset(node for node in view.known - s1 if counts.get(node, 0) > f)
-    # For f >= 0 only counted processes can qualify, so iterating the count
-    # table keeps this O(edges out of S1) instead of O(|known|) — the
-    # difference between linear and quadratic total work when a large view
-    # is scanned over ~n candidate sets.
-    return frozenset(
-        node for node, count in counts.items() if count > f and node in view.known
-    )
+        return view.known - s1  # zero in-neighbours already exceed f
+    index = view.index()
+    return index.nodes(index.derived_s2(index.mask(s1), f))
 
 
 def is_sink_gdi(
@@ -170,57 +147,17 @@ def is_sink_gdi(
     Additionally, the PDs of every member of ``S1`` must be available in the
     view (``S1 ⊆ S_received``): without them the connectivity of ``S1``
     cannot be computed, mirroring line 3 of Algorithm 2.
+
+    The evaluation itself is :meth:`ViewIndex.sink_splits`, which derives
+    ``S2`` from ``S1`` (P4) and checks the rest; the derived set is then
+    compared with the given one.
     """
-    if f < 0:
-        return False
     s1_set = frozenset(s1)
     s2_set = frozenset(s2)
-    if not s1_set or (s1_set & s2_set):
+    if not s1_set or not s1_set <= view.received or not s2_set <= view.known:
         return False
-    if not s1_set <= view.received:
-        return False
-    if not s2_set <= view.known:
-        return False
-    # P5 (interpretation)
-    if bound_s2 and len(s2_set) > f:
-        return False
-    # P1
-    if len(s1_set) < 2 * f + 1:
-        return False
-    # P4 (cheap, check before the expensive connectivity test)
-    if s2_set != derived_s2(view, f, s1_set):
-        return False
-    # P3.  Tested per PD entry rather than against a materialised
-    # ``known \ (S1 ∪ S2)`` set: building that difference is O(|known|) per
-    # call, which dominates everything else when a large view is probed for
-    # ~n candidate sets.  A member escapes when any of its PD entries is a
-    # known process outside S1 (and outside S2 in the non-strict reading).
-    known = view.known
-    escapers = 0
-    for member in s1_set:  # lint: allow[DET-ORDER-SET] commutative count fold on the innermost predicate loop
-        for target in view.pds.get(member, frozenset()):
-            if target in s1_set or target not in known:
-                continue
-            if not strict_p3 and target in s2_set:
-                continue
-            escapers += 1
-            break
-    if escapers > f:
-        return False
-    # P2 -- the expensive check (max-flow based), so it runs last and its
-    # result is memoised.  The induced subgraph is fully determined by the
-    # members of S1 and their PDs restricted to S1, so the content key below
-    # makes every memo hit an exact replay of a previous check: different
-    # views (or the same view at different times) that agree on S1's
-    # restricted PDs share one connectivity computation.
-    key = ("conn", f + 1, frozenset((member, view.pds[member] & s1_set) for member in s1_set))
-    memo = sink_search_memo()
-    cached = memo.lookup(key)
-    if cached is not SinkSearchMemo._MISS:
-        return cached
-    result = is_k_strongly_connected(view.induced_graph(s1_set), f + 1)
-    memo.store(key, result)
-    return result
+    index = view.index()
+    return index.is_sink(f, index.mask(s1_set), index.mask(s2_set), strict_p3=strict_p3, bound_s2=bound_s2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,24 +202,14 @@ def sink_star_witness(
     our workloads.
     """
     member_set = frozenset(members)
-    if not member_set:
+    index = view.index()
+    if not member_set or not member_set <= index.bit_of.keys():
+        return None  # a process outside the view is neither received nor known
+    found = index.sink_star(index.mask(member_set), minimum_f, strict_p3=strict_p3, bound_s2=bound_s2)
+    if found is None:
         return None
-    missing = frozenset(node for node in member_set if node not in view.received)
-    max_g = (len(member_set) - 1) // 2
-    for g in range(max_g, minimum_f - 1, -1):
-        max_s2 = len(member_set) - (2 * g + 1)
-        if bound_s2:
-            max_s2 = min(max_s2, g)
-        if len(missing) > max_s2:
-            continue
-        optional = sorted(member_set - missing, key=repr)
-        for extra_size in range(0, max_s2 - len(missing) + 1):
-            for extra in combinations(optional, extra_size):
-                s2 = missing | frozenset(extra)
-                s1 = member_set - s2
-                if is_sink_gdi(view, g, s1, s2, strict_p3=strict_p3, bound_s2=bound_s2):
-                    return SinkWitness(members=member_set, s1=s1, s2=s2, f=g)
-    return None
+    g, s1, s2 = found
+    return SinkWitness(members=member_set, s1=index.nodes(s1), s2=index.nodes(s2), f=g)
 
 
 def is_sink_star(

@@ -1,31 +1,32 @@
 """The process-local sink-search memo, shared across search granularities.
 
-PR 5 introduced a memo that dedupes *whole* sink/core searches across
-discovery states with identical view content.  This module generalises it:
-the same bounded store now also memoises the expensive *sub-searches* that a
-full search is composed of —
+One bounded store memoises *whole* sink/core searches across discovery
+states with identical view content (:mod:`repro.core.locators`) and the two
+expensive *sub-searches* a full search is composed of:
 
-* the SCC / sink-component seeding of the candidate enumeration
-  (:mod:`repro.graphs.sink_search`),
 * the ``(f+1)``-strong-connectivity checks of ``isSinkGdi``
-  (:mod:`repro.graphs.predicates`), and
-* the stronger-proper-subsink scans of the core search —
+  (:meth:`repro.graphs.view_index.ViewIndex.sink_splits`), and
+* the stronger-proper-subsink scans of the core search
+  (:func:`repro.graphs.sink_search.has_stronger_subsink`) --
 
-keyed by the *content* of exactly the inputs each sub-search depends on
-(the candidate set and the PDs restricted to it), never by object identity
-or by the full view.  Content keys make every hit an exact replay of a
-previous computation, so memoisation can never change a result — only skip
-recomputing it.
+keyed by the *content* of exactly the inputs each depends on (the member
+ids and the view restricted to them,
+:meth:`~repro.graphs.view_index.ViewIndex.content`), never by object
+identity, bit position or the full view.  Content keys make every hit an
+exact replay of a previous computation, so memoisation can never change a
+result -- only skip recomputing it.
 
 The memo lives here (in the dependency-free ``graphs`` layer) so both the
-predicate/search modules and :mod:`repro.core.locators` can share one store
-without an import cycle; the locators module re-exports the public names
-for backwards compatibility.
+search modules and :mod:`repro.core.locators` can share one store without an
+import cycle; the locators module re-exports the public names for backwards
+compatibility.
 
 Every key is a tuple whose first element names the search kind (``"sink"``,
-``"core"``, ``"scc"``, ``"conn"``, ``"subsink"``); :meth:`SinkSearchMemo.stats`
-breaks hits and misses down by kind so benchmarks can report where the
-reuse actually happens.
+``"core"``, ``"conn"``, ``"subsink"``); :meth:`SinkSearchMemo.stats` breaks
+hits and misses down by kind so benchmarks can report where the reuse
+actually happens.  Each kind is kept because removing it costs a workload
+more than 5% (ablation in CHANGES.md, PR 12; the ``"scc"`` kind did not and
+is gone).
 """
 
 from __future__ import annotations

@@ -21,18 +21,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
-from repro.graphs.components import sink_components, strongly_connected_components
-from repro.graphs.knowledge_graph import KnowledgeGraph, ProcessId
-from repro.graphs.predicates import (
-    KnowledgeView,
-    SinkWitness,
-    derived_s2,
-    is_sink_gdi,
-    sink_star_witness,
-)
+from repro.graphs.knowledge_graph import ProcessId
+from repro.graphs.predicates import KnowledgeView, SinkWitness
 from repro.graphs.search_memo import SinkSearchMemo, sink_search_memo
+from repro.graphs.view_index import ViewIndex, bits
 
 #: Views with at most this many received processes are searched exhaustively.
 DEFAULT_EXHAUSTIVE_LIMIT = 12
@@ -51,13 +45,8 @@ class SearchOptions:
     max_subsets: int = DEFAULT_MAX_SUBSETS
 
 
-def _received_graph(view: KnowledgeView) -> KnowledgeGraph:
-    """Graph over the received processes, using the received (claimed) PDs."""
-    return view.induced_graph(view.received)
-
-
-def _candidate_s1_sets(view: KnowledgeView, options: SearchOptions) -> Iterator[frozenset[ProcessId]]:
-    """Yield candidate ``S1`` sets, most promising first, without duplicates.
+def _candidate_s1_masks(view: KnowledgeView, options: SearchOptions) -> Iterator[int]:
+    """Yield candidate ``S1`` sets as masks, most promising first, without duplicates.
 
     Candidates are the sink SCCs of the received-PD graph, those components
     with small subsets removed (to shake off Byzantine processes whose
@@ -65,61 +54,44 @@ def _candidate_s1_sets(view: KnowledgeView, options: SearchOptions) -> Iterator[
     other components that only point into them, and -- for small views --
     every subset of the received processes.
     """
-    seen: set[frozenset[ProcessId]] = set()
-
-    def emit(candidate: frozenset[ProcessId]) -> Iterator[frozenset[ProcessId]]:
-        if candidate and candidate not in seen:
-            seen.add(candidate)
-            yield candidate
-
-    # The SCC decomposition only depends on the received processes and their
-    # PDs restricted to them, so it is memoised by content: converging views
-    # re-derive identical received graphs over and over, and the component
-    # algorithms are deterministic (sorted successor/root order), so a hit
-    # replays the exact components (including their order).
-    received = view.received
-    memo = sink_search_memo()
-    scc_key = ("scc", frozenset((node, pd & received) for node, pd in view.pds.items()))
-    cached = memo.lookup(scc_key)
-    if cached is not SinkSearchMemo._MISS:
-        components, sinks = cached
-    else:
-        received_graph = _received_graph(view)
-        components = tuple(strongly_connected_components(received_graph))
-        sinks = tuple(sink_components(received_graph))
-        memo.store(scc_key, (components, sinks))
+    index = view.index()
+    # Tarjan's root order is the one the set-based search had (iteration
+    # order of this set).  It only decides the order of equal-sized
+    # components below, never which ones exist.
+    components, sinks = index.components(set(view.received))
 
     # 1. Sink SCCs of the received graph and their unions with components
     #    that are "absorbed" by them (every outgoing edge points into them).
-    for component in sorted(sinks, key=len, reverse=True):
-        yield from emit(component)
-    for component in sorted(components, key=len, reverse=True):
-        yield from emit(component)
+    largest_first = sorted(sinks, key=int.bit_count, reverse=True)
+    phases: list[Iterable[int]] = [largest_first, sorted(components, key=int.bit_count, reverse=True)]
 
     # 2. Sink SCCs with up to a few members removed.  A Byzantine process can
     #    claim a PD that merges it with the genuine sink component; removing
     #    it restores a candidate whose connectivity is computable.
-    budget = options.max_subsets
-    for component in sorted(sinks, key=len, reverse=True):
-        members = sorted(component, key=repr)
-        max_removed = min(len(members) - 1, 3)
-        for removed_size in range(1, max_removed + 1):
-            for removed in combinations(members, removed_size):
-                budget -= 1
-                if budget <= 0:
-                    break
-                yield from emit(component - frozenset(removed))
-            if budget <= 0:
-                break
-        if budget <= 0:
-            break
+    removals = (
+        component - sum(removed)
+        for component in largest_first
+        for size in range(1, min(component.bit_count() - 1, 3) + 1)
+        for removed in combinations(list(bits(component)), size)
+    )
+    phases.append(islice(removals, max(options.max_subsets - 1, 0)))
 
     # 3. Bounded exhaustive enumeration for small views (reference search).
-    received = sorted(view.received, key=repr)
-    if len(received) <= options.exhaustive_limit:
-        for size in range(len(received), 0, -1):
-            for subset in combinations(received, size):
-                yield from emit(frozenset(subset))
+    if index.received.bit_count() <= options.exhaustive_limit:
+        received = list(bits(index.received))
+        phases.append(
+            sum(subset) for size in range(len(received), 0, -1) for subset in combinations(received, size)
+        )
+
+    seen: set[int] = set()
+    for candidate in chain.from_iterable(phases):
+        if candidate not in seen:
+            seen.add(candidate)
+            yield candidate
+
+
+def _witness(index: ViewIndex, g: int, s1: int, s2: int) -> SinkWitness:
+    return SinkWitness(members=index.nodes(s1 | s2), s1=index.nodes(s1), s2=index.nodes(s2), f=g)
 
 
 def find_sink_with_fault_threshold(
@@ -134,12 +106,10 @@ def find_sink_with_fault_threshold(
     the sink to be identified.
     """
     options = options or SearchOptions()
-    for s1 in _candidate_s1_sets(view, options):
-        if len(s1) < 2 * f + 1:
-            continue
-        s2 = derived_s2(view, f, s1)
-        if is_sink_gdi(view, f, s1, s2, strict_p3=options.strict_p3, bound_s2=options.bound_s2):
-            return SinkWitness(members=s1 | s2, s1=s1, s2=s2, f=f)
+    index = view.index()
+    for s1 in _candidate_s1_masks(view, options):
+        for g, s2 in index.sink_splits(s1, f, f, strict_p3=options.strict_p3, bound_s2=options.bound_s2):
+            return _witness(index, g, s1, s2)
     return None
 
 
@@ -153,23 +123,22 @@ def find_all_sinks(
     For each candidate ``S1`` and each fault value ``g`` (from large to
     small), the derived ``S2`` is computed and the predicate checked; each
     distinct member set is reported once, with the witness realising its
-    maximum ``g`` (i.e. ``f_Gdi``).
+    maximum ``g`` (i.e. ``f_Gdi``) -- the first such ``S1`` in candidate
+    order.
     """
     options = options or SearchOptions()
-    witnesses: dict[frozenset[ProcessId], SinkWitness] = {}
-    for s1 in _candidate_s1_sets(view, options):
-        max_g = (len(s1) - 1) // 2
-        for g in range(max_g, minimum_f - 1, -1):
-            s2 = derived_s2(view, g, s1)
-            if options.bound_s2 and len(s2) > g:
-                continue
-            if not is_sink_gdi(view, g, s1, s2, strict_p3=options.strict_p3, bound_s2=options.bound_s2):
-                continue
-            members = s1 | s2
-            existing = witnesses.get(members)
-            if existing is None or g > existing.f:
-                witnesses[members] = SinkWitness(members=members, s1=s1, s2=s2, f=g)
-    return sorted(witnesses.values(), key=lambda w: (-w.f, -len(w.members), sorted(map(repr, w.members))))
+    index = view.index()
+    best: dict[int, tuple[int, int, int]] = {}
+    for s1 in _candidate_s1_masks(view, options):
+        splits = index.sink_splits(  # every g that P1 allows, down to minimum_f
+            s1, len(index.ids), minimum_f, strict_p3=options.strict_p3, bound_s2=options.bound_s2
+        )
+        for g, s2 in splits:
+            existing = best.get(s1 | s2)
+            if existing is None or g > existing[0]:
+                best[s1 | s2] = (g, s1, s2)
+    witnesses = [_witness(index, *split) for split in best.values()]
+    return sorted(witnesses, key=lambda w: (-w.f, -len(w.members), sorted(map(repr, w.members))))
 
 
 def strongest_sinks(
@@ -199,55 +168,35 @@ def has_stronger_subsink(
     """
     options = options or SearchOptions()
     member_set = frozenset(members)
-    subview = view.subview(member_set)
-    # The scan is a pure function of the member set, the restricted view
-    # content and the options; every predicate below only reads the PDs
-    # intersected with the member set, so restricting the PDs in the key
-    # maximises sharing without changing any result.  The core locator
-    # re-runs this scan on every view change until the core is found, and
-    # typically only the PDs *outside* the tentative core changed -- making
-    # this the single most profitable memoisation point of the core path.
+    index = view.subview(member_set).index()
+    unknown = member_set - index.bit_of.keys()
+    if unknown:
+        raise KeyError(f"processes outside the view: {sorted(map(repr, unknown))}")
+    inside = index.mask(member_set)
+    # The scan is a pure function of the view restricted to the member set
+    # (every predicate below only reads that part), the connectivity and the
+    # options.  The core locator re-runs this scan on every view change until
+    # the core is found, and typically only the PDs *outside* the tentative
+    # core changed -- making this the single most profitable memoisation
+    # point of the core path.
     memo = sink_search_memo()
-    key = (
-        "subsink",
-        connectivity,
-        options,
-        member_set,
-        frozenset(subview.known),
-        frozenset((node, pd & member_set) for node, pd in subview.pds.items()),
-    )
+    key = ("subsink", connectivity, options, *index.content(inside))
     cached = memo.lookup(key)
     if cached is not SinkSearchMemo._MISS:
-        return cached
-    result = _has_stronger_subsink_scan(subview, member_set, connectivity, options)
+        return bool(cached)
+    ordered = list(bits(inside))
+    subsets = (
+        sum(subset)
+        for size in range(len(ordered) - 1, max(1, 2 * connectivity - 1) - 1, -1)
+        for subset in combinations(ordered, size)
+    )
+    # Any witness found has f >= connectivity - 1, i.e. is strong enough.
+    result = any(
+        index.sink_star(subset, connectivity - 1, strict_p3=options.strict_p3, bound_s2=options.bound_s2)
+        for subset in islice(subsets, max(options.max_subsets, 0))
+    )
     memo.store(key, result)
     return result
-
-
-def _has_stronger_subsink_scan(
-    subview: KnowledgeView,
-    member_set: frozenset[ProcessId],
-    connectivity: int,
-    options: SearchOptions,
-) -> bool:
-    minimum_size = max(1, 2 * connectivity - 1)
-    ordered = sorted(member_set, key=repr)
-    examined = 0
-    for size in range(len(member_set) - 1, minimum_size - 1, -1):
-        for subset in combinations(ordered, size):
-            examined += 1
-            if examined > options.max_subsets:
-                return False
-            witness = sink_star_witness(
-                subview,
-                subset,
-                strict_p3=options.strict_p3,
-                bound_s2=options.bound_s2,
-                minimum_f=connectivity - 1,
-            )
-            if witness is not None and witness.connectivity >= connectivity:
-                return True
-    return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,7 +223,7 @@ def find_core_candidate(
     view: KnowledgeView,
     options: SearchOptions | None = None,
 ) -> CoreWitness | None:
-    """Line 2 of Algorithm 4 (as clarified in DESIGN.md).
+    """Line 2 of Algorithm 4 (as clarified in DESIGN.md, "Core rule").
 
     Returns a core witness when the current view contains a sink ``S`` such
     that (a) ``S`` has the strictly maximal connectivity among every sink

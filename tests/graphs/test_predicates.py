@@ -88,7 +88,7 @@ class TestIsSinkGdiPaperInstances:
         assert is_sink_gdi(view, 1, {1, 3, 4}, {2})
 
     def test_fig1b_worked_example_fails_under_strict_p3(self):
-        """The literal P3 reading rejects the paper's own example (see DESIGN.md)."""
+        """The literal P3 reading rejects the paper's own example (DESIGN.md, "P3")."""
         graph = figure_1b().graph
         pds = {
             1: graph.participant_detector(1),

@@ -209,7 +209,7 @@ class TestScheduleBuilders:
 
 
 class TestModelSubtlety:
-    """The DESIGN.md finding: a core strictly inside the safe sink component is fragile.
+    """The DESIGN.md finding ("Fig. 4a caption"): a core strictly inside the safe sink component is fragile.
 
     The graph below has a 5-clique ``{1,...,5}`` (the core, connectivity 3)
     whose members 4 and 5 also know process 6, which points back into the
