@@ -7,6 +7,10 @@ one :class:`ResultStore`:
 * the **warm** pass must hit on every cell, execute **nothing** (proved by
   a counting backend), and export a suite payload bit-identical to the
   cold one modulo the documented volatile keys;
+* an **interrupted** sweep (half the matrix into a fresh store) re-run in
+  full must hit exactly the half that finished, execute only the rest, and
+  produce the cold pass's summaries in scenario order — the lake is the
+  checkpoint;
 * store maintenance (``verify`` / ``pack`` / ``gc``) must round-trip with
   the warm pass still serving 100% hits afterwards;
 * two trajectory-history snapshots are appended and read back through
@@ -91,6 +95,22 @@ def main() -> None:
         check(
             canonical_json(stripped(warm)) == canonical_json(stripped(cold)),
             "warm export is bit-identical to the cold export (modulo volatile keys)",
+        )
+
+        print("interrupted, then re-run")
+        half = len(scenarios) // 2
+        checkpoint = ResultStore(Path(tmp) / "checkpoint")
+        run_sweep(checkpoint, scenarios[:half])
+        resumed, hits, misses, executed = run_sweep(checkpoint, scenarios)
+        check(hits == half, f"re-run hits the {half} cells that finished")
+        check(
+            misses == executed == len(scenarios) - half,
+            "re-run executes only the cells that never finished",
+        )
+        check(
+            [outcome["summary"] for outcome in resumed["outcomes"]]
+            == [outcome["summary"] for outcome in cold["outcomes"]],
+            "re-run summaries equal the uninterrupted serial pass, in scenario order",
         )
 
         print("store maintenance")

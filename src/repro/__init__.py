@@ -20,8 +20,8 @@ The library implements, on top of a from-scratch discrete-event simulator:
   per-cell seeding, the :class:`~repro.experiments.SuiteRunner` over
   pluggable execution backends (serial, ``multiprocessing`` pool, or the
   distributed filesystem :class:`~repro.experiments.WorkQueueBackend`
-  drained by ``python -m repro.experiments.worker`` processes) with
-  journaled :class:`~repro.experiments.OutcomeStore` checkpoint/resume,
+  drained by ``python -m repro.experiments.worker`` processes) with the
+  content-addressable :class:`~repro.experiments.ResultStore` as checkpoint,
   per-group :class:`~repro.experiments.SuiteResult` statistics with
   JSON/CSV export, and the memoised
   :class:`~repro.experiments.GraphAnalysisCache`.

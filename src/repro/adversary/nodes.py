@@ -25,8 +25,6 @@ from repro.sim.tracing import SimulationTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.base import Runtime
-    from repro.sim.engine import Simulator
-    from repro.sim.network import Network
 
 
 class SilentNode(Process):
@@ -159,20 +157,16 @@ def build_faulty_node(
     *,
     process_id: ProcessId,
     participant_detector: frozenset[ProcessId],
-    simulator: Simulator | None = None,
-    network: Network | None = None,
     registry: KeyRegistry,
     key: SigningKey,
     config: ProtocolConfig,
     trace: SimulationTrace | None = None,
-    runtime: "Runtime | None" = None,
+    runtime: "Runtime",
 ) -> Process:
     """Instantiate the node implementing ``spec`` for a faulty process."""
     common = dict(
         process_id=process_id,
         participant_detector=participant_detector,
-        simulator=simulator,
-        network=network,
         registry=registry,
         key=key,
         config=config,
@@ -180,7 +174,7 @@ def build_faulty_node(
         runtime=runtime,
     )
     if spec.behaviour == "silent":
-        return SilentNode(process_id, participant_detector, simulator, network, runtime=runtime)
+        return SilentNode(process_id, participant_detector, runtime=runtime)
     if spec.behaviour == "crash":
         return CrashNode(crash_time=spec.crash_time, **common)
     if spec.behaviour == "lying_pd":

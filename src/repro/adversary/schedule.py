@@ -1,10 +1,8 @@
 """Declarative network fault schedules.
 
 The paper's possibility/impossibility landscape (Table I, Theorem 7) is
-driven by *when* and *between whom* messages are delayed.  Historically the
-repo expressed this through ad-hoc ``Network.add_delay_override`` closures
-buried inside experiment harnesses; a :class:`NetworkSchedule` lifts those
-scripts to first-class, plain data:
+driven by *when* and *between whom* messages are delayed.  A
+:class:`NetworkSchedule` expresses those scripts as first-class, plain data:
 
 * :class:`DelayRule` -- delay (by a fixed amount, or *until* an absolute
   time) or withhold every message from a source set to a destination set

@@ -31,8 +31,6 @@ from repro.sim.tracing import SimulationTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.base import Runtime
-    from repro.sim.engine import Simulator
-    from repro.sim.network import Network
 
 
 @dataclass
@@ -58,10 +56,6 @@ class RunConfig:
     max_events: int = 2_000_000
     #: Restrict which processes call ``propose``; ``None`` means everyone.
     participants: frozenset[ProcessId] | None = None
-    #: Heap-compaction threshold forwarded to the :class:`Simulator`
-    #: (``None`` keeps the engine default).  Purely an engine tuning knob:
-    #: trajectories are identical for every value.
-    compaction_min_queue: int | None = None
 
     def proposal_of(self, process: ProcessId) -> Any:
         return self.proposals.get(process, f"value-of-{process!r}")
@@ -203,19 +197,6 @@ def build_protocol_nodes(
     return nodes
 
 
-def build_nodes(
-    config: RunConfig,
-    simulator: "Simulator",
-    network: "Network",
-    registry: KeyRegistry,
-    trace: SimulationTrace,
-) -> dict[ProcessId, Process]:
-    """Instantiate every process of a *simulated* run (correct and faulty)."""
-    from repro.runtime.sim import SimRuntime
-
-    return build_protocol_nodes(config, SimRuntime(simulator, network), registry, trace)
-
-
 def run_consensus(config: RunConfig) -> RunResult:
     """Simulate one execution and evaluate the consensus properties."""
     # Deferred: repro.runtime.fidelity imports this module, so a module-level
@@ -230,7 +211,6 @@ def run_consensus(config: RunConfig) -> RunResult:
     runtime = build_sim_runtime(
         max_time=config.horizon,
         max_events=config.max_events,
-        compaction_min_queue=config.compaction_min_queue,
         synchrony=config.synchrony,
         trace=trace,
         network_seed=derive_seed(config.seed, "network"),

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from repro.core.discovery import DiscoveryState
 from repro.graphs.knowledge_graph import ProcessId
 from repro.graphs.predicates import SinkWitness
-from repro.graphs.search_memo import _PROCESS_MEMO, SinkSearchMemo, sink_search_memo
+from repro.graphs.search_memo import _PROCESS_MEMO, SinkSearchMemo
 from repro.graphs.sink_search import (
     CoreWitness,
     SearchOptions,
@@ -163,9 +163,4 @@ class CoreLocator:
         return None if self._core is None else self._core.estimated_f
 
 
-__all__ = [
-    "SinkLocator",
-    "CoreLocator",
-    "SinkSearchMemo",
-    "sink_search_memo",
-]
+__all__ = ["SinkLocator", "CoreLocator"]

@@ -36,8 +36,6 @@ from repro.sim.tracing import SimulationTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.base import Runtime
-    from repro.sim.engine import Simulator
-    from repro.sim.network import Network
 
 _PBFT_MESSAGE_TYPES = (PrePrepare, Prepare, Commit, ViewChange, NewView)
 
@@ -49,18 +47,14 @@ class ConsensusNode(Process):
         self,
         process_id: ProcessId,
         participant_detector: frozenset[ProcessId],
-        simulator: Simulator | None = None,
-        network: Network | None = None,
-        registry: KeyRegistry | None = None,
-        key: SigningKey | None = None,
-        config: ProtocolConfig | None = None,
+        registry: KeyRegistry,
+        key: SigningKey,
+        config: ProtocolConfig,
         trace: SimulationTrace | None = None,
         *,
-        runtime: "Runtime | None" = None,
+        runtime: "Runtime",
     ) -> None:
-        super().__init__(process_id, participant_detector, simulator, network, runtime=runtime)
-        if registry is None or key is None or config is None:
-            raise TypeError("ConsensusNode requires registry=, key= and config=")
+        super().__init__(process_id, participant_detector, runtime=runtime)
         self.registry = registry
         self.key = key
         self.config = config

@@ -4,26 +4,27 @@
   :class:`GraphSpec` / :class:`SynchronySpec` references and the
   :class:`ScenarioMatrix` cartesian sweep builder with deterministic
   per-cell seed derivation (scenarios serialise to JSON and carry a stable
-  ``cell_digest`` for checkpointing and job-queue identity);
+  ``cell_digest`` for result-lake and job-queue identity);
 * :mod:`repro.experiments.backends` -- the :class:`ExecutionBackend`
   protocol and its implementations: :class:`SerialBackend`,
   :class:`PoolBackend` (local ``multiprocessing``),
   :class:`WorkQueueBackend` (a filesystem job queue drained by independent
   worker processes) and :class:`RemoteWorkQueueBackend` (the same queue
-  served over TCP to workers on any machine), plus the journaled
-  :class:`OutcomeStore`;
+  served over TCP to workers on any machine);
 * :mod:`repro.experiments.runner` -- :class:`SuiteRunner`, executing suites
   on any backend with progress callbacks, fail-fast / collect-all error
-  handling and checkpoint/resume via ``run(..., resume=...)``;
+  handling and the result lake as its checkpoint (``run(..., store=...)``);
 * :mod:`repro.experiments.worker` -- the ``python -m
   repro.experiments.worker`` CLI that drains a work-queue directory
-  (``--queue DIR``) or a TCP queue server (``--connect HOST:PORT``);
+  (``--queue DIR``) or a TCP queue server (``--connect HOST:PORT``) through
+  one loop;
 * :mod:`repro.experiments.queue_server` -- the ``python -m
   repro.experiments.queue_server`` CLI serving a queue directory over TCP;
 * :mod:`repro.experiments.lake` -- the content-addressable
   :class:`ResultStore` behind ``SuiteRunner.run(..., store=...)``: a
   digest-keyed cell cache shared across sweeps, backends and remote
-  workers, plus the per-commit bench trajectory history;
+  workers — re-running a killed sweep against it resumes the sweep — plus
+  the per-commit bench trajectory history;
 * :mod:`repro.experiments.regression` -- benchmark-trajectory comparison
   against committed ``BENCH_*.json`` baselines (the CI regression gate);
 * :mod:`repro.experiments.results` -- :class:`SuiteResult` aggregation
@@ -37,7 +38,6 @@
 from repro.core.seeding import derive_seed
 from repro.experiments.backends import (
     ExecutionBackend,
-    OutcomeStore,
     PoolBackend,
     QueueServer,
     RemoteQueueClient,
@@ -102,7 +102,6 @@ __all__ = [
     "RemoteQueueClient",
     "RemoteQueueError",
     "RemoteWorkQueueBackend",
-    "OutcomeStore",
     "ResultStore",
     "executor_identity",
     "executor_digest_of",

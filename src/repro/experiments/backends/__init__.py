@@ -1,20 +1,23 @@
 """Pluggable execution backends for the suite runner.
 
 * :mod:`repro.experiments.backends.base` -- the :class:`ExecutionBackend`
-  protocol and :func:`execute_cell`, the shared per-cell envelope;
+  protocol and :func:`execute_cell`, the one envelope every cell is run and
+  timed in (in-process, in a pool child or in a queue worker);
 * :mod:`repro.experiments.backends.local` -- :class:`SerialBackend` and
   :class:`PoolBackend`, the in-process paths extracted from the runner;
 * :mod:`repro.experiments.backends.queue` -- :class:`WorkQueueBackend` and
   the filesystem :class:`WorkQueue` it coordinates (atomic-rename claiming,
-  JSONL outcome shards, heartbeat + lease reclamation);
+  JSONL outcome shards, heartbeat + lease reclamation), plus
+  :class:`QueueWorker`, one worker's side of a queue directory;
 * :mod:`repro.experiments.backends.transport` -- length-prefixed JSON
   framing shared by the TCP server and client;
 * :mod:`repro.experiments.backends.remote` -- :class:`QueueServer`,
   :class:`RemoteQueueClient` and :class:`RemoteWorkQueueBackend`, serving
   the same queue protocol over TCP with batched, replay-safe outcome
-  uploads and streamed per-cell progress;
-* :mod:`repro.experiments.backends.store` -- :class:`OutcomeStore`, the
-  append-only outcome journal behind ``SuiteRunner.run(..., resume=...)``.
+  uploads and streamed per-cell progress.
+
+Queue workers of either transport run the single
+:func:`repro.experiments.worker.drain` loop.
 """
 
 from repro.experiments.backends.base import (
@@ -23,23 +26,22 @@ from repro.experiments.backends.base import (
     ExecutionBackend,
     Executor,
     execute_cell,
+    resolve_executor,
 )
 from repro.experiments.backends.local import PoolBackend, SerialBackend
 from repro.experiments.backends.queue import (
+    QueueWorker,
     WorkQueue,
     WorkQueueBackend,
     WorkQueueError,
     executor_reference,
-    resolve_executor,
 )
 from repro.experiments.backends.remote import (
     QueueServer,
     RemoteQueueClient,
     RemoteQueueError,
     RemoteWorkQueueBackend,
-    drain_remote,
 )
-from repro.experiments.backends.store import OutcomeStore
 from repro.experiments.backends.transport import (
     FrameTooLargeError,
     TransportError,
@@ -56,6 +58,7 @@ __all__ = [
     "execute_cell",
     "SerialBackend",
     "PoolBackend",
+    "QueueWorker",
     "WorkQueue",
     "WorkQueueBackend",
     "WorkQueueError",
@@ -65,11 +68,9 @@ __all__ = [
     "RemoteQueueClient",
     "RemoteQueueError",
     "RemoteWorkQueueBackend",
-    "drain_remote",
     "TransportError",
     "TruncatedFrameError",
     "FrameTooLargeError",
     "read_frame",
     "write_frame",
-    "OutcomeStore",
 ]

@@ -35,7 +35,6 @@ sweep killed mid-run is resumed.
 
 from __future__ import annotations
 
-import importlib
 import json
 import os
 import re
@@ -44,12 +43,10 @@ import sys
 import time  # lint: allow-file[DET-SEED-CLOCK] operational timing: lease deadlines and heartbeats are wall-clock by design
 import warnings
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.experiments.backends.base import CellResult, CellTask, Executor
-from repro.experiments.backends.store import encode_record_line, parse_record_line
+from repro.experiments.backends.base import CellResult, CellTask, Executor, resolve_executor
 from repro.experiments.lake import ResultStore, executor_digest_of, result_key
 
 #: Separator between digest and worker id in claimed-job filenames.  Safe
@@ -97,26 +94,38 @@ def executor_reference(executor: Executor) -> str:
     return reference
 
 
-def resolve_executor(reference: str) -> Executor:
-    """Import the executor named by a ``module:qualname`` reference."""
-    module_name, _, qualname = reference.partition(":")
-    if not module_name or not qualname:
-        raise WorkQueueError(f"malformed executor reference {reference!r} (expected module:name)")
-    return getattr(importlib.import_module(module_name), qualname)
+#: One claimed cell, exactly as its job file (and the TCP ``claim`` reply)
+#: carries it: ``digest``, ``index``, the declarative ``scenario`` dict, the
+#: ``executor`` reference and ``result_key`` — the result-lake key of the
+#: (cell, executor) pair, ``None`` when the sweep runs without a store or the
+#: executor declares no cache identity.
+Job = dict[str, Any]
 
 
-@dataclass
-class Job:
-    """One claimed cell: the declarative payload plus its claim file."""
+def outcome_record(
+    job: Job,
+    worker_id: str,
+    *,
+    summary: dict[str, Any] | None,
+    error: str | None,
+    wall_time: float,
+) -> dict[str, Any]:
+    """The journal record of one finished job.
 
-    digest: str
-    index: int
-    scenario: dict[str, Any]
-    executor: str
-    claim_path: Path
-    #: Result-lake key for this (cell, executor) pair; ``None`` when the
-    #: sweep runs without a store or the executor declares no cache identity.
-    result_key: str | None = None
+    The single owner of the record shape: directory workers append it to
+    their shard, TCP workers upload it (and stream it as a progress event),
+    and the coordinator reads it back — identical across transports apart
+    from ``worker``.
+    """
+    scenario = job.get("scenario")
+    return {
+        "digest": job["digest"],
+        "scenario": scenario.get("name") if isinstance(scenario, dict) else None,
+        "summary": summary,
+        "error": error,
+        "wall_time": wall_time,
+        "worker": sanitize_worker_id(worker_id),
+    }
 
 
 class WorkQueue:
@@ -190,11 +199,11 @@ class WorkQueue:
                 continue
             offsets[key] = offset + len(complete.encode()) + 1
             for line in complete.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                record = parse_record_line(line)
-                if record is not None and "digest" in record:
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    continue  # blank or corrupt line: skip it, keep the rest
+                if isinstance(record, dict) and "digest" in record:
                     records.append(record)
         return records
 
@@ -272,20 +281,21 @@ class WorkQueue:
             try:
                 job = json.loads(claim_path.read_text())
                 key = job.get("result_key")
-                return Job(
-                    digest=job["digest"],
-                    index=int(job.get("index", -1)),
-                    scenario=job["scenario"],
-                    executor=job["executor"],
-                    claim_path=claim_path,
-                    result_key=key if isinstance(key, str) else None,
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, OSError):
-                # Corrupt job file: report it as a failed cell (keyed by the
-                # filename digest) so the coordinator is not left waiting.
+                return {
+                    "digest": job["digest"],
+                    "index": int(job.get("index", -1)),
+                    "scenario": job["scenario"],
+                    "executor": job["executor"],
+                    "result_key": key if isinstance(key, str) else None,
+                }
+            except (ValueError, KeyError, TypeError, AttributeError, OSError):
+                # Unreadable job file: report it as a failed cell (keyed by the
+                # filename digest) so the coordinator is not left waiting.  A
+                # readable job with a corrupt scenario or executor reference
+                # fails later, inside execute_cell's envelope.
                 self.report(
                     worker,
-                    Job(digest=digest, index=-1, scenario={}, executor="", claim_path=claim_path),
+                    {"digest": digest},
                     summary=None,
                     error=f"corrupt job file {candidate.name}",
                     wall_time=0.0,
@@ -303,14 +313,7 @@ class WorkQueue:
         wall_time: float,
     ) -> None:
         """Durably journal one outcome, then mark the job done."""
-        record = {
-            "digest": job.digest,
-            "scenario": job.scenario.get("name"),
-            "summary": summary,
-            "error": error,
-            "wall_time": wall_time,
-            "worker": sanitize_worker_id(worker_id),
-        }
+        record = outcome_record(job, worker_id, summary=summary, error=error, wall_time=wall_time)
         self.journal_record(worker_id, record)
 
     def journal_record(self, worker_id: str, record: dict[str, Any]) -> None:
@@ -325,13 +328,17 @@ class WorkQueue:
         """
         worker = sanitize_worker_id(worker_id)
         digest = record["digest"]
-        line, degraded = encode_record_line(record)
-        if degraded:
+        try:
+            line = json.dumps(record)
+        except TypeError:
+            # A custom executor returned non-JSON values: the shard stays
+            # usable, but the coordinator reads the values back as strings.
             warnings.warn(
                 f"outcome of job {digest} is not JSON-serialisable; journaling "
                 "a repr-encoded record (the coordinator will see strings)",
                 stacklevel=2,
             )
+            line = json.dumps(record, default=repr)
         shard = self.outcomes / f"{worker}.jsonl"
         with open(shard, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
@@ -342,6 +349,75 @@ class WorkQueue:
             claim_path.rename(self.done / f"{digest}.json")
         except FileNotFoundError:
             pass  # claim was reclaimed while we executed; the outcome still counts
+
+
+class QueueWorker:
+    """One worker's side of a queue directory.
+
+    The surface :func:`repro.experiments.worker.drain` is written against
+    (:class:`~repro.experiments.backends.remote.RemoteQueueClient` is its TCP
+    twin): claim / report / heartbeat / lake_get / lake_put / idle / close.
+    What is particular to the directory transport lives here — the heartbeat
+    file refreshed before every claim, reclaiming the expired claims of dead
+    workers while idle (so a fleet is self-healing), and a result lake opened
+    straight from the shared filesystem.
+    """
+
+    def __init__(
+        self,
+        queue: WorkQueue | str | Path,
+        worker_id: str,
+        *,
+        lease: float = 60.0,
+        poll_interval: float = 0.1,
+        lake: ResultStore | str | Path | None = None,
+    ) -> None:
+        self.queue = queue if isinstance(queue, WorkQueue) else WorkQueue(queue)
+        self.worker_id = worker_id
+        self.lease = lease
+        self.poll_interval = poll_interval
+        self.lake = lake if lake is None or isinstance(lake, ResultStore) else ResultStore(lake)
+        #: A quarter lease, so a claim is only reclaimed when the worker
+        #: process actually died, not because one cell outran the lease.
+        self.heartbeat_interval = max(min(lease / 4.0, 15.0), 0.05)
+
+    def heartbeat(self) -> None:
+        self.queue.heartbeat(self.worker_id)
+
+    def claim(self) -> Job | None:
+        self.heartbeat()
+        return self.queue.claim(self.worker_id)
+
+    def report(
+        self, job: Job, *, summary: dict[str, Any] | None, error: str | None, wall_time: float
+    ) -> None:
+        self.queue.report(self.worker_id, job, summary=summary, error=error, wall_time=wall_time)
+
+    def lake_get(self, key: str) -> dict[str, Any] | None:
+        return None if self.lake is None else self.lake.get(key)
+
+    def lake_put(self, key: str, payload: dict[str, Any]) -> None:
+        if self.lake is not None:
+            self.lake.put(key, payload)
+
+    def idle(self) -> None:
+        """Nothing to claim: heal the queue, then wait one poll interval."""
+        self.queue.reclaim_expired(self.lease)
+        time.sleep(self.poll_interval)
+
+    def close(self) -> None:
+        """Nothing buffered: every report is durable before it returns."""
+
+
+def _cell_results(indexes: Sequence[int], record: dict[str, Any]) -> Iterator[CellResult]:
+    """One :data:`CellResult` per suite index sharing ``record``'s digest."""
+    for index in indexes:
+        yield (
+            index,
+            record.get("summary"),
+            record.get("error"),
+            float(record.get("wall_time") or 0.0),
+        )
 
 
 class WorkQueueBackend:
@@ -423,7 +499,7 @@ class WorkQueueBackend:
         # Stitch outcomes journaled by a previous life of this queue
         # directory: successes are yielded straight away; failures are
         # re-enqueued (with the current executor reference) so transient
-        # errors heal on resume, mirroring OutcomeStore resume semantics.
+        # errors heal on resume.
         journaled: dict[str, dict[str, Any]] = {}
         for record in queue.read_new_outcomes(offsets):
             if record["digest"] in outstanding:
@@ -431,13 +507,7 @@ class WorkQueueBackend:
         for digest, record in journaled.items():
             if record.get("error") is None or not queue.requeue_done(digest, reference):
                 outstanding.discard(digest)
-                for index in index_of[digest]:
-                    yield (
-                        index,
-                        record.get("summary"),
-                        record.get("error"),
-                        float(record.get("wall_time") or 0.0),
-                    )
+                yield from _cell_results(index_of[digest], record)
 
         procs: list[subprocess.Popen[bytes]] = []
         started = time.monotonic()
@@ -454,13 +524,7 @@ class WorkQueueBackend:
                         continue  # duplicate report (reclaimed + finished twice)
                     outstanding.discard(digest)
                     progressed = True
-                    for index in index_of[digest]:
-                        yield (
-                            index,
-                            record.get("summary"),
-                            record.get("error"),
-                            float(record.get("wall_time") or 0.0),
-                        )
+                    yield from _cell_results(index_of[digest], record)
                 if not outstanding:
                     break
                 reclaimed = queue.reclaim_expired(self.lease)
@@ -559,10 +623,12 @@ class WorkQueueBackend:
 
 __all__ = [
     "Job",
+    "QueueWorker",
     "WorkQueue",
     "WorkQueueBackend",
     "WorkQueueError",
     "executor_reference",
+    "outcome_record",
     "resolve_executor",
     "sanitize_worker_id",
 ]

@@ -27,14 +27,15 @@ Design points:
   progress callback fires per cell even while durable uploads are batched.
 * **The journal stays coordinator-side.**  Outcome shards live in the
   server's queue directory, so re-running a coordinator over the same
-  directory — or ``SuiteRunner.run(..., resume=store)`` — works unchanged
-  across transports, and remote runs are bit-identical to serial ones
-  (same ``cell_digest``s, same summaries).
+  directory works unchanged across transports, and remote runs are
+  bit-identical to serial ones (same ``cell_digest``s, same summaries).
+* **One worker loop.**  :func:`repro.experiments.worker.drain` runs against
+  a :class:`RemoteQueueClient` exactly as against a directory
+  :class:`~repro.experiments.backends.queue.QueueWorker`.
 """
 
 from __future__ import annotations
 
-import os
 import socket
 import sys
 import threading
@@ -47,9 +48,10 @@ from pathlib import Path
 from typing import Any
 
 from repro.experiments.backends.queue import (
+    Job,
     WorkQueue,
     WorkQueueBackend,
-    resolve_executor,
+    outcome_record,
     sanitize_worker_id,
 )
 from repro.experiments.lake import ResultStore
@@ -365,15 +367,7 @@ class QueueServer:
                         return cached[1]  # lost-ACK retry: same claim again
                 job = self.queue.claim(worker)
                 if job is not None or time.monotonic() >= deadline or self._stopping.is_set():
-                    reply: dict[str, Any] = {"ok": True, "job": None}
-                    if job is not None:
-                        reply["job"] = {
-                            "digest": job.digest,
-                            "index": job.index,
-                            "scenario": job.scenario,
-                            "executor": job.executor,
-                            "result_key": job.result_key,
-                        }
+                    reply: dict[str, Any] = {"ok": True, "job": job}
                     if isinstance(token, str):
                         self._claim_replies[key] = (token, reply)
                     return reply
@@ -437,6 +431,17 @@ class RemoteQueueClient:
     coordinator restart.  Requests are idempotent by construction: claims
     carry per-attempt tokens (a lost-ACK retry gets the same job back),
     heartbeats are monotone, and outcome batches carry sequence numbers.
+
+    The client is the TCP side of the surface
+    :func:`repro.experiments.worker.drain` is written against, and owns what
+    is particular to this transport.  :meth:`report` streams each outcome as
+    a ``cell-finished`` progress event and uploads sequenced batches of
+    ``batch_size`` (flushed when full, when idle and on :meth:`close`).
+    ``mode="push"`` flips the claim economics: every report is flushed at
+    once with a piggybacked claim (report + next job in one round-trip), and
+    an idle claim long-polls ``claim_wait`` seconds server-side instead of
+    burning ``poll_interval`` claim round-trips.  Cells, outcomes and journal
+    records are identical between the modes; only the rhythm differs.
     """
 
     def __init__(
@@ -449,9 +454,24 @@ class RemoteQueueClient:
         retry_window: float = 60.0,
         retry_interval: float = 0.5,
         compress_min: int | None = None,
+        batch_size: int = 8,
+        mode: str = "claim",
+        claim_wait: float = 5.0,
+        poll_interval: float = 0.1,
+        heartbeat_interval: float = 5.0,
     ) -> None:
+        if batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if mode not in ("claim", "push"):
+            raise ValueError(f"mode must be 'claim' or 'push', got {mode!r}")
         self.address = parse_address(address) if isinstance(address, str) else address
         self.worker_id = worker_id
+        self.batch_size = batch_size
+        self.push = mode == "push"
+        #: Seconds an idle claim parks server-side; ``None`` outside push mode.
+        self.claim_wait = claim_wait if self.push else None
+        self.poll_interval = poll_interval
+        self.heartbeat_interval = heartbeat_interval
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
         self.retry_window = retry_window
@@ -474,6 +494,10 @@ class RemoteQueueClient:
         #: enqueue time, so a re-send after a failed upload is a true replay
         #: (same seq, same records) the server can deduplicate.
         self._pending_batches: list[tuple[int, list[dict[str, Any]]]] = []
+        #: Outcomes reported but not yet handed to :meth:`report_batch`.
+        self._batch: list[dict[str, Any]] = []
+        #: Push mode: the job the last report's piggybacked claim handed back.
+        self._next_job: Job | None = None
 
     # Connection ------------------------------------------------------------
     def _connect_locked(self) -> None:
@@ -521,6 +545,11 @@ class RemoteQueueClient:
             self._sock = None
 
     def close(self) -> None:
+        """Upload whatever is still buffered, then drop the connection."""
+        try:
+            self._flush()
+        except RemoteQueueError as error:
+            print(f"worker {self.worker_id}: final upload failed: {error}", file=sys.stderr)
         with self._lock:
             self._close_locked()
 
@@ -560,7 +589,7 @@ class RemoteQueueClient:
                     )
                 return reply
 
-    def claim(self, *, wait: float | None = None) -> dict[str, Any] | None:
+    def claim(self, *, wait: float | None = None) -> Job | None:
         """Claim one job; ``None`` when the queue has nothing pending.
 
         Each logical claim carries a fresh token; a connection-level retry
@@ -568,10 +597,17 @@ class RemoteQueueClient:
         instead of claiming a second one (claims are otherwise not
         idempotent — a lost ACK would strand the first job).
 
-        ``wait`` long-polls: the server parks the claim until a job appears
-        or the wait (bounded server-side) elapses, so idle push-mode workers
-        burn no claim round-trips.
+        ``wait`` (default: the client's ``claim_wait``) long-polls: the
+        server parks the claim until a job appears or the wait (bounded
+        server-side) elapses, so idle push-mode workers burn no claim
+        round-trips.  A job piggybacked on the last :meth:`report` is handed
+        out first.
         """
+        job, self._next_job = self._next_job, None
+        if job is not None:
+            return job
+        if wait is None:
+            wait = self.claim_wait
         payload: dict[str, Any] = {
             "op": "claim",
             "worker": self.worker_id,
@@ -585,7 +621,11 @@ class RemoteQueueClient:
         return job if isinstance(job, dict) else None
 
     def heartbeat(self) -> None:
-        self.call({"op": "heartbeat", "worker": self.worker_id})
+        """Best-effort sign of life (every other request is one too)."""
+        try:
+            self.call({"op": "heartbeat", "worker": self.worker_id})
+        except RemoteQueueError:
+            pass  # the drain loop surfaces persistent connectivity loss
 
     def progress(self, event: dict[str, Any]) -> None:
         self.call({"op": "progress", "worker": self.worker_id, "event": event})
@@ -651,183 +691,54 @@ class RemoteQueueClient:
         return dict(reply.get("snapshot") or {})
 
     def lake_get(self, key: str) -> dict[str, Any] | None:
-        """Fetch a result-lake payload from the server; ``None`` on miss."""
-        reply = self.call({"op": "lake-get", "worker": self.worker_id, "key": key})
+        """A result-lake payload from the server; ``None`` on a miss — or when
+        the server is unreachable: execution is the fallback."""
+        try:
+            reply = self.call({"op": "lake-get", "worker": self.worker_id, "key": key})
+        except RemoteQueueError:
+            return None
         payload = reply.get("payload")
         return payload if isinstance(payload, dict) else None
 
     def lake_put(self, key: str, payload: dict[str, Any]) -> bool:
-        """Store a freshly computed outcome in the server's result lake."""
-        reply = self.call({"op": "lake-put", "worker": self.worker_id, "key": key, "payload": payload})
+        """Offer a fresh outcome to the server's result lake (best-effort:
+        losing a lake write never loses the outcome)."""
+        try:
+            reply = self.call(
+                {"op": "lake-put", "worker": self.worker_id, "key": key, "payload": payload}
+            )
+        except RemoteQueueError:
+            return False
         return bool(reply.get("stored"))
 
-
-# ---------------------------------------------------------------------------
-# Worker drain loop (the --connect mode of python -m repro.experiments.worker)
-# ---------------------------------------------------------------------------
-def drain_remote(
-    address: tuple[str, int] | str,
-    *,
-    worker_id: str | None = None,
-    max_jobs: int | None = None,
-    idle_timeout: float = 10.0,
-    poll_interval: float = 0.1,
-    batch_size: int = 8,
-    heartbeat_interval: float = 5.0,
-    retry_window: float = 60.0,
-    mode: str = "claim",
-    claim_wait: float = 5.0,
-    compress_min: int | None = None,
-) -> int:
-    """Claim and execute jobs from a TCP queue server; return the job count.
-
-    The loop mirrors :func:`repro.experiments.worker.drain` — same idle
-    semantics, same never-let-a-cell-kill-the-worker execution envelope —
-    with two transport-specific twists: outcomes are uploaded in sequenced
-    batches of ``batch_size`` (flushed when full, when the queue goes idle
-    and on exit), and a ``cell-finished`` progress event streams each
-    outcome to the coordinator the moment it exists.  A background thread
-    heartbeats through the same connection so long cells are not reclaimed
-    from a live worker.
-
-    ``mode="push"`` flips the claim economics: each finished cell is flushed
-    immediately with a piggybacked claim (report + next job in one
-    round-trip), and an idle worker long-polls ``claim_wait`` seconds — the
-    server parks the connection and pushes the next job the moment one is
-    enqueued, instead of the worker burning ``poll_interval`` claim
-    round-trips.  The executed cells, outcomes and journal records are
-    identical between the modes; only the transport rhythm differs.
-    ``compress_min`` requests zlib compression (see
-    :class:`RemoteQueueClient`) for frames at least that many bytes.
-
-    Jobs carrying a ``result_key`` consult the server's result lake first
-    (``lake-get``): a hit journals the stored summary — with its recorded
-    wall time, so the outcome is bit-identical to the original computation
-    — without executing the cell, and a fresh success is offered back
-    (``lake-put``, best-effort) so the whole fleet shares it.
-    """
-    from repro.experiments.scenario import Scenario
-
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-    if mode not in ("claim", "push"):
-        raise ValueError(f"mode must be 'claim' or 'push', got {mode!r}")
-    push = mode == "push"
-    worker = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-    client = RemoteQueueClient(address, worker, retry_window=retry_window, compress_min=compress_min)
-    executed = 0
-    batch: list[dict[str, Any]] = []
-    stop_heartbeat = threading.Event()
-
-    def _flush(*, claim: bool = False) -> dict[str, Any] | None:
-        # Ownership of the records moves to the client here: even when the
-        # upload raises, the batch is pending client-side under its assigned
-        # sequence number and is replayed (not renumbered) by later flushes.
-        nonlocal batch
-        handed, batch = batch, []
-        return client.report_batch(handed, claim=claim, claim_wait=claim_wait if claim else None)
-
-    def _heartbeat_loop() -> None:
-        while not stop_heartbeat.wait(heartbeat_interval):
-            try:
-                client.heartbeat()
-            except RemoteQueueError:
-                pass  # the drain loop surfaces persistent connectivity loss
-
-    heartbeat_thread = threading.Thread(target=_heartbeat_loop, daemon=True)
-    heartbeat_thread.start()
-    try:
-        idle_since = time.monotonic()
-        next_job: dict[str, Any] | None = None
-        while max_jobs is None or executed < max_jobs:
-            if push:
-                # Use the job the last report's piggybacked claim handed
-                # back; otherwise long-poll so the server pushes the next
-                # job the moment one is enqueued.
-                job, next_job = next_job, None
-                if job is None:
-                    job = client.claim(wait=claim_wait)
-            else:
-                job = client.claim()
-            if job is None:
-                _flush()
-                if time.monotonic() - idle_since > idle_timeout:
-                    break
-                if not push:  # a push claim already waited server-side
-                    time.sleep(poll_interval)
-                continue
-            result_key = job.get("result_key")
-            cached: dict[str, Any] | None = None
-            if isinstance(result_key, str):
-                try:
-                    cached = client.lake_get(result_key)
-                except RemoteQueueError:
-                    cached = None  # lake is an optimisation; execution is the fallback
-            if cached is not None and cached.get("error") is None:
-                # Lake hit: journal the stored outcome (with its *recorded*
-                # wall time, so it is bit-identical to the original run)
-                # without executing the cell.
-                record = {
-                    "digest": job["digest"],
-                    "scenario": (job.get("scenario") or {}).get("name"),
-                    "summary": cached.get("summary"),
-                    "error": None,
-                    "wall_time": float(cached.get("wall_time") or 0.0),
-                    "worker": sanitize_worker_id(worker),
-                    "lake_hit": True,
-                }
-            else:
-                started = time.perf_counter()
-                try:
-                    scenario = Scenario.from_dict(job["scenario"])
-                    executor = resolve_executor(job["executor"])
-                    summary, error = executor(scenario), None
-                except Exception:
-                    # Never let one bad cell (or an unimportable executor) kill
-                    # the worker: report the failure so the coordinator sees it.
-                    summary, error = None, traceback.format_exc(limit=8)
-                record = {
-                    "digest": job["digest"],
-                    "scenario": (job.get("scenario") or {}).get("name"),
-                    "summary": summary,
-                    "error": error,
-                    "wall_time": time.perf_counter() - started,
-                    "worker": sanitize_worker_id(worker),
-                }
-                if isinstance(result_key, str) and error is None:
-                    try:
-                        client.lake_put(
-                            result_key,
-                            {
-                                "scenario": record["scenario"],
-                                "summary": summary,
-                                "error": None,
-                                "wall_time": record["wall_time"],
-                                "graph_analysis": None,
-                            },
-                        )
-                    except RemoteQueueError:
-                        pass  # best-effort: losing a lake write never loses the outcome
-            batch.append(record)
-            try:
-                client.progress({"kind": "cell-finished", "digest": record["digest"], "record": record})
-            except RemoteQueueError:
-                pass  # progress is best-effort; the batched upload is durable
-            if push:
-                next_job = _flush(claim=True)
-            elif len(batch) >= batch_size:
-                _flush()
-            executed += 1
-            idle_since = time.monotonic()
-    finally:
-        stop_heartbeat.set()
-        heartbeat_thread.join(timeout=1.0)
+    # The drain-loop surface ------------------------------------------------
+    def report(
+        self, job: Job, *, summary: dict[str, Any] | None, error: str | None, wall_time: float
+    ) -> None:
+        """Buffer one finished job's outcome and stream it as progress."""
+        record = outcome_record(job, self.worker_id, summary=summary, error=error, wall_time=wall_time)
+        self._batch.append(record)
         try:
-            _flush()
-        except RemoteQueueError as error:
-            print(f"worker {worker}: could not upload final batch: {error}", file=sys.stderr)
-        client.close()
-    return executed
+            self.progress({"kind": "cell-finished", "digest": record["digest"], "record": record})
+        except RemoteQueueError:
+            pass  # progress is best-effort; the batched upload is durable
+        if self.push:
+            self._next_job = self._flush(claim=True)
+        elif len(self._batch) >= self.batch_size:
+            self._flush()
+
+    def idle(self) -> None:
+        """Nothing to claim: upload the partial batch, then wait one poll interval."""
+        self._flush()
+        if not self.push:  # a push claim already waited server-side
+            time.sleep(self.poll_interval)
+
+    def _flush(self, *, claim: bool = False) -> Job | None:
+        # Ownership of the records moves to report_batch here: even when the
+        # upload raises, the batch is pending under its assigned sequence
+        # number and is replayed (not renumbered) by later flushes.
+        handed, self._batch = self._batch, []
+        return self.report_batch(handed, claim=claim, claim_wait=self.claim_wait)
 
 
 # ---------------------------------------------------------------------------
@@ -991,7 +902,6 @@ __all__ = [
     "RemoteQueueClient",
     "RemoteQueueError",
     "RemoteWorkQueueBackend",
-    "drain_remote",
     "format_address",
     "parse_address",
 ]

@@ -95,6 +95,28 @@ def result_key(cell_digest: str, executor_digest: str) -> str:
     return hashlib.sha256(f"{cell_digest}\n{executor_digest}".encode()).hexdigest()
 
 
+def outcome_payload(
+    scenario_name: str | None,
+    summary: dict[str, Any] | None,
+    wall_time: float,
+    graph_analysis: dict[str, Any] | None = None,
+) -> dict[str, Any]:
+    """The immutable lake object recorded for one successful outcome.
+
+    The single owner of the payload shape: the coordinator and the queue
+    workers both store through it, so the same cell stored from either side
+    is content-identical and shares one object.  Failures are never stored
+    (``error`` is always ``None``), which is what makes a re-run retry them.
+    """
+    return {
+        "scenario": scenario_name,
+        "summary": summary,
+        "error": None,
+        "wall_time": wall_time,
+        "graph_analysis": graph_analysis,
+    }
+
+
 class ResultStore:
     """A content-addressable store of immutable JSON outcome objects.
 
@@ -478,5 +500,6 @@ __all__ = [
     "executor_digest_of",
     "executor_identity",
     "object_hash",
+    "outcome_payload",
     "result_key",
 ]

@@ -165,7 +165,6 @@ class SuiteResult:
         wall_time: float = 0.0,
         processes: int = 1,
         backend: str = "serial",
-        resumed: int = 0,
         skipped: Sequence[str] = (),
         cache_stats: dict[str, int] | None = None,
         memo_stats: dict[str, Any] | None = None,
@@ -177,8 +176,6 @@ class SuiteResult:
         self.processes = processes
         #: Name of the execution backend that produced the outcomes.
         self.backend = backend
-        #: Cells stitched from a resume checkpoint instead of re-executed.
-        self.resumed = resumed
         #: Names of cells the backend never reported an outcome for (e.g. a
         #: terminated pool) — recorded instead of silently truncating.
         self.skipped = tuple(skipped)
@@ -268,7 +265,6 @@ class SuiteResult:
             "wall_time": self.wall_time,
             "processes": self.processes,
             "backend": self.backend,
-            "resumed": self.resumed,
             "skipped": list(self.skipped),
             "cache": self.cache_stats,
             "sink_search_memo": self.memo_stats,

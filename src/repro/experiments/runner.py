@@ -1,4 +1,4 @@
-"""Suite execution over pluggable backends, with checkpointing and resume.
+"""Suite execution over pluggable backends, checkpointed by the result lake.
 
 The runner is the only component that materialises scenarios: it turns each
 declarative :class:`~repro.experiments.scenario.Scenario` into a
@@ -17,18 +17,15 @@ deterministic: results are collected in scenario order and the per-scenario
 summaries are identical across backends (each run is self-contained and
 fully seeded by its scenario).
 
-Passing ``resume=`` (an :class:`~repro.experiments.backends.OutcomeStore`
-or a journal path) checkpoints every completed cell and, on a later run,
-skips cells whose outcomes are already journaled — the resulting
-:class:`~repro.experiments.results.SuiteResult` stitches cached and fresh
-outcomes back into scenario order, indistinguishable from an uninterrupted
-run.
-
 Passing ``store=`` (a :class:`~repro.experiments.lake.ResultStore` or its
 root path) consults the content-addressable result lake *before* any cell
-is dispatched to a backend, and journals every fresh successful outcome
-into it after — so identical cells are computed once **across sweeps**,
-not just within one resumed run.  Hits and misses surface as
+is dispatched to a backend, and stores every fresh successful outcome into
+it the moment the cell finishes — so identical cells are computed once
+**across sweeps**, and a killed sweep re-run with the same store continues
+where it stopped: the resulting
+:class:`~repro.experiments.results.SuiteResult` stitches stored and fresh
+outcomes back into scenario order, indistinguishable from an uninterrupted
+run.  Hits and misses surface as
 ``SuiteResult.cache_hits`` / ``cache_misses``.  Lake hits require the
 executor to declare a cache identity
 (:func:`~repro.experiments.lake.executor_identity`); undigested executors
@@ -43,11 +40,16 @@ import warnings
 from collections.abc import Callable, Iterable
 from typing import Any
 
-from repro.experiments.backends.base import ExecutionBackend, Executor, execute_cell
+from repro.experiments.backends.base import ExecutionBackend, Executor
 from repro.experiments.backends.local import PoolBackend, SerialBackend
-from repro.experiments.backends.store import OutcomeStore
 from repro.experiments.cache import GraphAnalysisCache
-from repro.experiments.lake import ResultStore, executor_digest_of, executor_identity, result_key
+from repro.experiments.lake import (
+    ResultStore,
+    executor_digest_of,
+    executor_identity,
+    outcome_payload,
+    result_key,
+)
 from repro.experiments.results import ScenarioOutcome, SuiteResult
 from repro.experiments.scenario import Scenario
 from repro.graphs.search_memo import sink_search_memo
@@ -80,10 +82,6 @@ def execute_scenario(scenario: Scenario) -> dict[str, Any]:
 
     config = scenario_run_config(scenario)
     return run_consensus(config).summary()
-
-
-# Backwards-compatible alias: the pool entry point now lives in backends.
-_execute_cell = execute_cell
 
 
 class SuiteRunner:
@@ -146,70 +144,37 @@ class SuiteRunner:
         self,
         scenarios: Iterable[Scenario],
         *,
-        resume: OutcomeStore | str | None = None,
         store: ResultStore | str | None = None,
     ) -> SuiteResult:
         """Execute every scenario and return the aggregated suite result.
 
-        With ``resume`` (an :class:`OutcomeStore` or a journal path), cells
-        already journaled as successful are stitched from the checkpoint
-        instead of re-executed (journaled failures are retried), and every
-        freshly completed cell is journaled — so a killed sweep re-run with
-        the same store continues where it stopped.
-
         With ``store`` (a :class:`ResultStore` or its root path), the result
-        lake is consulted before any cell reaches the backend: stored
-        successful outcomes are stitched in bit-identically (same summary,
-        same recorded wall time), the rest execute and are journaled into
-        the lake after.  ``resume`` and ``store`` compose — the per-sweep
-        journal is checked first, the cross-sweep lake second.
+        lake is the checkpoint: it is consulted before any cell reaches the
+        backend, stored successful outcomes are stitched in bit-identically
+        (same summary, same recorded wall time), and every freshly completed
+        successful cell is stored the moment it finishes.  Failures are
+        never stored, so a killed sweep re-run with the same store continues
+        where it stopped and retries exactly the cells that failed.
         """
         cells = list(scenarios)
         backend = self._resolve_backend()
-        journal = self._resolve_store(resume)
         lake = self._resolve_lake(store)
         started = time.perf_counter()
 
         outcomes: list[ScenarioOutcome | None] = [None] * len(cells)
-        digests: list[str] | None = None
-        resumed = 0
-        if journal is not None or lake is not None:
-            digests = [scenario.cell_digest() for scenario in cells]
-        if journal is not None and digests is not None:
-            records = journal.load()
-            for index, digest in enumerate(digests):
-                record = records.get(digest)
-                # Only successful cells are stitched from the checkpoint:
-                # journaled *error* outcomes are re-executed on resume (so a
-                # transient failure heals without hand-editing the journal,
-                # and fail_fast semantics apply to the retry).
-                if record is None or record["error"] is not None:
-                    continue
-                outcomes[index] = ScenarioOutcome(
-                    scenario=cells[index],
-                    summary=record["summary"],
-                    error=None,
-                    wall_time=record["wall_time"],
-                    graph_analysis=record.get("graph_analysis"),
-                )
-                resumed += 1
-
-        cache_hits = cache_misses = 0
-        keys: list[str] | None = None
-        if lake is not None and digests is not None:
+        cache_hits = 0
+        keys: list[str] = []
+        if lake is not None:
             exec_digest = executor_digest_of(self.executor)
             assert exec_digest is not None  # _resolve_lake dropped the store otherwise
-            keys = [result_key(digest, exec_digest) for digest in digests]
+            keys = [result_key(scenario.cell_digest(), exec_digest) for scenario in cells]
             for index, key in enumerate(keys):
-                if outcomes[index] is not None:
-                    continue  # stitched from the resume journal already
                 payload = lake.get(key)
-                # Like resume, only successful outcomes are served from the
-                # lake (failures are not stored, but stay defensive about
-                # foreign writers) — and the recorded wall time is reused, so
-                # a warm export is bit-identical to the cold one.
+                # Only successful outcomes are served from the lake (failures
+                # are not stored, but stay defensive about foreign writers) —
+                # and the recorded wall time is reused, so a warm export is
+                # bit-identical to the cold one.
                 if payload is None or payload.get("error") is not None:
-                    cache_misses += 1
                     continue
                 outcomes[index] = ScenarioOutcome(
                     scenario=cells[index],
@@ -221,7 +186,7 @@ class SuiteRunner:
                 cache_hits += 1
 
         pending = [(index, cells[index]) for index in range(len(cells)) if outcomes[index] is None]
-        completed = resumed + cache_hits
+        completed = cache_hits
         if pending:
             results = backend.execute(pending, self.executor)
             try:
@@ -229,10 +194,16 @@ class SuiteRunner:
                     completed += 1
                     outcome = self._finish(cells[index], summary, error, wall, completed, len(cells))
                     outcomes[index] = outcome
-                    if journal is not None and digests is not None:
-                        journal.record(digests[index], outcome)
-                    if lake is not None and keys is not None and outcome.error is None:
-                        lake.put(keys[index], _lake_payload(outcome))
+                    if lake is not None and outcome.error is None:
+                        lake.put(
+                            keys[index],
+                            outcome_payload(
+                                outcome.scenario.name,
+                                outcome.summary,
+                                outcome.wall_time,
+                                outcome.graph_analysis,
+                            ),
+                        )
             finally:
                 # Close generator backends promptly (fail-fast must tear down
                 # in-flight pool/queue work now, not when the traceback that
@@ -255,12 +226,11 @@ class SuiteRunner:
             wall_time=time.perf_counter() - started,
             processes=getattr(backend, "processes", 1),
             backend=backend.name,
-            resumed=resumed,
             skipped=skipped,
             cache_stats=self.graph_cache.stats() if self.graph_cache is not None else None,
             memo_stats=sink_search_memo().stats(),
             cache_hits=cache_hits if lake is not None else None,
-            cache_misses=cache_misses if lake is not None else None,
+            cache_misses=len(cells) - cache_hits if lake is not None else None,
         )
 
     # ------------------------------------------------------------------
@@ -270,12 +240,6 @@ class SuiteRunner:
         if self.processes is None or self.processes == 1:
             return SerialBackend()
         return PoolBackend(self.processes)
-
-    @staticmethod
-    def _resolve_store(resume: OutcomeStore | str | None) -> OutcomeStore | None:
-        if resume is None or isinstance(resume, OutcomeStore):
-            return resume
-        return OutcomeStore(resume)
 
     def _resolve_lake(self, store: ResultStore | str | None) -> ResultStore | None:
         if store is None:
@@ -319,23 +283,6 @@ class SuiteRunner:
         if self.graph_cache is None:
             return None
         return self.graph_cache.analysis(scenario.graph).summary()
-
-
-def _lake_payload(outcome: ScenarioOutcome) -> dict[str, Any]:
-    """The immutable lake object recorded for one successful outcome.
-
-    Shape matches what the remote workers journal (see
-    :func:`repro.experiments.backends.remote.drain_remote`), so a payload
-    stored by a worker and one stored by the coordinator for the same cell
-    are content-identical and share one object.
-    """
-    return {
-        "scenario": outcome.scenario.name,
-        "summary": outcome.summary,
-        "error": None,
-        "wall_time": outcome.wall_time,
-        "graph_analysis": outcome.graph_analysis,
-    }
 
 
 __all__ = ["SuiteRunner", "SuiteExecutionError", "execute_scenario"]

@@ -334,9 +334,9 @@ class Scenario:
 
         The digest is SHA-256 over the canonical JSON encoding of
         :meth:`to_dict`, so it survives JSON round-trips (job files, outcome
-        journals) and is identical in every worker — it is the key used by
-        the work queue and the :class:`~repro.experiments.backends.OutcomeStore`
-        to match checkpointed outcomes back to scenarios.
+        shards) and is identical in every worker — it is the key the work
+        queue matches journaled outcomes back to scenarios by, and the cell
+        half of a :func:`~repro.experiments.lake.result_key`.
         """
         material = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"), default=repr)
         return hashlib.sha256(material.encode()).hexdigest()

@@ -6,7 +6,7 @@ materialises the declarative scenario *inside its own process*, runs the
 job's executor and journals the outcome.  Launch as many as you like — by
 hand, from cron, or from a cluster scheduler; the queue's claiming makes
 them cooperate without any coordination channel.  Two transports share one
-CLI:
+CLI and one loop (:func:`drain`):
 
 * ``--queue DIR`` — drain a queue directory directly (local or on a shared
   filesystem): atomic-rename claims, per-worker JSONL outcome shards.
@@ -39,13 +39,12 @@ import os
 import signal
 import socket
 import threading
-import time  # lint: allow-file[DET-SEED-CLOCK] operational timing: worker heartbeats and wall-time accounting
-import traceback
-from pathlib import Path
+import time  # lint: allow-file[DET-SEED-CLOCK] operational timing: the idle deadline is wall-clock by design
 
-from repro.experiments.backends.queue import WorkQueue, resolve_executor
-from repro.experiments.lake import ResultStore
-from repro.experiments.scenario import Scenario
+from repro.experiments.backends.base import execute_cell
+from repro.experiments.backends.queue import QueueWorker
+from repro.experiments.backends.remote import RemoteQueueClient
+from repro.experiments.lake import outcome_payload
 
 
 def default_worker_id() -> str:
@@ -58,100 +57,76 @@ def _graceful_terminate(signum: int, frame: object) -> None:
 
 
 def drain(
-    queue: str | Path | WorkQueue,
+    queue: QueueWorker | RemoteQueueClient,
     *,
-    worker_id: str | None = None,
     max_jobs: int | None = None,
     idle_timeout: float = 10.0,
-    poll_interval: float = 0.1,
-    lease: float = 60.0,
-    lake: ResultStore | str | Path | None = None,
 ) -> int:
     """Claim and execute jobs until idle for ``idle_timeout``; return the job count.
+
+    The one claim → lake-get → execute → report → lake-put loop, written
+    against the worker-side surface the directory
+    :class:`~repro.experiments.backends.queue.QueueWorker` and the TCP
+    :class:`~repro.experiments.backends.remote.RemoteQueueClient` share; it
+    never asks which transport it is draining.
 
     The worker exits after ``idle_timeout`` seconds without claiming a job
     (so a large ``idle_timeout`` makes a "warm" worker that keeps waiting
     for new work, and the default makes it linger briefly past the last
-    job), or after ``max_jobs`` executed jobs.  While idle it reclaims
-    expired claims of dead workers, so a fleet of workers is self-healing.
+    job), or after ``max_jobs`` executed jobs.
 
-    A background thread refreshes the worker's heartbeat every quarter
-    lease, *including while a cell is executing* — a claim is therefore
-    only reclaimed when the worker process actually died, not merely
-    because one cell ran longer than the lease.
+    A background thread heartbeats every ``queue.heartbeat_interval``,
+    *including while a cell is executing* — a claim is therefore only
+    reclaimed when the worker process actually died, not merely because one
+    cell ran longer than the lease.
 
-    When ``lake`` names a :class:`~repro.experiments.lake.ResultStore` and
-    a job carries a ``result_key``, the store is consulted first: a hit
-    journals the stored summary with its recorded wall time instead of
-    executing the cell, and a fresh success is stored back for the rest of
-    the fleet.
+    A job carrying a ``result_key`` consults the result lake first: a hit
+    journals the stored summary with its *recorded* wall time (so the
+    outcome is bit-identical to the original run) instead of executing the
+    cell, and a fresh success is stored back for the rest of the fleet.
     """
-    work_queue = queue if isinstance(queue, WorkQueue) else WorkQueue(queue)
-    store = lake if lake is None or isinstance(lake, ResultStore) else ResultStore(lake)
-    worker = worker_id or default_worker_id()
     executed = 0
     stop_heartbeat = threading.Event()
-    beat_interval = max(min(lease / 4.0, 15.0), 0.05)
 
     def _heartbeat_loop() -> None:
-        while not stop_heartbeat.wait(beat_interval):
-            work_queue.heartbeat(worker)
+        while not stop_heartbeat.wait(queue.heartbeat_interval):
+            queue.heartbeat()
 
     heartbeat_thread = threading.Thread(target=_heartbeat_loop, daemon=True)
     heartbeat_thread.start()
     try:
         idle_since = time.monotonic()
         while max_jobs is None or executed < max_jobs:
-            work_queue.heartbeat(worker)
-            job = work_queue.claim(worker)
+            job = queue.claim()
             if job is None:
-                work_queue.reclaim_expired(lease)
                 if time.monotonic() - idle_since > idle_timeout:
                     break
-                time.sleep(poll_interval)
+                queue.idle()
                 continue
-            cached = None
-            if store is not None and job.result_key is not None:
-                cached = store.get(job.result_key)
+            key = job.get("result_key")
+            cached = queue.lake_get(key) if key is not None else None
             if cached is not None and cached.get("error") is None:
-                # Lake hit: journal the stored outcome (with its *recorded*
-                # wall time, so it is bit-identical to the original run)
-                # without executing the cell.
-                work_queue.report(
-                    worker,
+                queue.report(
                     job,
                     summary=cached.get("summary"),
                     error=None,
                     wall_time=float(cached.get("wall_time") or 0.0),
                 )
             else:
-                started = time.perf_counter()
-                try:
-                    scenario = Scenario.from_dict(job.scenario)
-                    executor = resolve_executor(job.executor)
-                    summary, error = executor(scenario), None
-                except Exception:
-                    # Never let one bad cell (or an unimportable executor) kill
-                    # the worker: report the failure so the coordinator sees it.
-                    summary, error = None, traceback.format_exc(limit=8)
-                wall_time = time.perf_counter() - started
-                work_queue.report(worker, job, summary=summary, error=error, wall_time=wall_time)
-                if store is not None and job.result_key is not None and error is None:
-                    store.put(
-                        job.result_key,
-                        {
-                            "scenario": (job.scenario or {}).get("name"),
-                            "summary": summary,
-                            "error": None,
-                            "wall_time": wall_time,
-                            "graph_analysis": None,
-                        },
+                _index, summary, error, wall_time = execute_cell(
+                    (job["index"], job["scenario"], job["executor"])
+                )
+                queue.report(job, summary=summary, error=error, wall_time=wall_time)
+                if key is not None and error is None:
+                    queue.lake_put(
+                        key, outcome_payload(job["scenario"].get("name"), summary, wall_time)
                     )
             executed += 1
             idle_since = time.monotonic()
     finally:
         stop_heartbeat.set()
         heartbeat_thread.join(timeout=1.0)
+        queue.close()
     return executed
 
 
@@ -234,39 +209,36 @@ def main(argv: list[str] | None = None) -> int:
     )
     options = parser.parse_args(argv)
     # A coordinator tearing a sweep down terminates its workers; turning
-    # SIGTERM into SystemExit lets the drain loops run their cleanup — in
-    # TCP mode that uploads the final outcome batch instead of dropping it.
+    # SIGTERM into SystemExit lets the drain loop run its cleanup — in TCP
+    # mode that uploads the final outcome batch instead of dropping it.
     try:
         signal.signal(signal.SIGTERM, _graceful_terminate)
     except ValueError:  # pragma: no cover - not the main thread
         pass
+    worker_id = options.worker_id or default_worker_id()
+    queue: QueueWorker | RemoteQueueClient
     if options.connect:
-        from repro.experiments.backends.remote import drain_remote
-
-        executed = drain_remote(
+        queue = RemoteQueueClient(
             options.connect,
-            worker_id=options.worker_id,
-            max_jobs=options.max_jobs,
-            idle_timeout=options.idle_timeout,
-            poll_interval=options.poll_interval,
-            batch_size=options.batch_size,
-            heartbeat_interval=options.heartbeat_interval,
+            worker_id,
             retry_window=options.retry_window,
+            compress_min=options.compress_min,
+            batch_size=options.batch_size,
             mode=options.mode,
             claim_wait=options.claim_wait,
-            compress_min=options.compress_min,
+            poll_interval=options.poll_interval,
+            heartbeat_interval=options.heartbeat_interval,
         )
     else:
-        executed = drain(
+        queue = QueueWorker(
             options.queue,
-            worker_id=options.worker_id,
-            max_jobs=options.max_jobs,
-            idle_timeout=options.idle_timeout,
-            poll_interval=options.poll_interval,
+            worker_id,
             lease=options.lease,
+            poll_interval=options.poll_interval,
             lake=options.lake,
         )
-    print(f"worker {options.worker_id or default_worker_id()}: executed {executed} jobs")
+    executed = drain(queue, max_jobs=options.max_jobs, idle_timeout=options.idle_timeout)
+    print(f"worker {worker_id}: executed {executed} jobs")
     return 0
 
 

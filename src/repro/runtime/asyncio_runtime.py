@@ -391,7 +391,7 @@ class AsyncioRuntime(Runtime):
                     await asyncio.sleep(self.reconnect_delay)
             if not delivered:
                 self.stats.messages_lost += 1
-                self.trace.on_drop(envelope, "live link failed")
+                self.trace.on_drop(envelope, "live link failed", self.now)
 
     async def _serve_connection(
         self,
@@ -421,7 +421,7 @@ class AsyncioRuntime(Runtime):
                 # like Network._deliver_one: frames in flight when the
                 # process crashes are dropped, not buffered.
                 if receiver in self._crashed:
-                    self.trace.on_drop(envelope, "receiver crashed")
+                    self.trace.on_drop(envelope, "receiver crashed", self.now)
                     continue
                 self.stats.messages_received += 1
                 self.trace.on_deliver(envelope)

@@ -71,7 +71,6 @@ def build_sim_runtime(
     network_seed: int = 0,
     faulty: frozenset[ProcessId] = frozenset(),
     max_events: int | None = None,
-    compaction_min_queue: int | None = None,
 ) -> SimRuntime:
     """Assemble the Simulator + Network pair of one discrete-event run.
 
@@ -85,7 +84,6 @@ def build_sim_runtime(
     """
     simulator = Simulator(
         max_time=max_time,
-        compaction_min_queue=compaction_min_queue,
         **({} if max_events is None else {"max_events": max_events}),
     )
     network = Network(

@@ -14,7 +14,6 @@ payloads inside.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.graphs.knowledge_graph import ProcessId
@@ -55,8 +54,7 @@ class NetworkRule:
 
     The rule ``name`` appears verbatim in the
     :class:`~repro.sim.tracing.SimulationTrace` drop/delay reasons, so a
-    trace always says *which* scripted fault touched a message — unlike the
-    opaque delay-override closures this engine replaces.
+    trace always says *which* scripted fault touched a message.
     """
 
     name: str = "rule"
@@ -64,23 +62,6 @@ class NetworkRule:
     def decide(self, envelope: Envelope, *, now: float) -> float | _Withhold | None:
         """Return a delay, :data:`WITHHOLD`, or ``None`` when not matching."""
         raise NotImplementedError
-
-
-class _CallableRule(NetworkRule):
-    """Adapter keeping the legacy delay-override closures working.
-
-    The historical override contract cannot withhold: the closure returns a
-    delay to apply or ``None`` to fall through, which maps exactly onto the
-    rule engine's "no match" decision.
-    """
-
-    def __init__(self, name: str, fn: Callable[[Envelope], float | None]) -> None:
-        self.name = name
-        self._fn = fn
-
-    def decide(self, envelope: Envelope, *, now: float) -> float | None:
-        del now
-        return self._fn(envelope)
 
 
 class Network:
@@ -171,17 +152,6 @@ class Network:
         """The installed scheduling rules, in consultation order."""
         return tuple(self._rules)
 
-    def add_delay_override(self, override: Callable[[Envelope], float | None]) -> None:
-        """Install an adversarial per-message delay override (legacy API).
-
-        The override receives the envelope and returns a delay (overriding
-        the synchrony model) or ``None`` to fall through to the next rule or
-        to the model.  Overrides are wrapped into anonymous
-        :class:`NetworkRule` instances; prefer :meth:`add_rule` (or a
-        declarative schedule), which names the rule in trace reasons.
-        """
-        self.add_rule(_CallableRule(f"override#{len(self._rules)}", override))
-
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
@@ -263,7 +233,7 @@ class Network:
     def _deliver_one(self, envelope: Envelope) -> None:
         receiver = envelope.receiver
         if receiver in self._crashed:
-            self.trace.on_drop(envelope, "receiver crashed")
+            self.trace.on_drop(envelope, "receiver crashed", self.simulator.now)
             return
         self.trace.on_deliver(envelope)
         self._processes[receiver].receive(envelope)

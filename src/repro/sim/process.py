@@ -8,10 +8,7 @@ handlers with :meth:`on`.
 
 Processes are runtime-agnostic: the same handler code runs under the
 discrete-event simulator (:class:`~repro.runtime.sim.SimRuntime`) and over
-real sockets (:class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`).  The
-historical ``Process(pid, pd, simulator, network)`` construction is kept —
-it wraps the pair into a :class:`~repro.runtime.sim.SimRuntime` — so
-sim-only code and tests read exactly as before.
+real sockets (:class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`).
 """
 
 from __future__ import annotations
@@ -20,9 +17,7 @@ from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING, Any
 
 from repro.graphs.knowledge_graph import ProcessId
-from repro.sim.engine import Simulator
 from repro.sim.messages import Envelope
-from repro.sim.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.base import Runtime, TimerHandle
@@ -77,17 +72,9 @@ class Process:
         self,
         process_id: ProcessId,
         participant_detector: Iterable[ProcessId],
-        simulator: Simulator | None = None,
-        network: Network | None = None,
         *,
-        runtime: "Runtime | None" = None,
+        runtime: "Runtime",
     ) -> None:
-        if runtime is None:
-            if simulator is None or network is None:
-                raise TypeError("Process needs either runtime= or a (simulator, network) pair")
-            from repro.runtime.sim import SimRuntime  # lint: allow[SEAM-IMPORT] legacy ctor bridge: deferred import keeps the module graph acyclic
-
-            runtime = SimRuntime(simulator, network)
         self.process_id = process_id
         self.participant_detector = frozenset(participant_detector)
         self.runtime = runtime

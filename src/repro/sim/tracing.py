@@ -50,10 +50,13 @@ class SimulationTrace:
         self.messages_delivered += 1
         self.delivered_by_kind[envelope.kind] += 1
 
-    def on_drop(self, envelope: Envelope, reason: str) -> None:
+    def on_drop(self, envelope: Envelope, reason: str, time: float | None = None) -> None:
+        """Count a dropped message; ``time`` is the drop instant when the
+        message was dropped at delivery rather than at send time."""
         self.messages_dropped += 1
         if self.record_messages:
-            self.events.append((0.0, f"drop ({reason}): {envelope.describe()}"))
+            stamp = envelope.sent_at if time is None else time
+            self.events.append((stamp, f"drop ({reason}): {envelope.describe()}"))
 
     def on_rule_drop(self, envelope: Envelope, rule: str) -> None:
         """A named scheduling rule withheld the message forever."""
@@ -65,7 +68,7 @@ class SimulationTrace:
         self.delayed_by_rule[rule] += 1
         if self.record_messages:
             self.events.append(
-                (0.0, f"delay (rule {rule!r}, {delay:g}): {envelope.describe()}")
+                (envelope.sent_at, f"delay (rule {rule!r}, {delay:g}): {envelope.describe()}")
             )
 
     # ------------------------------------------------------------------

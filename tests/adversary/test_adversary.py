@@ -12,6 +12,7 @@ from repro.core import ProtocolMode
 from repro.core.config import ProtocolConfig
 from repro.core.messages import GetPds
 from repro.crypto.signatures import KeyRegistry
+from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, SynchronousModel
 from repro.sim.process import Process
@@ -245,8 +246,7 @@ def build_world(figures, behaviour_spec):
         behaviour_spec,
         process_id=4,
         participant_detector=scenario.graph.participant_detector(4),
-        simulator=simulator,
-        network=network,
+        runtime=SimRuntime(simulator, network),
         registry=registry,
         key=registry.generate(4),
         config=ProtocolConfig.bft_cup(1),
@@ -259,7 +259,7 @@ class TestFaultyNodeBehaviours:
     def test_silent_node_never_sends(self, figures):
         scenario, simulator, network, registry, trace, node = build_world(figures, FaultSpec.silent())
         node.propose("x")
-        observer = Process(1, frozenset(), simulator, network)
+        observer = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
         network.send(1, 4, GetPds())
         simulator.run()
         assert trace.sent_by_process[4] == 0
@@ -294,7 +294,7 @@ class TestFaultyNodeBehaviours:
         spec = FaultSpec.wrong_value("poison")
         scenario, simulator, network, registry, trace, node = build_world(figures, spec)
         received = []
-        observer = Process(1, frozenset(), simulator, network)
+        observer = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
         observer.on(DecidedValue, lambda sender, message: received.append(message.value))
         network.send(1, 4, GetDecidedValue())
         simulator.run()
@@ -312,8 +312,7 @@ class TestFaultyNodeBehaviours:
                 spec,
                 process_id=4,
                 participant_detector=frozenset(),
-                simulator=simulator,
-                network=network,
+                runtime=SimRuntime(simulator, network),
                 registry=registry,
                 key=registry.generate(4),
                 config=ProtocolConfig.bft_cup(1),

@@ -17,6 +17,7 @@ from repro.adversary.schedule import (
     ScheduleContractError,
     ScheduleError,
 )
+from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulator
 from repro.sim.network import (
     AsynchronousModel,
@@ -49,7 +50,7 @@ def make_world(model=None, faulty=FAULTY_SET, processes=PROCESSES):
         simulator, model or SynchronousModel(delta=1.0), trace=trace, seed=1, faulty=faulty
     )
     nodes = {
-        pid: Recorder(pid, frozenset(processes) - {pid}, simulator, network)
+        pid: Recorder(pid, frozenset(processes) - {pid}, runtime=SimRuntime(simulator, network))
         for pid in sorted(processes)
     }
     return simulator, network, trace, nodes
@@ -212,6 +213,29 @@ class TestPartitionRuleSemantics:
         simulator.run()
         assert nodes[3].received == []
         assert trace.dropped_by_rule == {"forever": 1}
+
+    def test_traced_events_carry_the_real_time(self):
+        # Rule decisions are stamped with the send instant, the crashed-receiver
+        # drop with the delivery instant — never the historical 0.0.
+        simulator, network, trace, nodes = make_world()
+        trace.record_messages = True
+        install(
+            network,
+            PartitionRule(groups=(frozenset({1}), frozenset({3})), adversarial=True, name="cut"),
+            DelayRule(src=frozenset({4}), delay=2.0, name="slow-4"),
+        )
+        for at in (1.0, 2.5, 4.0):
+            simulator.schedule(at, lambda: network.send(1, 3, "lost"))
+        simulator.schedule(5.0, lambda: network.send(4, 2, "late"))
+        simulator.schedule(6.0, lambda: network.crash(2))
+        simulator.run()
+        drops = [at for at, event in trace.events if "withheld by rule 'cut'" in event]
+        assert drops == [1.0, 2.5, 4.0]
+        assert [(at, event) for at, event in trace.events if "slow-4" in event] == [
+            (5.0, "delay (rule 'slow-4', 2): 4 -> 2: str")
+        ]
+        assert [at for at, event in trace.events if "receiver crashed" in event] == [7.0]
+        assert trace.messages_dropped == 4 and trace.dropped_by_rule == {"cut": 3}
 
     def test_validation_rejects_bad_groups(self):
         with pytest.raises(ScheduleError):

@@ -15,6 +15,7 @@ from repro.analysis.table1 import (
 from repro.analysis.tables import render_table
 from repro.core.config import ProtocolConfig
 from repro.adversary.spec import FaultSpec
+from repro.sim.engine import Simulator
 
 
 class TestPropertyChecker:
@@ -170,7 +171,7 @@ class TestEngineTuning:
         assert summary["sink_searches"] == result.sink_searches > 0
         assert summary["search_skips"] == result.search_skips > 0
 
-    def test_compaction_threshold_is_trajectory_neutral(self, figures):
+    def test_compaction_threshold_is_trajectory_neutral(self, figures, monkeypatch):
         """Every compaction threshold yields the identical execution.
 
         Compaction only rebuilds the heap's dead entries; it must never
@@ -182,17 +183,17 @@ class TestEngineTuning:
         scenario = figures["fig1b"]
 
         def run(threshold):
+            monkeypatch.setattr(Simulator, "COMPACTION_MIN_QUEUE", threshold)
             config = RunConfig(
                 graph=scenario.graph,
                 protocol=ProtocolConfig.bft_cup(1),
                 faulty={4: FaultSpec.silent()},
-                compaction_min_queue=threshold,
             )
             result = run_consensus(config)
             summary = result.summary()
             del summary["compactions"]
             return (summary, result.decisions, result.decision_times, result.virtual_duration)
 
-        reference = run(None)
+        reference = run(Simulator.COMPACTION_MIN_QUEUE)
         assert run(2) == reference
         assert run(10**9) == reference

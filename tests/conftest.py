@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.locators import sink_search_memo
+from repro.graphs.search_memo import sink_search_memo
 from repro.graphs.figures import paper_figures
 from repro.graphs.knowledge_graph import KnowledgeGraph
 

@@ -111,7 +111,7 @@ class TestCoreLocator:
 
 class TestSinkSearchMemo:
     def test_converged_views_share_one_search(self):
-        from repro.core.locators import sink_search_memo
+        from repro.graphs.search_memo import sink_search_memo
 
         registry = KeyRegistry(seed=0)
         graph = figure_1b().graph
@@ -160,7 +160,7 @@ class TestSinkSearchMemo:
         assert (sink.memo_hits, stricter.memo_hits, core.memo_hits) == (0, 0, 0)
 
     def test_eviction_keeps_the_memo_bounded(self):
-        from repro.core.locators import SinkSearchMemo
+        from repro.graphs.search_memo import SinkSearchMemo
 
         memo = SinkSearchMemo(max_entries=2)
         memo.store(("a",), 1)

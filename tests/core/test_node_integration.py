@@ -10,6 +10,7 @@ import pytest
 from repro.analysis import run_consensus
 from repro.core import ProtocolMode
 from repro.graphs.oracle import StaticOracle
+from repro.runtime.sim import SimRuntime
 from repro.workloads import figure_run_config
 
 BEHAVIOURS = ["silent", "crash", "lying_pd", "wrong_value", "equivocating_leader"]
@@ -133,7 +134,7 @@ class TestProtocolDetails:
         assert set(result.trace.decisions) >= set(result.correct)
 
     def test_propose_twice_raises(self, figures):
-        from repro.analysis.harness import RunConfig, build_nodes
+        from repro.analysis.harness import RunConfig, build_protocol_nodes
         from repro.crypto.signatures import KeyRegistry
         from repro.sim.engine import Simulator
         from repro.sim.network import Network, PartialSynchronyModel
@@ -145,7 +146,8 @@ class TestProtocolDetails:
         simulator = Simulator()
         trace = SimulationTrace()
         network = Network(simulator, PartialSynchronyModel(), trace=trace, seed=0)
-        nodes = build_nodes(config, simulator, network, KeyRegistry(seed=0), trace)
+        runtime = SimRuntime(simulator, network)
+        nodes = build_protocol_nodes(config, runtime, KeyRegistry(seed=0), trace)
         nodes[1].propose("v")
         with pytest.raises(RuntimeError):
             nodes[1].propose("v")
@@ -170,7 +172,7 @@ class TestTimerLifecycle:
 
     def _world(self, figures, horizon=20_000.0):
         from repro.adversary.spec import FaultSpec
-        from repro.analysis.harness import RunConfig, build_nodes
+        from repro.analysis.harness import RunConfig, build_protocol_nodes
         from repro.core.config import ProtocolConfig
         from repro.crypto.signatures import KeyRegistry
         from repro.sim.engine import Simulator
@@ -189,7 +191,8 @@ class TestTimerLifecycle:
         network = Network(
             simulator, PartialSynchronyModel(), trace=trace, seed=0, faulty=frozenset({4})
         )
-        nodes = build_nodes(config, simulator, network, KeyRegistry(seed=0), trace)
+        runtime = SimRuntime(simulator, network)
+        nodes = build_protocol_nodes(config, runtime, KeyRegistry(seed=0), trace)
         correct = sorted(scenario.graph.processes - {4})
         for pid, node in nodes.items():
             node.propose(f"value-of-{pid}")
@@ -264,8 +267,7 @@ class TestDecidedValueVoting:
         node = ConsensusNode(
             process_id=99,
             participant_detector=frozenset({99}),
-            simulator=simulator,
-            network=network,
+            runtime=SimRuntime(simulator, network),
             registry=registry,
             key=registry.generate(99),
             config=ProtocolConfig.bft_cupft(),

@@ -1,4 +1,4 @@
-"""Tests for the execution-backend seam, cell digests and checkpoint/resume."""
+"""Tests for the execution-backend seam, cell digests and resuming from the lake."""
 
 import json
 
@@ -8,13 +8,14 @@ from repro.core import ProtocolMode
 from repro.core.config import QuorumRule
 from repro.experiments import (
     GraphSpec,
-    OutcomeStore,
     PoolBackend,
+    ResultStore,
     Scenario,
     ScenarioMatrix,
     SerialBackend,
     SuiteExecutionError,
     SuiteRunner,
+    executor_identity,
 )
 
 
@@ -43,15 +44,16 @@ def cheap_executor(scenario: Scenario) -> dict:
 #: Armed by the crash tests: replicate-1 cells raise while the flag is set.
 CRASH = {"armed": False}
 
+#: Names of the cells ``crashy_executor`` ran, in execution order.
+EXECUTED: list[str] = []
 
+
+@executor_identity("1")
 def crashy_executor(scenario: Scenario) -> dict:
+    EXECUTED.append(scenario.name)
     if CRASH["armed"] and scenario.label("replicate") == 1:
         raise RuntimeError("simulated mid-suite crash")
     return cheap_executor(scenario)
-
-
-def never_called_executor(scenario: Scenario) -> dict:
-    raise AssertionError(f"executor should not run for {scenario.name}")
 
 
 class DroppingBackend:
@@ -130,70 +132,75 @@ class TestBackendSeam:
 
 
 class TestResume:
+    """The result lake is the checkpoint: re-running with the same ``store=`` resumes."""
+
     def test_checkpoint_then_resume_skips_every_cell(self, tmp_path):
         cells = small_matrix().scenarios()
-        journal = tmp_path / "outcomes.jsonl"
-        first = SuiteRunner(executor=cheap_executor).run(cells, resume=OutcomeStore(journal))
-        assert first.resumed == 0
+        first = SuiteRunner(executor=crashy_executor).run(cells, store=ResultStore(tmp_path / "lake"))
+        assert (first.cache_hits, first.cache_misses) == (0, len(cells))
         # Second run: the executor must never fire; everything is stitched.
-        second = SuiteRunner(executor=never_called_executor).run(cells, resume=OutcomeStore(journal))
-        assert second.resumed == len(cells)
+        EXECUTED.clear()
+        second = SuiteRunner(executor=crashy_executor).run(cells, store=ResultStore(tmp_path / "lake"))
+        assert EXECUTED == []
+        assert (second.cache_hits, second.cache_misses) == (len(cells), 0)
         assert second.summaries() == first.summaries()
         assert [o.scenario for o in second] == [o.scenario for o in first]
+        assert "resumed" not in second.to_dict()
 
     def test_resume_accepts_a_path(self, tmp_path):
         cells = small_matrix(replicates=1).scenarios()
-        journal = tmp_path / "outcomes.jsonl"
-        SuiteRunner(executor=cheap_executor).run(cells, resume=str(journal))
-        resumed = SuiteRunner(executor=never_called_executor).run(cells, resume=str(journal))
-        assert resumed.resumed == len(cells)
+        SuiteRunner(executor=crashy_executor).run(cells, store=str(tmp_path / "lake"))
+        resumed = SuiteRunner(executor=crashy_executor).run(cells, store=str(tmp_path / "lake"))
+        assert resumed.cache_hits == len(cells)
 
     def test_mid_suite_crash_resumes_to_identical_result(self, tmp_path):
-        """The acceptance bar: killed mid-run + resume == uninterrupted serial."""
+        """The acceptance bar: killed mid-run + re-run == uninterrupted serial."""
         cells = small_matrix(replicates=2).scenarios()
         baseline = SuiteRunner(executor=crashy_executor).run(cells)
 
-        journal = tmp_path / "outcomes.jsonl"
+        lake = tmp_path / "lake"
         CRASH["armed"] = True
         try:
             with pytest.raises(SuiteExecutionError, match="simulated mid-suite crash"):
-                SuiteRunner(executor=crashy_executor, fail_fast=True).run(
-                    cells, resume=OutcomeStore(journal)
-                )
+                SuiteRunner(executor=crashy_executor, fail_fast=True).run(cells, store=str(lake))
         finally:
             CRASH["armed"] = False
-        checkpointed = OutcomeStore(journal).load()
-        assert 0 < len(checkpointed) < len(cells)
+        checkpointed = len(ResultStore(lake))
+        assert 0 < checkpointed < len(cells)
 
-        resumed = SuiteRunner(executor=crashy_executor).run(cells, resume=OutcomeStore(journal))
-        assert resumed.resumed == len(checkpointed)
+        EXECUTED.clear()
+        resumed = SuiteRunner(executor=crashy_executor).run(cells, store=str(lake))
+        assert resumed.cache_hits == checkpointed
+        assert len(EXECUTED) == len(cells) - checkpointed
         assert resumed.summaries() == baseline.summaries()
         assert [o.scenario for o in resumed] == [o.scenario for o in baseline]
 
-    def test_resume_retries_journaled_errors(self, tmp_path):
-        # Error outcomes in the journal are not stitched: the cells run
-        # again, so a transient failure heals on resume.
+    def test_resume_retries_failed_cells(self, tmp_path):
+        # Failures are never stored: the cells run again, so a transient
+        # failure heals on the re-run.
         cells = small_matrix(replicates=2).scenarios()
         baseline = SuiteRunner(executor=cheap_executor).run(cells)
-        journal = tmp_path / "outcomes.jsonl"
         CRASH["armed"] = True
         try:
-            failed = SuiteRunner(executor=crashy_executor).run(cells, resume=OutcomeStore(journal))
+            failed = SuiteRunner(executor=crashy_executor).run(cells, store=str(tmp_path / "lake"))
         finally:
             CRASH["armed"] = False
         assert len(failed.errors) == 2
-        healed = SuiteRunner(executor=crashy_executor).run(cells, resume=OutcomeStore(journal))
-        assert healed.resumed == len(cells) - 2
+        healed = SuiteRunner(executor=crashy_executor).run(cells, store=str(tmp_path / "lake"))
+        assert healed.cache_hits == len(cells) - 2
         assert not healed.errors
         assert healed.summaries() == baseline.summaries()
 
     def test_real_simulation_resume_is_byte_identical(self, tmp_path):
-        """Default executor: interrupted + resumed == uninterrupted, exactly."""
+        """Default executor: interrupted + re-run == uninterrupted, wall times included."""
         cells = small_matrix(replicates=1).scenarios()
-        baseline = SuiteRunner().run(cells)
-        journal = tmp_path / "outcomes.jsonl"
+        uninterrupted = SuiteRunner().run(cells)
         # "Crash" after the first cell by only running a prefix of the suite.
-        SuiteRunner().run(cells[:1], resume=OutcomeStore(journal))
-        resumed = SuiteRunner().run(cells, resume=OutcomeStore(journal))
-        assert resumed.resumed == 1
-        assert resumed.summaries() == baseline.summaries()
+        first = SuiteRunner().run(cells[:1], store=str(tmp_path / "lake"))
+        resumed = SuiteRunner().run(cells, store=str(tmp_path / "lake"))
+        assert resumed.cache_hits == 1
+        assert resumed.summaries() == uninterrupted.summaries()
+        assert resumed.outcomes[0].wall_time == first.outcomes[0].wall_time
+        # A second re-run is served entirely from the lake: byte-identical.
+        again = SuiteRunner().run(cells, store=str(tmp_path / "lake"))
+        assert [o.to_dict() for o in again] == [o.to_dict() for o in resumed]

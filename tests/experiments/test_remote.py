@@ -20,11 +20,15 @@ from repro.experiments import (
     RemoteQueueClient,
     RemoteQueueError,
     RemoteWorkQueueBackend,
+    ResultStore,
     ScenarioMatrix,
     SuiteRunner,
     WorkQueue,
 )
-from repro.experiments.backends.remote import drain_remote, format_address, parse_address
+from repro.experiments.backends.queue import QueueWorker
+from repro.experiments.backends.remote import format_address, parse_address
+from repro.experiments.lake import outcome_payload
+from repro.experiments.worker import drain
 
 
 def small_matrix(replicates: int = 2) -> ScenarioMatrix:
@@ -304,14 +308,16 @@ class TestServerPush:
         cells = small_matrix(replicates=2).scenarios()
         queue = enqueue(tmp_path, cells)
         with QueueServer(queue) as server:
-            executed = drain_remote(
-                server.address,
-                worker_id="push-w1",
+            executed = drain(
+                RemoteQueueClient(
+                    server.address,
+                    "push-w1",
+                    poll_interval=0.02,
+                    mode="push",
+                    claim_wait=0.1,
+                    compress_min=512,
+                ),
                 idle_timeout=0.3,
-                poll_interval=0.02,
-                mode="push",
-                claim_wait=0.1,
-                compress_min=512,
             )
         assert executed == len(cells)
         assert queue.is_drained()
@@ -319,7 +325,7 @@ class TestServerPush:
 
     def test_push_mode_rejects_unknown_modes(self, tmp_path):
         with pytest.raises(ValueError, match="mode"):
-            drain_remote(("127.0.0.1", 1), mode="pull")
+            RemoteQueueClient(("127.0.0.1", 1), "w1", mode="pull")
 
     def test_push_and_claim_suites_are_bit_identical(self, tmp_path):
         cells = small_matrix(replicates=2).scenarios()
@@ -509,7 +515,7 @@ class TestReconnect:
         )
         started = time.monotonic()
         with pytest.raises(RemoteQueueError, match="unreachable"):
-            client.heartbeat()
+            client.snapshot()  # any request; heartbeats alone are best-effort
         assert time.monotonic() - started >= 0.25
 
 
@@ -518,12 +524,14 @@ class TestDrainRemote:
         cells = small_matrix(replicates=2).scenarios()
         queue = enqueue(tmp_path, cells)
         with QueueServer(queue) as server:
-            executed = drain_remote(
-                server.address,
-                worker_id="tcp-w1",
+            executed = drain(
+                RemoteQueueClient(
+                    server.address,
+                    "tcp-w1",
+                    poll_interval=0.02,
+                    batch_size=3,
+                ),
                 idle_timeout=0.3,
-                poll_interval=0.02,
-                batch_size=3,
             )
             progress = server.drain_progress()
         assert executed == len(cells)
@@ -536,14 +544,62 @@ class TestDrainRemote:
         cells = small_matrix(replicates=1).scenarios()
         queue = enqueue(tmp_path, cells)
         with QueueServer(queue) as server:
-            drain_remote(
-                server.address,
-                worker_id="tcp-w1",
+            drain(
+                RemoteQueueClient(
+                    server.address,
+                    "tcp-w1",
+                    poll_interval=0.02,
+                    batch_size=1000,  # never fills: the idle/exit flush must upload
+                ),
                 idle_timeout=0.2,
-                poll_interval=0.02,
-                batch_size=1000,  # never fills: the idle/exit flush must upload
             )
         assert len(shard_digests(queue)) == len(cells)
+
+
+class TestOneDrainLoop:
+    """Directory and TCP workers run one loop and journal the same records."""
+
+    def populate(self, root, lake):
+        """Four jobs: success, raising executor, unimportable executor, lake hit."""
+        cells = small_matrix(replicates=2).scenarios()
+        digests = [cell.cell_digest() for cell in cells]
+        keys = dict(zip(digests, ["fresh-key", "failed-key", "unimportable-key", "hit-key"]))
+        lake.put("hit-key", outcome_payload(cells[3].name, {"from": "the lake"}, 1.25))
+        queue = WorkQueue(root)
+        queue.enqueue([(0, cells[0])], EXECUTOR_REF, keys)
+        queue.enqueue([(1, cells[1])], "test_remote:raising_executor", keys)
+        queue.enqueue([(2, cells[2])], "definitely_not_a_module:nope", keys)
+        queue.enqueue([(3, cells[3])], "test_remote:raising_executor", keys)
+        return queue, digests
+
+    def journaled(self, queue, digests):
+        records = {record["digest"]: record for record in queue.read_new_outcomes({})}
+        assert sorted(records) == sorted(digests)
+        executed_wall_times = [records[digest].pop("wall_time") for digest in digests[:3]]
+        assert all(wall_time > 0.0 for wall_time in executed_wall_times)
+        return [{k: v for k, v in records[digest].items() if k != "worker"} for digest in digests]
+
+    @pytest.mark.parametrize("mode", ["claim", "push"])
+    def test_transports_journal_equal_records(self, tmp_path, mode):
+        lake = ResultStore(tmp_path / "lake")
+        directory, digests = self.populate(tmp_path / "directory", lake)
+        assert drain(QueueWorker(directory, "dir-w", lake=lake), idle_timeout=0.2) == 4
+        expected = self.journaled(directory, digests)
+        success, raised, unimportable, hit = expected
+        assert success["summary"] == remote_executor(small_matrix().scenarios()[0])
+        assert raised["summary"] is None and "always fails" in raised["error"]
+        assert unimportable["summary"] is None and "definitely_not_a_module" in unimportable["error"]
+        assert (hit["summary"], hit["error"], hit["wall_time"]) == ({"from": "the lake"}, None, 1.25)
+        assert lake.keys() == ["fresh-key", "hit-key"]  # failures are never stored
+
+        served, _ = self.populate(tmp_path / "served", ResultStore(tmp_path / "lake-tcp"))
+        with QueueServer(served, store=tmp_path / "lake-tcp") as server:
+            client = RemoteQueueClient(
+                server.address, "tcp-w", mode=mode, claim_wait=0.1, poll_interval=0.02
+            )
+            assert drain(client, idle_timeout=0.3) == 4
+        assert self.journaled(served, digests) == expected  # tracebacks included
+        assert ResultStore(tmp_path / "lake-tcp").keys() == ["fresh-key", "hit-key"]
 
 
 class TestRemoteBackend:
@@ -614,13 +670,15 @@ class TestRemoteBackend:
             time.sleep(0.02)
         assert backend.address is not None
         try:
-            drain_remote(
-                backend.address,
-                worker_id="external",
+            drain(
+                RemoteQueueClient(
+                    backend.address,
+                    "external",
+                    poll_interval=0.05,
+                    batch_size=1000,  # never fills mid-sweep
+                    retry_window=1.0,
+                ),
                 idle_timeout=5.0,
-                poll_interval=0.05,
-                batch_size=1000,  # never fills mid-sweep
-                retry_window=1.0,
             )
         except RemoteQueueError:
             pass  # the coordinator tears the server down once the sweep is done
@@ -758,11 +816,13 @@ class TestStandaloneServerCli:
             banner = proc.stdout.readline()
             match = re.search(r"on (\S+):(\d+)", banner)
             assert match, f"unexpected server banner: {banner!r}"
-            executed = drain_remote(
-                (match.group(1), int(match.group(2))),
-                worker_id="cli-standalone",
+            executed = drain(
+                RemoteQueueClient(
+                    (match.group(1), int(match.group(2))),
+                    "cli-standalone",
+                    poll_interval=0.02,
+                ),
                 idle_timeout=0.3,
-                poll_interval=0.02,
             )
         finally:
             proc.terminate()

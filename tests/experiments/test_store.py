@@ -1,117 +1,123 @@
-"""Tests for the journaled outcome store (corruption tolerance, round-trips)."""
+"""Tests for the durable outcome records (round-trips, corruption tolerance).
+
+Two things are durable: the result lake (the checkpoint a re-run sweep
+resumes from) and the per-worker outcome shards of a queue directory.  Both
+must survive the debris of a crashed writer.
+"""
 
 import json
 import warnings
 
 import pytest
 
-from repro.experiments import GraphSpec, OutcomeStore, Scenario, ScenarioOutcome
+from repro.experiments import (
+    GraphSpec,
+    ResultStore,
+    Scenario,
+    SuiteRunner,
+    WorkQueue,
+    WorkQueueBackend,
+    executor_identity,
+)
+from repro.experiments.lake import outcome_payload
 
 
-def outcome(name: str = "cell", **summary) -> ScenarioOutcome:
-    scenario = Scenario(name=name, graph=GraphSpec.figure("fig1b"), seed=1)
-    return ScenarioOutcome(
-        scenario=scenario,
-        summary={"terminated": True, "messages": 12, "latency": 34.5, **summary},
-        error=None,
-        wall_time=0.25,
-        graph_analysis=None,
-    )
+@executor_identity("1")
+def store_executor(scenario: Scenario) -> dict:
+    return {"terminated": True, "messages": scenario.seed, "latency": 34.5}
+
+
+def cells(count: int = 2) -> list[Scenario]:
+    return [
+        Scenario(name=f"cell-{seed}", graph=GraphSpec.figure("fig1b"), seed=seed)
+        for seed in range(count)
+    ]
 
 
 class TestRoundTrip:
     def test_record_and_load_preserves_types(self, tmp_path):
-        store = OutcomeStore(tmp_path / "journal.jsonl")
-        store.record("d1", outcome())
-        store.close()
-        record = OutcomeStore(tmp_path / "journal.jsonl").load()["d1"]
-        assert record["summary"] == {"terminated": True, "messages": 12, "latency": 34.5}
+        summary = {"terminated": True, "messages": 12, "latency": 34.5}
+        ResultStore(tmp_path / "lake").put("k1", outcome_payload("cell", summary, 0.25))
+        record = ResultStore(tmp_path / "lake").get("k1")
+        assert record["summary"] == summary
         assert record["error"] is None
         assert record["wall_time"] == 0.25
         assert record["scenario"] == "cell"
+        assert record["graph_analysis"] is None
 
     def test_duplicate_digest_keeps_latest_record(self, tmp_path):
-        store = OutcomeStore(tmp_path / "journal.jsonl")
-        store.record("d1", outcome(messages=1))
-        store.record("d1", outcome(messages=2))
-        store.close()
-        assert OutcomeStore(tmp_path / "journal.jsonl").load()["d1"]["summary"]["messages"] == 2
+        # Two shard records for one cell (reclaimed and finished twice): the
+        # coordinator stitches the later one.
+        (scenario,) = cells(1)
+        queue = WorkQueue(tmp_path / "q")
+        queue.enqueue([(0, scenario)], "test_store:store_executor")
+        job = queue.claim("w1")
+        queue.report("w1", job, summary={"messages": 1}, error=None, wall_time=0.1)
+        queue.report("w1", job, summary={"messages": 2}, error=None, wall_time=0.1)
+        backend = WorkQueueBackend(tmp_path / "q", workers=0, timeout=30.0, poll_interval=0.01)
+        suite = SuiteRunner(backend=backend, executor=store_executor).run([scenario])
+        assert suite.summaries() == [{"messages": 2}]
 
     def test_missing_journal_loads_empty(self, tmp_path):
-        assert OutcomeStore(tmp_path / "nope.jsonl").load() == {}
-
-    def test_context_manager_closes_handle(self, tmp_path):
-        with OutcomeStore(tmp_path / "journal.jsonl") as store:
-            store.record("d1", outcome())
-            assert store._handle is not None
-        assert store._handle is None
+        store = ResultStore(tmp_path / "nope")
+        assert len(store) == 0 and store.keys() == []
+        assert store.get("k1") is None
+        assert WorkQueue(tmp_path / "q").read_new_outcomes({}) == []
 
     def test_non_json_summary_degrades_with_warning(self, tmp_path):
-        store = OutcomeStore(tmp_path / "journal.jsonl")
-        bad = outcome()
-        bad.summary = {"value": object()}
+        queue = WorkQueue(tmp_path / "q")
         with pytest.warns(UserWarning, match="not JSON-serialisable"):
-            store.record("d1", bad)
-        store.close()
-        assert "d1" in OutcomeStore(tmp_path / "journal.jsonl").load()
+            queue.report(
+                "w1", {"digest": "d1"}, summary={"value": object()}, error=None, wall_time=0.0
+            )
+        (record,) = queue.read_new_outcomes({})
+        assert record["digest"] == "d1"
+        assert record["summary"]["value"].startswith("<object object")
 
 
 class TestCorruptionTolerance:
-    def write_journal(self, path, lines):
-        path.write_text("\n".join(lines) + "\n")
-
-    def good_line(self, digest: str) -> str:
-        return json.dumps(
-            {
-                "digest": digest,
-                "scenario": digest,
-                "summary": {"terminated": True},
-                "error": None,
-                "wall_time": 0.1,
-                "graph_analysis": None,
-            }
-        )
+    def good_line(self, key: str, store: ResultStore) -> str:
+        return json.dumps({"key": key, "object": store.put(key, {"summary": {"cell": key}})})
 
     def test_corrupt_lines_are_skipped_with_warning(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        self.write_journal(
-            journal,
-            [
-                self.good_line("d1"),
-                "{{{ this is not json",
-                json.dumps([1, 2, 3]),  # valid JSON, but not an object
-                json.dumps({"digest": "d-incomplete"}),  # missing required fields
-                self.good_line("d2"),
-            ],
-        )
+        store = ResultStore(tmp_path / "lake")
+        lines = [
+            self.good_line("k1", store),
+            "{{{ this is not json",
+            json.dumps([1, 2, 3]),  # valid JSON, but not an object
+            json.dumps({"key": "k-incomplete"}),  # names no object
+            self.good_line("k2", store),
+        ]
+        store.index_path.write_text("\n".join(lines) + "\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            records = OutcomeStore(journal).load()
-        assert sorted(records) == ["d1", "d2"]
-        messages = [str(w.message) for w in caught]
-        assert sum("corrupt journal line" in m for m in messages) == 2
-        assert sum("incomplete journal record" in m for m in messages) == 1
+            keys = ResultStore(tmp_path / "lake").keys()
+        assert keys == ["k1", "k2"]
+        assert sum("corrupt lake line" in str(w.message) for w in caught) == 1
 
     def test_truncated_final_line_is_skipped(self, tmp_path):
-        # The classic crash signature: the last append was cut short.
-        journal = tmp_path / "journal.jsonl"
-        journal.write_text(self.good_line("d1") + "\n" + self.good_line("d2")[:25])
+        # The classic crash signature: the last checkpoint append was cut
+        # short.  The re-run resumes the intact cell and re-executes the other.
+        scenarios = cells(2)
+        baseline = SuiteRunner(executor=store_executor).run(scenarios, store=str(tmp_path / "lake"))
+        index = tmp_path / "lake" / "index.jsonl"
+        index.write_text(index.read_text()[:-25])
         with pytest.warns(UserWarning, match="corrupt"):
-            records = OutcomeStore(journal).load()
-        assert sorted(records) == ["d1"]
+            resumed = SuiteRunner(executor=store_executor).run(scenarios, store=str(tmp_path / "lake"))
+        assert (resumed.cache_hits, resumed.cache_misses) == (1, 1)
+        assert resumed.summaries() == baseline.summaries()
 
     def test_blank_lines_are_ignored_silently(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        journal.write_text(self.good_line("d1") + "\n\n\n")
+        store = ResultStore(tmp_path / "lake")
+        store.index_path.write_text(self.good_line("k1", store) + "\n\n\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any warning would fail the test
-            records = OutcomeStore(journal).load()
-        assert sorted(records) == ["d1"]
+            assert ResultStore(tmp_path / "lake").keys() == ["k1"]
 
     def test_len_and_contains(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        self.write_journal(journal, [self.good_line("d1")])
-        store = OutcomeStore(journal)
-        assert len(store) == 1
-        assert "d1" in store
-        assert "d2" not in store
+        store = ResultStore(tmp_path / "lake")
+        store.index_path.write_text(self.good_line("k1", store) + "\n")
+        fresh = ResultStore(tmp_path / "lake")
+        assert len(fresh) == 1
+        assert "k1" in fresh
+        assert "k2" not in fresh

@@ -19,7 +19,12 @@ from repro.experiments import (
     WorkQueueBackend,
     WorkQueueError,
 )
-from repro.experiments.backends.queue import executor_reference, resolve_executor, sanitize_worker_id
+from repro.experiments.backends.queue import (
+    QueueWorker,
+    executor_reference,
+    resolve_executor,
+    sanitize_worker_id,
+)
 from repro.experiments.worker import drain, main
 
 
@@ -72,14 +77,14 @@ class TestQueuePrimitives:
         job = queue.claim("worker-a")
         assert job is not None
         assert queue.snapshot()["claimed"] == 1
-        assert job.executor == EXECUTOR_REF
+        assert job["executor"] == EXECUTOR_REF
 
         queue.report("worker-a", job, summary={"ok": True}, error=None, wall_time=0.1)
         snapshot = queue.snapshot()
         assert snapshot["done"] == 1 and snapshot["claimed"] == 0
         records = queue.read_new_outcomes({})
         assert len(records) == 1
-        assert records[0]["digest"] == job.digest
+        assert records[0]["digest"] == job["digest"]
         assert records[0]["summary"] == {"ok": True}
 
     def test_enqueue_is_idempotent(self, tmp_path):
@@ -134,7 +139,7 @@ class TestExecutorReferences:
             executor_reference(nested)
 
     def test_malformed_reference_is_rejected(self):
-        with pytest.raises(WorkQueueError, match="malformed"):
+        with pytest.raises(ValueError, match="malformed"):
             resolve_executor("no-colon-here")
 
 
@@ -146,8 +151,8 @@ class TestDrainAndCollect:
         root = tmp_path / "q"
         queue = WorkQueue(root)
         queue.enqueue(list(enumerate(cells)), EXECUTOR_REF)
-        assert drain(queue, worker_id="w1", max_jobs=2) == 2
-        assert drain(queue, worker_id="w2", idle_timeout=0.2) == len(cells) - 2
+        assert drain(QueueWorker(queue, "w1"), max_jobs=2) == 2
+        assert drain(QueueWorker(queue, "w2"), idle_timeout=0.2) == len(cells) - 2
         assert queue.is_drained()
         # Each worker journaled its own shard.
         assert sorted(p.name for p in queue.outcomes.glob("*.jsonl")) == ["w1.jsonl", "w2.jsonl"]
@@ -163,7 +168,7 @@ class TestDrainAndCollect:
         cells = [scenario, scenario]
         root = tmp_path / "q"
         WorkQueue(root).enqueue(list(enumerate(cells)), EXECUTOR_REF)
-        drain(root, worker_id="w1", idle_timeout=0.2)
+        drain(QueueWorker(root, "w1"), idle_timeout=0.2)
         backend = WorkQueueBackend(root, workers=0, timeout=30.0, poll_interval=0.01)
         suite = SuiteRunner(backend=backend, executor=queue_executor).run(cells)
         assert len(suite) == 2
@@ -182,7 +187,7 @@ class TestDrainAndCollect:
         cells = small_matrix(replicates=1).scenarios()
         root = tmp_path / "q"
         WorkQueue(root).enqueue(list(enumerate(cells)), "definitely_not_a_module:nope")
-        assert drain(root, worker_id="w1", idle_timeout=0.2) == len(cells)
+        assert drain(QueueWorker(root, "w1"), idle_timeout=0.2) == len(cells)
         backend = WorkQueueBackend(root, workers=1, timeout=60.0, poll_interval=0.02)
         suite = SuiteRunner(backend=backend, executor=queue_executor).run(cells)
         assert not suite.errors
@@ -198,7 +203,7 @@ class TestDrainAndCollect:
         dead_job = queue.claim("dead-worker")
         assert dead_job is not None and queue.snapshot()["claimed"] == 1
         # A live worker reclaims and executes it.
-        assert drain(queue, worker_id="live", lease=0.0, idle_timeout=0.3) == 1
+        assert drain(QueueWorker(queue, "live", lease=0.0), idle_timeout=0.3) == 1
         assert queue.is_drained()
         records = queue.read_new_outcomes({})
         assert [r["worker"] for r in records] == ["live"]
@@ -214,7 +219,7 @@ class TestDrainAndCollect:
         queue.enqueue(list(enumerate(cells)), SLOW_REF)
         reclaimed: list[str] = []
         worker = threading.Thread(
-            target=lambda: drain(queue, worker_id="steady", lease=0.2, idle_timeout=0.2),
+            target=lambda: drain(QueueWorker(queue, "steady", lease=0.2), idle_timeout=0.2),
             daemon=True,
         )
         worker.start()
@@ -264,7 +269,7 @@ class TestConcurrentWorkers:
         queue.enqueue(list(enumerate(cells)), EXECUTOR_REF)
         # The first coordinator's worker executes half the suite, then the
         # whole sweep is "killed" (nothing is collected).
-        drain(queue, worker_id="first-life", max_jobs=len(cells) // 2)
+        drain(QueueWorker(queue, "first-life"), max_jobs=len(cells) // 2)
         assert queue.snapshot()["done"] == len(cells) // 2
 
         # A fresh coordinator over the same directory re-enqueues only the

@@ -1,14 +1,11 @@
 """Tests for the Runtime seam: SimRuntime and runtime-based construction.
 
 The protocol state machines talk to the world only through the
-:class:`~repro.runtime.base.Runtime` interface; these tests pin that the
-simulator-backed implementation behaves exactly like the historical
-``(simulator, network)`` construction path.
+:class:`~repro.runtime.base.Runtime` interface; these tests pin the
+simulator-backed implementation of it.
 """
 
 from dataclasses import dataclass
-
-import pytest
 
 from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulator
@@ -62,29 +59,6 @@ class TestSimRuntime:
 
 
 class TestProcessConstruction:
-    def test_runtime_keyword_equivalent_to_positional(self):
-        simulator, network = make_world()
-        runtime = SimRuntime(simulator, network)
-        via_runtime = Process(1, frozenset({2}), runtime=runtime)
-        via_positional = Process(2, frozenset({1}), simulator, network)
-        assert via_runtime.simulator is simulator
-        assert via_runtime.network is network
-        assert via_positional.runtime.simulator is simulator
-        received = []
-        via_positional.on(Ping, lambda sender, message: received.append(sender))
-        via_runtime.send(2, Ping())
-        simulator.run()
-        assert received == [1]
-
-    def test_requires_runtime_or_both_legacy_args(self):
-        simulator, network = make_world()
-        with pytest.raises(TypeError):
-            Process(1, frozenset(), simulator)
-        with pytest.raises(TypeError):
-            Process(1, frozenset(), network=network)
-        with pytest.raises(TypeError):
-            Process(1, frozenset())
-
     def test_consensus_node_runtime_construction(self):
         from repro.core.config import ProtocolConfig
         from repro.core.node import ConsensusNode

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulator
 from repro.sim.network import (
     AsynchronousModel,
     Network,
+    NetworkRule,
     PartialSynchronyModel,
     SynchronousModel,
 )
@@ -24,6 +26,16 @@ class Recorder(Process):
 
     def receive(self, envelope):
         self.received.append(envelope)
+
+
+class DelayBy(NetworkRule):
+    """Delay each message by ``fn(envelope)``; ``None`` falls through to the next rule."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def decide(self, envelope, *, now):
+        return self.fn(envelope)
 
 
 def make_network(model=None, faulty=frozenset()):
@@ -83,8 +95,8 @@ class TestSynchronyModels:
 class TestTransport:
     def test_delivery_and_sender_stamping(self):
         simulator, network, trace = make_network()
-        alice = Recorder(1, frozenset(), simulator, network)
-        bob = Recorder(2, frozenset(), simulator, network)
+        alice = Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
+        bob = Recorder(2, frozenset(), runtime=SimRuntime(simulator, network))
         network.send(1, 2, "hello")
         simulator.run()
         assert len(bob.received) == 1
@@ -96,15 +108,15 @@ class TestTransport:
 
     def test_unknown_receiver_dropped(self):
         simulator, network, trace = make_network()
-        Recorder(1, frozenset(), simulator, network)
+        Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
         network.send(1, 99, "hello")
         simulator.run()
         assert trace.messages_dropped == 1
 
     def test_crashed_sender_and_receiver(self):
         simulator, network, trace = make_network()
-        Recorder(1, frozenset(), simulator, network)
-        bob = Recorder(2, frozenset(), simulator, network)
+        Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
+        bob = Recorder(2, frozenset(), runtime=SimRuntime(simulator, network))
         network.crash(1)
         network.send(1, 2, "from-crashed")
         simulator.run()
@@ -116,8 +128,8 @@ class TestTransport:
 
     def test_crash_while_in_flight(self):
         simulator, network, trace = make_network()
-        Recorder(1, frozenset(), simulator, network)
-        bob = Recorder(2, frozenset(), simulator, network)
+        Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
+        bob = Recorder(2, frozenset(), runtime=SimRuntime(simulator, network))
         network.send(1, 2, "hello")
         network.crash(2)
         simulator.run()
@@ -126,13 +138,13 @@ class TestTransport:
 
     def test_duplicate_registration_rejected(self):
         simulator, network, _ = make_network()
-        Recorder(1, frozenset(), simulator, network)
+        Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
         with pytest.raises(ValueError):
-            Recorder(1, frozenset(), simulator, network)
+            Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
 
     def test_broadcast_excludes_sender(self):
         simulator, network, trace = make_network()
-        nodes = {pid: Recorder(pid, frozenset(), simulator, network) for pid in (1, 2, 3)}
+        nodes = {pid: Recorder(pid, frozenset(), runtime=SimRuntime(simulator, network)) for pid in (1, 2, 3)}
         network.broadcast(1, frozenset({1, 2, 3}), "ping")
         simulator.run()
         assert len(nodes[2].received) == 1
@@ -141,10 +153,10 @@ class TestTransport:
 
     def test_delay_override(self):
         simulator, network, trace = make_network()
-        Recorder(1, frozenset(), simulator, network)
-        bob = Recorder(2, frozenset(), simulator, network)
-        network.add_delay_override(lambda envelope: None if envelope.payload != "drop-me" else 0.0)
-        network.add_delay_override(lambda envelope: 0.5)
+        Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
+        bob = Recorder(2, frozenset(), runtime=SimRuntime(simulator, network))
+        network.add_rule(DelayBy(lambda envelope: None if envelope.payload != "drop-me" else 0.0))
+        network.add_rule(DelayBy(lambda envelope: 0.5))
         network.send(1, 2, "normal")
         simulator.run()
         assert len(bob.received) == 1
@@ -162,8 +174,8 @@ class TestTransport:
                 return self.decision if envelope.payload == self.payload else None
 
         simulator, network, trace = make_network()
-        Recorder(1, frozenset(), simulator, network)
-        bob = Recorder(2, frozenset(), simulator, network)
+        Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
+        bob = Recorder(2, frozenset(), runtime=SimRuntime(simulator, network))
         network.add_rule(Match("drop-a", "a", WITHHOLD))
         network.add_rule(Match("slow-a", "a", 9.0))  # shadowed by drop-a
         network.add_rule(Match("slow-b", "b", 3.0))
@@ -187,19 +199,13 @@ class TestTransport:
 
         simulator, network, trace = make_network()
         trace.record_messages = True
-        Recorder(1, frozenset(), simulator, network)
-        Recorder(2, frozenset(), simulator, network)
+        Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
+        Recorder(2, frozenset(), runtime=SimRuntime(simulator, network))
         network.add_rule(DropAll())
         network.send(1, 2, "x")
         simulator.run()
         assert trace.messages_dropped == 1
         assert any("withheld by rule 'blackout'" in event for _, event in trace.events)
-
-    def test_legacy_overrides_become_named_rules(self):
-        simulator, network, _ = make_network()
-        network.add_delay_override(lambda envelope: None)
-        network.add_delay_override(lambda envelope: 1.0)
-        assert [rule.name for rule in network.rules] == ["override#0", "override#1"]
 
     def test_is_correct_tracks_faults_and_crashes(self):
         simulator, network, _ = make_network(faulty=frozenset({3}))
@@ -212,8 +218,8 @@ class TestTransport:
 class TestDeliveryBatching:
     def test_same_instant_broadcast_shares_one_heap_entry(self):
         simulator, network, trace = make_network()
-        network.add_delay_override(lambda envelope: 1.0)
-        nodes = {pid: Recorder(pid, frozenset(), simulator, network) for pid in range(1, 12)}
+        network.add_rule(DelayBy(lambda envelope: 1.0))
+        nodes = {pid: Recorder(pid, frozenset(), runtime=SimRuntime(simulator, network)) for pid in range(1, 12)}
         network.broadcast(1, frozenset(nodes), "hello")
         # Ten same-instant deliveries, one heap entry.
         assert simulator.pending_events() == 10
@@ -226,8 +232,8 @@ class TestDeliveryBatching:
 
     def test_batched_delivery_respects_crashes(self):
         simulator, network, trace = make_network()
-        network.add_delay_override(lambda envelope: 1.0)
-        nodes = {pid: Recorder(pid, frozenset(), simulator, network) for pid in (1, 2, 3)}
+        network.add_rule(DelayBy(lambda envelope: 1.0))
+        nodes = {pid: Recorder(pid, frozenset(), runtime=SimRuntime(simulator, network)) for pid in (1, 2, 3)}
         network.broadcast(1, frozenset(nodes), "hello")
         network.crash(2)
         simulator.run()
@@ -237,7 +243,7 @@ class TestDeliveryBatching:
     def test_distinct_delays_still_deliver_in_time_order(self):
         simulator, network, trace = make_network()
         delays = {2: 3.0, 3: 1.0, 4: 2.0}
-        network.add_delay_override(lambda envelope: delays[envelope.receiver])
+        network.add_rule(DelayBy(lambda envelope: delays[envelope.receiver]))
         order = []
 
         class Logger(Recorder):
@@ -245,7 +251,7 @@ class TestDeliveryBatching:
                 super().receive(envelope)
                 order.append((simulator.now, self.process_id))
 
-        nodes = {pid: Logger(pid, frozenset(), simulator, network) for pid in (1, 2, 3, 4)}
+        nodes = {pid: Logger(pid, frozenset(), runtime=SimRuntime(simulator, network)) for pid in (1, 2, 3, 4)}
         network.broadcast(1, frozenset(nodes), "hello")
         simulator.run()
         assert order == [(1.0, 3), (2.0, 4), (3.0, 2)]

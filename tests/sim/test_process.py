@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 
+from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, SynchronousModel
 from repro.sim.process import Process
@@ -27,8 +28,8 @@ class TestMessaging:
     def test_handler_dispatch_by_type(self):
         simulator, network = make_world()
         received = []
-        alice = Process(1, frozenset({2}), simulator, network)
-        bob = Process(2, frozenset({1}), simulator, network)
+        alice = Process(1, frozenset({2}), runtime=SimRuntime(simulator, network))
+        bob = Process(2, frozenset({1}), runtime=SimRuntime(simulator, network))
         bob.on(Ping, lambda sender, message: received.append((sender, message)))
         alice.send(2, Ping())
         alice.send(2, Pong())  # no handler: silently ignored
@@ -43,8 +44,8 @@ class TestMessaging:
             def on_unhandled(self, envelope):
                 unhandled.append(envelope.payload)
 
-        alice = Process(1, frozenset(), simulator, network)
-        Watcher(2, frozenset(), simulator, network)
+        alice = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
+        Watcher(2, frozenset(), runtime=SimRuntime(simulator, network))
         alice.send(2, Pong())
         simulator.run()
         assert unhandled == [Pong()]
@@ -52,9 +53,9 @@ class TestMessaging:
     def test_send_to_all_skips_self(self):
         simulator, network = make_world()
         counts = {2: 0, 3: 0}
-        alice = Process(1, frozenset(), simulator, network)
+        alice = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
         for pid in (2, 3):
-            node = Process(pid, frozenset(), simulator, network)
+            node = Process(pid, frozenset(), runtime=SimRuntime(simulator, network))
             node.on(Ping, lambda sender, message, pid=pid: counts.__setitem__(pid, counts[pid] + 1))
         alice.send_to_all([1, 2, 3], Ping())
         simulator.run()
@@ -63,8 +64,8 @@ class TestMessaging:
     def test_stopped_process_neither_sends_nor_receives(self):
         simulator, network = make_world()
         received = []
-        alice = Process(1, frozenset(), simulator, network)
-        bob = Process(2, frozenset(), simulator, network)
+        alice = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
+        bob = Process(2, frozenset(), runtime=SimRuntime(simulator, network))
         bob.on(Ping, lambda sender, message: received.append(message))
         bob.stop()
         alice.send(2, Ping())
@@ -80,7 +81,7 @@ class TestTimers:
     def test_one_shot_timer(self):
         simulator, network = make_world()
         fired = []
-        node = Process(1, frozenset(), simulator, network)
+        node = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
         node.after(5.0, lambda: fired.append(simulator.now))
         simulator.run()
         assert fired == [5.0]
@@ -88,7 +89,7 @@ class TestTimers:
     def test_periodic_timer_stops_with_process(self):
         simulator, network = make_world()
         fired = []
-        node = Process(1, frozenset(), simulator, network)
+        node = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
 
         def tick():
             fired.append(simulator.now)
@@ -101,7 +102,7 @@ class TestTimers:
 
     def test_invalid_period(self):
         simulator, network = make_world()
-        node = Process(1, frozenset(), simulator, network)
+        node = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
         import pytest
 
         with pytest.raises(ValueError):
@@ -110,7 +111,7 @@ class TestTimers:
     def test_one_shot_timer_cancelled_by_stop(self):
         simulator, network = make_world()
         fired = []
-        node = Process(1, frozenset(), simulator, network)
+        node = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
         node.after(5.0, lambda: fired.append("fired"))
         node.stop()
         simulator.run()
@@ -119,7 +120,7 @@ class TestTimers:
     def test_every_returns_a_cancellable_handle(self):
         simulator, network = make_world()
         fired = []
-        node = Process(1, frozenset(), simulator, network)
+        node = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
         timer = node.every(2.0, lambda: fired.append(simulator.now))
         simulator.run(until=lambda: len(fired) == 3)
         timer.cancel()
@@ -130,7 +131,7 @@ class TestTimers:
 
     def test_cancelling_a_periodic_timer_twice_is_a_noop(self):
         simulator, network = make_world()
-        node = Process(1, frozenset(), simulator, network)
+        node = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
         timer = node.every(1.0, lambda: None)
         timer.cancel()
         timer.cancel()
@@ -142,7 +143,7 @@ class TestTimers:
         # timer registry forever (and periodic ticks appended a fresh handle
         # per period), growing without bound on long runs.
         simulator, network = make_world()
-        node = Process(1, frozenset(), simulator, network)
+        node = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
         for delay in range(1, 51):
             node.after(float(delay), lambda: None)
         simulator.run()
@@ -151,7 +152,7 @@ class TestTimers:
     def test_periodic_timer_keeps_a_single_registry_entry(self):
         simulator, network = make_world()
         fired = []
-        node = Process(1, frozenset(), simulator, network)
+        node = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
 
         def tick():
             fired.append(simulator.now)
