@@ -17,10 +17,10 @@ driven by *when* and *between whom* messages are delayed.  A
 A schedule is hashable, picklable and JSON round-trippable
 (:meth:`NetworkSchedule.to_dict` / :meth:`NetworkSchedule.from_dict`), so it
 crosses the work-queue job codec losslessly as a
-:class:`~repro.experiments.scenario.Scenario` axis, and it compiles onto the
-:class:`~repro.sim.network.Network` rule engine
-(:meth:`NetworkSchedule.install`) with every drop/delay traced under the
-matching rule's name.
+:class:`~repro.experiments.scenario.Scenario` axis, and
+:func:`install_schedule` compiles it onto any
+:class:`~repro.runtime.base.Runtime` (simulated or live) with every
+drop/delay traced under the matching rule's name.
 
 **Model-contract validation.**  The proofs rely on the declared synchrony
 model: under :class:`~repro.sim.network.PartialSynchronyModel` every message
@@ -47,7 +47,7 @@ from repro.graphs.knowledge_graph import ProcessId
 from repro.sim.synchrony import PartialSynchronyModel, SynchronousModel, SynchronyModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.network import Network, NetworkRule
+    from repro.runtime.base import Runtime
 
 #: Symbolic target sets, resolved against the run's membership at install
 #: time: every registered process, the declared-faulty set, or its
@@ -227,15 +227,6 @@ class DelayRule:
             name=payload.get("name", ""),
         )
 
-    def compile(
-        self, *, processes: frozenset[ProcessId], faulty: frozenset[ProcessId]
-    ) -> "NetworkRule":
-        # Deferred: the compiled form binds to the Network rule engine, so
-        # it lives on the runtime seam, not in this plain-data module.
-        from repro.runtime.sim import compile_delay_rule
-
-        return compile_delay_rule(self, processes=processes, faulty=faulty)
-
 
 @dataclass(frozen=True)
 class PartitionRule:
@@ -312,14 +303,6 @@ class PartitionRule:
             name=payload.get("name", ""),
         )
 
-    def compile(
-        self, *, processes: frozenset[ProcessId], faulty: frozenset[ProcessId]
-    ) -> "NetworkRule":
-        del processes, faulty
-        from repro.runtime.sim import compile_partition_rule
-
-        return compile_partition_rule(self)
-
 
 @dataclass(frozen=True)
 class CrashRule:
@@ -382,10 +365,10 @@ class NetworkSchedule:
 
     Rule order is precedence: for each message, the first matching rule
     decides (see :class:`~repro.sim.network.NetworkRule`).  The schedule is
-    declarative — nothing is resolved until :meth:`install` binds it to a
-    concrete :class:`~repro.sim.network.Network` — which is what lets it
-    travel as a :class:`~repro.experiments.scenario.Scenario` axis through
-    JSON job files and the TCP work queue.
+    declarative — nothing is resolved until :func:`install_schedule` binds
+    it to a concrete runtime — which is what lets it travel as a
+    :class:`~repro.experiments.scenario.Scenario` axis through JSON job
+    files and the TCP work queue.
     """
 
     rules: tuple[ScheduleRule, ...]
@@ -511,23 +494,6 @@ class NetworkSchedule:
             )
 
     # ------------------------------------------------------------------
-    # compilation
-    # ------------------------------------------------------------------
-    def install(self, network: "Network") -> None:
-        """Validate against the network's model, then compile onto it.
-
-        Message rules become ordered :class:`~repro.sim.network.NetworkRule`
-        instances (their names show up in trace drop/delay reasons); crash
-        rules become simulator events.  Call after every process has been
-        registered, so symbolic targets resolve against the full membership.
-        Delegates to :func:`repro.runtime.sim.install_schedule` — the
-        schedule itself stays plain data with no transport coupling.
-        """
-        from repro.runtime.sim import install_schedule
-
-        install_schedule(self, network)
-
-    # ------------------------------------------------------------------
     # codec
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
@@ -551,6 +517,33 @@ class NetworkSchedule:
         return cls(rules=tuple(rules), name=payload.get("name", ""))
 
 
+def install_schedule(schedule: NetworkSchedule, runtime: "Runtime") -> None:
+    """Validate ``schedule`` against the runtime's model, then compile it onto the runtime.
+
+    Message rules become ordered :class:`~repro.sim.network.NetworkRule`
+    instances on the send gate (their names show up in trace drop/delay
+    reasons); crash rules become runtime timers.  Call from the ``start``
+    callback of :meth:`~repro.runtime.base.Runtime.run` (timers need a live
+    clock), after every process is registered (symbolic targets resolve
+    against the full membership).
+    """
+    # Deferred: the compiled forms bind to the rule engine, so they live on
+    # the runtime seam, not in this plain-data module.
+    from repro.runtime.sim import compile_rule
+
+    processes, faulty = runtime.process_ids, runtime.faulty
+    schedule.validate(runtime.model, processes=processes, faulty=faulty)
+    for rule in schedule.rules:
+        if isinstance(rule, CrashRule):
+            runtime.schedule(
+                max(rule.at - runtime.now, 0.0),
+                lambda process=rule.process: runtime.crash(process),
+                label=f"schedule rule {rule.rule_name}",
+            )
+        else:
+            runtime.add_rule(compile_rule(rule, processes=processes, faulty=faulty))
+
+
 __all__ = [
     "ALL",
     "FAULTY",
@@ -562,4 +555,5 @@ __all__ = [
     "ScheduleContractError",
     "ScheduleError",
     "ScheduleRule",
+    "install_schedule",
 ]

@@ -5,19 +5,24 @@ are Byzantine and how they behave), a protocol configuration and a synchrony
 model, :func:`run_consensus` builds the whole simulated system, lets every
 process propose, runs the simulator until every correct process decided (or
 the horizon is hit), and reports the consensus properties plus message and
-latency statistics.
+latency statistics.  It is the entry point used by the examples, the
+integration tests and every benchmark.
 
-This is the single entry point used by the examples, the integration tests
-and every benchmark.
+That sequence is written once, in :func:`_drive`, against the
+:class:`~repro.runtime.base.Runtime` seam: :func:`run_consensus`,
+:func:`repro.runtime.harness.run_live_consensus` and the discovery
+baselines (:mod:`repro.baselines.unauthenticated`) only choose the runtime,
+the seeds and the stop condition.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.adversary.nodes import build_faulty_node
-from repro.adversary.schedule import NetworkSchedule
+from repro.adversary.schedule import NetworkSchedule, install_schedule
 from repro.adversary.spec import FaultSpec
 from repro.analysis.properties import ConsensusProperties, check_properties
 from repro.core.config import ProtocolConfig
@@ -164,36 +169,24 @@ def build_protocol_nodes(
 ) -> dict[ProcessId, Process]:
     """Instantiate every process of the run (correct and faulty) on ``runtime``.
 
-    This is the runtime-agnostic builder: the discrete-event harness below
-    and the live harness (:func:`repro.runtime.harness.run_live_consensus`)
-    both call it, so a run's node population is identical on both substrates.
+    Runtime-agnostic, so a run's node population is identical on the
+    simulator and over live sockets.
     """
     nodes: dict[ProcessId, Process] = {}
     for process_id in sorted(config.graph.processes, key=repr):
-        pd = config.graph.participant_detector(process_id)
-        key = registry.generate(process_id)
+        common: dict[str, Any] = dict(
+            process_id=process_id,
+            participant_detector=config.graph.participant_detector(process_id),
+            runtime=runtime,
+            registry=registry,
+            key=registry.generate(process_id),
+            config=config.protocol,
+            trace=trace,
+        )
         spec = config.faulty.get(process_id)
-        if spec is None:
-            nodes[process_id] = ConsensusNode(
-                process_id=process_id,
-                participant_detector=pd,
-                runtime=runtime,
-                registry=registry,
-                key=key,
-                config=config.protocol,
-                trace=trace,
-            )
-        else:
-            nodes[process_id] = build_faulty_node(
-                spec,
-                process_id=process_id,
-                participant_detector=pd,
-                runtime=runtime,
-                registry=registry,
-                key=key,
-                config=config.protocol,
-                trace=trace,
-            )
+        nodes[process_id] = (
+            ConsensusNode(**common) if spec is None else build_faulty_node(spec, **common)
+        )
     return nodes
 
 
@@ -203,7 +196,6 @@ def run_consensus(config: RunConfig) -> RunResult:
     # runtime import would be circular.
     from repro.runtime.sim import build_sim_runtime
 
-    trace = SimulationTrace()
     # Independent substreams: the network delay draws and the key material
     # must not share a raw seed, otherwise changing how many keys are
     # generated (or the key derivation itself) silently reshuffles the
@@ -212,36 +204,46 @@ def run_consensus(config: RunConfig) -> RunResult:
         max_time=config.horizon,
         max_events=config.max_events,
         synchrony=config.synchrony,
-        trace=trace,
         network_seed=derive_seed(config.seed, "network"),
         faulty=frozenset(config.faulty),
     )
-    simulator = runtime.simulator
-    registry = KeyRegistry(seed=derive_seed(config.seed, "keys"))
-    nodes = build_protocol_nodes(config, runtime, registry, trace)
-    if config.schedule is not None:
-        # Installed after registration so symbolic rule targets ("*",
-        # "correct", "faulty") resolve against the full membership; the
-        # schedule validates itself against the synchrony model here.
-        config.schedule.install(runtime.network)
+    return _drive(config, runtime, KeyRegistry(seed=derive_seed(config.seed, "keys")))
 
+
+def _drive(
+    config: RunConfig,
+    runtime: "Runtime",
+    registry: KeyRegistry,
+    *,
+    build: Callable[..., dict[ProcessId, Process]] | None = None,
+    settled: Callable[[Process], bool] | None = None,
+) -> RunResult:
+    """The one run path: build, install the schedule, propose, wait, collect.
+
+    Callers pick the ``runtime`` (and with it the network seed), the key
+    ``registry``, and optionally the node population (``build``, called like
+    :func:`build_protocol_nodes`) and what a correct process must reach for
+    the run to stop (``settled``; by default, its decision).
+    """
+    trace = runtime.trace
+    nodes = (build or build_protocol_nodes)(config, runtime, registry, trace)
     correct = frozenset(config.graph.processes - set(config.faulty))
-    participants = (
-        config.graph.processes if config.participants is None else config.participants
-    )
-    for process_id, node in nodes.items():
-        if process_id not in participants:
-            continue
-        proposer = getattr(node, "propose", None)
-        if proposer is not None:
-            proposer(config.proposal_of(process_id))
+    participants = config.graph.processes if config.participants is None else config.participants
 
-    # The stop predicate runs between every two events, so it must be O(1):
+    def start() -> None:
+        if config.schedule is not None:
+            install_schedule(config.schedule, runtime)  # validates, then compiles
+        for process_id, node in nodes.items():
+            proposer = getattr(node, "propose", None)
+            if proposer is not None and process_id in participants:
+                proposer(config.proposal_of(process_id))
+
+    # The stop predicate runs between every two steps, so it must be O(1):
     # scanning all nodes per event is quadratic at large n.  A node flips
     # ``decided`` and calls ``trace.on_decision`` in the same event callback
     # (ConsensusNode._decide), so counting first decisions of correct nodes
     # as they are recorded observes exactly the same predicate value between
-    # events as scanning ``node.decided`` over every correct node did.
+    # events as scanning ``node.decided`` over every correct node would.
     undecided_correct = set(correct)
     record_decision = trace.on_decision
 
@@ -249,73 +251,53 @@ def run_consensus(config: RunConfig) -> RunResult:
         record_decision(process_id, value, time)
         undecided_correct.discard(process_id)
 
-    trace.on_decision = counting_on_decision  # type: ignore[method-assign]
-
-    def all_correct_decided() -> bool:
+    def finished() -> bool:
         return not undecided_correct
 
+    def all_settled() -> bool:
+        return all(settled(nodes[process_id]) for process_id in correct)
+
+    trace.on_decision = counting_on_decision  # type: ignore[method-assign]
     try:
-        simulator.run(until=all_correct_decided)
+        runtime.run(start, finished if settled is None else all_settled)
     finally:
         del trace.on_decision  # restore the plain recording method
-
-    return collect_run_result(
-        config,
-        nodes,
-        correct,
-        trace,
-        virtual_duration=simulator.now,
-        events_processed=simulator.processed_events,
-        compactions=simulator.compactions,
-        pending_peak=simulator.pending_peak,
-        registry=registry,
-    )
+    return collect_run_result(config, nodes, correct, runtime, registry)
 
 
 def collect_run_result(
     config: RunConfig,
     nodes: dict[ProcessId, Process],
     correct: frozenset[ProcessId],
-    trace: SimulationTrace,
-    *,
-    virtual_duration: float,
-    events_processed: int,
-    compactions: int = 0,
-    pending_peak: int = 0,
-    registry: KeyRegistry | None = None,
-    runtime_name: str = "sim",
-    live: Any = None,
+    runtime: "Runtime",
+    registry: KeyRegistry,
 ) -> RunResult:
     """Evaluate the consensus properties of a finished run and package them.
 
-    Shared between the discrete-event harness above and the live harness
-    (:func:`repro.runtime.harness.run_live_consensus`): the property checks
-    and statistics are substrate-independent, they only read node state and
-    the trace.
+    The property checks and statistics are substrate-independent: they read
+    node state, the trace and the key registry; the runtime contributes its
+    own counters through :meth:`~repro.runtime.base.Runtime.result_fields`.
     """
     decisions: dict[ProcessId, Any] = {}
     decision_times: dict[ProcessId, float] = {}
     identified: dict[ProcessId, frozenset[ProcessId]] = {}
     identification_times: dict[ProcessId, float] = {}
     estimated: dict[ProcessId, int | None] = {}
-    for process_id in sorted(correct, key=repr):
-        node = nodes[process_id]
-        if isinstance(node, ConsensusNode):
-            if node.decided:
-                decisions[process_id] = node.value
-                decision_times[process_id] = node.decided_at if node.decided_at is not None else 0.0
-            if node.identified_members is not None:
-                identified[process_id] = node.identified_members
-                identification_times[process_id] = (
-                    node.identified_at if node.identified_at is not None else 0.0
-                )
-            estimated[process_id] = node.estimated_fault_threshold
-
     sink_searches = 0
     search_skips = 0
     for process_id in sorted(correct, key=repr):
         node = nodes[process_id]
+        # Identification is read structurally: the flooding baseline's nodes
+        # identify a sink without being ConsensusNodes.
+        members = getattr(node, "identified_members", None)
+        if members is not None:
+            identified[process_id] = members
+            identification_times[process_id] = getattr(node, "identified_at", None) or 0.0
         if isinstance(node, ConsensusNode):
+            if node.decided:
+                decisions[process_id] = node.value
+                decision_times[process_id] = node.decided_at if node.decided_at is not None else 0.0
+            estimated[process_id] = node.estimated_fault_threshold
             sink_searches += node.locator.searches
             search_skips += node.locator.skips
 
@@ -337,23 +319,18 @@ def collect_run_result(
     return RunResult(
         config=config,
         properties=properties,
-        trace=trace,
+        trace=runtime.trace,
         correct=correct,
         decisions=decisions,
         decision_times=decision_times,
         identified=identified,
         identification_times=identification_times,
         estimated_fault_thresholds=estimated,
-        virtual_duration=virtual_duration,
-        messages_sent=trace.messages_sent,
-        events_processed=events_processed,
-        compactions=compactions,
-        pending_peak=pending_peak,
+        messages_sent=runtime.trace.messages_sent,
         sink_searches=sink_searches,
         search_skips=search_skips,
-        verify_calls=registry.verify_calls if registry is not None else 0,
-        verify_cache_hits=registry.verify_cache_hits if registry is not None else 0,
-        canonical_cache_hits=registry.canonical_cache_hits if registry is not None else 0,
-        runtime_name=runtime_name,
-        live=live,
+        verify_calls=registry.verify_calls,
+        verify_cache_hits=registry.verify_cache_hits,
+        canonical_cache_hits=registry.canonical_cache_hits,
+        **runtime.result_fields(),
     )

@@ -17,9 +17,12 @@ quantifying the simplification claimed in Section III.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
+from repro.adversary.spec import FaultSpec
+from repro.analysis.harness import RunConfig, _drive
 from repro.baselines.reachable_broadcast import DisjointPathTracker, FloodedRecord
 from repro.core.config import ProtocolConfig
 from repro.crypto.signatures import KeyRegistry
@@ -27,7 +30,7 @@ from repro.graphs.knowledge_graph import KnowledgeGraph, ProcessId
 from repro.graphs.predicates import KnowledgeView
 from repro.graphs.sink_search import SearchOptions, find_sink_with_fault_threshold
 from repro.runtime.base import Runtime
-from repro.runtime.sim import SimRuntime, build_sim_runtime
+from repro.runtime.sim import build_sim_runtime
 from repro.sim.process import Process
 from repro.sim.synchrony import SynchronyModel
 from repro.sim.tracing import SimulationTrace
@@ -52,13 +55,12 @@ class UnauthenticatedDiscoveryNode(Process):
         *,
         flood_period: float = 5.0,
         search: SearchOptions | None = None,
-        trace: SimulationTrace | None = None,
     ) -> None:
         super().__init__(process_id, participant_detector, runtime=runtime)
         self.fault_threshold = fault_threshold
         self.flood_period = flood_period
         self.search = search or SearchOptions()
-        self.trace = trace if trace is not None else getattr(runtime, "trace", SimulationTrace())
+        self.trace = runtime.trace
 
         self.tracker = DisjointPathTracker(receiver=process_id)
         #: Accepted participant detectors (delivered by reachable broadcast).
@@ -78,6 +80,11 @@ class UnauthenticatedDiscoveryNode(Process):
     # ------------------------------------------------------------------
     # protocol
     # ------------------------------------------------------------------
+    def propose(self, value: Any) -> None:
+        """The driver's entry point (the ConsensusNode API); flooding carries no value."""
+        del value
+        self.start()
+
     def start(self) -> None:
         if self._started:
             return
@@ -170,46 +177,70 @@ class SinkDiscoveryOutcome:
     canonical_cache_hits: int = 0
 
 
-def _outcome(
-    nodes: dict[ProcessId, Any],
-    correct: frozenset[ProcessId],
-    trace: SimulationTrace,
-    virtual_duration: float,
-    registry: KeyRegistry | None = None,
-) -> SinkDiscoveryOutcome:
-    identified = {}
-    times = {}
-    for process_id in sorted(correct, key=repr):
-        node = nodes[process_id]
-        members = getattr(node, "identified_members", None)
-        if members is not None:
-            identified[process_id] = members
-            times[process_id] = getattr(node, "identified_at", 0.0) or 0.0
-    return SinkDiscoveryOutcome(
-        identified=identified,
-        identification_times=times,
-        messages_sent=trace.messages_sent,
-        all_correct_identified=set(identified) == set(correct),
-        agreement_on_members=len(set(identified.values())) <= 1,
-        virtual_duration=virtual_duration,
-        verify_calls=registry.verify_calls if registry is not None else 0,
-        verify_cache_hits=registry.verify_cache_hits if registry is not None else 0,
-        canonical_cache_hits=registry.canonical_cache_hits if registry is not None else 0,
-    )
+def _flooding_nodes(
+    config: RunConfig, runtime: Runtime, registry: KeyRegistry, trace: SimulationTrace
+) -> dict[ProcessId, Process]:
+    del registry, trace  # the flooding protocol signs nothing; nodes trace on runtime.trace
+    return {
+        process_id: UnauthenticatedDiscoveryNode(
+            process_id,
+            config.graph.participant_detector(process_id),
+            runtime,
+            config.protocol.fault_threshold,
+        )
+        for process_id in sorted(config.graph.processes, key=repr)
+    }
 
 
-def _discovery_runtime(
+def _identified(node: Process) -> bool:
+    return node.identified_members is not None
+
+
+def _discover(
+    graph: KnowledgeGraph,
+    fault_threshold: int,
+    faulty: frozenset[ProcessId],
+    seed: int,
     horizon: float,
     synchrony: SynchronyModel | None,
-    trace: SimulationTrace,
-    seed: int,
-    faulty: frozenset[ProcessId],
-) -> SimRuntime:
-    # The baseline runs historically seeded the network with the *raw* run
-    # seed (no substream derivation); the factory takes the seed verbatim,
-    # so every recorded trajectory is preserved.
-    return build_sim_runtime(
-        max_time=horizon, synchrony=synchrony, trace=trace, network_seed=seed, faulty=faulty
+    registry: KeyRegistry | None = None,
+    build: Callable[..., dict[ProcessId, Process]] | None = None,
+) -> SinkDiscoveryOutcome:
+    """One discovery-only run on the shared driver, stopped at sink identification.
+
+    Byzantine processes are silent and only the correct ones start.  Network
+    and keys take the *raw* run seed (no substream derivation) and the engine
+    its default event budget, as every recorded baseline trajectory did.
+    """
+    config = RunConfig(
+        graph=graph,
+        protocol=ProtocolConfig.bft_cup(fault_threshold),
+        faulty={process_id: FaultSpec.silent() for process_id in sorted(faulty, key=repr)},
+        synchrony=synchrony,
+        seed=seed,
+        horizon=horizon,
+        participants=frozenset(graph.processes - faulty),
+    )
+    runtime = build_sim_runtime(
+        max_time=horizon, synchrony=synchrony, network_seed=seed, faulty=frozenset(faulty)
+    )
+    result = _drive(
+        config,
+        runtime,
+        registry if registry is not None else KeyRegistry(seed=seed),
+        build=build,
+        settled=_identified,
+    )
+    return SinkDiscoveryOutcome(
+        identified=result.identified,
+        identification_times=result.identification_times,
+        messages_sent=result.messages_sent,
+        all_correct_identified=set(result.identified) == set(result.correct),
+        agreement_on_members=len(set(result.identified.values())) <= 1,
+        virtual_duration=result.virtual_duration,
+        verify_calls=result.verify_calls,
+        verify_cache_hits=result.verify_cache_hits,
+        canonical_cache_hits=result.canonical_cache_hits,
     )
 
 
@@ -223,24 +254,9 @@ def run_unauthenticated_sink_discovery(
     synchrony=None,
 ) -> SinkDiscoveryOutcome:
     """Run the unauthenticated (flooding) discovery until every correct process finds the sink."""
-    trace = SimulationTrace()
-    runtime = _discovery_runtime(horizon, synchrony, trace, seed, faulty)
-    correct = frozenset(graph.processes - faulty)
-    nodes: dict[ProcessId, Process] = {}
-    for process_id in sorted(graph.processes, key=repr):
-        pd = graph.participant_detector(process_id)
-        node = UnauthenticatedDiscoveryNode(
-            process_id, pd, runtime, fault_threshold, trace=trace
-        )
-        nodes[process_id] = node
-    for process_id in sorted(correct, key=repr):
-        nodes[process_id].start()
-
-    def done() -> bool:
-        return all(nodes[p].identified_members is not None for p in correct)
-
-    runtime.simulator.run(until=done)
-    return _outcome(nodes, correct, trace, runtime.now)
+    return _discover(
+        graph, fault_threshold, faulty, seed, horizon, synchrony, build=_flooding_nodes
+    )
 
 
 def run_authenticated_sink_discovery(
@@ -261,35 +277,4 @@ def run_authenticated_sink_discovery(
     default ``KeyRegistry(seed=seed)`` — the benchmark uses it to compare
     the crypto fast path against a cache-less registry on the same run.
     """
-    from repro.core.node import ConsensusNode
-
-    trace = SimulationTrace()
-    runtime = _discovery_runtime(horizon, synchrony, trace, seed, faulty)
-    if registry is None:
-        registry = KeyRegistry(seed=seed)
-    correct = frozenset(graph.processes - faulty)
-    protocol = ProtocolConfig.bft_cup(fault_threshold)
-    nodes: dict[ProcessId, Process] = {}
-    for process_id in sorted(graph.processes, key=repr):
-        pd = graph.participant_detector(process_id)
-        if process_id in faulty:
-            # The baseline comparison uses silent Byzantine processes.
-            nodes[process_id] = Process(process_id, pd, runtime=runtime)
-            continue
-        nodes[process_id] = ConsensusNode(
-            process_id=process_id,
-            participant_detector=pd,
-            runtime=runtime,
-            registry=registry,
-            key=registry.generate(process_id),
-            config=protocol,
-            trace=trace,
-        )
-    for process_id in sorted(correct, key=repr):
-        nodes[process_id].propose(f"value-of-{process_id!r}")
-
-    def done() -> bool:
-        return all(nodes[p].identified_members is not None for p in correct)
-
-    runtime.simulator.run(until=done)
-    return _outcome(nodes, correct, trace, runtime.now, registry=registry)
+    return _discover(graph, fault_threshold, faulty, seed, horizon, synchrony, registry)

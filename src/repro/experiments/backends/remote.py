@@ -410,11 +410,14 @@ class QueueServer:
         # report, folding report + claim into one round-trip.  The claim
         # runs through the tokened path (outside the journal lock hold
         # above), so a replayed report re-offers the *same* job instead of
-        # stranding the first one under a live worker.
+        # stranding the first one under a live worker.  It never parks: the
+        # ACK of an already-journaled batch must not wait for a job to
+        # appear (the worker's shutdown flush queues behind it on the same
+        # connection); on an empty queue the worker's next explicit claim
+        # long-polls instead.
         claim = request.get("claim")
         if isinstance(claim, dict) and isinstance(claim.get("token"), str):
-            wait = float(claim.get("wait") or 0.0)
-            reply["job"] = self._claim_reply(worker, key, claim["token"], wait).get("job")
+            reply["job"] = self._claim_reply(worker, key, claim["token"], 0.0).get("job")
         return reply
 
 
@@ -635,7 +638,6 @@ class RemoteQueueClient:
         records: Iterable[dict[str, Any]] = (),
         *,
         claim: bool = False,
-        claim_wait: float | None = None,
     ) -> dict[str, Any] | None:
         """Upload outcome batches (durable server-side once this returns).
 
@@ -648,10 +650,10 @@ class RemoteQueueClient:
         whatever is pending.
 
         With ``claim=True`` (push mode), the *last* request of the flush
-        piggybacks a tokened claim and the next job — or ``None`` — is
-        returned, folding report + claim into one round-trip.  The token is
-        fixed for the whole call, so transport-level retries re-receive the
-        same job.
+        piggybacks a tokened claim and the next job — or ``None``, at once:
+        the server never parks a piggybacked claim — is returned, folding
+        report + claim into one round-trip.  The token is fixed for the
+        whole call, so transport-level retries re-receive the same job.
         """
         batch = list(records)
         if batch:
@@ -660,7 +662,7 @@ class RemoteQueueClient:
         claim_token = uuid.uuid4().hex if claim else None
         job: dict[str, Any] | None = None
         if claim and not self._pending_batches:
-            return self.claim(wait=claim_wait)
+            return self.claim()
         while self._pending_batches:
             seq, pending = self._pending_batches[0]
             payload: dict[str, Any] = {
@@ -671,10 +673,7 @@ class RemoteQueueClient:
                 "outcomes": pending,
             }
             if claim_token is not None and len(self._pending_batches) == 1:
-                request_claim: dict[str, Any] = {"token": claim_token}
-                if claim_wait is not None and claim_wait > 0:
-                    request_claim["wait"] = claim_wait
-                payload["claim"] = request_claim
+                payload["claim"] = {"token": claim_token}
             reply = self.call(payload)
             self._pending_batches.pop(0)
             offered = reply.get("job")
@@ -738,7 +737,7 @@ class RemoteQueueClient:
         # upload raises, the batch is pending under its assigned sequence
         # number and is replayed (not renumbered) by later flushes.
         handed, self._batch = self._batch, []
-        return self.report_batch(handed, claim=claim, claim_wait=self.claim_wait)
+        return self.report_batch(handed, claim=claim)
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,15 @@ conventional linter:
 :mod:`repro.lint` enforces them mechanically: ``python -m repro.lint src``
 parses every file once, runs the checker families scoped by
 :class:`~repro.lint.config.LintConfig`, applies inline suppressions
-(``# lint: allow[RULE] reason``) and the committed baseline file, and exits
-nonzero on any *new* finding.  See the README's "Static analysis" section
+(``# lint: allow[RULE] reason``), and exits nonzero on any finding.  See the README's "Static analysis" section
 for the rule catalog and workflows.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.config import DEFAULT_CONFIG, LintConfig, SeamRule
 from repro.lint.model import Finding, LintReport
 from repro.lint.runner import lint_file, lint_paths
 
 __all__ = [
-    "Baseline",
     "DEFAULT_CONFIG",
     "Finding",
     "LintConfig",

@@ -1,9 +1,7 @@
 """Command-line interface: ``python -m repro.lint [paths...]``.
 
-Exit codes: 0 — no new findings (baselined and suppressed findings are
-reported but do not fail); 1 — at least one new finding (or a stale
-baseline entry under ``--strict-baseline``); 2 — usage or baseline-file
-errors.
+Exit codes: 0 — no findings (suppressed findings are reported but do not
+fail); 1 — at least one finding; 2 — usage errors.
 """
 
 from __future__ import annotations
@@ -13,11 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import Baseline, BaselineError
 from repro.lint.config import DEFAULT_CONFIG
 from repro.lint.runner import lint_paths
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 RULE_CATALOG = """\
 DET-ORDER-SET     iteration over a set/frozenset without explicit ordering
@@ -56,27 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=Path(DEFAULT_BASELINE),
-        help=f"baseline file of pinned legacy findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file: report every finding as new",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="pin every current (unsuppressed) finding into the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--strict-baseline",
-        action="store_true",
-        help="also fail when the baseline pins findings that no longer occur",
-    )
-    parser.add_argument(
         "--strict-dict-order",
         action="store_true",
         help="also flag dict/dict-view iteration in trajectory packages (advisory)",
@@ -108,35 +82,14 @@ def main(argv: list[str] | None = None) -> int:
 
         config = replace(config, dict_iteration=True)
 
-    if args.no_baseline or args.write_baseline:
-        baseline = Baseline()
-    else:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except BaselineError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-    report = lint_paths(list(args.paths), config, baseline)
-
-    if args.write_baseline:
-        Baseline.from_findings(report.new).write(args.baseline)
-        print(
-            f"pinned {len(report.new)} finding(s) into {args.baseline}"
-            f" ({len(report.suppressed)} suppressed finding(s) left in-source)"
-        )
-        return 0
+    report = lint_paths(list(args.paths), config)
 
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.render_text())
 
-    if report.new:
-        return 1
-    if args.strict_baseline and report.stale_baseline:
-        return 1
-    return 0
+    return 0 if report.ok else 1
 
 
 __all__ = ["build_parser", "main"]

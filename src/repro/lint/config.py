@@ -127,7 +127,7 @@ def _default_seam_rules() -> tuple[SeamRule, ...]:
             scope="repro.adversary",
             forbidden=SIM_MACHINERY,
             reason="faulty-node behaviours and fault schedules are plain data/behaviour; "
-            "their sim binding lives in repro.runtime.sim",
+            "install_schedule is written against Runtime, the compiled rules live in repro.runtime.sim",
         ),
         SeamRule(
             scope="repro.crypto",
@@ -147,8 +147,8 @@ def _default_seam_rules() -> tuple[SeamRule, ...]:
         SeamRule(
             scope="repro.analysis",
             forbidden=SIM_MACHINERY,
-            reason="analyses consume RunResults; discrete-event runs are assembled "
-            "through repro.runtime.sim.build_sim_runtime",
+            reason="analyses consume RunResults; the run driver executes through "
+            "Runtime.run and never reaches the engine or network behind it",
         ),
         SeamRule(
             scope="repro.experiments",

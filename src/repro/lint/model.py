@@ -12,7 +12,7 @@ class Finding:
 
     ``rule`` is a stable machine-readable code (``DET-ORDER-SET``,
     ``SEAM-IMPORT``, ...); codes never change meaning once released, so
-    suppressions and baselines stay valid across linter versions.
+    suppressions stay valid across linter versions.
     """
 
     rule: str
@@ -20,14 +20,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    def fingerprint(self) -> str:
-        """Line-insensitive identity used by the baseline file.
-
-        Deliberately excludes the line/column: pinned legacy findings must
-        survive unrelated edits that shift code up or down the file.
-        """
-        return f"{self.rule}::{self.path}::{self.message}"
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -63,64 +55,46 @@ def _sort_key(finding: Finding) -> tuple[str, int, int, str]:
 class LintReport:
     """The outcome of one lint run over a set of files.
 
-    ``new`` findings fail the run; ``baselined`` findings are pinned by the
-    committed baseline file (visible, counted, but not failing);
-    ``suppressed`` findings carry their in-source justification.
+    ``findings`` fail the run; ``suppressed`` findings carry their in-source
+    justification and do not.
     """
 
-    new: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)
     suppressed: list[SuppressedFinding] = field(default_factory=list)
     files_checked: int = 0
-    #: Baseline fingerprints that no current finding matched: stale pins
-    #: that should be removed by regenerating the baseline.
-    stale_baseline: list[str] = field(default_factory=list)
 
     def sort(self) -> None:
-        self.new.sort(key=_sort_key)
-        self.baselined.sort(key=_sort_key)
+        self.findings.sort(key=_sort_key)
         self.suppressed.sort(key=lambda s: _sort_key(s.finding))
-        self.stale_baseline.sort()
 
     @property
     def ok(self) -> bool:
-        return not self.new
+        return not self.findings
 
     def counts(self) -> dict[str, int]:
-        """Per-rule totals over every finding (new + baselined + suppressed)."""
+        """Per-rule totals over every finding (failing + suppressed)."""
         totals: dict[str, int] = {}
-        for finding in self.new + self.baselined + [s.finding for s in self.suppressed]:
+        for finding in self.findings + [s.finding for s in self.suppressed]:
             totals[finding.rule] = totals.get(finding.rule, 0) + 1
         return dict(sorted(totals.items()))
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "version": 1,
+            "version": 2,
             "ok": self.ok,
             "files_checked": self.files_checked,
             "counts": self.counts(),
-            "new": [f.to_dict() for f in self.new],
-            "baselined": [f.to_dict() for f in self.baselined],
+            "findings": [f.to_dict() for f in self.findings],
             "suppressed": [s.to_dict() for s in self.suppressed],
-            "stale_baseline": list(self.stale_baseline),
         }
 
     def render_text(self) -> str:
         """Human-readable report: one line per finding plus a summary."""
-        lines: list[str] = []
-        for finding in self.new:
-            lines.append(finding.render())
-        for finding in self.baselined:
-            lines.append(f"{finding.render()} [baselined]")
+        lines = [finding.render() for finding in self.findings]
         for suppressed in self.suppressed:
             lines.append(f"{suppressed.finding.render()} [allowed: {suppressed.reason}]")
-        for fingerprint in self.stale_baseline:
-            lines.append(f"stale baseline entry (regenerate with --write-baseline): {fingerprint}")
-        summary = (
+        lines.append(
             f"{self.files_checked} file(s) checked: "
-            f"{len(self.new)} new finding(s), "
-            f"{len(self.baselined)} baselined, "
-            f"{len(self.suppressed)} suppressed"
+            f"{len(self.findings)} finding(s), {len(self.suppressed)} suppressed"
         )
-        lines.append(summary)
         return "\n".join(lines)

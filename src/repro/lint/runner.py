@@ -1,11 +1,10 @@
-"""File collection, checker dispatch, suppression and baseline application."""
+"""File collection, checker dispatch and suppression application."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
-from repro.lint.baseline import Baseline
 from repro.lint.checkers import ALL_CHECKERS
 from repro.lint.checkers.base import statement_lines
 from repro.lint.config import DEFAULT_CONFIG, LintConfig
@@ -143,14 +142,9 @@ def _missing_slots_classes(
     return missing
 
 
-def lint_paths(
-    paths: list[Path],
-    config: LintConfig = DEFAULT_CONFIG,
-    baseline: Baseline | None = None,
-) -> LintReport:
-    """Lint every file under ``paths`` and partition against ``baseline``."""
+def lint_paths(paths: list[Path], config: LintConfig = DEFAULT_CONFIG) -> LintReport:
+    """Lint every file under ``paths``."""
     report = LintReport()
-    all_findings: list[Finding] = []
     checked_modules: set[str] = set()
     found_classes: set[str] = set()
 
@@ -160,15 +154,13 @@ def lint_paths(
         active, suppressed, classes = _lint_source(
             path.read_text(), _display_path(path), module, config
         )
-        all_findings.extend(active)
+        report.findings.extend(active)
         report.suppressed.extend(suppressed)
         report.files_checked += 1
         found_classes.update(classes)
 
     # Stale config entries surface instead of silently checking nothing.
-    all_findings.extend(_missing_slots_classes(config, checked_modules, found_classes))
-
-    (baseline or Baseline()).partition(all_findings, report)
+    report.findings.extend(_missing_slots_classes(config, checked_modules, found_classes))
     report.sort()
     return report
 

@@ -12,23 +12,23 @@ clock and the transport differ.
 Time is *scaled wall clock*: ``time_scale`` is the number of wall seconds
 per protocol time unit, so a PBFT view timeout of 20 units fires after
 ``20 * time_scale`` real seconds and ``Runtime.now`` reports units since
-:meth:`AsyncioRuntime.start`.  Real socket latency stands in for the
-synchrony model's delay draws (loopback delivery is far below one unit at
-any reasonable scale, consistent with the post-GST contract); scripted
-:class:`~repro.adversary.schedule.NetworkSchedule` rules are applied at the
-send gate exactly as the simulated network applies them — delays via timer
-callbacks, partitions/withholds via per-link drop decisions, crash rules via
-scheduled :meth:`crash` calls.
+:meth:`AsyncioRuntime.run` bound the sockets.  Real socket latency stands in
+for the synchrony model's delay draws (loopback delivery is far below one
+unit at any reasonable scale, consistent with the post-GST contract);
+scripted :class:`~repro.adversary.schedule.NetworkSchedule` rules are applied
+at the send gate exactly as the simulated network applies them — delays via
+timer callbacks, partitions/withholds via per-link drop decisions, crash
+rules via scheduled :meth:`crash` calls.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.adversary.schedule import CrashRule, NetworkSchedule
 from repro.experiments.backends.transport import (
     TransportError,
     read_frame_async,
@@ -39,14 +39,18 @@ from repro.runtime.base import Runtime
 from repro.runtime.codec import PayloadCodecError, decode_frame, encode_frame
 from repro.sim.messages import Envelope, payload_kind
 from repro.sim.network import NetworkRule, _Withhold
+from repro.sim.synchrony import PartialSynchronyModel, SynchronyModel
 from repro.sim.tracing import SimulationTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.network import SynchronyModel
     from repro.sim.process import Process
 
 #: Sentinel queued on a link to shut its writer task down.
 _CLOSE = object()
+
+
+class LiveRunError(RuntimeError):
+    """A protocol handler raised while running on the live runtime."""
 
 
 @dataclass
@@ -125,23 +129,26 @@ class AsyncioRuntime(Runtime):
     def __init__(
         self,
         *,
+        max_time: float,
         host: str = "127.0.0.1",
         time_scale: float = 0.02,
-        trace: SimulationTrace | None = None,
+        synchrony: SynchronyModel | None = None,
         faulty: frozenset[ProcessId] = frozenset(),
         connect_attempts: int = 20,
         reconnect_delay: float = 0.05,
     ) -> None:
         if time_scale <= 0:
             raise ValueError("time_scale must be positive (wall seconds per time unit)")
+        self.max_time = max_time
         self.host = host
         self.time_scale = time_scale
-        self.trace = trace if trace is not None else SimulationTrace()
+        self.model = synchrony if synchrony is not None else PartialSynchronyModel()
+        self.trace = SimulationTrace()
         self.faulty = frozenset(faulty)
         self.connect_attempts = connect_attempts
         self.reconnect_delay = reconnect_delay
         self.stats = LiveRunStats()
-        #: Unexpected handler exceptions, surfaced by the harness after the run.
+        #: Unexpected handler exceptions, raised as LiveRunError when the run ends.
         self.errors: list[BaseException] = []
         self._processes: dict[ProcessId, "Process"] = {}
         self._ports: dict[ProcessId, int] = {}
@@ -153,20 +160,31 @@ class AsyncioRuntime(Runtime):
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0: float = 0.0
         self._closed = False
+        self._stopped_at: float | None = None
+        self._until: Callable[[], bool] = lambda: False
+        self._done = asyncio.Event()
 
     # ------------------------------------------------------------------
     # Runtime interface
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        """Protocol time units elapsed since :meth:`start` (0.0 before)."""
+        """Protocol time units since :meth:`run` started its clock (0.0 before, frozen after)."""
         if self._loop is None:
             return 0.0
-        return (self._loop.time() - self._t0) / self.time_scale
+        end = self._loop.time() if self._stopped_at is None else self._stopped_at
+        return (end - self._t0) / self.time_scale
+
+    @property
+    def process_ids(self) -> frozenset[ProcessId]:
+        return frozenset(self._processes)
+
+    def add_rule(self, rule: NetworkRule) -> None:
+        self._rules.append(rule)
 
     def register(self, process: "Process") -> None:
         if self._loop is not None:
-            raise RuntimeError("register every process before AsyncioRuntime.start()")
+            raise RuntimeError("register every process before AsyncioRuntime.run()")
         if process.process_id in self._processes:
             raise ValueError(f"process {process.process_id!r} already registered")
         self._processes[process.process_id] = process
@@ -225,66 +243,52 @@ class AsyncioRuntime(Runtime):
         self._enqueue(envelope)
 
     # ------------------------------------------------------------------
-    # fault injection
-    # ------------------------------------------------------------------
-    @property
-    def process_ids(self) -> frozenset[ProcessId]:
-        return frozenset(self._processes)
-
-    @property
-    def crashed(self) -> frozenset[ProcessId]:
-        return frozenset(self._crashed)
-
-    def add_rule(self, rule: NetworkRule) -> None:
-        """Install a compiled scheduling rule on the live send gate."""
-        self._rules.append(rule)
-
-    def install_schedule(self, schedule: NetworkSchedule, *, model: "SynchronyModel") -> None:
-        """Apply a declarative fault schedule to the live transport.
-
-        Validation is the same model-contract check the simulated network
-        runs; message rules compile onto the send gate, crash rules become
-        runtime timers.  Call after :meth:`start` (crash timers need the
-        loop) and before proposing.
-        """
-        processes = self.process_ids
-        schedule.validate(model, processes=processes, faulty=self.faulty)
-        for rule in schedule.rules:
-            if isinstance(rule, CrashRule):
-                self.schedule(
-                    max(rule.at - self.now, 0.0),
-                    lambda process=rule.process: self.crash(process),
-                    label=f"schedule rule {rule.rule_name}",
-                )
-            else:
-                self.add_rule(rule.compile(processes=processes, faulty=self.faulty))
-
-    # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind one TCP server per registered process and start the clock."""
+    def run(self, start: Callable[[], None], until: Callable[[], bool]) -> None:
+        asyncio.run(self._run(start, until))
+        if self.errors:
+            raise LiveRunError(
+                f"{len(self.errors)} protocol handler failure(s) on the live runtime"
+            ) from self.errors[0]
+
+    async def _run(self, start: Callable[[], None], until: Callable[[], bool]) -> None:
         if self._loop is not None:
-            raise RuntimeError("AsyncioRuntime.start() may only be called once")
-        loop = asyncio.get_running_loop()
-        for process_id in sorted(self._processes, key=repr):
+            raise RuntimeError("AsyncioRuntime.run() may only be called once")
+        self._until = until
+        try:
+            # One TCP server per registered process, then the clock starts.
+            for process_id in sorted(self._processes, key=repr):
+                serve = functools.partial(self._serve_connection, process_id)
+                server = await asyncio.start_server(serve, self.host, 0)
+                self._servers.append(server)
+                self._ports[process_id] = server.sockets[0].getsockname()[1]
+            self._loop = asyncio.get_running_loop()
+            self._t0 = self._loop.time()
+            start()
+            if not until():
+                try:
+                    await asyncio.wait_for(
+                        self._done.wait(), timeout=self.max_time * self.time_scale
+                    )
+                except asyncio.TimeoutError:
+                    pass  # reported as termination=False, same as a sim horizon hit
+        finally:
+            await self._shutdown()
 
-            def handler(
-                reader: asyncio.StreamReader,
-                writer: asyncio.StreamWriter,
-                receiver: ProcessId = process_id,
-            ) -> "asyncio.Future[None]":
-                return self._serve_connection(receiver, reader, writer)
+    def result_fields(self) -> dict[str, Any]:
+        return {
+            "virtual_duration": self.now,
+            "events_processed": self.stats.messages_received + self.stats.timer_fires,
+            "runtime_name": "live",
+            "live": self.stats,
+        }
 
-            server = await asyncio.start_server(handler, self.host, 0)
-            self._servers.append(server)
-            self._ports[process_id] = server.sockets[0].getsockname()[1]
-        self._loop = loop
-        self._t0 = loop.time()
-
-    async def shutdown(self) -> None:
+    async def _shutdown(self) -> None:
         """Tear the transport down: links first, then the servers."""
         self._closed = True
+        if self._loop is not None:
+            self._stopped_at = self._loop.time()
         for handle in self._delayed:
             handle.cancel()
         self._delayed.clear()
@@ -297,7 +301,7 @@ class AsyncioRuntime(Runtime):
             results = await asyncio.gather(*link_tasks, return_exceptions=True)
             for result in results:
                 # A writer task that died of anything but our own cancellation
-                # is a real bug; surface it through the harness like handler
+                # is a real bug; surface it through run() like handler
                 # exceptions instead of letting gather() swallow it.
                 if isinstance(result, BaseException) and not isinstance(
                     result, asyncio.CancelledError
@@ -312,9 +316,11 @@ class AsyncioRuntime(Runtime):
         await asyncio.gather(  # lint: allow[ASYNC-GATHER] best-effort teardown: wait_closed failures carry no protocol signal
             *(server.wait_closed() for server in self._servers), return_exceptions=True
         )
-        self.stats.wall_seconds = (
-            (self._loop.time() - self._t0) if self._loop is not None else 0.0
-        )
+        if self._loop is not None:
+            self.stats.wall_seconds = self._loop.time() - self._t0
+        decided_at = [time for _value, time in self.trace.decisions.values()]
+        if decided_at:
+            self.stats.decide_wall_seconds = max(decided_at) * self.time_scale
 
     # ------------------------------------------------------------------
     # internals
@@ -329,12 +335,16 @@ class AsyncioRuntime(Runtime):
 
         A handler exception under the simulator aborts the run loudly; on the
         event loop it would only kill one connection task, so the runtime
-        records it and the harness re-raises after the run.
+        records it and :meth:`run` raises :class:`LiveRunError` at the end.
+        Every protocol step passes through here, so the stop predicate is
+        evaluated here.
         """
         try:
             callback()
-        except Exception as error:  # noqa: BLE001 - surfaced by the harness
+        except Exception as error:  # noqa: BLE001 - raised by run()
             self.errors.append(error)
+        if self._until():
+            self._done.set()
 
     def _enqueue_later(self, envelope: Envelope, delay: float) -> None:
         loop = self._require_loop()
@@ -432,4 +442,4 @@ class AsyncioRuntime(Runtime):
             writer.close()
 
 
-__all__ = ["AsyncioRuntime", "LiveRunStats"]
+__all__ = ["AsyncioRuntime", "LiveRunError", "LiveRunStats"]

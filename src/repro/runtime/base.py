@@ -3,7 +3,9 @@
 Protocol processes (:class:`~repro.sim.process.Process` and everything built
 on it) never talk to a transport or a clock directly: every message they
 send, every timer they arm and every timestamp they read goes through a
-:class:`Runtime`.  Two implementations exist:
+:class:`Runtime`.  So does the run driver (:mod:`repro.analysis.harness`):
+it installs fault rules, executes the run and reads the substrate's counters
+back without knowing which substrate it is.  Two implementations exist:
 
 * :class:`~repro.runtime.sim.SimRuntime` — the discrete-event simulator
   (virtual clock, deterministic delivery through the
@@ -15,6 +17,8 @@ send, every timer they arm and every timestamp they read goes through a
 The protocol code is byte-for-byte identical on both: the seam is the whole
 point, and :mod:`repro.runtime.fidelity` asserts that the live runtime
 decides exactly the values the simulator predicts on the same topology.
+The seam is closed: nothing behind it (engine, network, event loop, sockets)
+is reachable through a :class:`Runtime`.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.graphs.knowledge_graph import ProcessId
+from repro.sim.synchrony import SynchronyModel
 from repro.sim.tracing import SimulationTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.engine import Simulator
-    from repro.sim.network import Network
+    from repro.sim.network import NetworkRule
     from repro.sim.process import Process
 
 
@@ -45,23 +49,28 @@ class Runtime(ABC):
     """Execution substrate for protocol processes.
 
     Concrete runtimes provide a clock (:attr:`now`), a transport
-    (:meth:`send`), one-shot timers (:meth:`schedule`), crash semantics
-    (:meth:`crash`) and a :class:`~repro.sim.tracing.SimulationTrace`.
-    ``simulator`` / ``network`` expose the underlying sim objects when the
-    runtime is the discrete-event engine and are ``None`` otherwise, so
-    sim-only tooling can keep reaching through the seam explicitly.
+    (:meth:`send`) with a first-match-wins rule gate (:meth:`add_rule`),
+    one-shot timers (:meth:`schedule`), crash semantics (:meth:`crash`), the
+    run's membership and model (:attr:`process_ids`, :attr:`faulty`,
+    :attr:`model`), a :class:`~repro.sim.tracing.SimulationTrace`, and
+    :meth:`run`, which owns the substrate's whole lifecycle.
     """
 
     trace: SimulationTrace
-    #: The discrete-event engine behind this runtime, when there is one.
-    simulator: "Simulator | None" = None
-    #: The simulated network behind this runtime, when there is one.
-    network: "Network | None" = None
+    #: The processes the run declares faulty (fixed at construction).
+    faulty: frozenset[ProcessId]
+    #: The synchrony model fault schedules are validated against.
+    model: SynchronyModel
 
     @property
     @abstractmethod
     def now(self) -> float:
         """Current time in protocol time units (virtual or scaled wall clock)."""
+
+    @property
+    @abstractmethod
+    def process_ids(self) -> frozenset[ProcessId]:
+        """Every process registered so far."""
 
     @abstractmethod
     def register(self, process: "Process") -> None:
@@ -72,12 +81,32 @@ class Runtime(ABC):
         """Transmit ``payload`` over the authenticated point-to-point channel."""
 
     @abstractmethod
+    def add_rule(self, rule: "NetworkRule") -> None:
+        """Append a scripted-fault rule to the send gate (first match decides)."""
+
+    @abstractmethod
     def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> TimerHandle:
-        """Run ``callback`` once, ``delay`` protocol time units from now."""
+        """Run ``callback`` once, ``delay`` protocol time units from now.
+
+        The live runtime's clock starts in :meth:`run`: call from ``start`` or later.
+        """
 
     @abstractmethod
     def crash(self, process_id: ProcessId) -> None:
         """Crash ``process_id``: it stops taking steps, its messages are dropped."""
+
+    @abstractmethod
+    def run(self, start: Callable[[], None], until: Callable[[], bool]) -> None:
+        """Execute one run; blocks until it is over and the substrate is down.
+
+        Brings the substrate up, calls ``start()`` once its clock is live,
+        returns when ``until()`` (evaluated after every step) holds or the
+        horizon passes, and releases what it acquired — also when ``start`` raises.
+        """
+
+    @abstractmethod
+    def result_fields(self) -> dict[str, Any]:
+        """The ``RunResult`` fields the substrate owns: duration and step counters."""
 
 
 __all__ = ["Runtime", "TimerHandle"]

@@ -1,32 +1,19 @@
-"""Run-to-decision harness for the live asyncio runtime.
+"""Run-to-decision entry point for the live asyncio runtime.
 
 :func:`run_live_consensus` is the wall-clock twin of
-:func:`repro.analysis.harness.run_consensus`: it takes the *same*
-:class:`~repro.analysis.harness.RunConfig`, builds the same node population
-(same key material, same fault specs, same schedule validation) on an
-:class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`, lets every
-participant propose, and waits until every correct process decided or the
-horizon elapsed (scaled to wall seconds).  The returned
-:class:`~repro.analysis.harness.RunResult` is assembled by the shared
-collector, with ``runtime_name="live"`` and the socket counters attached.
+:func:`repro.analysis.harness.run_consensus`: the *same*
+:class:`~repro.analysis.harness.RunConfig` goes down the same run path
+(same node population, key material, schedule installer and collector) on an
+:class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`; the returned
+``RunResult`` has ``runtime_name="live"`` and the socket counters attached.
 """
 
 from __future__ import annotations
 
-import asyncio
-from typing import Any
-
-from repro.analysis.harness import RunConfig, RunResult, build_protocol_nodes, collect_run_result
+from repro.analysis.harness import RunConfig, RunResult, _drive
 from repro.core.seeding import derive_seed
 from repro.crypto.signatures import KeyRegistry
-from repro.graphs.knowledge_graph import ProcessId
-from repro.runtime.asyncio_runtime import AsyncioRuntime
-from repro.sim.synchrony import PartialSynchronyModel
-from repro.sim.tracing import SimulationTrace
-
-
-class LiveRunError(RuntimeError):
-    """A protocol handler raised while running on the live runtime."""
+from repro.runtime.asyncio_runtime import AsyncioRuntime, LiveRunError
 
 
 def run_live_consensus(
@@ -40,82 +27,19 @@ def run_live_consensus(
     ``time_scale`` is wall seconds per protocol time unit: protocol timers
     (discovery/query periods, PBFT view timeouts) and the run horizon are
     scaled by it, so the default turns fig-4b's ~30-unit runs into well
-    under a second of wall clock.
+    under a second of wall clock.  Raises :class:`LiveRunError` when a
+    protocol handler raised during the run.
     """
-    return asyncio.run(_run_live(config, time_scale=time_scale, host=host))
-
-
-async def _run_live(config: RunConfig, *, time_scale: float, host: str) -> RunResult:
-    trace = SimulationTrace()
     runtime = AsyncioRuntime(
+        max_time=config.horizon,
         host=host,
         time_scale=time_scale,
-        trace=trace,
+        synchrony=config.synchrony,
         faulty=frozenset(config.faulty),
     )
     # Same key substream as the simulated harness: signatures produced live
     # verify against the registry a simulated run of the same seed builds.
-    registry = KeyRegistry(seed=derive_seed(config.seed, "keys"))
-    nodes = build_protocol_nodes(config, runtime, registry, trace)
-    correct = frozenset(config.graph.processes - set(config.faulty))
-
-    await runtime.start()
-    if config.schedule is not None:
-        synchrony = config.synchrony if config.synchrony is not None else PartialSynchronyModel()
-        runtime.install_schedule(config.schedule, model=synchrony)
-
-    undecided_correct = set(correct)
-    all_decided = asyncio.Event()
-    record_decision = trace.on_decision
-
-    def counting_on_decision(process_id: ProcessId, value: Any, time: float) -> None:
-        record_decision(process_id, value, time)
-        undecided_correct.discard(process_id)
-        if not undecided_correct:
-            all_decided.set()
-
-    trace.on_decision = counting_on_decision  # type: ignore[method-assign]
-    if not undecided_correct:
-        all_decided.set()
-
-    participants = config.graph.processes if config.participants is None else config.participants
-    try:
-        for process_id, node in nodes.items():
-            if process_id not in participants:
-                continue
-            proposer = getattr(node, "propose", None)
-            if proposer is not None:
-                proposer(config.proposal_of(process_id))
-        try:
-            await asyncio.wait_for(all_decided.wait(), timeout=config.horizon * time_scale)
-        except asyncio.TimeoutError:
-            pass  # reported as termination=False, same as a sim horizon hit
-    finally:
-        del trace.on_decision  # restore the plain recording method
-        duration = runtime.now
-        for node in nodes.values():
-            node.stop()
-        await runtime.shutdown()
-
-    if runtime.errors:
-        raise LiveRunError(
-            f"{len(runtime.errors)} protocol handler failure(s) on the live runtime"
-        ) from runtime.errors[0]
-
-    decision_times = [time for _value, time in trace.decisions.values()]
-    runtime.stats.decide_wall_seconds = max(decision_times) * time_scale if decision_times else None
-
-    return collect_run_result(
-        config,
-        nodes,
-        correct,
-        trace,
-        virtual_duration=duration,
-        events_processed=runtime.stats.messages_received + runtime.stats.timer_fires,
-        registry=registry,
-        runtime_name="live",
-        live=runtime.stats,
-    )
+    return _drive(config, runtime, KeyRegistry(seed=derive_seed(config.seed, "keys")))
 
 
 __all__ = ["LiveRunError", "run_live_consensus"]

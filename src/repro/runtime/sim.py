@@ -1,20 +1,20 @@
 """The discrete-event implementation of the :class:`~repro.runtime.base.Runtime` seam.
 
-A :class:`SimRuntime` is a thin adapter over the existing
+A :class:`SimRuntime` is a thin adapter over a
 :class:`~repro.sim.engine.Simulator` and :class:`~repro.sim.network.Network`
-pair — it adds no behaviour of its own, so every deterministic trajectory
-recorded before the seam existed is reproduced exactly.
+pair — it adds no behaviour of its own, and the pair is not reachable
+through it.
 
-This module is also where declarative constructs bind to the simulated
-transport.  :func:`build_sim_runtime` assembles the Simulator + Network
-pair every discrete-event harness used to construct by hand, and the
-compiled forms of :class:`~repro.adversary.schedule.DelayRule` /
-:class:`~repro.adversary.schedule.PartitionRule` (plus
-:func:`install_schedule`) live here: the schedule dataclasses stay plain
-data in :mod:`repro.adversary.schedule`, and the one module allowed to
-touch the :class:`~repro.sim.network.Network` rule engine is the runtime
-adapter — which is what lets the lint layering map forbid sim-machinery
-imports everywhere outside ``repro.runtime`` + ``repro.sim``.
+This module is also where declarative constructs bind to the rule engine.
+:func:`build_sim_runtime` assembles the Simulator + Network pair of a
+discrete-event run, and the compiled forms of
+:class:`~repro.adversary.schedule.DelayRule` /
+:class:`~repro.adversary.schedule.PartitionRule` live here (both runtimes
+gate sends with them): the schedule dataclasses stay plain data in
+:mod:`repro.adversary.schedule`, and the one module allowed to touch the
+:class:`~repro.sim.network.Network` rule engine is the runtime adapter —
+which is what lets the lint layering map forbid sim-machinery imports
+everywhere outside ``repro.runtime`` + ``repro.sim``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
+from repro.adversary.schedule import DelayRule, PartitionRule, _resolve_targets
 from repro.graphs.knowledge_graph import ProcessId
 from repro.runtime.base import Runtime, TimerHandle
 from repro.sim.engine import Simulator
@@ -32,55 +33,73 @@ from repro.sim.synchrony import PartialSynchronyModel, SynchronyModel
 from repro.sim.tracing import SimulationTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.adversary.schedule import DelayRule, NetworkSchedule, PartitionRule
     from repro.sim.process import Process
 
 
 class SimRuntime(Runtime):
     """Runtime backed by the deterministic discrete-event engine."""
 
-    __slots__ = ("simulator", "network", "trace")
+    __slots__ = ("_simulator", "_network", "trace", "faulty", "model")
 
     def __init__(self, simulator: Simulator, network: Network) -> None:
-        self.simulator = simulator
-        self.network = network
+        self._simulator = simulator
+        self._network = network
         self.trace = network.trace
+        self.faulty = network.faulty
+        self.model = network.model
 
     @property
     def now(self) -> float:
-        return self.simulator.now
+        return self._simulator.now
+
+    @property
+    def process_ids(self) -> frozenset[ProcessId]:
+        return self._network.process_ids
 
     def register(self, process: "Process") -> None:
-        self.network.register(process)
+        self._network.register(process)
 
     def send(self, sender: ProcessId, receiver: ProcessId, payload: Any) -> None:
-        self.network.send(sender, receiver, payload)
+        self._network.send(sender, receiver, payload)
+
+    def add_rule(self, rule: NetworkRule) -> None:
+        self._network.add_rule(rule)
 
     def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> TimerHandle:
-        return self.simulator.schedule(delay, callback, label)
+        return self._simulator.schedule(delay, callback, label)
 
     def crash(self, process_id: ProcessId) -> None:
-        self.network.crash(process_id)
+        self._network.crash(process_id)
+
+    def run(self, start: Callable[[], None], until: Callable[[], bool]) -> None:
+        start()
+        self._simulator.run(until=until)
+
+    def result_fields(self) -> dict[str, Any]:
+        engine = self._simulator
+        return {
+            "virtual_duration": engine.now,
+            "events_processed": engine.processed_events,
+            "compactions": engine.compactions,
+            "pending_peak": engine.pending_peak,
+        }
 
 
 def build_sim_runtime(
     *,
     max_time: float,
     synchrony: SynchronyModel | None = None,
-    trace: SimulationTrace | None = None,
     network_seed: int = 0,
     faulty: frozenset[ProcessId] = frozenset(),
     max_events: int | None = None,
 ) -> SimRuntime:
     """Assemble the Simulator + Network pair of one discrete-event run.
 
-    This is the construction every simulated harness used to spell out by
-    hand; routing them through one factory keeps ``Simulator`` / ``Network``
-    imports confined to the runtime seam.  ``network_seed`` is used
-    *verbatim* — callers that want independent substreams derive it first
-    (as :func:`repro.analysis.harness.run_consensus` does with
-    ``derive_seed(seed, "network")``), and callers that historically seeded
-    the network raw keep their recorded trajectories bit-identical.
+    The one factory keeps ``Simulator`` / ``Network`` imports confined to
+    the runtime seam.  ``network_seed`` is used *verbatim* — callers that
+    want independent substreams derive it first (as
+    :func:`repro.analysis.harness.run_consensus` does with
+    ``derive_seed(seed, "network")``); the discovery baselines seed it raw.
     """
     simulator = Simulator(
         max_time=max_time,
@@ -89,7 +108,7 @@ def build_sim_runtime(
     network = Network(
         simulator,
         synchrony if synchrony is not None else PartialSynchronyModel(),
-        trace=trace if trace is not None else SimulationTrace(),
+        trace=SimulationTrace(),
         seed=network_seed,
         faulty=frozenset(faulty),
     )
@@ -103,15 +122,12 @@ class _CompiledDelayRule(NetworkRule):
     """A :class:`~repro.adversary.schedule.DelayRule` bound to a concrete membership."""
 
     def __init__(
-        self,
-        rule: "DelayRule",
-        src: frozenset[ProcessId],
-        dst: frozenset[ProcessId],
+        self, rule: DelayRule, processes: frozenset[ProcessId], faulty: frozenset[ProcessId]
     ) -> None:
         self.name = rule.rule_name
         self._rule = rule
-        self._src = src
-        self._dst = dst
+        self._src = _resolve_targets(rule.src, processes, faulty)
+        self._dst = _resolve_targets(rule.dst, processes, faulty)
 
     def decide(self, envelope: Envelope, *, now: float) -> float | _Withhold | None:
         rule = self._rule
@@ -129,7 +145,7 @@ class _CompiledDelayRule(NetworkRule):
 class _CompiledPartitionRule(NetworkRule):
     """A :class:`~repro.adversary.schedule.PartitionRule` with its group lookup precomputed."""
 
-    def __init__(self, rule: "PartitionRule") -> None:
+    def __init__(self, rule: PartitionRule) -> None:
         self.name = rule.rule_name
         self._rule = rule
         self._group_of: dict[ProcessId, int] = {}
@@ -150,53 +166,17 @@ class _CompiledPartitionRule(NetworkRule):
         return (rule.t_to - now) + rule.heal_delay
 
 
-def compile_delay_rule(
-    rule: "DelayRule", *, processes: frozenset[ProcessId], faulty: frozenset[ProcessId]
+def compile_rule(
+    rule: DelayRule | PartitionRule, *, processes: frozenset[ProcessId], faulty: frozenset[ProcessId]
 ) -> NetworkRule:
-    """Bind a declarative delay rule to a run's membership."""
-    from repro.adversary.schedule import _resolve_targets
-
-    return _CompiledDelayRule(
-        rule,
-        _resolve_targets(rule.src, processes, faulty),
-        _resolve_targets(rule.dst, processes, faulty),
-    )
-
-
-def compile_partition_rule(rule: "PartitionRule") -> NetworkRule:
-    """Compile a declarative partition rule (membership-independent)."""
-    return _CompiledPartitionRule(rule)
-
-
-def install_schedule(schedule: "NetworkSchedule", network: Network) -> None:
-    """Validate a schedule against the network's model, then compile onto it.
-
-    Message rules become ordered :class:`~repro.sim.network.NetworkRule`
-    instances (their names show up in trace drop/delay reasons); crash
-    rules become simulator events.  Call after every process has been
-    registered, so symbolic targets resolve against the full membership.
-    """
-    from repro.adversary.schedule import CrashRule
-
-    schedule.validate(network.model, processes=network.process_ids, faulty=network.faulty)
-    for rule in schedule.rules:
-        if isinstance(rule, CrashRule):
-            delay = max(rule.at - network.simulator.now, 0.0)
-            network.simulator.schedule(
-                delay,
-                lambda process=rule.process: network.crash(process),
-                label=f"schedule rule {rule.rule_name}",
-            )
-        else:
-            network.add_rule(
-                rule.compile(processes=network.process_ids, faulty=network.faulty)
-            )
+    """Bind a declarative message rule to a run's membership."""
+    if isinstance(rule, PartitionRule):
+        return _CompiledPartitionRule(rule)  # membership-independent
+    return _CompiledDelayRule(rule, processes, faulty)
 
 
 __all__ = [
     "SimRuntime",
     "build_sim_runtime",
-    "compile_delay_rule",
-    "compile_partition_rule",
-    "install_schedule",
+    "compile_rule",
 ]

@@ -78,11 +78,6 @@ class Process:
         self.process_id = process_id
         self.participant_detector = frozenset(participant_detector)
         self.runtime = runtime
-        #: The underlying sim objects when running under the discrete-event
-        #: engine; ``None`` on live runtimes.  Protocol code must not depend
-        #: on them — they exist for sim-only tooling and tests.
-        self.simulator = runtime.simulator
-        self.network = runtime.network
         self._handlers: dict[type, Callable[[ProcessId, Any], None]] = {}
         self._timers: set["TimerHandle | PeriodicTimer"] = set()
         self._stopped = False

@@ -16,6 +16,7 @@ from repro.adversary.schedule import (
     PartitionRule,
     ScheduleContractError,
     ScheduleError,
+    install_schedule,
 )
 from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulator
@@ -40,7 +41,7 @@ class Recorder(Process):
         self.received = []
 
     def receive(self, envelope):
-        self.received.append((self.simulator.now, envelope))
+        self.received.append((self.now, envelope))
 
 
 def make_world(model=None, faulty=FAULTY_SET, processes=PROCESSES):
@@ -58,7 +59,7 @@ def make_world(model=None, faulty=FAULTY_SET, processes=PROCESSES):
 
 def install(network, *rules, name=""):
     schedule = NetworkSchedule(rules=tuple(rules), name=name)
-    schedule.install(network)
+    install_schedule(schedule, SimRuntime(network.simulator, network))
     return schedule
 
 

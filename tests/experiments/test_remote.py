@@ -295,6 +295,30 @@ class TestServerPush:
             assert queue.snapshot()["claimed"] == 1  # first reported, second claimed
             client.close()
 
+    def test_piggybacked_claim_never_parks_on_an_empty_queue(self, tmp_path):
+        """The ACK of a journaled batch must not wait for a job to appear.
+
+        Even a request that still asks the piggybacked claim to wait (an
+        older client) is answered at once; only an explicit claim long-polls.
+        """
+        queue = WorkQueue(tmp_path / "q")
+        with QueueServer(queue) as server:
+            client = RemoteQueueClient(server.address, "w1", retry_window=5.0)
+            started = time.monotonic()
+            reply = client.call(
+                {
+                    "op": "report",
+                    "worker": "w1",
+                    "session": client.session,
+                    "seq": 1,
+                    "outcomes": [],
+                    "claim": {"token": "t1", "wait": 2.0},
+                }
+            )
+            assert time.monotonic() - started < 1.0
+            assert reply["applied"] and reply["job"] is None
+            client.close()
+
     def test_piggyback_claim_with_empty_pending_just_claims(self, tmp_path):
         cells = small_matrix(replicates=1).scenarios()
         queue = enqueue(tmp_path, cells)

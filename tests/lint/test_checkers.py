@@ -416,8 +416,8 @@ class TestSlotsMut:
             """,
         )
         report = lint_paths([file], config)
-        assert rules_of(report.new) == ["LINT-CONFIG"]
-        assert "repro.core.snippet.Gone" in report.new[0].message
+        assert rules_of(report.findings) == ["LINT-CONFIG"]
+        assert "repro.core.snippet.Gone" in report.findings[0].message
 
 
 class TestSuppressions:

@@ -1,11 +1,9 @@
-"""CLI behaviour: exit codes, JSON report shape, baseline workflow."""
+"""CLI behaviour: exit codes and JSON report shape."""
 
 import json
 import textwrap
 
-from repro.lint.baseline import Baseline
 from repro.lint.cli import main
-from repro.lint.model import Finding, LintReport
 
 BAD_SOURCE = """
 def fan_out(targets: frozenset[str]) -> None:
@@ -32,26 +30,19 @@ def write_tree(tmp_path, source):
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         root = write_tree(tmp_path, CLEAN_SOURCE)
-        assert main([str(root), "--no-baseline"]) == 0
+        assert main([str(root)]) == 0
         out = capsys.readouterr().out
-        assert "0 new finding(s)" in out
+        assert "0 finding(s)" in out
 
     def test_new_finding_exits_one(self, tmp_path, capsys):
         root = write_tree(tmp_path, BAD_SOURCE)
-        assert main([str(root), "--no-baseline"]) == 1
+        assert main([str(root)]) == 1
         out = capsys.readouterr().out
         assert "DET-ORDER-SET" in out
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "nowhere")]) == 2
         assert "no such path" in capsys.readouterr().err
-
-    def test_invalid_baseline_exits_two(self, tmp_path, capsys):
-        root = write_tree(tmp_path, CLEAN_SOURCE)
-        baseline = tmp_path / "broken.json"
-        baseline.write_text("not json")
-        assert main([str(root), "--baseline", str(baseline)]) == 2
-        assert "error" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
@@ -64,12 +55,12 @@ class TestExitCodes:
 class TestJsonReport:
     def test_json_shape(self, tmp_path, capsys):
         root = write_tree(tmp_path, BAD_SOURCE)
-        assert main([str(root), "--no-baseline", "--format", "json"]) == 1
+        assert main([str(root), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert payload["counts"] == {"DET-ORDER-SET": 1}
         assert payload["files_checked"] == 3
-        (finding,) = payload["new"]
+        (finding,) = payload["findings"]
         assert finding["rule"] == "DET-ORDER-SET"
         assert finding["path"].endswith("snippet.py")
         assert finding["line"] == 3
@@ -84,67 +75,11 @@ class TestJsonReport:
                     pass
             """,
         )
-        assert main([str(root), "--no-baseline", "--format", "json"]) == 0
+        assert main([str(root), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         (entry,) = payload["suppressed"]
         assert entry["suppressed_reason"] == "order-insensitive"
-
-
-class TestBaselineWorkflow:
-    def test_write_then_check_pins_existing_findings(self, tmp_path, capsys):
-        root = write_tree(tmp_path, BAD_SOURCE)
-        baseline = tmp_path / "lint-baseline.json"
-        assert main([str(root), "--write-baseline", "--baseline", str(baseline)]) == 0
-        assert "pinned 1 finding(s)" in capsys.readouterr().out
-        # The pinned finding no longer fails the gate...
-        assert main([str(root), "--baseline", str(baseline)]) == 0
-        assert "[baselined]" in capsys.readouterr().out
-
-    def test_new_findings_still_fail_with_baseline(self, tmp_path, capsys):
-        root = write_tree(tmp_path, BAD_SOURCE)
-        baseline = tmp_path / "lint-baseline.json"
-        assert main([str(root), "--write-baseline", "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        snippet = root / "core" / "snippet.py"
-        snippet.write_text(
-            snippet.read_text()
-            + textwrap.dedent(
-                """
-                def more(extra: set[int]) -> None:
-                    for item in extra:
-                        pass
-                """
-            )
-        )
-        assert main([str(root), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "1 new finding(s)" in out
-
-    def test_stale_baseline_reported_and_strict_fails(self, tmp_path, capsys):
-        root = write_tree(tmp_path, BAD_SOURCE)
-        baseline = tmp_path / "lint-baseline.json"
-        assert main([str(root), "--write-baseline", "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        (root / "core" / "snippet.py").write_text(textwrap.dedent(CLEAN_SOURCE))
-        assert main([str(root), "--baseline", str(baseline)]) == 0
-        assert "stale" in capsys.readouterr().out
-        assert main([str(root), "--baseline", str(baseline), "--strict-baseline"]) == 1
-
-    def test_missing_baseline_file_means_empty(self, tmp_path):
-        root = write_tree(tmp_path, CLEAN_SOURCE)
-        assert main([str(root), "--baseline", str(tmp_path / "absent.json")]) == 0
-
-    def test_baseline_counts_are_a_budget(self, tmp_path):
-        finding = Finding(rule="R", path="p.py", line=1, col=0, message="m")
-        twin = Finding(rule="R", path="p.py", line=9, col=0, message="m")
-        fresh = Finding(rule="R", path="p.py", line=2, col=0, message="other")
-        baseline = Baseline.from_findings([finding])
-        report = LintReport()
-        baseline.partition([finding, twin, fresh], report)
-        # Same fingerprint twice but budget of one: second occurrence is new.
-        assert len(report.baselined) == 1
-        assert {f.message for f in report.new} == {"m", "other"}
 
 
 class TestStrictDictOrder:
@@ -157,7 +92,7 @@ class TestStrictDictOrder:
                     pass
             """,
         )
-        assert main([str(root), "--no-baseline"]) == 0
+        assert main([str(root)]) == 0
         capsys.readouterr()
-        assert main([str(root), "--no-baseline", "--strict-dict-order"]) == 1
+        assert main([str(root), "--strict-dict-order"]) == 1
         assert "DET-ORDER-DICT" in capsys.readouterr().out

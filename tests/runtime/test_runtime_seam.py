@@ -1,16 +1,37 @@
-"""Tests for the Runtime seam: SimRuntime and runtime-based construction.
+"""Tests for the Runtime seam: SimRuntime, the closed seam, the one run path.
 
-The protocol state machines talk to the world only through the
-:class:`~repro.runtime.base.Runtime` interface; these tests pin the
-simulator-backed implementation of it.
+The protocol state machines and the run driver talk to the world only
+through the :class:`~repro.runtime.base.Runtime` interface; these tests pin
+the simulator-backed implementation of it, that nothing behind the seam is
+reachable through it, and that one driver and one schedule installer serve
+both runtimes.
 """
 
+import gc
+import warnings
 from dataclasses import dataclass
 
-from repro.runtime.sim import SimRuntime
+import pytest
+
+from repro.adversary.schedule import (
+    CrashRule,
+    DelayRule,
+    NetworkSchedule,
+    PartitionRule,
+    ScheduleContractError,
+)
+from repro.analysis.harness import _drive, run_consensus
+from repro.core.config import ProtocolMode
+from repro.crypto.signatures import KeyRegistry
+from repro.graphs.figures import figure_4b
+from repro.runtime.asyncio_runtime import AsyncioRuntime
+from repro.runtime.base import Runtime
+from repro.runtime.harness import run_live_consensus
+from repro.runtime.sim import SimRuntime, build_sim_runtime
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, SynchronousModel
 from repro.sim.process import Process
+from repro.workloads.builders import figure_run_config
 
 
 @dataclass(frozen=True)
@@ -28,10 +49,12 @@ class TestSimRuntime:
     def test_delegates_to_simulator_and_network(self):
         simulator, network = make_world()
         runtime = SimRuntime(simulator, network)
-        assert runtime.simulator is simulator
-        assert runtime.network is network
         assert runtime.trace is network.trace
         assert runtime.now == simulator.now
+        assert runtime.model is network.model
+        assert runtime.faulty == network.faulty
+        Process(1, frozenset(), runtime=runtime)
+        assert runtime.process_ids == network.process_ids == frozenset({1})
 
     def test_schedule_and_timers(self):
         simulator, network = make_world()
@@ -56,6 +79,108 @@ class TestSimRuntime:
         alice.send(2, Ping())
         simulator.run()
         assert received == []
+
+
+class TestClosedSeam:
+    def test_runtime_exposes_no_substrate(self):
+        simulator, network = make_world()
+        live = AsyncioRuntime(max_time=1.0)
+        for runtime in (Runtime, SimRuntime(simulator, network), live):
+            assert not hasattr(runtime, "simulator")
+            assert not hasattr(runtime, "network")
+        assert not hasattr(live, "install_schedule")
+
+    @pytest.mark.parametrize(
+        "make_runtime",
+        [lambda: SimRuntime(*make_world()), lambda: AsyncioRuntime(max_time=1.0)],
+        ids=["sim", "live"],
+    )
+    def test_both_runtimes_implement_the_run_surface(self, make_runtime):
+        runtime = make_runtime()  # instantiable: no abstract method left open
+        assert isinstance(runtime, Runtime)
+        for name in ("run", "add_rule", "result_fields"):
+            assert callable(getattr(runtime, name)), name
+        assert runtime.process_ids == frozenset()
+        assert runtime.faulty == frozenset()
+        assert runtime.model is not None
+
+
+def _sim_runtime(config):
+    return build_sim_runtime(
+        max_time=config.horizon, synchrony=config.synchrony, faulty=frozenset(config.faulty)
+    )
+
+
+def _live_runtime(config):
+    return AsyncioRuntime(
+        max_time=config.horizon,
+        time_scale=0.001,
+        synchrony=config.synchrony,
+        faulty=frozenset(config.faulty),
+    )
+
+
+class TestOneDriver:
+    @pytest.mark.parametrize("make_runtime", [_sim_runtime, _live_runtime])
+    def test_one_installer_serves_both_runtimes(self, make_runtime, monkeypatch):
+        """Delay + healing partition + crash of a declared-faulty process.
+
+        The same RunConfig goes down the one run path on either runtime and
+        must leave the same ordered rules on the send gate and an armed
+        crash timer.
+        """
+        scenario = figure_4b()
+        (faulty_id,) = scenario.faulty
+        schedule = NetworkSchedule(
+            rules=(
+                DelayRule(src="faulty", delay=3.0, name="slow-faulty"),
+                PartitionRule(
+                    groups=(frozenset({1, 2, 3}), frozenset({5, 6, 7, 8})),
+                    t_to=5.0,
+                    name="early-split",
+                ),
+                CrashRule(process=faulty_id, at=2.0, name="crash-faulty"),
+            )
+        )
+        config = figure_run_config(scenario, schedule=schedule)
+        runtime = make_runtime(config)
+        rules, timers = [], []
+        add_rule, arm = runtime.add_rule, runtime.schedule
+
+        def recording_add_rule(rule):
+            rules.append(rule.name)
+            add_rule(rule)
+
+        def recording_schedule(delay, callback, label=""):
+            timers.append((delay, label))
+            return arm(delay, callback, label)
+
+        monkeypatch.setattr(runtime, "add_rule", recording_add_rule)
+        monkeypatch.setattr(runtime, "schedule", recording_schedule)
+        result = _drive(config, runtime, KeyRegistry(seed=config.seed))
+        assert rules == ["slow-faulty", "early-split"]
+        (crash_delay,) = [delay for delay, label in timers if "crash-faulty" in label]
+        assert crash_delay == pytest.approx(2.0, abs=0.5)  # live: minus the elapsed start-up
+        assert result.consensus_solved
+
+    def test_rejected_schedule_leaks_no_socket(self):
+        """A schedule the model forbids fails both run paths alike, sockets closed."""
+        scenario = figure_4b()
+        correct_id = min(scenario.graph.processes - scenario.faulty)
+        config = figure_run_config(
+            scenario,
+            mode=ProtocolMode.BFT_CUPFT,
+            schedule=NetworkSchedule(rules=(CrashRule(process=correct_id, at=1.0),)),
+        )
+        with pytest.raises(ScheduleContractError) as simulated:
+            run_consensus(config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ScheduleContractError) as live:
+                run_live_consensus(config, time_scale=0.01)
+            gc.collect()
+        assert str(live.value) == str(simulated.value)
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestProcessConstruction:
