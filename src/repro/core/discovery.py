@@ -67,6 +67,10 @@ class AbsorbDelta:
         )
 
 
+#: The delta of an ``absorb`` that changed nothing (shared; never mutated).
+_NO_CHANGE = AbsorbDelta(frozenset(), frozenset(), False)
+
+
 @dataclass(slots=True)
 class DiscoveryState:
     """Local discovery state of one process (Algorithm 1, lines 1 and 4-6)."""
@@ -100,6 +104,8 @@ class DiscoveryState:
     _pd_union: set[ProcessId] = field(init=False, default_factory=set, repr=False)
     _view_key_cache: tuple | None = field(init=False, default=None, repr=False)
     _view_key_version: int = field(init=False, default=-1, repr=False)
+    #: ``frozenset(records.values())``, dropped whenever ``records`` changes.
+    _snapshot: frozenset[SignedMessage] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         advertised = (
@@ -117,8 +123,11 @@ class DiscoveryState:
     # Algorithm 1 transitions
     # ------------------------------------------------------------------
     def snapshot(self) -> frozenset[SignedMessage]:
-        """The ``S_PD`` set to ship in a ``SETPDS`` reply (line 3)."""
-        return frozenset(self.records.values())
+        """The ``S_PD`` set to ship in a ``SETPDS`` reply (line 3), shared until ``records`` changes."""
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = frozenset(self.records.values())
+        return snapshot
 
     def absorb(self, entries: frozenset[SignedMessage]) -> AbsorbDelta:
         """Merge a received ``SETPDS`` payload (lines 4-6).
@@ -140,10 +149,6 @@ class DiscoveryState:
 
         Returns an :class:`AbsorbDelta`, truthy when the view changed.
         """
-        new_records: list[ProcessId] = []
-        new_known: list[ProcessId] = []
-        stored_this_call: set[ProcessId] = set()
-        analysis_changed = False
         # Pre-pass: collect the entries that will reach the signature check
         # and verify them as one batch (one canonical encoding per distinct
         # message, grouped by signer).  The filter mirrors the fold below
@@ -154,14 +159,22 @@ class DiscoveryState:
         # record (frozensets dedupe equal entries), which the fold verifies
         # too, so the pre-pass and the fold agree on the set to check.
         pending: list[SignedMessage] = []
+        malformed = False
         for entry in entries:  # lint: allow[DET-ORDER-SET] order-insensitive collection; validity is per-entry
             record = entry.message
             if not isinstance(record, PdRecord) or entry.signer != record.owner:
+                malformed = True
                 continue
             stored = self.records.get(record.owner)
             if stored is not None and (stored is entry or stored == entry):
                 continue
             pending.append(entry)
+        if not pending and not malformed:
+            return _NO_CHANGE  # every entry is already stored: the fold would skip them all
+        new_records: list[ProcessId] = []
+        new_known: list[ProcessId] = []
+        stored_this_call: set[ProcessId] = set()
+        analysis_changed = False
         verified = dict(zip(map(id, pending), self.registry.verify_batch(pending), strict=True))
         for entry in entries:  # lint: allow[DET-ORDER-SET] order-insensitive fold; same-owner conflicts resolved by canonical tag below
             record = entry.message
@@ -180,6 +193,7 @@ class DiscoveryState:
                 continue
             if stored is None:
                 self.records[owner] = entry
+                self._snapshot = None
                 self.received.add(owner)
                 stored_this_call.add(owner)
                 new_records.append(owner)
@@ -197,6 +211,7 @@ class DiscoveryState:
                 # it is documented as a superset and both PDs fold into
                 # ``known`` below either way.)
                 self.records[owner] = entry
+                self._snapshot = None
                 self._pd_union.update(record.pd)
             members = set(record.pd) - self.known
             if members:

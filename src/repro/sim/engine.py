@@ -40,9 +40,9 @@ class SimulationLimitExceeded(RuntimeError):
 class _ScheduledEvent:
     """A single scheduled callback (heap payload; ordering lives in the tuple)."""
 
-    __slots__ = ("time", "callback", "cancelled", "done", "label")
+    __slots__ = ("time", "callback", "cancelled", "done")
 
-    def __init__(self, time: float, callback: Callable[[], None], label: str = "") -> None:
+    def __init__(self, time: float, callback: Callable[[], None]) -> None:
         self.time = time
         self.callback = callback
         self.cancelled = False
@@ -50,7 +50,6 @@ class _ScheduledEvent:
         #: discarded), so late ``cancel()`` calls do not skew the counter of
         #: cancelled-but-still-queued events.
         self.done = False
-        self.label = label
 
 
 class _EventBatch:
@@ -63,16 +62,15 @@ class _EventBatch:
     that left the queue can never silently swallow a new payload.
     """
 
-    __slots__ = ("time", "fn", "items", "next_index", "fence", "closed", "label")
+    __slots__ = ("time", "fn", "items", "next_index", "fence", "closed")
 
-    def __init__(self, time: float, fn: Callable[[Any], None], first_item: Any, fence: int, label: str = "") -> None:
+    def __init__(self, time: float, fn: Callable[[Any], None], first_item: Any, fence: int) -> None:
         self.time = time
         self.fn = fn
         self.items = [first_item]
         self.next_index = 0
         self.fence = fence
         self.closed = False
-        self.label = label
 
 
 class EventHandle:
@@ -116,30 +114,17 @@ class Simulator:
     max_events:
         Hard limit on the number of processed events (guards against
         livelock in buggy protocols or adversarial schedules).
-    compaction_min_queue:
-        Queues shorter than this are never compacted (rebuilding a tiny
-        heap costs more than carrying its dead entries).  Defaults to
-        :data:`Simulator.COMPACTION_MIN_QUEUE`; large-n runs that cancel
-        many timers may prefer a larger value to compact less often.  The
-        setting only trades memory against heap traffic -- trajectories are
-        identical for every value, which ``tests/sim/test_engine.py``
-        pins.
     """
 
-    #: Default for ``compaction_min_queue``.
+    #: Queues shorter than this are never compacted (rebuilding a tiny heap
+    #: costs more than carrying its dead entries).  The value only trades
+    #: memory against heap traffic -- trajectories are identical for every
+    #: value, which ``tests/sim/test_engine.py`` pins.
     COMPACTION_MIN_QUEUE = 64
 
-    def __init__(
-        self,
-        max_time: float = 1_000_000.0,
-        max_events: int = 5_000_000,
-        compaction_min_queue: int | None = None,
-    ) -> None:
+    def __init__(self, max_time: float = 1_000_000.0, max_events: int = 5_000_000) -> None:
         self.max_time = max_time
         self.max_events = max_events
-        self.compaction_min_queue = (
-            self.COMPACTION_MIN_QUEUE if compaction_min_queue is None else compaction_min_queue
-        )
         self._queue: list[tuple[float, int, _ScheduledEvent | _EventBatch]] = []
         self._sequence = 0
         self._now = 0.0
@@ -147,8 +132,10 @@ class Simulator:
         self._stopped = False
         self._cancelled_in_queue = 0
         self._compactions = 0
-        self._queued_batches = 0
-        self._pending_batch_items = 0
+        #: Live (non-cancelled) events and batch payloads not yet popped:
+        #: +1 per schedule / batch append, -1 per cancel, execution or
+        #: horizon discard.  This *is* :meth:`pending_events`.
+        self._live = 0
         self._active_batch: _EventBatch | None = None
         self._pending_peak = 0
 
@@ -180,17 +167,16 @@ class Simulator:
         """Schedule ``callback`` to run at absolute virtual time ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
-        event = _ScheduledEvent(time, callback, label)
+        del label  # accepted for the Runtime seam; the engine keeps no labels
+        event = _ScheduledEvent(time, callback)
         self._sequence += 1
         heapq.heappush(self._queue, (time, self._sequence, event))
-        pending = self.pending_events()
-        if pending > self._pending_peak:
-            self._pending_peak = pending
+        live = self._live = self._live + 1
+        if live > self._pending_peak:
+            self._pending_peak = live
         return EventHandle(event, self)
 
-    def schedule_batch_at(
-        self, time: float, fn: Callable[[Any], None], first_item: Any, label: str = ""
-    ) -> _EventBatch:
+    def schedule_batch_at(self, time: float, fn: Callable[[Any], None], first_item: Any) -> _EventBatch:
         """Open a new batch at ``time`` seeded with ``first_item``.
 
         Further payloads join via :meth:`try_append_to_batch` while the
@@ -199,14 +185,12 @@ class Simulator:
         """
         if time < self._now:
             raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
-        self._sequence += 1
-        batch = _EventBatch(time, fn, first_item, fence=self._sequence, label=label)
-        heapq.heappush(self._queue, (time, self._sequence, batch))
-        self._queued_batches += 1
-        self._pending_batch_items += 1
-        pending = self.pending_events()
-        if pending > self._pending_peak:
-            self._pending_peak = pending
+        sequence = self._sequence = self._sequence + 1
+        batch = _EventBatch(time, fn, first_item, sequence)
+        heapq.heappush(self._queue, (time, sequence, batch))
+        live = self._live = self._live + 1
+        if live > self._pending_peak:
+            self._pending_peak = live
         return batch
 
     def try_append_to_batch(self, batch: _EventBatch, item: Any) -> bool:
@@ -223,10 +207,9 @@ class Simulator:
         if batch.closed or batch.fence != self._sequence:
             return False
         batch.items.append(item)
-        self._pending_batch_items += 1
-        pending = self.pending_events()
-        if pending > self._pending_peak:
-            self._pending_peak = pending
+        live = self._live = self._live + 1
+        if live > self._pending_peak:
+            self._pending_peak = live
         return True
 
     def stop(self) -> None:
@@ -247,8 +230,9 @@ class Simulator:
         cancellation.
         """
         self._cancelled_in_queue += 1
+        self._live -= 1
         if (
-            len(self._queue) >= self.compaction_min_queue
+            len(self._queue) >= self.COMPACTION_MIN_QUEUE
             and 2 * self._cancelled_in_queue >= len(self._queue)
         ):
             for _, _, item in self._queue:
@@ -285,17 +269,15 @@ class Simulator:
         while self._queue:
             time, _, item = heapq.heappop(self._queue)
             if type(item) is _EventBatch:
-                self._queued_batches -= 1
                 self._active_batch = item
                 return self._step_batch_item(item)
+            item.done = True
             if item.cancelled:
-                item.done = True
                 self._cancelled_in_queue -= 1
                 continue
+            self._live -= 1
             if time > self.max_time:
-                item.done = True
                 return False
-            item.done = True
             self._now = time
             self._processed_events += 1
             item.callback()
@@ -307,14 +289,14 @@ class Simulator:
             # Mirror the unbatched engine: each step discards exactly one
             # overdue delivery and reports the horizon.
             batch.next_index += 1
-            self._pending_batch_items -= 1
+            self._live -= 1
             if batch.next_index >= len(batch.items):
                 batch.closed = True
                 self._active_batch = None
             return False
         item = batch.items[batch.next_index]
         batch.next_index += 1
-        self._pending_batch_items -= 1
+        self._live -= 1
         self._now = batch.time
         self._processed_events += 1
         batch.fn(item)
@@ -360,15 +342,5 @@ class Simulator:
                 return satisfied
 
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued.
-
-        O(1): the queue tracks how many of its entries are cancelled
-        placeholders awaiting compaction, and how many payloads its batch
-        entries (plus the batch currently draining) still carry.
-        """
-        return (
-            len(self._queue)
-            - self._cancelled_in_queue
-            - self._queued_batches
-            + self._pending_batch_items
-        )
+        """Number of live (non-cancelled) events still queued, batch payloads one each."""
+        return self._live

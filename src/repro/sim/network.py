@@ -95,12 +95,9 @@ class Network:
         self._processes: dict[ProcessId, "Process"] = {}
         self._crashed: set[ProcessId] = set()
         self._rules: list[NetworkRule] = []
-        #: The most recently created delivery batch.  Same-instant
-        #: deliveries (broadcast fan-out, pre-GST clamping to
-        #: ``GST + delta``, constant-delay schedule rules) share one heap
-        #: entry as long as the engine can prove order preservation (see
-        #: :meth:`Simulator.try_append_to_batch`); older batches can never
-        #: accept appends again, so one slot suffices.
+        #: The most recently created delivery batch: same-instant deliveries
+        #: (fan-out, pre-GST clamping to ``GST + delta``, constant-delay
+        #: rules) share its heap entry; see :meth:`send`.
         self._last_batch: _EventBatch | None = None
 
     # ------------------------------------------------------------------
@@ -156,79 +153,60 @@ class Network:
     # transport
     # ------------------------------------------------------------------
     def send(self, sender: ProcessId, receiver: ProcessId, payload: object) -> None:
-        """Send ``payload`` from ``sender`` to ``receiver`` over the channel."""
-        envelope = Envelope(
-            sender=sender,
-            receiver=receiver,
-            payload=payload,
-            sent_at=self.simulator.now,
-            kind=payload_kind(payload),
-        )
+        """Send ``payload`` from ``sender`` to ``receiver`` over the channel.
+
+        The first matching rule decides the delay (or withholds), else the
+        synchrony model does.  The envelope then joins the open delivery
+        batch for its instant when the engine can prove the batched order
+        matches per-message scheduling (:meth:`Simulator.try_append_to_batch`),
+        or opens a new one.  Any newer batch or event breaks every older
+        fence, so the single ``_last_batch`` slot captures every batchable
+        send.  The crashed-receiver check stays at delivery time.
+        """
+        simulator = self.simulator
+        now = simulator.now
+        envelope = Envelope(sender, receiver, payload, now, payload_kind(payload))
         self.trace.on_send(envelope)
 
-        if sender in self._crashed:
+        crashed = self._crashed
+        if sender in crashed:
             self.trace.on_drop(envelope, "sender crashed")
             return
         if receiver not in self._processes:
             self.trace.on_drop(envelope, "unknown receiver")
             return
 
-        delay: float | None = None
-        matched: NetworkRule | None = None
-        decision: float | _Withhold | None = None
         for rule in self._rules:
-            decision = rule.decide(envelope, now=self.simulator.now)
-            if decision is not None:
-                matched = rule
-                break
-        if matched is None:
-            delay = self.model.delay(
-                now=self.simulator.now,
+            decision = rule.decide(envelope, now=now)
+            if decision is None:
+                continue
+            if isinstance(decision, _Withhold):
+                self.trace.on_rule_drop(envelope, rule.name)
+                return
+            delay = float(decision)
+            self.trace.on_rule_delay(envelope, rule.name, delay)
+            break
+        else:
+            faulty = self.faulty
+            model_delay = self.model.delay(
+                now=now,
                 sender=sender,
                 receiver=receiver,
-                sender_correct=self.is_correct(sender),
-                receiver_correct=self.is_correct(receiver),
+                sender_correct=sender not in faulty,  # and not crashed: checked above
+                receiver_correct=receiver not in faulty and receiver not in crashed,
                 rng=self.rng,
             )
-            if delay is None:
+            if model_delay is None:
                 self.trace.on_drop(envelope, "withheld by scheduler")
                 return
-        elif isinstance(decision, _Withhold):
-            self.trace.on_rule_drop(envelope, matched.name)
-            return
-        else:
-            delay = float(decision)
-            self.trace.on_rule_delay(envelope, matched.name, delay)
+            delay = model_delay
+        if not delay >= 0.0:  # also catches NaN, which ``delay < 0`` lets through
+            raise ValueError(f"delay must be a non-negative number, got {delay!r}")
 
-        self._schedule_delivery(envelope, delay)
-
-    def _schedule_delivery(self, envelope: Envelope, delay: float) -> None:
-        """Queue ``envelope`` for delivery ``delay`` from now, batching same-tick sends.
-
-        The envelope joins the open batch for its delivery instant when the
-        engine can prove the batched order matches per-message scheduling;
-        otherwise it opens a new batch (one heap entry either way).  The
-        crashed-receiver check stays at delivery time, exactly as before.
-        """
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        simulator = self.simulator
-        time = simulator.now + delay
-        # Only the most recently created batch can still accept appends: the
-        # fence check requires that nothing was scheduled since the batch was
-        # created, and creating any newer batch (or event) breaks every older
-        # fence.  A single-slot cache therefore captures every batchable send
-        # with O(1) bookkeeping and nothing to prune.
+        time = now + delay
         batch = self._last_batch
-        if (
-            batch is not None
-            and batch.time == time
-            and simulator.try_append_to_batch(batch, envelope)
-        ):
-            return
-        self._last_batch = simulator.schedule_batch_at(
-            time, self._deliver_one, envelope, label="deliver batch"
-        )
+        if batch is None or batch.time != time or not simulator.try_append_to_batch(batch, envelope):
+            self._last_batch = simulator.schedule_batch_at(time, self._deliver_one, envelope)
 
     def _deliver_one(self, envelope: Envelope) -> None:
         receiver = envelope.receiver

@@ -116,9 +116,13 @@ class Process:
 
     def send_to_all(self, receivers: Iterable[ProcessId], payload: Any) -> None:
         """Send ``payload`` to every process in ``receivers`` (excluding self)."""
+        if self._stopped:
+            return
+        me = self.process_id
+        send = self.runtime.send
         for receiver in sorted(set(receivers), key=repr):
-            if receiver != self.process_id:
-                self.send(receiver, payload)
+            if receiver != me:
+                send(me, receiver, payload)
 
     def on(self, payload_type: type, handler: Callable[[ProcessId, Any], None]) -> None:
         """Register ``handler(sender, payload)`` for payloads of ``payload_type``."""

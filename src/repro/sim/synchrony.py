@@ -78,11 +78,17 @@ class PartialSynchronyModel(SynchronyModel):
 
     def delay(self, *, now, sender, receiver, sender_correct, receiver_correct, rng):  # noqa: D102
         del sender, receiver, sender_correct, receiver_correct
+        # Comparisons instead of builtin min()/max(): one call per message
+        # adds up, and each branch picks the operand min()/max() would.
+        minimum = self.minimum_delay
         if now >= self.gst:
-            return self.minimum_delay + rng.random() * max(self.delta - self.minimum_delay, 0.0)
-        raw = self.minimum_delay + rng.random() * max(self.pre_gst_max_delay - self.minimum_delay, 0.0)
-        deliver_at = min(now + raw, self.gst + self.delta)
-        return max(deliver_at - now, self.minimum_delay)
+            span = self.delta - minimum
+            return minimum + rng.random() * (0.0 if span < 0.0 else span)
+        span = self.pre_gst_max_delay - minimum
+        deliver_at = now + (minimum + rng.random() * (0.0 if span < 0.0 else span))
+        latest = self.gst + self.delta
+        delay = (latest if latest < deliver_at else deliver_at) - now
+        return minimum if minimum > delay else delay
 
 
 @dataclass

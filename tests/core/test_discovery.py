@@ -115,6 +115,97 @@ class TestAbsorb:
         assert view.pds[2] == graph.participant_detector(2)
 
 
+class TestRedundantPayloads:
+    """Most ``SETPDS`` payloads bring nothing new; ``absorb`` must not work for them."""
+
+    def test_all_stored_payload_changes_and_verifies_nothing(self, graph, registry):
+        state_1 = make_state(1, graph, registry)
+        state_3 = make_state(3, graph, registry)
+        state_1.absorb(state_3.snapshot())
+        before = (state_1.version, state_1.analysis_version, registry.verify_calls)
+        delta = state_1.absorb(state_3.snapshot())
+        assert not delta
+        assert delta.new_records == delta.new_known == frozenset()
+        assert not delta.analysis_changed
+        assert not state_1.absorb(frozenset())
+        # An equal copy (what the live runtime's codec delivers) is as redundant.
+        original = state_3.records[3]
+        copy = SignedMessage(signer=original.signer, message=original.message, tag=original.tag)
+        assert copy is not original
+        assert not state_1.absorb(frozenset({copy}))
+        assert (state_1.version, state_1.analysis_version, registry.verify_calls) == before
+        assert state_1.rejected_records == 0
+
+    @pytest.mark.parametrize("bad", ["not-a-record", "wrong-signer", "forged"])
+    def test_a_bad_entry_beside_a_stored_one_is_still_rejected(self, graph, registry, bad):
+        state_1 = make_state(1, graph, registry)
+        state_3 = make_state(3, graph, registry)
+        state_1.absorb(state_3.snapshot())
+        key_2, key_4 = registry.generate(2), registry.generate(4)
+        entry = {
+            "not-a-record": key_2.sign("not a record"),
+            "wrong-signer": SignedMessage(
+                signer=4, message=PdRecord(owner=2, pd=frozenset({1})), tag=key_4.sign("x").tag
+            ),
+            "forged": SignedMessage(
+                signer=2, message=PdRecord(owner=2, pd=frozenset({1})), tag=key_4.sign("x").tag
+            ),
+        }[bad]
+        version = state_1.version
+        for expected in (1, 2):  # rejected again on every delivery, as before
+            assert not state_1.absorb(frozenset({state_3.records[3], entry}))
+            assert state_1.rejected_records == expected
+        assert state_1.version == version
+        assert 2 not in state_1.received
+
+
+class TestSnapshotCache:
+    def test_same_object_until_a_record_is_stored(self, graph, registry):
+        state_1 = make_state(1, graph, registry)
+        state_3 = make_state(3, graph, registry)
+        first = state_1.snapshot()
+        assert first == frozenset(state_1.records.values())
+        assert state_1.snapshot() is first
+        assert not state_1.absorb(frozenset(first))  # nothing new: cache survives
+        assert state_1.snapshot() is first
+        assert state_1.absorb(state_3.snapshot())
+        second = state_1.snapshot()
+        assert second is not first
+        assert second == frozenset(state_1.records.values())
+        assert len(second) == 2
+        assert state_1.snapshot() is second
+
+    def test_known_only_growth_keeps_the_snapshot(self, graph, registry):
+        """An equivocating duplicate grows ``known`` but stores nothing."""
+        state_1 = make_state(1, graph, registry)
+        key_4 = registry.generate(4)
+        state_1.absorb(frozenset({key_4.sign(PdRecord(owner=4, pd=frozenset({1})))}))
+        snapshot = state_1.snapshot()
+        assert state_1.absorb(frozenset({key_4.sign(PdRecord(owner=4, pd=frozenset({99})))}))
+        assert 99 in state_1.known
+        assert state_1.snapshot() is snapshot
+
+    def test_fresh_after_a_smaller_tag_replaces_the_stored_record(self, graph, registry):
+        """Two conflicting records of one owner in one payload: the smaller tag wins.
+
+        ``absorb`` only iterates its argument, so a list fixes the order to
+        "larger tag first" and forces the replacement branch.
+        """
+        state_1 = make_state(1, graph, registry)
+        key_4 = registry.generate(4)
+        records = [
+            key_4.sign(PdRecord(owner=4, pd=frozenset({1}))),
+            key_4.sign(PdRecord(owner=4, pd=frozenset({2}))),
+        ]
+        loser, winner = sorted(records, key=lambda entry: entry.tag, reverse=True)
+        before = state_1.snapshot()
+        assert state_1.absorb([loser, winner])
+        after = state_1.snapshot()
+        assert after is not before
+        assert winner in after and loser not in after
+        assert after == frozenset(state_1.records.values())
+
+
 class TestTransitiveDiscovery:
     def test_gossip_reaches_distance_two(self, graph, registry):
         # 7 knows 5, 5 knows 1 and 2: after absorbing 5's snapshot (which

@@ -1,8 +1,11 @@
 """Tests for the discrete-event simulation engine."""
 
-import pytest
+from unittest import mock
 
-from repro.sim.engine import SimulationLimitExceeded, Simulator
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim.engine import SimulationLimitExceeded, Simulator, _EventBatch
 
 
 class TestScheduling:
@@ -300,25 +303,28 @@ class TestEventBatches:
 
 
 class TestCompactionThreshold:
-    def test_lower_threshold_compacts_smaller_queues(self):
-        simulator = Simulator(compaction_min_queue=10)
+    def test_lower_threshold_compacts_smaller_queues(self, monkeypatch):
+        monkeypatch.setattr(Simulator, "COMPACTION_MIN_QUEUE", 10)
+        simulator = Simulator()
         handles = [simulator.schedule(float(i + 1), lambda: None) for i in range(20)]
         for handle in handles[:15]:
             handle.cancel()
         assert simulator.compactions >= 1
         assert simulator.pending_events() == 5
 
-    def test_higher_threshold_suppresses_compaction(self):
-        simulator = Simulator(compaction_min_queue=1_000)
+    def test_higher_threshold_suppresses_compaction(self, monkeypatch):
+        monkeypatch.setattr(Simulator, "COMPACTION_MIN_QUEUE", 1_000)
+        simulator = Simulator()
         handles = [simulator.schedule(float(i + 1), lambda: None) for i in range(200)]
         for handle in handles[:150]:
             handle.cancel()
         assert simulator.compactions == 0
         assert simulator.pending_events() == 50
 
-    def test_threshold_does_not_change_trajectories(self):
+    def test_threshold_does_not_change_trajectories(self, monkeypatch):
         def trajectory(compaction_min_queue):
-            simulator = Simulator(compaction_min_queue=compaction_min_queue)
+            monkeypatch.setattr(Simulator, "COMPACTION_MIN_QUEUE", compaction_min_queue)
+            simulator = Simulator()
             seen = []
             cancel = []
             for i in range(300):
@@ -336,8 +342,67 @@ class TestCompactionThreshold:
             simulator.run()
             return seen, simulator.processed_events
 
-        reference = trajectory(None)
+        reference = trajectory(Simulator.COMPACTION_MIN_QUEUE)
         aggressive = trajectory(2)
         never = trajectory(10**9)
         assert aggressive == reference
         assert never == reference
+
+
+def recount_pending(simulator):
+    """Brute-force ``pending_events()``: walk the heap and the draining batch."""
+    items = [item for _, _, item in simulator._queue]
+    if simulator._active_batch is not None:
+        items.append(simulator._active_batch)
+    return sum(
+        len(item.items) - item.next_index if type(item) is _EventBatch else not item.cancelled
+        for item in items
+    )
+
+
+ENGINE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.integers(0, 8)),
+        st.tuples(st.just("batch"), st.integers(0, 8)),
+        st.tuples(st.just("append"), st.just(0)),
+        st.tuples(st.just("cancel"), st.integers(0, 200)),
+        st.tuples(st.just("step"), st.integers(1, 4)),
+    ),
+    max_size=120,
+)
+
+
+class TestLiveEventCount:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=ENGINE_OPS)
+    def test_pending_events_equals_a_recount_after_every_operation(self, ops):
+        """The one incrementally kept integer never drifts from the queue.
+
+        Random schedules, batch opens and appends, cancellations (with a
+        compaction threshold low enough to compact constantly) and steps
+        that execute, skip cancelled entries or discard events past the
+        ``max_time=5`` horizon.
+        """
+        with mock.patch.object(Simulator, "COMPACTION_MIN_QUEUE", 4):
+            simulator = Simulator(max_time=5.0)
+            handles = []
+            batch = None
+            peak = 0
+            for op, arg in ops:
+                if op == "schedule":
+                    handles.append(simulator.schedule(float(arg), lambda: None))
+                elif op == "batch":
+                    batch = simulator.schedule_batch_at(simulator.now + arg, lambda item: None, "x")
+                elif op == "append" and batch is not None:
+                    simulator.try_append_to_batch(batch, "y")
+                elif op == "cancel" and handles:
+                    handles[arg % len(handles)].cancel()
+                elif op == "step":
+                    for _ in range(arg):
+                        simulator.step()
+                assert simulator.pending_events() == recount_pending(simulator)
+                peak = max(peak, simulator.pending_events())
+                assert simulator.pending_peak == peak
+            simulator.max_time = float("inf")
+            simulator.run()
+            assert simulator.pending_events() == recount_pending(simulator) == 0

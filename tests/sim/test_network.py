@@ -92,6 +92,49 @@ class TestSynchronyModels:
         ) is None
 
 
+    @pytest.mark.parametrize(
+        "model, nows",
+        [
+            pytest.param(PartialSynchronyModel(gst=10.0, delta=1.0), (10.0, 11.5, 400.0), id="post-gst"),
+            pytest.param(
+                PartialSynchronyModel(gst=1_000.0, delta=1.0, pre_gst_max_delay=50.0),
+                (0.0, 3.25, 900.0),
+                id="pre-gst-unclamped",
+            ),
+            pytest.param(
+                PartialSynchronyModel(gst=10.0, delta=1.0, pre_gst_max_delay=200.0),
+                (0.0, 5.0, 9.999),
+                id="pre-gst-clamped-to-gst-plus-delta",
+            ),
+            pytest.param(
+                PartialSynchronyModel(gst=10.0, delta=0.05, minimum_delay=0.3, pre_gst_max_delay=0.1),
+                (0.0, 9.9, 10.0, 12.0),
+                id="delta-below-minimum-delay",
+            ),
+        ],
+    )
+    def test_partial_synchrony_delay_is_bit_equal_to_the_min_max_expression(self, model, nows):
+        """The comparison-based ``delay`` picks exactly what ``min``/``max`` picked."""
+
+        def reference(now, rng):
+            if now >= model.gst:
+                return model.minimum_delay + rng.random() * max(model.delta - model.minimum_delay, 0.0)
+            raw = model.minimum_delay + rng.random() * max(
+                model.pre_gst_max_delay - model.minimum_delay, 0.0
+            )
+            deliver_at = min(now + raw, model.gst + model.delta)
+            return max(deliver_at - now, model.minimum_delay)
+
+        rng, reference_rng = random.Random(42), random.Random(42)
+        for now in nows:
+            for _ in range(200):
+                delay = model.delay(
+                    now=now, sender=1, receiver=2, sender_correct=True, receiver_correct=True, rng=rng
+                )
+                assert delay.hex() == reference(now, reference_rng).hex()
+        assert rng.getstate() == reference_rng.getstate()  # same number of draws
+
+
 class TestTransport:
     def test_delivery_and_sender_stamping(self):
         simulator, network, trace = make_network()
@@ -206,6 +249,38 @@ class TestTransport:
         simulator.run()
         assert trace.messages_dropped == 1
         assert any("withheld by rule 'blackout'" in event for _, event in trace.events)
+
+    @pytest.mark.parametrize("bad_delay", [float("nan"), -0.5])
+    def test_rule_returning_nan_or_negative_delay_is_rejected(self, bad_delay):
+        """NaN compares false with everything: ``delay < 0`` let it into the heap."""
+        simulator, network, _ = make_network()
+        Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
+        Recorder(2, frozenset(), runtime=SimRuntime(simulator, network))
+        network.add_rule(DelayBy(lambda envelope: bad_delay))
+        with pytest.raises(ValueError, match="non-negative"):
+            network.send(1, 2, "x")
+        assert simulator.pending_events() == 0
+
+    def test_model_is_told_who_is_correct(self):
+        """``send`` evaluates correctness inline; it must agree with ``is_correct``."""
+        seen = []
+
+        class Spy(SynchronousModel):
+            def delay(self, *, sender_correct, receiver_correct, **kwargs):
+                seen.append((kwargs["sender"], kwargs["receiver"], sender_correct, receiver_correct))
+                return 1.0
+
+        simulator, network, _ = make_network(model=Spy(), faulty=frozenset({3}))
+        for process_id in (1, 2, 3, 4):
+            Recorder(process_id, frozenset(), runtime=SimRuntime(simulator, network))
+        network.crash(4)
+        for sender, receiver in ((1, 2), (3, 1), (1, 3), (1, 4)):
+            network.send(sender, receiver, "x")
+        assert seen == [
+            (sender, receiver, network.is_correct(sender), network.is_correct(receiver))
+            for sender, receiver in ((1, 2), (3, 1), (1, 3), (1, 4))
+        ]
+        assert seen[1][2] is False and seen[2][3] is False and seen[3][3] is False
 
     def test_is_correct_tracks_faults_and_crashes(self):
         simulator, network, _ = make_network(faulty=frozenset({3}))
