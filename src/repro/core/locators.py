@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from repro.core.discovery import DiscoveryState
 from repro.graphs.knowledge_graph import ProcessId
 from repro.graphs.predicates import SinkWitness
-from repro.graphs.search_memo import _PROCESS_MEMO, SinkSearchMemo
+from repro.graphs.search_memo import SinkSearchMemo, sink_search_memo
 from repro.graphs.sink_search import (
     CoreWitness,
     SearchOptions,
@@ -92,7 +92,8 @@ class SinkLocator:
             return None
         self.searches += 1
         key = ("sink", self.fault_threshold, self.options, discovery.view_key())
-        cached = _PROCESS_MEMO.lookup(key)
+        memo = sink_search_memo()
+        cached = memo.lookup(key)
         if cached is not SinkSearchMemo._MISS:
             self.memo_hits += 1
             self._witness = cached
@@ -101,7 +102,7 @@ class SinkLocator:
         self._witness = find_sink_with_fault_threshold(
             discovery.view(), self.fault_threshold, self.options
         )
-        _PROCESS_MEMO.store(key, self._witness)
+        memo.store(key, self._witness)
         return self._witness
 
     @property
@@ -140,14 +141,15 @@ class CoreLocator:
         self._last_analysis_version = discovery.analysis_version
         self.searches += 1
         key = ("core", self.options, discovery.view_key())
-        cached = _PROCESS_MEMO.lookup(key)
+        memo = sink_search_memo()
+        cached = memo.lookup(key)
         if cached is not SinkSearchMemo._MISS:
             self.memo_hits += 1
             self._core = cached
             return self._core
         self.attempts += 1
         self._core = find_core_candidate(discovery.view(), self.options)
-        _PROCESS_MEMO.store(key, self._core)
+        memo.store(key, self._core)
         return self._core
 
     @property

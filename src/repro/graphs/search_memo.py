@@ -5,7 +5,7 @@ states with identical view content (:mod:`repro.core.locators`) and the two
 expensive *sub-searches* a full search is composed of:
 
 * the ``(f+1)``-strong-connectivity checks of ``isSinkGdi``
-  (:meth:`repro.graphs.view_index.ViewIndex.sink_splits`), and
+  (:meth:`repro.graphs.view_index.ViewIndex._is_k_connected`), and
 * the stronger-proper-subsink scans of the core search
   (:func:`repro.graphs.sink_search.has_stronger_subsink`) --
 
@@ -18,8 +18,7 @@ result -- only skip recomputing it.
 
 The memo lives here (in the dependency-free ``graphs`` layer) so both the
 search modules and :mod:`repro.core.locators` can share one store without an
-import cycle; the locators module re-exports the public names for backwards
-compatibility.
+import cycle; every caller reaches it through :func:`sink_search_memo`.
 
 Every key is a tuple whose first element names the search kind (``"sink"``,
 ``"core"``, ``"conn"``, ``"subsink"``); :meth:`SinkSearchMemo.stats` breaks

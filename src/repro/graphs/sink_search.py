@@ -45,14 +45,17 @@ class SearchOptions:
     max_subsets: int = DEFAULT_MAX_SUBSETS
 
 
-def _candidate_s1_masks(view: KnowledgeView, options: SearchOptions) -> Iterator[int]:
-    """Yield candidate ``S1`` sets as masks, most promising first, without duplicates.
+def _sink_hits(
+    view: KnowledgeView, options: SearchOptions, highest: int, lowest: int
+) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(S1, g, S2)`` with ``isSinkGdi(g, S1, S2)``, as masks, in candidate order.
 
-    Candidates are the sink SCCs of the received-PD graph, those components
-    with small subsets removed (to shake off Byzantine processes whose
-    claimed PDs merged them into the component), unions of sink SCCs with
-    other components that only point into them, and -- for small views --
-    every subset of the received processes.
+    Candidate ``S1`` sets, most promising first and each tried once, are the
+    sink SCCs of the received-PD graph, those components with small subsets
+    removed (to shake off Byzantine processes whose claimed PDs merged them
+    into the component), unions of sink SCCs with other components that only
+    point into them, and -- for small views -- every subset of the received
+    processes.  Per candidate, ``g`` falls from ``highest`` to ``lowest``.
     """
     index = view.index()
     # Tarjan's root order is the one the set-based search had (iteration
@@ -63,7 +66,6 @@ def _candidate_s1_masks(view: KnowledgeView, options: SearchOptions) -> Iterator
     # 1. Sink SCCs of the received graph and their unions with components
     #    that are "absorbed" by them (every outgoing edge points into them).
     largest_first = sorted(sinks, key=int.bit_count, reverse=True)
-    phases: list[Iterable[int]] = [largest_first, sorted(components, key=int.bit_count, reverse=True)]
 
     # 2. Sink SCCs with up to a few members removed.  A Byzantine process can
     #    claim a PD that merges it with the genuine sink component; removing
@@ -74,20 +76,23 @@ def _candidate_s1_masks(view: KnowledgeView, options: SearchOptions) -> Iterator
         for size in range(1, min(component.bit_count() - 1, 3) + 1)
         for removed in combinations(list(bits(component)), size)
     )
-    phases.append(islice(removals, max(options.max_subsets - 1, 0)))
-
-    # 3. Bounded exhaustive enumeration for small views (reference search).
-    if index.received.bit_count() <= options.exhaustive_limit:
-        received = list(bits(index.received))
-        phases.append(
-            sum(subset) for size in range(len(received), 0, -1) for subset in combinations(received, size)
-        )
-
+    seeded = chain(
+        largest_first,
+        sorted(components, key=int.bit_count, reverse=True),
+        islice(removals, max(options.max_subsets - 1, 0)),
+    )
+    flags = {"strict_p3": options.strict_p3, "bound_s2": options.bound_s2}
     seen: set[int] = set()
-    for candidate in chain.from_iterable(phases):
-        if candidate not in seen:
-            seen.add(candidate)
-            yield candidate
+    for s1 in seeded:
+        if s1 not in seen:
+            seen.add(s1)
+            for g, s2 in index.sink_splits(s1, highest, lowest, **flags):
+                yield s1, g, s2
+
+    # 3. Bounded exhaustive enumeration for small views (reference search):
+    #    every subset of the received processes the seeds did not cover.
+    if index.received.bit_count() <= options.exhaustive_limit:
+        yield from index.subset_splits(highest, lowest, skip=seen, **flags)
 
 
 def _witness(index: ViewIndex, g: int, s1: int, s2: int) -> SinkWitness:
@@ -105,11 +110,8 @@ def find_sink_with_fault_threshold(
     algorithm returns) or ``None`` when the current view does not yet allow
     the sink to be identified.
     """
-    options = options or SearchOptions()
-    index = view.index()
-    for s1 in _candidate_s1_masks(view, options):
-        for g, s2 in index.sink_splits(s1, f, f, strict_p3=options.strict_p3, bound_s2=options.bound_s2):
-            return _witness(index, g, s1, s2)
+    for s1, g, s2 in _sink_hits(view, options or SearchOptions(), f, f):
+        return _witness(view.index(), g, s1, s2)
     return None
 
 
@@ -126,17 +128,13 @@ def find_all_sinks(
     maximum ``g`` (i.e. ``f_Gdi``) -- the first such ``S1`` in candidate
     order.
     """
-    options = options or SearchOptions()
     index = view.index()
     best: dict[int, tuple[int, int, int]] = {}
-    for s1 in _candidate_s1_masks(view, options):
-        splits = index.sink_splits(  # every g that P1 allows, down to minimum_f
-            s1, len(index.ids), minimum_f, strict_p3=options.strict_p3, bound_s2=options.bound_s2
-        )
-        for g, s2 in splits:
-            existing = best.get(s1 | s2)
-            if existing is None or g > existing[0]:
-                best[s1 | s2] = (g, s1, s2)
+    # every g that P1 allows, down to minimum_f
+    for s1, g, s2 in _sink_hits(view, options or SearchOptions(), len(index.ids), minimum_f):
+        existing = best.get(s1 | s2)
+        if existing is None or g > existing[0]:
+            best[s1 | s2] = (g, s1, s2)
     witnesses = [_witness(index, *split) for split in best.values()]
     return sorted(witnesses, key=lambda w: (-w.f, -len(w.members), sorted(map(repr, w.members))))
 

@@ -7,39 +7,48 @@ processes is a Python ``int``; ``pd[b]`` is the (claimed) participant
 detector of the process at bit ``b`` (0 when its PD was not received).
 
 The predicates P1-P5 of :mod:`repro.graphs.predicates` are evaluated here,
-once, by :meth:`ViewIndex.sink_splits`.  The in-neighbour counts of a
-candidate ``S1`` do not depend on the fault value ``g``, so they are folded
-once per candidate into bit-sliced ("vertical") counters and every ``S2(g)``
-is read off those counters (see DESIGN.md, "Graph core").
+once, by :meth:`ViewIndex._splits`: for one candidate through
+:meth:`ViewIndex.sink_splits`, for every subset of a small view through
+:meth:`ViewIndex.subset_splits`.  The in-neighbour counts of a candidate
+``S1`` do not depend on the fault value ``g``, so they are folded once into
+bit-sliced ("vertical") counters -- per candidate, or per shared prefix of
+the enumeration -- and every ``S2(g)`` is read off those counters (see
+DESIGN.md, "Graph core").
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Set
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from repro.graphs.connectivity import is_k_strongly_connected
 from repro.graphs.knowledge_graph import KnowledgeGraph, ProcessId
 from repro.graphs.search_memo import SinkSearchMemo, sink_search_memo
 
 
+def add_row(planes: list[int], carry: int) -> list[int]:
+    """``planes`` with one more row folded in (a ripple-carry add), as a new list.
+
+    The argument is left as it was: prefixes of the enumeration share theirs.
+    """
+    grown = []
+    for plane in planes:
+        grown.append(plane ^ carry)
+        carry &= plane
+    if carry:
+        grown.append(carry)
+    return grown
+
+
 def count_planes(rows: Iterable[int]) -> list[int]:
     """Fold masks into vertical counters.
 
     Bit ``b`` of ``planes[k]`` is bit ``k`` of the number of ``rows`` that
-    contain ``b`` (a ripple-carry add of one row at a time).
+    contain ``b``.
     """
-    planes: list[int] = []
-    for carry in rows:
-        for k, plane in enumerate(planes):
-            if not carry:
-                break
-            planes[k] = plane ^ carry
-            carry &= plane
-        else:
-            if carry:
-                planes.append(carry)
-    return planes
+    return reduce(add_row, rows, [])
 
 
 def above(planes: list[int], g: int) -> int:
@@ -84,9 +93,9 @@ class ViewIndex:
         self._few: dict[int, int] = {}
 
     def mask(self, nodes: Iterable[ProcessId]) -> int:
-        """Mask of ``nodes`` (distinct); processes outside the view are dropped."""
+        """Mask of ``nodes`` (repeats allowed); processes outside the view are dropped."""
         bit_of = self.bit_of
-        return sum(bit_of[node] for node in nodes if node in bit_of)
+        return reduce(or_, (bit_of[node] for node in nodes if node in bit_of), 0)
 
     def nodes(self, mask: int) -> frozenset[ProcessId]:
         ids = self.ids
@@ -183,8 +192,7 @@ class ViewIndex:
         """Yield ``(g, S2(g))`` for each ``g`` with ``isSinkGdi(g, S1, S2(g))``.
 
         ``g`` runs from ``highest`` (or the largest value P1 allows) down to
-        ``lowest`` (or 0); ``s1`` is a non-empty subset of ``received``.  The
-        one place P1-P5 (:func:`repro.graphs.predicates.is_sink_gdi`) are evaluated.
+        ``lowest`` (or 0); ``s1`` is a non-empty subset of ``received``.
         """
         size = s1.bit_count()
         top = min(highest, (size - 1) // 2)  # P1: |S1| >= 2g + 1
@@ -195,28 +203,90 @@ class ViewIndex:
         # processes outside S1, and one without a received PD is outside
         # every S1.  Monotone in g, so failing at the top g rules out the rest
         # before any counting (DESIGN.md, "Graph core").
-        if bound_s2 and (s1 & self._few_unreceived(top)).bit_count() < size - top:
+        if bound_s2 and (s1 & ~self._few_unreceived(top)).bit_count() > top:
             return
+        rows = [self.pd[bit.bit_length() - 1] for bit in bits(s1)]
+        yield from self._splits(s1, rows, count_planes(rows), top, lowest, strict_p3, bound_s2)
+
+    def subset_splits(
+        self, highest: int, lowest: int, *, strict_p3: bool, bound_s2: bool, skip: Set[int]
+    ) -> Iterator[tuple[int, int, int]]:
+        """Yield ``(S1, g, S2(g))`` as :meth:`sink_splits` would for every subset ``S1`` of ``received``.
+
+        Subsets come largest first and, within a size, in the order
+        ``combinations`` emits them; those in ``skip`` are left out.  Each
+        size class is walked depth-first as a prefix tree (DESIGN.md, "Graph
+        core": Enumeration): the counters of a prefix are folded once for
+        every subset extending it, and a prefix no extension of which can pass
+        the :meth:`sink_splits` pre-check goes with its whole subtree.
+        """
+        lowest = max(lowest, 0)
+        members = list(bits(self.received))
+        pds = [self.pd[bit.bit_length() - 1] for bit in members]
+        for size in range(len(members), 0, -1):
+            top = min(highest, (size - 1) // 2)  # P1
+            if top < lowest:
+                continue
+            # The pre-check allows S1 at most ``top`` members outside ``few``:
+            # such a member costs 1, the others are free.
+            few = self._few_unreceived(top) if bound_s2 else -1
+            cost = [0 if bit & few else 1 for bit in members]
+            free = [0] * len(members)  # free[j]: the free members after j
+            for j in range(len(members) - 1, 0, -1):
+                free[j - 1] = free[j] + 1 - cost[j]
+            rows = [0] * size  # the PD masks along the current path
+            # One frame per prefix still to extend: the next member to try,
+            # then S1, what was spent on it and its counters.
+            stack: list[tuple[int, int, int, list[int]]] = [(0, 0, 0, [])]
+            while stack:
+                first, s1, spent, planes = stack.pop()
+                depth = len(stack)
+                need = size - depth - 1  # members still to choose below this one
+                for j in range(first, len(members) - need):
+                    total = spent + cost[j]
+                    if total > top or free[j] + top - total < need:
+                        continue  # over the allowance, or bound to be before ``size`` members are chosen
+                    rows[depth] = pds[j]
+                    child = s1 | members[j]
+                    grown = add_row(planes, pds[j])
+                    if need:
+                        stack += (j + 1, s1, spent, planes), (j + 1, child, total, grown)
+                        break  # down into the child; its later siblings wait on the stack
+                    if child not in skip:
+                        for g, s2 in self._splits(child, rows, grown, top, lowest, strict_p3, bound_s2):
+                            yield child, g, s2
+
+    def _splits(
+        self,
+        s1: int,
+        rows: list[int],
+        planes: list[int],
+        top: int,
+        lowest: int,
+        strict_p3: bool,
+        bound_s2: bool,
+    ) -> Iterator[tuple[int, int]]:
+        """The one place P1-P5 (:func:`repro.graphs.predicates.is_sink_gdi`) are evaluated.
+
+        ``rows`` are the PD masks of the members of ``s1`` and ``planes`` their
+        fold; ``top`` is the largest ``g`` P1 allows.  One fold serves P4
+        (counts outside S1) and the in-degree half of the P2 pre-check (counts
+        inside S1): both ask "count > g".
+        """
+        several = len(rows) > 1  # a single process is k-connected for every k
         outside = self.known & ~s1
-        scope = outside | s1
-        pd = self.pd
-        rows = [pd[bit.bit_length() - 1] & scope for bit in bits(s1)]
-        # One fold serves P4 (counts outside S1) and the in-degree half of
-        # the P2 pre-check (counts inside S1): both ask "count > g".
-        planes = count_planes(rows)
         for g in range(top, lowest - 1, -1):
             high = above(planes, g)
             s2 = high & outside  # P4 holds by construction
             if bound_s2 and s2.bit_count() > g:  # P5
                 break  # |S2(g)| only grows as g falls: every smaller g fails too
-            if size > 1 and high & s1 != s1:  # P2 needs in-degree >= g + 1 inside S1
+            if several and high & s1 != s1:  # P2 needs in-degree >= g + 1 inside S1
                 continue
             beyond = outside if strict_p3 else outside & ~s2
             if sum(1 for row in rows if row & beyond) > g:  # P3
                 continue
-            # P2 (a single process is k-connected for every k): out-degrees
-            # first, then the max-flow check.
-            if size > 1 and (
+            # P2: out-degrees first, then the max-flow check.
+            if several and (
                 min((row & s1).bit_count() for row in rows) <= g or not self._is_k_connected(s1, g + 1)
             ):
                 continue
@@ -262,7 +332,13 @@ class ViewIndex:
         missing = members & ~self.received
         optional = list(bits(members & self.received))
         size = members.bit_count()
+        # S1 only holds received members, and every member needs more than g
+        # in-neighbours in it: inside S1 by P2 (g >= 1 makes |S1| >= 3; a
+        # single process passes with none, so g = 0 is exempt), in S2 by P4.
+        planes = count_planes(self.pd[bit.bit_length() - 1] for bit in optional)
         for g in range((size - 1) // 2, max(minimum_f, 0) - 1, -1):
+            if g and above(planes, g) & members != members:
+                continue
             max_s2 = size - (2 * g + 1)
             if bound_s2:
                 max_s2 = min(max_s2, g)
@@ -275,4 +351,4 @@ class ViewIndex:
         return None
 
 
-__all__ = ["ViewIndex", "above", "bits", "count_planes"]
+__all__ = ["ViewIndex", "above", "add_row", "bits", "count_planes"]

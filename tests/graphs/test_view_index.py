@@ -7,6 +7,7 @@ replaced), so agreement on random views -- including Byzantine-shaped ones --
 pins both the results and the "first S1 with maximal g wins" order.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -28,7 +29,7 @@ from repro.graphs.sink_search import (
     find_core_candidate,
     find_sink_with_fault_threshold,
 )
-from repro.graphs.view_index import ViewIndex, above, bits, count_planes
+from repro.graphs.view_index import ViewIndex, above, add_row, bits, count_planes
 
 # ----------------------------------------------------------------------
 # the reference: sets only
@@ -233,6 +234,166 @@ def test_equal_sized_sinks_keep_the_order_of_the_set_based_search():
     found = find_sink_with_fault_threshold(view, 1, options)
     assert found is not None and found == ref_find_sink(view, 1, options)
     assert find_all_sinks(view, options) == ref_find_all_sinks(view, options)
+
+
+# ----------------------------------------------------------------------
+# deterministic sweep: 150 hypothesis examples demonstrably miss a wrong prune
+# ----------------------------------------------------------------------
+
+ALL_OPTIONS = [
+    SearchOptions(strict_p3=strict, bound_s2=bound) for strict in (False, True) for bound in (True, False)
+]
+
+
+def random_view(rng):
+    """At most six processes, sparse or dense, PDs naming unknown, unreceived and out-of-view ones."""
+    universe = rng.sample(POOL, rng.randint(2, 6))
+    keep = rng.choice([0.5, 0.9, 1.0])
+    known = frozenset(node for node in universe if rng.random() < keep)
+    received = [node for node in universe if rng.random() < keep] or universe[:1]
+    density = rng.choice([0.2, 0.5, 0.8, 1.0])
+    return KnowledgeView(
+        known=known,
+        pds={node: frozenset(t for t in [*universe, 99] if rng.random() < density) for node in received},
+    )
+
+
+def test_fixed_seed_sweep_matches_the_reference(monkeypatch):
+    # The reference meets the same small induced graphs again and again across
+    # options, subsets and views; its max-flow is pure, so remember it by content.
+    connected = {}
+    max_flow = is_k_strongly_connected
+
+    def remembered(graph, k):
+        key = (frozenset(graph.pd_map().items()), k)
+        if key not in connected:
+            connected[key] = max_flow(graph, k)
+        return connected[key]
+
+    monkeypatch.setitem(globals(), "is_k_strongly_connected", remembered)
+    rng = random.Random(16)
+    for _ in range(2000):
+        view = random_view(rng)
+        members = sorted(view.known | view.pds.keys(), key=repr)
+        subsets = [frozenset(c) for size in range(1, len(members) + 1) for c in combinations(members, size)]
+        for options in ALL_OPTIONS:
+            flags = {"strict_p3": options.strict_p3, "bound_s2": options.bound_s2}
+            core = find_core_candidate(view, options)
+            assert (None if core is None else core.witness) == ref_find_core(view, options), (view, options)
+            for minimum_f in (0, 1):
+                case = (view, options, minimum_f)
+                expected = ref_find_all_sinks(view, options, minimum_f)
+                assert find_all_sinks(view, options, minimum_f) == expected, case
+                assert find_sink_with_fault_threshold(view, minimum_f, options) == ref_find_sink(
+                    view, minimum_f, options
+                ), case
+                for subset in subsets:
+                    kernel = sink_star_witness(view, subset, minimum_f=minimum_f, **flags)
+                    assert kernel == ref_sink_star(view, subset, options, minimum_f), (case, subset)
+
+
+# ----------------------------------------------------------------------
+# the prefix-tree enumeration
+# ----------------------------------------------------------------------
+
+
+def count_splits(monkeypatch):
+    """Spy on the one evaluation of P1-P5: the ``(S1, top, lowest)`` of every call."""
+    calls = []
+    evaluate = ViewIndex._splits
+
+    def spy(self, s1, rows, planes, top, lowest, *flags):
+        calls.append((s1, top, lowest))
+        return evaluate(self, s1, rows, planes, top, lowest, *flags)
+
+    monkeypatch.setattr(ViewIndex, "_splits", spy)
+    return calls
+
+
+@pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
+def test_subset_splits_is_combinations_plus_sink_splits(options):
+    flags = {"strict_p3": options.strict_p3, "bound_s2": options.bound_s2}
+    rng = random.Random(7)
+    for _ in range(150):
+        index = random_view(rng).index()
+        received = list(bits(index.received))
+        subsets = [sum(c) for size in range(len(received), 0, -1) for c in combinations(received, size)]
+        skip = set(rng.sample(subsets, len(subsets) // 3))
+        for highest, lowest in ((len(index.ids), 0), (1, 1), (2, -1)):
+            expected = [
+                (s1, g, s2)
+                for s1 in subsets
+                if s1 not in skip
+                for g, s2 in index.sink_splits(s1, highest, lowest, **flags)
+            ]
+            assert list(index.subset_splits(highest, lowest, skip=skip, **flags)) == expected
+
+
+def test_a_search_for_one_f_evaluates_no_other_g(monkeypatch):
+    calls = count_splits(monkeypatch)
+    pds = {node: frozenset(range(7)) - {node} for node in range(7)}
+    index = ViewIndex(frozenset(range(7)), pds)
+    hits = list(index.subset_splits(2, 2, strict_p3=False, bound_s2=True, skip=set()))
+    assert {g for _, g, _ in hits} == {2}
+    # P1 at g = 2 needs five members: 1 + 7 + 21 subsets, none asked about another g.
+    assert len(calls) == 29 and {(top, lowest) for _, top, lowest in calls} == {(2, 2)}
+
+
+def test_add_row_adds_one_to_the_counts_of_its_row_and_copies():
+    def counts(planes):
+        return [sum((plane >> position & 1) << k for k, plane in enumerate(planes)) for position in range(12)]
+
+    rng = random.Random(3)
+    for _ in range(200):
+        rows = [rng.getrandbits(12) for _ in range(rng.randint(0, 9))]
+        planes = count_planes(rows)
+        before = list(planes)
+        row = rng.choice([0, rng.getrandbits(12)])
+        grown = add_row(planes, row)
+        assert counts(grown) == [count + (row >> p & 1) for p, count in enumerate(counts(planes))]
+        assert grown == count_planes([*rows, row])
+        assert planes == before and grown is not planes  # siblings in the prefix tree share it
+
+
+def test_find_sink_stops_walking_at_the_first_hit(monkeypatch):
+    # A 4-clique on a ring 1 -> 5 -> 6 -> 7 -> 0 -> 1: one SCC of eight, and
+    # shaking off three members never isolates the clique, so every seed fails
+    # and the sink for f = 1 is the 36th 4-subset the walk reaches.
+    clique = {1, 2, 3, 4}
+    pds = {node: frozenset(clique - {node}) for node in clique}
+    pds[1] |= {5}
+    pds.update({5: frozenset({6}), 6: frozenset({7}), 7: frozenset({0}), 0: frozenset({1})})
+    view = KnowledgeView(known=frozenset(range(8)), pds=pds)
+    calls = count_splits(monkeypatch)
+    found = find_sink_with_fault_threshold(view, 1)
+    assert found is not None and found.s1 == clique and not found.s2
+    seeds = 1 + 8 + 28 + 56  # the SCC less up to three members: every subset of 5+ is a seed
+    walked = [s1 for s1, _, _ in calls[seeds:]]
+    assert len(walked) == 36 and all(s1.bit_count() == 4 for s1 in walked)
+    assert walked[-1] == view.index().mask(clique)  # nothing after the hit
+
+
+def test_twelve_members_that_all_fail_the_pre_check_evaluate_no_leaf(monkeypatch):
+    # Every received PD names six known processes without a received PD: P1
+    # caps g at 5, so no member is in ``few`` and the pre-check, which allows
+    # S1 at most g such members, rejects every subset at its first prefix.
+    strangers = frozenset(range(100, 106))
+    pds = {node: frozenset(range(12)) - {node} | strangers for node in range(12)}
+    view = KnowledgeView(known=frozenset(range(12)) | strangers, pds=pds)
+    calls = count_splits(monkeypatch)
+    assert find_all_sinks(view) == []
+    assert find_sink_with_fault_threshold(view, 1) is None
+    assert calls == []
+
+
+def test_repeated_ids_fold_into_a_mask_with_or():
+    # A PD handed over as a list with a repeat: sum() of the bits carried
+    # into process 4's bit and the sink {1, 2, 3} was lost.
+    view = KnowledgeView(known={1, 2, 3, 4}, pds={1: [2, 3, 2], 2: [1, 3], 3: [1, 2]})
+    assert view.index().nodes(view.index().pd[0]) == {2, 3}
+    assert frozenset({1, 2, 3}) in {witness.members for witness in find_all_sinks(view)}
+    assert derived_s2(view, 0, [1, 1, 2]) == {3}
+    assert view.index().mask([1, 1, 99, 1]) == view.index().bit_of[1]
 
 
 # ----------------------------------------------------------------------
