@@ -12,9 +12,9 @@ below combines:
   with up to ``f`` members removed (Byzantine processes may advertise PDs
   that merge them into, or out of, the component);
 * **bounded exhaustive enumeration** -- for small views (the paper's figures
-  have 7-9 processes) every subset is tried, which both guarantees
-  completeness in tests and serves as a reference implementation for the
-  heuristic search.
+  have 7-9 processes) every subset that lies inside one SCC is tried (P2
+  rules out the others), which both guarantees completeness in tests and
+  serves as a reference implementation for the heuristic search.
 """
 
 from __future__ import annotations
@@ -51,11 +51,12 @@ def _sink_hits(
     """Yield ``(S1, g, S2)`` with ``isSinkGdi(g, S1, S2)``, as masks, in candidate order.
 
     Candidate ``S1`` sets, most promising first and each tried once, are the
-    sink SCCs of the received-PD graph, those components with small subsets
-    removed (to shake off Byzantine processes whose claimed PDs merged them
-    into the component), unions of sink SCCs with other components that only
-    point into them, and -- for small views -- every subset of the received
-    processes.  Per candidate, ``g`` falls from ``highest`` to ``lowest``.
+    sink SCCs of the received-PD graph, then every SCC, then the sink SCCs
+    with small subsets removed (to shake off Byzantine processes whose
+    claimed PDs merged them into the component) and -- for small views --
+    every subset of a single SCC: P2 makes an ``S1`` of several processes
+    strongly connected, so no other subset of the received processes can be
+    a hit.  Per candidate, ``g`` falls from ``highest`` to ``lowest``.
     """
     index = view.index()
     # Tarjan's root order is the one the set-based search had (iteration
@@ -63,8 +64,7 @@ def _sink_hits(
     # components below, never which ones exist.
     components, sinks = index.components(set(view.received))
 
-    # 1. Sink SCCs of the received graph and their unions with components
-    #    that are "absorbed" by them (every outgoing edge points into them).
+    # 1. Sink SCCs of the received graph, then (in ``seeded``) every SCC.
     largest_first = sorted(sinks, key=int.bit_count, reverse=True)
 
     # 2. Sink SCCs with up to a few members removed.  A Byzantine process can
@@ -90,9 +90,10 @@ def _sink_hits(
                 yield s1, g, s2
 
     # 3. Bounded exhaustive enumeration for small views (reference search):
-    #    every subset of the received processes the seeds did not cover.
+    #    every subset of one SCC the seeds did not cover.  A subset meeting
+    #    two SCCs is not strongly connected, so P2 fails it at every g.
     if index.received.bit_count() <= options.exhaustive_limit:
-        yield from index.subset_splits(highest, lowest, skip=seen, **flags)
+        yield from index.subset_splits(components, highest, lowest, skip=seen, **flags)
 
 
 def _witness(index: ViewIndex, g: int, s1: int, s2: int) -> SinkWitness:

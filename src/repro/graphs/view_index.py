@@ -8,8 +8,8 @@ detector of the process at bit ``b`` (0 when its PD was not received).
 
 The predicates P1-P5 of :mod:`repro.graphs.predicates` are evaluated here,
 once, by :meth:`ViewIndex._splits`: for one candidate through
-:meth:`ViewIndex.sink_splits`, for every subset of a small view through
-:meth:`ViewIndex.subset_splits`.  The in-neighbour counts of a candidate
+:meth:`ViewIndex.sink_splits`, for every subset of each SCC of a small view
+through :meth:`ViewIndex.subset_splits`.  The in-neighbour counts of a candidate
 ``S1`` do not depend on the fault value ``g``, so they are folded once into
 bit-sliced ("vertical") counters -- per candidate, or per shared prefix of
 the enumeration -- and every ``S2(g)`` is read off those counters (see
@@ -209,21 +209,39 @@ class ViewIndex:
         yield from self._splits(s1, rows, count_planes(rows), top, lowest, strict_p3, bound_s2)
 
     def subset_splits(
-        self, highest: int, lowest: int, *, strict_p3: bool, bound_s2: bool, skip: Set[int]
+        self,
+        components: Iterable[int],
+        highest: int,
+        lowest: int,
+        *,
+        strict_p3: bool,
+        bound_s2: bool,
+        skip: Set[int],
     ) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(S1, g, S2(g))`` as :meth:`sink_splits` would for every subset ``S1`` of ``received``.
+        """Yield ``(S1, g, S2(g))`` as :meth:`sink_splits` would for every ``S1`` inside one of ``components``.
 
-        Subsets come largest first and, within a size, in the order
-        ``combinations`` emits them; those in ``skip`` are left out.  Each
-        size class is walked depth-first as a prefix tree (DESIGN.md, "Graph
-        core": Enumeration): the counters of a prefix are folded once for
-        every subset extending it, and a prefix no extension of which can pass
-        the :meth:`sink_splits` pre-check goes with its whole subtree.
+        ``components`` are the SCCs of the received-PD graph
+        (:meth:`components`).  P2 makes an ``S1`` of several members strongly
+        connected, so one that meets two of them yields nothing and is never
+        built (DESIGN.md, "Graph core": Enumeration).  The subsets that are
+        left -- every single process is one -- come largest first and, within
+        a size, in the order ``combinations`` emits the subsets of
+        ``received``; those in ``skip`` are left out.  Each size class is
+        walked depth-first as a prefix tree: the first member of a prefix
+        fixes the component the later ones are drawn from, the counters of a
+        prefix are folded once for every subset extending it, and a prefix
+        goes with its whole subtree when its component has too few members
+        left to reach the size or no extension can pass the
+        :meth:`sink_splits` pre-check.
         """
         lowest = max(lowest, 0)
         members = list(bits(self.received))
         pds = [self.pd[bit.bit_length() - 1] for bit in members]
-        for size in range(len(members), 0, -1):
+        scc = {bit: component for component in components for bit in bits(component)}
+        home = [scc[bit] for bit in members]  # home[j]: the component of member j
+        # ahead[j]: the members of j's component after j
+        ahead = [(home[j] & -bit).bit_count() - 1 for j, bit in enumerate(members)]
+        for size in range(max(map(int.bit_count, home), default=0), 0, -1):
             top = min(highest, (size - 1) // 2)  # P1
             if top < lowest:
                 continue
@@ -236,13 +254,16 @@ class ViewIndex:
                 free[j - 1] = free[j] + 1 - cost[j]
             rows = [0] * size  # the PD masks along the current path
             # One frame per prefix still to extend: the next member to try,
-            # then S1, what was spent on it and its counters.
-            stack: list[tuple[int, int, int, list[int]]] = [(0, 0, 0, [])]
+            # then S1, what was spent on it, its counters and the component
+            # it draws from (any, until it has a first member).
+            stack: list[tuple[int, int, int, list[int], int]] = [(0, 0, 0, [], -1)]
             while stack:
-                first, s1, spent, planes = stack.pop()
+                first, s1, spent, planes, scope = stack.pop()
                 depth = len(stack)
                 need = size - depth - 1  # members still to choose below this one
                 for j in range(first, len(members) - need):
+                    if not members[j] & scope or ahead[j] < need:
+                        continue  # another component, or one too small to supply ``need`` more
                     total = spent + cost[j]
                     if total > top or free[j] + top - total < need:
                         continue  # over the allowance, or bound to be before ``size`` members are chosen
@@ -250,7 +271,7 @@ class ViewIndex:
                     child = s1 | members[j]
                     grown = add_row(planes, pds[j])
                     if need:
-                        stack += (j + 1, s1, spent, planes), (j + 1, child, total, grown)
+                        stack += (j + 1, s1, spent, planes, scope), (j + 1, child, total, grown, home[j])
                         break  # down into the child; its later siblings wait on the stack
                     if child not in skip:
                         for g, s2 in self._splits(child, rows, grown, top, lowest, strict_p3, bound_s2):

@@ -7,8 +7,9 @@ replaced), so agreement on random views -- including Byzantine-shaped ones --
 pins both the results and the "first S1 with maximal g wins" order.
 """
 
+import os
 import random
-from itertools import combinations
+from itertools import combinations, pairwise
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from repro.graphs.sink_search import (
     find_core_candidate,
     find_sink_with_fault_threshold,
 )
+from repro.graphs import view_index
 from repro.graphs.view_index import ViewIndex, above, add_row, bits, count_planes
 
 # ----------------------------------------------------------------------
@@ -258,9 +260,55 @@ def random_view(rng):
     )
 
 
-def test_fixed_seed_sweep_matches_the_reference(monkeypatch):
-    # The reference meets the same small induced graphs again and again across
-    # options, subsets and views; its max-flow is pure, so remember it by content.
+def layered_view(rng):
+    """Two or three near-cliques in a row whose other edges only run forward: several SCCs.
+
+    ``random_view`` draws uniform-density digraphs, which are almost always one
+    SCC.  Half the time one record claims everybody (``lying_pd``): drawn from
+    the first layer it bridges the cliques one way, from a later one it merges
+    them.  Up to seven processes, some unknown, some without a received PD.
+    """
+    universe = rng.sample(POOL, rng.randint(4, 7))
+    cuts = sorted(rng.sample(range(1, len(universe)), rng.randint(1, 2)))
+    layers = [universe[a:b] for a, b in pairwise([0, *cuts, len(universe)])]
+    forward = rng.choice([0.2, 0.6, 1.0])
+    pds = {}
+    for depth, layer in enumerate(layers):
+        later = [node for layer_after in layers[depth + 1 :] for node in layer_after]
+        for node in layer:
+            inside = [t for t in layer if t != node and rng.random() < 0.9]
+            pds[node] = frozenset(inside + [t for t in [*later, 99] if rng.random() < forward])
+    if rng.random() < 0.5:
+        pds[rng.choice(universe)] = frozenset([*universe, 99])
+    for node in universe[1:]:
+        if rng.random() < 0.1:
+            del pds[node]
+    return KnowledgeView(known=frozenset(node for node in universe if rng.random() < 0.9), pds=pds)
+
+
+def ref_components(view):
+    return strongly_connected_components(ref_induced_graph(view, frozenset(view.pds)))
+
+
+def sweep_views(uniform, layered):
+    """The first ``uniform`` views of one fixed-seed sequence, then the first ``layered`` of another."""
+    rng = random.Random(16)
+    yield from (random_view(rng) for _ in range(uniform))
+    rng = random.Random(21)
+    yield from (layered_view(rng) for _ in range(layered))
+
+
+#: Tier-1 runs a prefix of both sequences (~6 s); the whole of them (~45 s) is its own CI step.
+SWEEP_SIZE = (2000, 400) if os.environ.get("REPRO_FULL_SWEEP") else (300, 60)
+
+
+@pytest.fixture
+def remembered_max_flow(monkeypatch):
+    """Remember the reference's max-flow by graph content.
+
+    It is pure, and the reference meets the same small induced graphs again
+    and again across options, subsets and views.
+    """
     connected = {}
     max_flow = is_k_strongly_connected
 
@@ -271,9 +319,10 @@ def test_fixed_seed_sweep_matches_the_reference(monkeypatch):
         return connected[key]
 
     monkeypatch.setitem(globals(), "is_k_strongly_connected", remembered)
-    rng = random.Random(16)
-    for _ in range(2000):
-        view = random_view(rng)
+
+
+def test_fixed_seed_sweep_matches_the_reference(remembered_max_flow):
+    for view in sweep_views(*SWEEP_SIZE):
         members = sorted(view.known | view.pds.keys(), key=repr)
         subsets = [frozenset(c) for size in range(1, len(members) + 1) for c in combinations(members, size)]
         for options in ALL_OPTIONS:
@@ -290,6 +339,27 @@ def test_fixed_seed_sweep_matches_the_reference(monkeypatch):
                 for subset in subsets:
                     kernel = sink_star_witness(view, subset, minimum_f=minimum_f, **flags)
                     assert kernel == ref_sink_star(view, subset, options, minimum_f), (case, subset)
+
+
+def test_no_reference_hit_meets_two_components(remembered_max_flow):
+    # What confines the enumeration to one SCC (DESIGN.md, "Graph core":
+    # Enumeration), checked on the definition, not on the kernel: with P5 or
+    # without, at g = 0 too, an S1 of several processes that is a hit for
+    # some g lies inside one SCC of the received-PD graph.
+    spanning = hits = 0
+    for view in sweep_views(300, 300):
+        components = ref_components(view)
+        received = sorted(view.pds, key=repr)
+        for size in range(2, len(received) + 1):
+            for s1 in map(frozenset, combinations(received, size)):
+                inside_one = any(s1 <= component for component in components)
+                spanning += not inside_one
+                for options in ALL_OPTIONS:
+                    for g in range((size - 1) // 2 + 1):
+                        if ref_is_sink(view, g, s1, ref_derived_s2(view, g, s1), options):
+                            hits += 1
+                            assert inside_one, (view, options, g, s1)
+    assert spanning > 5000 and hits > 5000  # the views do put the claim to the test
 
 
 # ----------------------------------------------------------------------
@@ -310,12 +380,20 @@ def count_splits(monkeypatch):
     return calls
 
 
+def sccs(index):
+    """The SCC masks of the received-PD graph, as ``_sink_hits`` hands them to the walk."""
+    return index.components(index.nodes(index.received))[0]
+
+
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=repr)
 def test_subset_splits_is_combinations_plus_sink_splits(options):
+    # ``expected`` asks sink_splits about every subset of ``received``: the
+    # walk, which only builds those inside one SCC, must lose no hit and keep
+    # the order.  The layered views have two or three SCCs of several members.
     flags = {"strict_p3": options.strict_p3, "bound_s2": options.bound_s2}
     rng = random.Random(7)
-    for _ in range(150):
-        index = random_view(rng).index()
+    for make_view in [random_view] * 150 + [layered_view] * 100:
+        index = make_view(rng).index()
         received = list(bits(index.received))
         subsets = [sum(c) for size in range(len(received), 0, -1) for c in combinations(received, size)]
         skip = set(rng.sample(subsets, len(subsets) // 3))
@@ -326,17 +404,42 @@ def test_subset_splits_is_combinations_plus_sink_splits(options):
                 if s1 not in skip
                 for g, s2 in index.sink_splits(s1, highest, lowest, **flags)
             ]
-            assert list(index.subset_splits(highest, lowest, skip=skip, **flags)) == expected
+            assert list(index.subset_splits(sccs(index), highest, lowest, skip=skip, **flags)) == expected
 
 
 def test_a_search_for_one_f_evaluates_no_other_g(monkeypatch):
     calls = count_splits(monkeypatch)
     pds = {node: frozenset(range(7)) - {node} for node in range(7)}
     index = ViewIndex(frozenset(range(7)), pds)
-    hits = list(index.subset_splits(2, 2, strict_p3=False, bound_s2=True, skip=set()))
+    hits = list(index.subset_splits(sccs(index), 2, 2, strict_p3=False, bound_s2=True, skip=set()))
     assert {g for _, g, _ in hits} == {2}
     # P1 at g = 2 needs five members: 1 + 7 + 21 subsets, none asked about another g.
     assert len(calls) == 29 and {(top, lowest) for _, top, lowest in calls} == {(2, 2)}
+
+
+def test_the_walk_builds_no_subset_that_meets_two_components(monkeypatch):
+    # Nine processes in an acyclic layer (each names the later ones) that all
+    # name a complete 3-core: ten SCCs among twelve received PDs.  Of the 4,095
+    # subsets only the 7 inside the core and the 9 other singletons are leaves,
+    # and only the prefixes of the core's subsets are folded.
+    core = frozenset({9, 10, 11})
+    pds = {node: frozenset(range(node + 1, 12)) for node in range(9)}
+    pds.update({node: core - {node} for node in core})
+    view = KnowledgeView(known=frozenset(range(12)), pds=pds)
+    index = view.index()
+    inside = index.mask(core)
+    folds = []
+    monkeypatch.setattr(view_index, "add_row", lambda planes, row: folds.append(row) or add_row(planes, row))
+    calls = count_splits(monkeypatch)
+    list(index.subset_splits(sccs(index), 12, 0, strict_p3=False, bound_s2=False, skip=set()))
+    walked = [s1 for s1, _, _ in calls]
+    pairs = [sum(pair) for pair in combinations(bits(inside), 2)]
+    assert walked == [inside, *pairs, *bits(index.received)]
+    assert len(folds) == 3 + 5 + 12  # size 3: one path; size 2: two roots, three leaves; then the singletons
+    # Through the search every one of the sixteen is a seed: phase 3 evaluates nothing.
+    del calls[:]
+    assert find_all_sinks(view, SearchOptions(bound_s2=False))[0].members == core
+    assert sorted(s1 for s1, _, _ in calls) == sorted(walked)
 
 
 def test_add_row_adds_one_to_the_counts_of_its_row_and_copies():
@@ -370,6 +473,31 @@ def test_find_sink_stops_walking_at_the_first_hit(monkeypatch):
     seeds = 1 + 8 + 28 + 56  # the SCC less up to three members: every subset of 5+ is a seed
     walked = [s1 for s1, _, _ in calls[seeds:]]
     assert len(walked) == 36 and all(s1.bit_count() == 4 for s1 in walked)
+    assert walked[-1] == view.index().mask(clique)  # nothing after the hit
+
+
+def test_find_sink_stops_at_the_first_hit_in_a_component_that_is_not_a_sink(monkeypatch):
+    # Two competing cliques.  {1, 2, 3, 4} sits on a ring 1 -> 5 -> 6 -> 0 -> 1
+    # (an SCC of seven) and process 1 also claims the whole other clique
+    # {7, 8, 9}, which does not answer: a one-way bridge, so {7, 8, 9} is the
+    # sink SCC.  Each of its members names a stranger of its own, so P3 fails
+    # it for f = 1, and the SCC of seven fails too: both seeds miss.  The walk
+    # never builds a subset of eight or more, nor one that crosses the bridge;
+    # the sink is the 21st 4-subset of the seven.
+    clique = {1, 2, 3, 4}
+    pds = {node: frozenset(clique - {node}) for node in clique}
+    pds[1] |= {5, 7, 8, 9}
+    pds.update({5: frozenset({6}), 6: frozenset({0}), 0: frozenset({1})})
+    pds.update({node: frozenset({7, 8, 9, 100 + node} - {node}) for node in (7, 8, 9)})
+    view = KnowledgeView(known=frozenset(pds) | {107, 108, 109}, pds=pds)
+    seven = view.index().mask(range(7))
+    calls = count_splits(monkeypatch)
+    found = find_sink_with_fault_threshold(view, 1)
+    assert found is not None and found.s1 == clique and not found.s2
+    assert found == ref_find_sink(view, 1, SearchOptions())
+    walked = [s1 for s1, _, _ in calls[2:]]  # after the two SCCs; P1 rules out the smaller seeds unasked
+    assert [s1.bit_count() for s1 in walked] == [6] * 7 + [5] * 21 + [4] * 21
+    assert all(s1 & ~seven == 0 for s1 in walked)
     assert walked[-1] == view.index().mask(clique)  # nothing after the hit
 
 
