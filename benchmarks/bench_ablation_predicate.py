@@ -7,10 +7,10 @@
 * Quorum rule for the inner consensus: the paper's ``⌈(n+f+1)/2⌉`` vs the
   classic ``2f+1``.
 
-The graph-side ablations fetch their safe views through a shared
-:class:`~repro.experiments.GraphAnalysisCache` (the figure is analysed once
-and reused); the quorum ablation runs as declarative
-:class:`~repro.experiments.Scenario` cells with ``protocol_options``.
+The graph-side ablations read the figures directly (the P5 one through the
+safe view of a :class:`~repro.graphs.StaticOracle`); the quorum ablation
+runs as declarative :class:`~repro.experiments.Scenario` cells with
+``protocol_options``.
 """
 
 import pytest
@@ -18,17 +18,15 @@ import pytest
 from repro.analysis.tables import render_table
 from repro.core import ProtocolMode
 from repro.core.config import QuorumRule
-from repro.experiments import GraphAnalysisCache, GraphSpec, Scenario, SuiteRunner
+from repro.experiments import GraphSpec, Scenario, SuiteRunner
+from repro.graphs import StaticOracle
+from repro.graphs.figures import figure_1b, figure_4b
 from repro.graphs.predicates import KnowledgeView, is_sink_gdi
 from repro.graphs.sink_search import SearchOptions, find_all_sinks
 
-#: Shared across the ablation tests in this module so the Fig. 4b analysis
-#: is computed once and every later lookup is a cache hit.
-ANALYSIS_CACHE = GraphAnalysisCache()
-
 
 def _p3_rows():
-    graph = ANALYSIS_CACHE.analysis(GraphSpec.figure("fig1b")).graph
+    graph = figure_1b().graph
     pds = {
         1: graph.participant_detector(1),
         3: graph.participant_detector(3),
@@ -42,9 +40,10 @@ def _p3_rows():
 
 
 def _p5_rows():
-    analysis = ANALYSIS_CACHE.analysis(GraphSpec.figure("fig4b"))
-    with_bound = find_all_sinks(analysis.safe_view, SearchOptions(bound_s2=True))
-    without_bound = find_all_sinks(analysis.safe_view, SearchOptions(bound_s2=False))
+    scenario = figure_4b()
+    safe_view = StaticOracle(scenario.graph, scenario.faulty).safe_view
+    with_bound = find_all_sinks(safe_view, SearchOptions(bound_s2=True))
+    without_bound = find_all_sinks(safe_view, SearchOptions(bound_s2=False))
     return [
         ["sinks found with |S2| <= f (ours)", len(with_bound)],
         ["sinks found without the bound", len(without_bound)],
@@ -71,7 +70,7 @@ def test_quorum_rule_ablation(benchmark, experiment_report, rule):
         protocol_options=(("quorum_rule", rule),),
     )
     suite = benchmark.pedantic(
-        SuiteRunner(fail_fast=True, graph_cache=ANALYSIS_CACHE).run,
+        SuiteRunner(fail_fast=True).run,
         args=([scenario],),
         iterations=1,
         rounds=1,
@@ -85,8 +84,3 @@ def test_quorum_rule_ablation(benchmark, experiment_report, rule):
     ]
     experiment_report(f"Ablation: quorum rule ({rule.value})", render_table(["metric", "value"], rows))
     assert outcome.solved
-    # The figure's static analysis is memoised: the runner's lookup above
-    # populated the shared cache, so this lookup must be served from it.
-    hits_before = ANALYSIS_CACHE.hits
-    ANALYSIS_CACHE.analysis(GraphSpec.figure("fig1b"))
-    assert ANALYSIS_CACHE.hits == hits_before + 1

@@ -22,7 +22,6 @@ import os
 from repro.analysis.tables import render_table
 from repro.core import ProtocolMode
 from repro.experiments import (
-    GraphAnalysisCache,
     GraphSpec,
     ScenarioMatrix,
     SuiteRunner,
@@ -62,14 +61,11 @@ def large_n_scenarios():
 
 
 def _sweep():
-    cache = GraphAnalysisCache()
-    runner = SuiteRunner(graph_cache=cache)
-    suite = runner.run(large_n_scenarios())
-    return suite, cache
+    return SuiteRunner().run(large_n_scenarios())
 
 
 def test_large_n_sweep(benchmark, experiment_report, suite_export):
-    suite, cache = benchmark.pedantic(_sweep, iterations=1, rounds=1)
+    suite = benchmark.pedantic(_sweep, iterations=1, rounds=1)
     suite_export("large_n", suite, group_by=_system_size, extra={"quick": QUICK})
     rows = []
     for outcome in suite:
@@ -95,9 +91,6 @@ def test_large_n_sweep(benchmark, experiment_report, suite_export):
         + suite.render(group_by=_system_size, title="Aggregates per system size"),
     )
     assert all(row[-1] for row in rows)
-    # Each distinct graph is analysed once, shared across the synchrony axis.
-    assert cache.misses == len(NON_SINK_SIZES)
-    assert cache.hits == len(suite) - len(NON_SINK_SIZES)
     # Message complexity is linear in n: within each synchrony model the
     # totals grow with the system size but stay within a constant
     # per-process budget.

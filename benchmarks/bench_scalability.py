@@ -5,10 +5,7 @@ graphs and reports message complexity, identification latency and decision
 latency for both protocol modes.  The sweep is expressed as two
 :class:`~repro.experiments.ScenarioMatrix` instances (one per protocol
 mode, since each mode pairs with its own graph family) executed through the
-:class:`~repro.experiments.SuiteRunner` with a shared
-:class:`~repro.experiments.GraphAnalysisCache`: the static sink/core
-analysis of each distinct graph is computed once and reused across the seed
-replicates.
+:class:`~repro.experiments.SuiteRunner`.
 
 Set ``BENCH_QUICK=1`` to shrink the sweep to a CI-sized smoke run.
 """
@@ -18,7 +15,6 @@ import os
 from repro.analysis.tables import render_table
 from repro.core import ProtocolMode
 from repro.experiments import (
-    GraphAnalysisCache,
     GraphSpec,
     ScenarioMatrix,
     SuiteRunner,
@@ -58,23 +54,19 @@ def scalability_scenarios():
 
 
 def _sweep():
-    cache = GraphAnalysisCache()
-    runner = SuiteRunner(graph_cache=cache)
-    suite = runner.run(scalability_scenarios())
-    return suite, cache
+    return SuiteRunner().run(scalability_scenarios())
 
 
 def test_scalability_sweep(benchmark, experiment_report, suite_export):
-    suite, cache = benchmark.pedantic(_sweep, iterations=1, rounds=1)
+    suite = benchmark.pedantic(_sweep, iterations=1, rounds=1)
     suite_export("scalability", suite, group_by="mode", extra={"quick": QUICK})
     rows = []
     for outcome in suite:
-        analysis = outcome.graph_analysis
         rows.append(
             [
                 outcome.scenario.mode.value,
-                analysis["fault_threshold"],
-                analysis["processes"],
+                outcome.scenario.graph.parameters()["f"],
+                outcome.metric("correct") + outcome.metric("faulty"),
                 outcome.metric("messages"),
                 outcome.metric("identification_latency"),
                 outcome.metric("latency"),
@@ -91,10 +83,6 @@ def test_scalability_sweep(benchmark, experiment_report, suite_export):
         + suite.render(group_by="mode", title="Aggregates per protocol mode"),
     )
     assert all(row[-1] for row in rows)
-    # The per-graph static analysis is shared across replicates: every
-    # distinct graph is analysed exactly once.
-    assert cache.hits > 0 or REPLICATES == 1
-    assert cache.misses == len(CUP_CELLS) + len(CUPFT_CELLS)
     # Message complexity grows with the system size within each protocol mode.
     cup_rows = [row for row in rows if row[0] == "bft-cup" and row[1] == 1]
     assert cup_rows[0][3] < cup_rows[-1][3]

@@ -20,7 +20,7 @@ Run with::
 from repro.analysis import run_consensus
 from repro.analysis.tables import render_table
 from repro.core import ProtocolMode
-from repro.experiments import GraphAnalysisCache, GraphSpec, ScenarioMatrix, SuiteRunner
+from repro.experiments import GraphSpec, ScenarioMatrix, SuiteRunner
 from repro.graphs import StaticOracle
 from repro.graphs.figures import figure_1b
 from repro.workloads import figure_run_config
@@ -78,9 +78,8 @@ def single_run() -> None:
 
 def scenario_sweep() -> None:
     # The canonical workflow: declare the whole matrix, run it as a suite.
-    # Every cell gets a deterministic derived seed, the static graph
-    # analysis is shared via the cache, and ``processes=N`` would run the
-    # same suite on a worker pool with identical results.
+    # Every cell gets a deterministic derived seed, and ``processes=N``
+    # would run the same suite on a worker pool with identical results.
     matrix = ScenarioMatrix(
         name="quickstart",
         graphs=(GraphSpec.figure("fig1b"), GraphSpec.figure("fig4b")),
@@ -89,12 +88,10 @@ def scenario_sweep() -> None:
         replicates=3,
         base_seed=7,
     )
-    cache = GraphAnalysisCache()
-    suite = SuiteRunner(graph_cache=cache).run(matrix.scenarios())
+    suite = SuiteRunner().run(matrix.scenarios())
 
     print(f"\nSweep: {len(suite)} runs ({matrix.name} matrix), "
-          f"solved rate {suite.solved_rate:.2f}, "
-          f"graph analyses reused {cache.hits} times\n")
+          f"solved rate {suite.solved_rate:.2f}\n")
     print(suite.render(group_by="graph", title="Aggregates per graph"))
     print()
     print(suite.render(group_by="behaviour", title="Aggregates per adversary behaviour"))

@@ -13,7 +13,7 @@ The metric is addressed by dotted path into the snapshot payload, e.g.::
         --metric serial_wall_time --last 10
 
     PYTHONPATH=src python scripts/bench_trends.py --lake .lake \
-        --metric graph_cache.hits --json
+        --metric suite.solved_rate --json
 """
 
 from __future__ import annotations

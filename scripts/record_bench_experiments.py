@@ -35,7 +35,7 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from bench_scalability import scalability_scenarios  # noqa: E402
 
-from repro.experiments import GraphAnalysisCache, ResultStore, SuiteRunner  # noqa: E402
+from repro.experiments import ResultStore, SuiteRunner  # noqa: E402
 
 HISTORY_BENCHMARK = "experiments-suite-runner"
 
@@ -59,8 +59,7 @@ def _current_commit() -> str:
 def main() -> None:
     scenarios = scalability_scenarios()
 
-    cache = GraphAnalysisCache()
-    serial = SuiteRunner(graph_cache=cache).run(scenarios)
+    serial = SuiteRunner().run(scenarios)
     pooled = SuiteRunner(processes=2).run(scenarios)
 
     if serial.summaries() != pooled.summaries():
@@ -75,7 +74,6 @@ def main() -> None:
         "pool_wall_time": pooled.wall_time,
         "pool_processes": pooled.processes,
         "speedup": serial.wall_time / pooled.wall_time if pooled.wall_time else None,
-        "graph_cache": cache.stats(),
         "suite": serial.to_dict(group_by="mode"),
     }
     out_dir = Path(os.environ.get("BENCH_JSON_DIR", REPO_ROOT))
@@ -94,8 +92,7 @@ def main() -> None:
         print(f"appended history snapshot {digest[:12]} for commit {commit[:12]} to {lake_dir}")
     print(
         f"serial {serial.wall_time:.2f}s vs pool({pooled.processes}) "
-        f"{pooled.wall_time:.2f}s over {len(serial)} runs; "
-        f"cache {cache.stats()}"
+        f"{pooled.wall_time:.2f}s over {len(serial)} runs"
     )
 
 

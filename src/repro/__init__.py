@@ -22,9 +22,8 @@ The library implements, on top of a from-scratch discrete-event simulator:
   distributed filesystem :class:`~repro.experiments.WorkQueueBackend`
   drained by ``python -m repro.experiments.worker`` processes) with the
   content-addressable :class:`~repro.experiments.ResultStore` as checkpoint,
-  per-group :class:`~repro.experiments.SuiteResult` statistics with
-  JSON/CSV export, and the memoised
-  :class:`~repro.experiments.GraphAnalysisCache`.
+  and per-group :class:`~repro.experiments.SuiteResult` statistics with
+  JSON/CSV export.
 
 Quickstart
 ----------

@@ -29,10 +29,7 @@
   against committed ``BENCH_*.json`` baselines (the CI regression gate);
 * :mod:`repro.experiments.results` -- :class:`SuiteResult` aggregation
   (per-group mean/median/p95 latency, message totals, solved-rate) with
-  JSON/CSV export;
-* :mod:`repro.experiments.cache` -- :class:`GraphAnalysisCache`, memoising
-  the expensive static sink/core/connectivity analysis once per distinct
-  graph across a sweep.
+  JSON/CSV export.
 """
 
 from repro.core.seeding import derive_seed
@@ -49,7 +46,6 @@ from repro.experiments.backends import (
     WorkQueueError,
     execute_cell,
 )
-from repro.experiments.cache import GraphAnalysis, GraphAnalysisCache, analyze_graph
 from repro.experiments.lake import (
     ResultStore,
     executor_digest_of,
@@ -109,8 +105,5 @@ __all__ = [
     "ScenarioOutcome",
     "GroupStats",
     "SuiteResult",
-    "GraphAnalysis",
-    "GraphAnalysisCache",
-    "analyze_graph",
     "derive_seed",
 ]

@@ -99,7 +99,6 @@ def outcome_payload(
     scenario_name: str | None,
     summary: dict[str, Any] | None,
     wall_time: float,
-    graph_analysis: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """The immutable lake object recorded for one successful outcome.
 
@@ -113,7 +112,6 @@ def outcome_payload(
         "summary": summary,
         "error": None,
         "wall_time": wall_time,
-        "graph_analysis": graph_analysis,
     }
 
 

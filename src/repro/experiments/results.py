@@ -54,8 +54,6 @@ class ScenarioOutcome:
     error: str | None = None
     #: Wall-clock seconds spent executing the scenario.
     wall_time: float = 0.0
-    #: Digest of the memoised static graph analysis, when a cache was used.
-    graph_analysis: dict[str, Any] | None = None
 
     @property
     def ok(self) -> bool:
@@ -82,7 +80,6 @@ class ScenarioOutcome:
             "error": self.error,
             "solved": self.solved,
             "wall_time": self.wall_time,
-            "graph_analysis": self.graph_analysis,
         }
 
 
@@ -166,7 +163,6 @@ class SuiteResult:
         processes: int = 1,
         backend: str = "serial",
         skipped: Sequence[str] = (),
-        cache_stats: dict[str, int] | None = None,
         memo_stats: dict[str, Any] | None = None,
         cache_hits: int | None = None,
         cache_misses: int | None = None,
@@ -179,7 +175,6 @@ class SuiteResult:
         #: Names of cells the backend never reported an outcome for (e.g. a
         #: terminated pool) — recorded instead of silently truncating.
         self.skipped = tuple(skipped)
-        self.cache_stats = cache_stats
         #: Coordinator-process snapshot of the sink-search memo
         #: (:func:`repro.graphs.search_memo.sink_search_memo`), taken after
         #: the suite ran.  Meaningful for the serial backend, where every
@@ -266,7 +261,6 @@ class SuiteResult:
             "processes": self.processes,
             "backend": self.backend,
             "skipped": list(self.skipped),
-            "cache": self.cache_stats,
             "sink_search_memo": self.memo_stats,
         }
         if self.cache_hits is not None:

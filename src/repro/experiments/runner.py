@@ -42,7 +42,6 @@ from typing import Any
 
 from repro.experiments.backends.base import ExecutionBackend, Executor
 from repro.experiments.backends.local import PoolBackend, SerialBackend
-from repro.experiments.cache import GraphAnalysisCache
 from repro.experiments.lake import (
     ResultStore,
     executor_digest_of,
@@ -108,11 +107,6 @@ class SuiteRunner:
         :class:`SuiteExecutionError` (in-flight backend work is torn down);
         otherwise failures are collected as error outcomes and the suite
         completes.
-    graph_cache:
-        Optional :class:`GraphAnalysisCache`.  When provided, the runner
-        resolves the memoised static analysis of every scenario's graph (in
-        the coordinating process, once per distinct graph spec) and attaches
-        its digest to the outcome.
     progress:
         Optional callback invoked after every completed scenario with
         ``(completed, total, outcome)``, in completion order.
@@ -125,7 +119,6 @@ class SuiteRunner:
         backend: ExecutionBackend | None = None,
         executor: Executor = execute_scenario,
         fail_fast: bool = False,
-        graph_cache: GraphAnalysisCache | None = None,
         progress: ProgressCallback | None = None,
     ) -> None:
         if processes is not None and processes < 1:
@@ -136,7 +129,6 @@ class SuiteRunner:
         self.backend = backend
         self.executor = executor
         self.fail_fast = fail_fast
-        self.graph_cache = graph_cache
         self.progress = progress
 
     # ------------------------------------------------------------------
@@ -181,7 +173,6 @@ class SuiteRunner:
                     summary=payload.get("summary"),
                     error=None,
                     wall_time=float(payload.get("wall_time") or 0.0),
-                    graph_analysis=payload.get("graph_analysis"),
                 )
                 cache_hits += 1
 
@@ -201,7 +192,6 @@ class SuiteRunner:
                                 outcome.scenario.name,
                                 outcome.summary,
                                 outcome.wall_time,
-                                outcome.graph_analysis,
                             ),
                         )
             finally:
@@ -227,7 +217,6 @@ class SuiteRunner:
             processes=getattr(backend, "processes", 1),
             backend=backend.name,
             skipped=skipped,
-            cache_stats=self.graph_cache.stats() if self.graph_cache is not None else None,
             memo_stats=sink_search_memo().stats(),
             cache_hits=cache_hits if lake is not None else None,
             cache_misses=len(cells) - cache_hits if lake is not None else None,
@@ -273,16 +262,10 @@ class SuiteRunner:
             summary=summary,
             error=error,
             wall_time=wall,
-            graph_analysis=self._analysis_digest(scenario),
         )
         if self.progress is not None:
             self.progress(completed, total, outcome)
         return outcome
-
-    def _analysis_digest(self, scenario: Scenario) -> dict[str, Any] | None:
-        if self.graph_cache is None:
-            return None
-        return self.graph_cache.analysis(scenario.graph).summary()
 
 
 __all__ = ["SuiteRunner", "SuiteExecutionError", "execute_scenario"]

@@ -6,8 +6,7 @@ that matrix a first-class, fully declarative representation:
 
 * :class:`GraphSpec` names a knowledge-connectivity-graph source (a paper
   figure or a generator family plus its parameters) without building it —
-  specs are hashable, picklable and serve as the key of the graph-analysis
-  cache;
+  specs are hashable and picklable;
 * :class:`SynchronySpec` does the same for the synchrony models;
 * :class:`Scenario` bundles one complete cell: graph, protocol mode, fault
   behaviour (or :class:`~repro.adversary.mix.AdversaryMix`), network fault

@@ -9,12 +9,11 @@ This package implements everything the paper needs at the graph level:
   node-splitting max-flow construction (Menger's theorem).
 * Strongly connected components, condensation and sink components
   (:mod:`repro.graphs.components`).
-* The ``k``-OSR participant detector check, Definition 1
-  (:mod:`repro.graphs.osr`).
-* The extended ``k``-OSR check and core identification, Definition 2
-  (:mod:`repro.graphs.extended_osr`).
-* Static oracles that compute the sink / core of a graph directly
-  (:mod:`repro.graphs.oracle`), used to validate the online protocols.
+* The static analysis of a whole graph (:mod:`repro.graphs.requirements`):
+  the ``k``-OSR check of Definition 1, the extended ``k``-OSR check and core
+  identification of Definition 2, the model requirements of Theorem 1 and
+  Section V, and the static oracle that computes the sink / core of a graph
+  directly, used to validate the online protocols.
 * Generators for every figure in the paper and for random (extended) k-OSR
   families (:mod:`repro.graphs.generators`).
 """
@@ -33,19 +32,19 @@ from repro.graphs.connectivity import (
     is_k_strongly_connected,
     node_disjoint_paths_between_sets,
 )
-from repro.graphs.osr import is_k_osr, osr_report, max_osr_k
-from repro.graphs.extended_osr import (
+from repro.graphs.requirements import (
+    is_k_osr,
+    osr_report,
+    max_osr_k,
     is_extended_k_osr,
     extended_osr_report,
     find_core,
-)
-from repro.graphs.requirements import (
     satisfies_bft_cup,
     satisfies_bft_cupft,
     bft_cup_report,
     bft_cupft_report,
+    StaticOracle,
 )
-from repro.graphs.oracle import StaticOracle
 
 __all__ = [
     "KnowledgeGraph",

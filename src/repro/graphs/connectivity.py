@@ -15,7 +15,7 @@ it against ``networkx`` on random digraphs (including with hypothesis).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from itertools import combinations
 
 from repro.graphs.knowledge_graph import KnowledgeGraph, ProcessId
@@ -183,6 +183,35 @@ def vertex_connectivity(
     return minimum
 
 
+def fewest_disjoint_paths(
+    graph: KnowledgeGraph,
+    sources: Iterable[ProcessId],
+    targets: Collection[ProcessId],
+    *,
+    need: int,
+    cutoff: int | None,
+) -> tuple[int | None, tuple[ProcessId, ProcessId] | None]:
+    """Count node-disjoint paths from every source to every (other) target, in the order given.
+
+    Returns ``(fewest, shortfall)``: the fewest paths over the pairs walked
+    (each count stops at ``cutoff``; ``None`` when there is no pair) and the
+    first ``(source, target)`` pair with fewer than ``need`` paths, at which
+    the walk stops -- so on a shortfall ``fewest`` is that pair's count.
+    This is the one walk behind Definition 1's paths into the sink, Property
+    C2's paths into the core and :func:`node_disjoint_paths_between_sets`.
+    """
+    fewest: int | None = None
+    for source in sources:
+        for target in targets:
+            if target == source:
+                continue
+            paths = node_disjoint_path_count(graph, source, target, cutoff=cutoff)
+            fewest = paths if fewest is None else min(fewest, paths)
+            if paths < need:
+                return fewest, (source, target)
+    return fewest, None
+
+
 def node_disjoint_paths_between_sets(
     graph: KnowledgeGraph,
     source: ProcessId,
@@ -193,16 +222,9 @@ def node_disjoint_paths_between_sets(
 
     Definition 1 requires at least ``k`` node-disjoint paths from every
     non-sink process to *every* sink process, so the binding quantity is the
-    minimum over sink processes.
+    minimum over sink processes.  The walk stops at the first target below
+    ``cutoff`` (at the first unreachable one without a cutoff).
     """
-    minimum = _INF
-    for target in targets:
-        if target == source:
-            continue
-        count = node_disjoint_path_count(graph, source, target, cutoff=cutoff)
-        minimum = min(minimum, count)
-        if cutoff is not None and minimum < cutoff:
-            return minimum
-        if minimum == 0:
-            return 0
-    return 0 if minimum == _INF else minimum
+    need = 1 if cutoff is None else cutoff
+    fewest, _ = fewest_disjoint_paths(graph, [source], list(targets), need=need, cutoff=cutoff)
+    return fewest or 0

@@ -28,6 +28,7 @@ from repro.core.config import ProtocolConfig, ProtocolMode
 from repro.graphs.figures import FigureScenario
 from repro.graphs.generators import GeneratedScenario
 from repro.graphs.knowledge_graph import ProcessId
+from repro.graphs.requirements import known_by_more_than
 from repro.sim.synchrony import PartialSynchronyModel, SynchronyModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -57,18 +58,14 @@ def core_attached_faulty(
     online algorithms place it in the returned sink via ``S2`` (see the
     generator's ``byzantine_placement="sink"`` construction), so it is the
     declarative meaning of :data:`repro.adversary.mix.INSIDE_CORE`
-    targeting.
+    targeting -- and the rule by which
+    :class:`~repro.graphs.requirements.StaticOracle` extends the safe core
+    to the set the protocol is expected to return.
     """
-    region = expected_core_of(scenario)
-    threshold = scenario.fault_threshold + 1
-    attached = set()
-    for process in scenario.faulty:
-        knowers = sum(
-            1 for member in region if process in scenario.graph.participant_detector(member)
-        )
-        if knowers >= threshold:
-            attached.add(process)
-    return frozenset(attached)
+    return known_by_more_than(
+        scenario.graph, expected_core_of(scenario), scenario.faulty, scenario.fault_threshold
+    )
+
 
 def default_fault_spec(
     behaviour: str, scenario_graph_processes: frozenset[ProcessId], **params: Any

@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis import run_consensus
 from repro.core import ProtocolMode
-from repro.graphs.oracle import StaticOracle
+from repro.graphs.requirements import StaticOracle
 from repro.runtime.sim import SimRuntime
 from repro.workloads import figure_run_config
 

@@ -1,13 +1,17 @@
 """Tests for the extended k-OSR check (Definition 2) and core finding."""
 
+import pytest
 
-from repro.graphs.extended_osr import (
+from repro.graphs.generators import generate_bft_cup_graph, generate_bft_cupft_graph
+from repro.graphs.requirements import (
     enumerate_sinks,
     extended_osr_report,
     find_core,
     is_extended_k_osr,
 )
 from repro.graphs.knowledge_graph import KnowledgeGraph
+from repro.graphs.predicates import KnowledgeView
+from repro.graphs.sink_search import find_core_candidate
 
 
 class TestFindCore:
@@ -38,6 +42,36 @@ class TestFindCore:
         assert core is not None
         assert core.members == {1, 2, 3, 4, 5}
         assert core.connectivity == 3  # capped by |S| >= 2f+1
+
+
+def online_core(graph):
+    """The core as Algorithm 4 line 2 finds it, given the whole graph as its view."""
+    candidate = find_core_candidate(KnowledgeView.full(graph))
+    return None if candidate is None else candidate.witness
+
+
+class TestFindCoreIsTheOnlineRuleOnTheFullGraph:
+    """Definition 2's core and Algorithm 4 line 2 are one definition reached two ways."""
+
+    def test_figures(self, figures):
+        for name, scenario in figures.items():
+            safe = scenario.graph.safe_subgraph(scenario.faulty)
+            assert find_core(safe) == online_core(safe), name
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_generated_scenarios(self, seed):
+        f = 1 + seed % 2
+        placement = ("sink", "mixed", "non_sink", "none")[seed % 4]
+        for generate, size in (
+            (generate_bft_cup_graph, {"non_sink_size": 3 + seed % 5}),
+            (generate_bft_cupft_graph, {"non_core_size": 3 + seed % 5}),
+        ):
+            scenario = generate(f=f, byzantine_placement=placement, seed=seed, **size)
+            safe = scenario.graph.safe_subgraph(scenario.faulty)
+            core = find_core(safe)
+            assert core == online_core(safe), (generate.__name__, seed)
+            if generate is generate_bft_cupft_graph:
+                assert core is not None and core.members == scenario.core_of_safe_graph
 
 
 class TestExtendedOsr:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.graphs.components import sink_components
 from repro.graphs.figures import paper_figures
-from repro.graphs.oracle import StaticOracle
+from repro.graphs.requirements import StaticOracle
 
 FIGURE_NAMES = sorted(paper_figures())
 

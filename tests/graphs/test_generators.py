@@ -13,8 +13,7 @@ from repro.graphs.generators import (
     generate_random_digraph,
     generate_split_brain_graph,
 )
-from repro.graphs.oracle import StaticOracle
-from repro.graphs.requirements import satisfies_bft_cup, satisfies_bft_cupft
+from repro.graphs.requirements import StaticOracle, satisfies_bft_cup, satisfies_bft_cupft
 
 
 class TestCupGenerator:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graphs.knowledge_graph import KnowledgeGraph
-from repro.graphs.oracle import StaticOracle
+from repro.graphs.requirements import StaticOracle
 
 
 class TestStaticOracle:

@@ -1,9 +1,12 @@
 """Tests for the k-OSR participant detector check (Definition 1)."""
 
+import random
+
 import pytest
 
+from repro.graphs.generators import generate_random_digraph
 from repro.graphs.knowledge_graph import KnowledgeGraph
-from repro.graphs.osr import is_k_osr, max_osr_k, osr_report
+from repro.graphs.requirements import is_k_osr, max_osr_k, osr_report
 
 
 class TestIsKOsr:
@@ -52,6 +55,38 @@ class TestIsKOsr:
         assert report.sink == {1, 2, 3}
         assert report.sink_connectivity == 2
         assert report.min_paths_to_sink >= 2
+
+
+class TestIsKOsrAgreesWithMaxOsrK:
+    """``is_k_osr(g, k) == (k <= max_osr_k(g))``: one definition read two ways."""
+
+    def test_one_process_graph_is_1_osr_and_no_more(self):
+        # Nothing binds k here (no pair in the sink, no process outside it);
+        # DESIGN.md "Static analysis" fixes the convention.
+        graph = KnowledgeGraph({1: []})
+        assert max_osr_k(graph) == 1
+        assert is_k_osr(graph, 1)
+        report = osr_report(graph, 5)
+        assert not report.satisfied
+        assert report.failures == ("a one-process graph is 1-OSR only (asked for 5)",)
+
+    def test_fixed_seed_random_digraphs(self):
+        rng = random.Random(2310)
+        sizes = []
+        for _ in range(600):
+            size = rng.randint(1, 7)
+            graph = generate_random_digraph(
+                size=size,
+                edge_probability=rng.choice([0.2, 0.35, 0.5, 0.7, 0.9]),
+                seed=rng.randrange(10**6),
+            )
+            largest = max_osr_k(graph)
+            for k in range(1, size + 3):
+                assert is_k_osr(graph, k) == (k <= largest), (graph.pd_map(), k, largest)
+            sizes.append((size, largest))
+        # The sweep reaches the one-process graph and graphs that are k-OSR for k > 1.
+        assert any(size == 1 for size, _ in sizes)
+        assert any(largest > 1 for _, largest in sizes)
 
 
 class TestPaperFigures:

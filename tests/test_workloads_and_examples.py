@@ -9,8 +9,7 @@ from repro.core import ProtocolMode
 from repro.graphs.figures import figure_1b
 from repro.graphs.generators import generate_bft_cupft_graph
 from repro.graphs.knowledge_graph import KnowledgeGraph
-from repro.graphs.oracle import StaticOracle
-from repro.graphs.requirements import satisfies_bft_cupft
+from repro.graphs.requirements import StaticOracle, satisfies_bft_cupft
 from repro.workloads import default_fault_spec, figure_run_config, generated_run_config
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
@@ -135,6 +134,23 @@ class TestCoreAttachment:
         scenario = figure_3b()
         attached = core_attached_faulty(scenario)
         assert attached <= scenario.faulty
+
+    @pytest.mark.parametrize("placement", ["sink", "mixed", "non_sink"])
+    def test_attachment_is_what_the_oracle_adds_to_the_core(self, placement):
+        from repro.workloads import core_attached_faulty
+
+        # One rule (graphs.requirements.known_by_more_than), two readers: the
+        # builders' ground truth and the oracle's expected answer.
+        for seed in range(36):
+            scenario = generate_bft_cupft_graph(
+                f=1 + seed % 3,
+                non_core_size=3 + seed % 4,
+                byzantine_placement=placement,
+                seed=seed,
+            )
+            oracle = StaticOracle(scenario.graph, scenario.faulty)
+            assert oracle.safe_core == scenario.core_of_safe_graph
+            assert core_attached_faulty(scenario) == oracle.expected_core - oracle.safe_core, seed
 
     def test_targeted_mix_through_the_builders(self):
         from repro.adversary.mix import REST, AdversaryMix, MixEntry
