@@ -67,7 +67,6 @@ def main() -> int:
         backend = RemoteWorkQueueBackend(
             queue_dir,
             workers=2,
-            batch_size=2,
             poll_interval=0.05,
             lease=2.0,
             idle_timeout=20.0,
@@ -75,8 +74,8 @@ def main() -> int:
         )
 
         # Chaos: SIGKILL one TCP worker once the sweep is demonstrably under
-        # way.  Its in-flight claim (and any batched-but-unuploaded
-        # outcomes) must be lease-reclaimed and re-executed by the survivor.
+        # way.  Its in-flight claim must be lease-reclaimed and re-executed by
+        # the survivor.
         sweep_under_way = threading.Event()
 
         def on_progress(completed: int, total: int, outcome) -> None:
@@ -125,7 +124,6 @@ def main() -> int:
             backend=RemoteWorkQueueBackend(
                 Path(tmp) / "queue-push",
                 workers=2,
-                batch_size=2,
                 poll_interval=0.05,
                 lease=2.0,
                 idle_timeout=20.0,

@@ -268,11 +268,3 @@ class DiscoveryState:
         if entry is None:
             return None
         return frozenset(entry.message.pd)
-
-    @property
-    def known_count(self) -> int:
-        return len(self.known)
-
-    @property
-    def received_count(self) -> int:
-        return len(self.received)

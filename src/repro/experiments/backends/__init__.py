@@ -13,8 +13,8 @@
   framing shared by the TCP server and client;
 * :mod:`repro.experiments.backends.remote` -- :class:`QueueServer`,
   :class:`RemoteQueueClient` and :class:`RemoteWorkQueueBackend`, serving
-  the same queue protocol over TCP with batched, replay-safe outcome
-  uploads and streamed per-cell progress.
+  the same queue protocol over TCP with one replay-safe outcome upload
+  per cell.
 
 Queue workers of either transport run the single
 :func:`repro.experiments.worker.drain` loop.

@@ -2,8 +2,8 @@
 
 A backend answers exactly one question: *given these (index, scenario)
 cells and this executor, produce one raw result per cell*.  Everything else
-— outcome assembly, progress callbacks, fail-fast, graph-analysis digests,
-the result-lake checkpoint — stays in :class:`~repro.experiments.runner.SuiteRunner`,
+— outcome assembly, progress callbacks, fail-fast, the result-lake
+checkpoint — stays in :class:`~repro.experiments.runner.SuiteRunner`,
 so every backend (in-process serial, local multiprocessing pool, filesystem
 work queue, or anything a downstream project plugs in) shares the exact
 same semantics.

@@ -1,15 +1,12 @@
 """In-process backends: serial execution and the local multiprocessing pool.
 
-These are the former ``SuiteRunner._run_serial`` / ``_run_pool`` bodies,
-extracted behind :class:`~repro.experiments.backends.base.ExecutionBackend`
-without behaviour change: the serial backend executes cells in suite order,
-the pool backend fans them out over ``imap_unordered`` and yields results
-as workers finish.
+Both implement :class:`~repro.experiments.backends.base.ExecutionBackend`:
+the serial backend executes cells in suite order, the pool backend fans
+them out over ``imap_unordered`` and yields results as workers finish.
 
 Both are generators, so fail-fast works for free: when the runner raises
 while consuming the iterator, the generator is closed and the ``with``
-block around the pool terminates the workers — exactly what the old
-in-runner code did explicitly.
+block around the pool terminates the workers.
 """
 
 from __future__ import annotations

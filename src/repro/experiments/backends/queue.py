@@ -113,9 +113,9 @@ def outcome_record(
     """The journal record of one finished job.
 
     The single owner of the record shape: directory workers append it to
-    their shard, TCP workers upload it (and stream it as a progress event),
-    and the coordinator reads it back — identical across transports apart
-    from ``worker``.
+    their shard, TCP workers upload it for the server to append, and the
+    coordinator reads it back — identical across transports apart from
+    ``worker``.
     """
     scenario = job.get("scenario")
     return {
@@ -323,7 +323,7 @@ class WorkQueue:
         this worker still holds one) is moved to ``done/``.  This is the
         single write path for outcomes: local workers call it through
         :meth:`report`, and the TCP :class:`QueueServer` journals uploaded
-        batches through it — so the on-disk format, durability (flush +
+        records through it — so the on-disk format, durability (flush +
         fsync) and claim bookkeeping are identical across transports.
         """
         worker = sanitize_worker_id(worker_id)
@@ -518,7 +518,7 @@ class WorkQueueBackend:
                 procs = self.procs = [self._spawn(queue, worker) for worker in range(self.workers)]
             while outstanding:
                 progressed = False
-                for record in self._poll_records(queue, offsets):
+                for record in queue.read_new_outcomes(offsets):
                     digest = record["digest"]
                     if digest not in outstanding:
                         continue  # duplicate report (reclaimed + finished twice)
@@ -559,18 +559,13 @@ class WorkQueueBackend:
     # Transport hooks --------------------------------------------------------
     # The collect loop above is transport-agnostic; subclasses specialise
     # how workers reach the queue (RemoteWorkQueueBackend starts a TCP
-    # server in _setup and hands workers --connect instead of --queue) and
-    # where fresh outcome records come from (shards only here; shards plus
-    # the streamed progress events on the TCP path).
+    # server in _setup and hands workers --connect instead of --queue);
+    # fresh outcome records come from the shards on every transport.
     def _setup(self, queue: WorkQueue) -> None:
         """Start transport infrastructure before any worker is spawned."""
 
     def _teardown(self) -> None:
         """Tear down whatever :meth:`_setup` started (always called)."""
-
-    def _poll_records(self, queue: WorkQueue, offsets: dict[str, int]) -> list[dict[str, Any]]:
-        """Fresh outcome records since the last poll."""
-        return queue.read_new_outcomes(offsets)
 
     def _worker_command(self, queue: WorkQueue, worker_id: str) -> list[str]:
         """The argv used to spawn one local worker process."""

@@ -17,14 +17,14 @@ Design points:
   an atomic rename, every request from a worker refreshes that worker's
   heartbeat file, and the coordinator's reclamation loop reclaims dead
   *remote* workers exactly as it reclaims dead local ones.
-* **Batched, replay-safe outcome uploads.**  Workers journal outcomes in
-  batches (``--batch-size``); each batch carries a per-worker sequence
-  number so a batch re-sent after a lost ACK or a reconnect is applied at
+* **One report per cell.**  The moment a cell finishes, the worker uploads
+  its outcome record in one ``report`` request and the server journals it
+  into that worker's shard; the backend collects by tailing the shards, as
+  the directory transport does, so a record the coordinator has seen is
+  durable and :class:`~repro.experiments.runner.SuiteRunner`'s progress
+  callback fires per cell.  Each upload carries a per-worker sequence
+  number, so one re-sent after a lost ACK or a reconnect is applied at
   most once per server life (no duplicate journal entries).
-* **Streamed progress.**  The moment a cell finishes, the worker streams a
-  ``cell-finished`` event carrying the outcome record; the backend yields
-  it immediately, so :class:`~repro.experiments.runner.SuiteRunner`'s
-  progress callback fires per cell even while durable uploads are batched.
 * **The journal stays coordinator-side.**  Outcome shards live in the
   server's queue directory, so re-running a coordinator over the same
   directory works unchanged across transports, and remote runs are
@@ -42,7 +42,6 @@ import threading
 import time  # lint: allow-file[DET-SEED-CLOCK] operational timing: connection deadlines, retry backoff and progress display
 import traceback
 import uuid
-from collections import deque
 from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
@@ -148,7 +147,6 @@ class QueueServer:
         self._connections: set[socket.socket] = set()
         self._queue_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        self._progress: deque[dict[str, Any]] = deque()
         #: Highest applied batch sequence number per (worker, session).  The
         #: session half is what distinguishes a *replayed* batch (same client
         #: life re-sending after a lost ACK — must be dropped) from a
@@ -209,15 +207,6 @@ class QueueServer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
-
-    # Progress stream -------------------------------------------------------
-    def drain_progress(self) -> list[dict[str, Any]]:
-        """Pop every progress event streamed by workers since the last drain."""
-        events: list[dict[str, Any]] = []
-        with self._state_lock:
-            while self._progress:
-                events.append(self._progress.popleft())
-        return events
 
     # Internals -------------------------------------------------------------
     def _accept_loop(self) -> None:
@@ -286,7 +275,7 @@ class QueueServer:
     def _dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
         op = request.get("op")
         worker = request.get("worker")
-        if op in ("claim", "report", "heartbeat", "progress") and not worker:
+        if op in ("claim", "report", "heartbeat") and not worker:
             return {"ok": False, "error": f"op {op!r} requires a worker id"}
         if worker:
             # Any request is a sign of life: remote workers lease-extend
@@ -320,12 +309,6 @@ class QueueServer:
             return {"ok": True}
         if op == "report":
             return self._apply_report(str(worker), request)
-        if op == "progress":
-            event = request.get("event")
-            if isinstance(event, dict):
-                with self._state_lock:
-                    self._progress.append(event)
-            return {"ok": True}
         if op == "snapshot":
             return {"ok": True, "snapshot": self.queue.snapshot()}
         if op == "lake-get":
@@ -358,7 +341,9 @@ class QueueServer:
         claims proceed while workers wait.  Token caching is unchanged: a
         lost-ACK retry (same token) gets the cached reply, parked or not.
         """
-        deadline = time.monotonic() + min(max(wait, 0.0), MAX_CLAIM_WAIT)
+        # Anything that is not 0 <= wait parks for 0 s: NaN compares false, and
+        # a NaN deadline would never pass.
+        deadline = time.monotonic() + (min(wait, MAX_CLAIM_WAIT) if wait >= 0.0 else 0.0)
         while True:
             with self._queue_lock:
                 if isinstance(token, str):
@@ -412,7 +397,7 @@ class QueueServer:
         # above), so a replayed report re-offers the *same* job instead of
         # stranding the first one under a live worker.  It never parks: the
         # ACK of an already-journaled batch must not wait for a job to
-        # appear (the worker's shutdown flush queues behind it on the same
+        # appear (the worker's heartbeats queue behind it on the same
         # connection); on an empty queue the worker's next explicit claim
         # long-polls instead.
         claim = request.get("claim")
@@ -437,14 +422,14 @@ class RemoteQueueClient:
 
     The client is the TCP side of the surface
     :func:`repro.experiments.worker.drain` is written against, and owns what
-    is particular to this transport.  :meth:`report` streams each outcome as
-    a ``cell-finished`` progress event and uploads sequenced batches of
-    ``batch_size`` (flushed when full, when idle and on :meth:`close`).
-    ``mode="push"`` flips the claim economics: every report is flushed at
-    once with a piggybacked claim (report + next job in one round-trip), and
-    an idle claim long-polls ``claim_wait`` seconds server-side instead of
-    burning ``poll_interval`` claim round-trips.  Cells, outcomes and journal
-    records are identical between the modes; only the rhythm differs.
+    is particular to this transport.  :meth:`report` uploads each outcome at
+    once as a sequenced batch of one record, durable server-side when it
+    returns; an upload that failed stays pending and is replayed by
+    :meth:`close`.  ``mode="push"`` flips the claim economics: every report
+    piggybacks a claim (report + next job in one round-trip), and an idle
+    claim long-polls ``claim_wait`` seconds server-side instead of burning
+    ``poll_interval`` claim round-trips.  Cells, outcomes and journal records
+    are identical between the modes; only the rhythm differs.
     """
 
     def __init__(
@@ -457,19 +442,15 @@ class RemoteQueueClient:
         retry_window: float = 60.0,
         retry_interval: float = 0.5,
         compress_min: int | None = None,
-        batch_size: int = 8,
         mode: str = "claim",
         claim_wait: float = 5.0,
         poll_interval: float = 0.1,
         heartbeat_interval: float = 5.0,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         if mode not in ("claim", "push"):
             raise ValueError(f"mode must be 'claim' or 'push', got {mode!r}")
         self.address = parse_address(address) if isinstance(address, str) else address
         self.worker_id = worker_id
-        self.batch_size = batch_size
         self.push = mode == "push"
         #: Seconds an idle claim parks server-side; ``None`` outside push mode.
         self.claim_wait = claim_wait if self.push else None
@@ -497,8 +478,6 @@ class RemoteQueueClient:
         #: enqueue time, so a re-send after a failed upload is a true replay
         #: (same seq, same records) the server can deduplicate.
         self._pending_batches: list[tuple[int, list[dict[str, Any]]]] = []
-        #: Outcomes reported but not yet handed to :meth:`report_batch`.
-        self._batch: list[dict[str, Any]] = []
         #: Push mode: the job the last report's piggybacked claim handed back.
         self._next_job: Job | None = None
 
@@ -548,9 +527,9 @@ class RemoteQueueClient:
             self._sock = None
 
     def close(self) -> None:
-        """Upload whatever is still buffered, then drop the connection."""
+        """Replay any upload that failed, then drop the connection."""
         try:
-            self._flush()
+            self.report_batch()
         except RemoteQueueError as error:
             print(f"worker {self.worker_id}: final upload failed: {error}", file=sys.stderr)
         with self._lock:
@@ -629,9 +608,6 @@ class RemoteQueueClient:
             self.call({"op": "heartbeat", "worker": self.worker_id})
         except RemoteQueueError:
             pass  # the drain loop surfaces persistent connectivity loss
-
-    def progress(self, event: dict[str, Any]) -> None:
-        self.call({"op": "progress", "worker": self.worker_id, "event": event})
 
     def report_batch(
         self,
@@ -714,30 +690,14 @@ class RemoteQueueClient:
     def report(
         self, job: Job, *, summary: dict[str, Any] | None, error: str | None, wall_time: float
     ) -> None:
-        """Buffer one finished job's outcome and stream it as progress."""
+        """Upload one finished job's outcome (journaled once this returns)."""
         record = outcome_record(job, self.worker_id, summary=summary, error=error, wall_time=wall_time)
-        self._batch.append(record)
-        try:
-            self.progress({"kind": "cell-finished", "digest": record["digest"], "record": record})
-        except RemoteQueueError:
-            pass  # progress is best-effort; the batched upload is durable
-        if self.push:
-            self._next_job = self._flush(claim=True)
-        elif len(self._batch) >= self.batch_size:
-            self._flush()
+        self._next_job = self.report_batch([record], claim=self.push)
 
     def idle(self) -> None:
-        """Nothing to claim: upload the partial batch, then wait one poll interval."""
-        self._flush()
+        """Nothing to claim: wait one poll interval."""
         if not self.push:  # a push claim already waited server-side
             time.sleep(self.poll_interval)
-
-    def _flush(self, *, claim: bool = False) -> Job | None:
-        # Ownership of the records moves to report_batch here: even when the
-        # upload raises, the batch is pending under its assigned sequence
-        # number and is replayed (not renumbered) by later flushes.
-        handed, self._batch = self._batch, []
-        return self.report_batch(handed, claim=claim)
 
 
 # ---------------------------------------------------------------------------
@@ -751,10 +711,9 @@ class RemoteWorkQueueBackend(WorkQueueBackend):
     only changes the transport: :meth:`_setup` starts an embedded
     :class:`QueueServer` over the queue directory, spawned workers are
     handed ``--connect host:port`` instead of a ``--queue`` path, and the
-    poll hook folds in the outcome records streamed as progress events (so
-    results surface per cell even when workers batch their durable
-    uploads).  Externally launched workers on other machines can join the
-    same sweep by connecting to :attr:`address`.
+    server journals each uploaded record into the shards the collect loop
+    tails.  Externally launched workers on other machines can join the same
+    sweep by connecting to :attr:`address`.
     """
 
     name = "remote-queue"
@@ -766,7 +725,6 @@ class RemoteWorkQueueBackend(WorkQueueBackend):
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 0,
-        batch_size: int = 8,
         poll_interval: float = 0.1,
         lease: float = 60.0,
         idle_timeout: float = 10.0,
@@ -787,24 +745,15 @@ class RemoteWorkQueueBackend(WorkQueueBackend):
         )
         self.host = host
         self.port = port
-        self.batch_size = batch_size
         #: Spawn workers in server-push mode: idle claims long-poll and every
         #: report piggybacks the next claim.  Outcomes are identical either
-        #: way; push trades batched uploads for fewer round-trips per cell.
+        #: way; push folds report + claim into one round-trip per cell.
         self.push = push
         self.claim_wait = claim_wait
         #: Compression threshold spawned workers request in their hello
         #: (``None`` leaves the wire uncompressed).
         self.compress_min = compress_min
         self.server: QueueServer | None = None
-        #: How long _teardown keeps the server alive waiting for batched
-        #: uploads of outcomes that were already streamed as progress
-        #: events — an external worker flushes on its first idle claim, so
-        #: this resolves in ~one worker poll interval in practice.
-        self.journal_grace = 5.0
-        #: Streamed-but-not-yet-journaled outcome records, by digest.
-        self._streamed_unjournaled: dict[str, dict[str, Any]] = {}
-        self._poll_state: tuple[WorkQueue, dict[str, int]] | None = None
 
     @property
     def address(self) -> tuple[str, int] | None:
@@ -813,60 +762,15 @@ class RemoteWorkQueueBackend(WorkQueueBackend):
 
     # Transport hooks --------------------------------------------------------
     def _setup(self, queue: WorkQueue) -> None:
-        self._streamed_unjournaled = {}
-        self._poll_state = None
         self.server = QueueServer(
             queue, host=self.host, port=self.port, lease=self.lease, store=self.store
         )
         self.server.start()
 
     def _teardown(self) -> None:
-        if self.server is None:
-            return
-        # Streamed progress events complete the sweep *before* their
-        # outcomes are durably journaled.  Spawned workers flush on SIGTERM
-        # during _shutdown; external --connect workers get no signal, so
-        # give their batched uploads a bounded grace period — and if an
-        # uploader died with the batch (SIGKILL chaos), journal the streamed
-        # record coordinator-side.  Either way the queue directory ends the
-        # sweep consistent: no claim without a journaled outcome, so a later
-        # resume pass stitches instead of re-executing (or hanging).
-        if self._streamed_unjournaled and self._poll_state is not None:
-            queue, offsets = self._poll_state
-            deadline = time.monotonic() + self.journal_grace
-            while self._streamed_unjournaled and time.monotonic() < deadline:
-                for record in queue.read_new_outcomes(offsets):
-                    self._streamed_unjournaled.pop(record.get("digest"), None)
-                if self._streamed_unjournaled:
-                    time.sleep(self.poll_interval)
-            for record in self._streamed_unjournaled.values():
-                queue.journal_record(str(record.get("worker") or "coordinator"), record)
-            self._streamed_unjournaled = {}
-        self.server.stop()
-        self.server = None
-
-    def _poll_records(self, queue: WorkQueue, offsets: dict[str, int]) -> list[dict[str, Any]]:
-        self._poll_state = (queue, offsets)
-        records: list[dict[str, Any]] = []
         if self.server is not None:
-            for event in self.server.drain_progress():
-                record = event.get("record")
-                # Records without a digest are dropped here just as the
-                # journal read path drops them — the collect loop indexes
-                # record["digest"].
-                if (
-                    event.get("kind") == "cell-finished"
-                    and isinstance(record, dict)
-                    and record.get("digest")
-                ):
-                    records.append(record)
-                    self._streamed_unjournaled[record["digest"]] = record
-        # The shard read stays: it covers batched uploads whose progress
-        # event was lost, and keeps offsets moving so nothing is re-read.
-        for record in queue.read_new_outcomes(offsets):
-            self._streamed_unjournaled.pop(record.get("digest"), None)
-            records.append(record)
-        return records
+            self.server.stop()
+            self.server = None
 
     def _worker_command(self, queue: WorkQueue, worker_id: str) -> list[str]:
         address = self.address
@@ -883,8 +787,6 @@ class RemoteWorkQueueBackend(WorkQueueBackend):
             str(self.poll_interval),
             "--idle-timeout",
             str(self.idle_timeout),
-            "--batch-size",
-            str(self.batch_size),
             "--heartbeat-interval",
             str(max(self.lease / 4.0, 0.05)),
         ]

@@ -4,7 +4,7 @@ Serves one work-queue directory over TCP so workers on machines *without*
 access to the coordinator's filesystem can drain it with ``python -m
 repro.experiments.worker --connect host:port``.  All durable state stays in
 the queue directory, so the server can be restarted freely (workers
-reconnect and re-send unacknowledged batches), and a coordinator collecting
+reconnect and re-send the unacknowledged upload), and a coordinator collecting
 from the same directory — e.g. ``WorkQueueBackend(root, workers=0)`` —
 needs no changes to consume remotely executed outcomes.
 

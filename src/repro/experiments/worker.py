@@ -12,9 +12,9 @@ CLI and one loop (:func:`drain`):
   filesystem): atomic-rename claims, per-worker JSONL outcome shards.
 * ``--connect HOST:PORT`` — drain the same queue through a
   :class:`~repro.experiments.backends.remote.QueueServer` over TCP, for
-  workers *without* access to the coordinator's filesystem.  Outcomes are
-  uploaded in replay-safe batches (``--batch-size``) and each finished
-  cell is streamed back as a progress event.
+  workers *without* access to the coordinator's filesystem.  Each finished
+  cell's outcome is uploaded at once in one replay-safe ``report`` request
+  and journaled by the server.
 
 Workers heartbeat continuously in both modes, so a coordinator (or a
 fellow worker) can reclaim the claims of a worker that died mid-cell once
@@ -161,12 +161,6 @@ def main(argv: list[str] | None = None) -> int:
         "directory mode only — over TCP the coordinator enforces leases)",
     )
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=8,
-        help="TCP mode: outcomes per upload batch (default: 8)",
-    )
-    parser.add_argument(
         "--heartbeat-interval",
         type=float,
         default=5.0,
@@ -209,8 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     options = parser.parse_args(argv)
     # A coordinator tearing a sweep down terminates its workers; turning
-    # SIGTERM into SystemExit lets the drain loop run its cleanup — in TCP
-    # mode that uploads the final outcome batch instead of dropping it.
+    # SIGTERM into SystemExit lets the drain loop run its cleanup: stop the
+    # heartbeat thread and close the queue connection.
     try:
         signal.signal(signal.SIGTERM, _graceful_terminate)
     except ValueError:  # pragma: no cover - not the main thread
@@ -223,7 +217,6 @@ def main(argv: list[str] | None = None) -> int:
             worker_id,
             retry_window=options.retry_window,
             compress_min=options.compress_min,
-            batch_size=options.batch_size,
             mode=options.mode,
             claim_wait=options.claim_wait,
             poll_interval=options.poll_interval,

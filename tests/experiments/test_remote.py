@@ -276,6 +276,31 @@ class TestServerPush:
             assert time.monotonic() - started >= 0.25
             client.close()
 
+    @pytest.mark.parametrize(
+        ("wait", "at_least", "under"),
+        [(float("nan"), 0.0, 0.25), (-5.0, 0.0, 0.25), (float("inf"), 0.3, 1.5), (5.0, 0.3, 1.5)],
+    )
+    def test_claim_wait_is_capped_whatever_the_peer_sends(
+        self, tmp_path, monkeypatch, wait, at_least, under
+    ):
+        # json parses NaN and Infinity.  A NaN deadline never passes, so a
+        # NaN wait used to park the server thread until a job appeared.
+        from repro.experiments.backends import remote
+
+        monkeypatch.setattr(remote, "MAX_CLAIM_WAIT", 0.3)
+        queue = WorkQueue(tmp_path / "q")
+        with QueueServer(queue) as server:
+            client = RemoteQueueClient(server.address, "w1", io_timeout=3.0, retry_window=0.1)
+            client.heartbeat()  # connect first, so only the park is timed
+            started = time.monotonic()
+            reply = client.call(
+                {"op": "claim", "worker": "w1", "session": client.session, "token": "t", "wait": wait}
+            )
+            elapsed = time.monotonic() - started
+            client.close()
+        assert reply["job"] is None
+        assert at_least <= elapsed < under
+
     def test_report_piggybacks_the_next_claim(self, tmp_path):
         cells = small_matrix(replicates=2).scenarios()
         queue = enqueue(tmp_path, cells)
@@ -549,35 +574,91 @@ class TestDrainRemote:
         queue = enqueue(tmp_path, cells)
         with QueueServer(queue) as server:
             executed = drain(
-                RemoteQueueClient(
-                    server.address,
-                    "tcp-w1",
-                    poll_interval=0.02,
-                    batch_size=3,
-                ),
+                RemoteQueueClient(server.address, "tcp-w1", poll_interval=0.02),
                 idle_timeout=0.3,
             )
-            progress = server.drain_progress()
         assert executed == len(cells)
         assert queue.is_drained()
-        assert len(shard_digests(queue)) == len(cells)
-        finished = [event for event in progress if event.get("kind") == "cell-finished"]
-        assert len(finished) == len(cells)  # one streamed event per cell
+        records = queue.read_new_outcomes({})
+        assert sorted(r["digest"] for r in records) == sorted(c.cell_digest() for c in cells)
+        assert {r["worker"] for r in records} == {"tcp-w1"}
+        assert all(r["error"] is None and r["summary"]["terminated"] for r in records)
 
-    def test_big_batch_flushes_on_idle_and_exit(self, tmp_path):
-        cells = small_matrix(replicates=1).scenarios()
+
+class CountingServer(QueueServer):
+    """A server that records every request it dispatches, in order."""
+
+    def __init__(self, queue):
+        super().__init__(queue)
+        self.requests: list[dict] = []
+
+    def _dispatch(self, request):
+        self.requests.append(request)
+        return super()._dispatch(request)
+
+    def ops(self, op):
+        return [request for request in self.requests if request.get("op") == op]
+
+
+class TestOneRoute:
+    """An outcome crosses the wire once: one ``report`` per cell, nothing else."""
+
+    def test_pull_mode_sends_one_report_and_one_claim_per_cell(self, tmp_path):
+        cells = small_matrix(replicates=2).scenarios()
         queue = enqueue(tmp_path, cells)
-        with QueueServer(queue) as server:
+        with CountingServer(queue) as server:
             drain(
                 RemoteQueueClient(
-                    server.address,
-                    "tcp-w1",
-                    poll_interval=0.02,
-                    batch_size=1000,  # never fills: the idle/exit flush must upload
+                    server.address, "w1", poll_interval=0.05, heartbeat_interval=60.0
                 ),
                 idle_timeout=0.2,
             )
+        reports, claims = server.ops("report"), server.ops("claim")
+        assert len(reports) == len(cells)
+        assert all(len(r["outcomes"]) == 1 and "claim" not in r for r in reports)
+        assert [r["seq"] for r in reports] == list(range(1, len(cells) + 1))
+        idle_claims = len(claims) - len(cells)
+        assert 1 <= idle_claims <= 10  # idle_timeout / poll_interval, with slack
+        assert all("wait" not in c for c in claims)
+        assert {r["op"] for r in server.requests} == {"hello", "claim", "report"}
         assert len(shard_digests(queue)) == len(cells)
+
+    def test_push_mode_piggybacks_every_claim_but_the_first_and_the_idle_ones(self, tmp_path):
+        cells = small_matrix(replicates=2).scenarios()
+        queue = enqueue(tmp_path, cells)
+        with CountingServer(queue) as server:
+            drain(
+                RemoteQueueClient(
+                    server.address, "w1", mode="push", claim_wait=0.1, heartbeat_interval=60.0
+                ),
+                idle_timeout=0.25,
+            )
+        reports, claims = server.ops("report"), server.ops("claim")
+        assert len(reports) == len(cells)
+        assert all(len(r["outcomes"]) == 1 and r["claim"]["token"] for r in reports)
+        assert 2 <= len(claims) <= 6  # the first, then long-polls until idle_timeout
+        assert all(c["wait"] == 0.1 for c in claims)
+        assert server.requests[1]["op"] == "claim"  # right after hello
+        assert {r["op"] for r in server.requests} == {"hello", "claim", "report"}
+        assert len(shard_digests(queue)) == len(cells)
+
+    def test_progress_op_of_an_old_worker_is_refused_and_the_connection_lives(self, tmp_path):
+        from repro.experiments.backends.remote import PROTOCOL_VERSION
+        from repro.experiments.backends.transport import read_frame, write_frame
+
+        queue = enqueue(tmp_path, small_matrix(replicates=1).scenarios())
+        with QueueServer(queue) as server:
+            with socket.create_connection(server.address, timeout=5.0) as old_worker:
+                write_frame(old_worker, {"op": "hello", "worker": "old", "protocol": PROTOCOL_VERSION})
+                assert read_frame(old_worker)["ok"]
+                write_frame(
+                    old_worker,
+                    {"op": "progress", "worker": "old", "event": {"kind": "cell-finished"}},
+                )
+                reply = read_frame(old_worker)
+                assert reply["ok"] is False and "unknown op" in reply["error"]
+                write_frame(old_worker, {"op": "claim", "worker": "old", "token": "t1"})
+                assert read_frame(old_worker)["job"] is not None
 
 
 class TestOneDrainLoop:
@@ -631,7 +712,7 @@ class TestRemoteBackend:
         cells = small_matrix(replicates=2).scenarios()
         serial = SuiteRunner(executor=remote_executor).run(cells)
         backend = RemoteWorkQueueBackend(
-            tmp_path / "q", workers=2, batch_size=2, poll_interval=0.02, timeout=120.0
+            tmp_path / "q", workers=2, poll_interval=0.02, timeout=120.0
         )
         streamed: list[int] = []
         sharded = SuiteRunner(
@@ -674,11 +755,10 @@ class TestRemoteBackend:
 
     def test_external_worker_batched_outcomes_survive_sweep_teardown(self, tmp_path):
         # The README's headline flow: workers=0, an externally launched
-        # worker drains over TCP with a batch it never fills.  The sweep
-        # completes off streamed progress events, but _teardown must keep
-        # the server up until the batch upload lands — otherwise the queue
-        # directory is left with claims whose outcomes exist nowhere and
-        # the resume pass below would find unfinished cells.
+        # worker drains over TCP and gets no signal when the sweep ends.
+        # Every outcome the coordinator saw came out of a shard, so when
+        # _teardown returns the queue directory holds no claim without a
+        # journaled outcome and the resume pass below re-executes nothing.
         cells = small_matrix(replicates=2).scenarios()
         root = tmp_path / "q"
         backend = RemoteWorkQueueBackend(root, workers=0, poll_interval=0.02, timeout=120.0)
@@ -699,7 +779,6 @@ class TestRemoteBackend:
                     backend.address,
                     "external",
                     poll_interval=0.05,
-                    batch_size=1000,  # never fills mid-sweep
                     retry_window=1.0,
                 ),
                 idle_timeout=5.0,
@@ -717,50 +796,6 @@ class TestRemoteBackend:
             executor=remote_executor,
         ).run(cells)
         assert resumed.summaries() == serial.summaries()
-
-    def test_streamed_outcome_whose_uploader_died_is_journaled_by_the_coordinator(self, tmp_path):
-        # A worker streams a cell-finished event and is killed before its
-        # batch upload (the chaos-smoke shape, hitting the *last* cell).
-        # The coordinator completes off the streamed record, and teardown
-        # must leave the queue directory consistent by journaling the
-        # record itself — a later resume pass stitches it instead of
-        # finding an orphaned claim.
-        cells = small_matrix(replicates=1).scenarios()[:1]
-        root = tmp_path / "q"
-        backend = RemoteWorkQueueBackend(root, workers=0, poll_interval=0.02, timeout=60.0)
-        backend.journal_grace = 0.2  # nobody will upload; don't wait long
-        outcome: dict = {}
-
-        def coordinate() -> None:
-            outcome["suite"] = SuiteRunner(backend=backend, executor=remote_executor).run(cells)
-
-        coordinator = threading.Thread(target=coordinate)
-        coordinator.start()
-        deadline = time.monotonic() + 30.0
-        while backend.address is None and time.monotonic() < deadline:
-            time.sleep(0.02)
-        client = RemoteQueueClient(backend.address, "doomed", retry_window=5.0)
-        job = client.claim()
-        record = {
-            "digest": job["digest"],
-            "scenario": None,
-            "summary": {"ok": True},
-            "error": None,
-            "wall_time": 0.0,
-            "worker": "doomed",
-        }
-        client.progress({"kind": "cell-finished", "digest": job["digest"], "record": record})
-        client.close()  # dies without ever uploading the batch
-        coordinator.join(timeout=60.0)
-        assert outcome["suite"].summaries() == [{"ok": True}]
-        queue = WorkQueue(root)
-        assert queue.is_drained()  # the claim was moved to done
-        assert shard_digests(queue) == [job["digest"]]  # coordinator-journaled
-        resumed = SuiteRunner(
-            backend=RemoteWorkQueueBackend(root, workers=0, poll_interval=0.02, timeout=30.0),
-            executor=remote_executor,
-        ).run(cells)
-        assert resumed.summaries() == [{"ok": True}]
 
     def test_worker_errors_are_collected_not_fatal(self, tmp_path):
         cells = small_matrix(replicates=1).scenarios()
@@ -856,14 +891,13 @@ class TestStandaloneServerCli:
 
 
 class TestGracefulTermination:
-    def test_sigterm_mid_cell_flushes_the_batched_outcomes(self, tmp_path):
-        """A coordinator's terminate() must not lose a worker's unflushed batch.
+    def test_sigterm_mid_cell_keeps_the_finished_cell_and_frees_the_running_one(self, tmp_path):
+        """A coordinator's terminate() loses nothing a worker already finished.
 
-        The worker runs with a batch size it will never fill; after its
-        first (slow) cell finishes it is immediately executing the second
-        when SIGTERM arrives.  The CLI's signal handler turns that into
-        SystemExit, so the drain loop's cleanup uploads the batched first
-        outcome before the process dies.
+        The worker's first (slow) cell is in its shard the moment it is
+        reported; SIGTERM arrives while the second is executing.  The CLI's
+        signal handler turns that into SystemExit(143), and the second claim
+        — never reported — is reclaimed once the worker's lease runs out.
         """
         import os
         import signal as _signal
@@ -886,8 +920,6 @@ class TestGracefulTermination:
                     format_address(server.address),
                     "--worker-id",
                     "sigterm-w",
-                    "--batch-size",
-                    "1000",
                     "--idle-timeout",
                     "3600",
                     "--poll-interval",
@@ -896,20 +928,22 @@ class TestGracefulTermination:
                 env=env,
             )
             try:
-                finished = 0
                 deadline = _time.monotonic() + 60.0
-                while _time.monotonic() < deadline and finished < 1:
-                    finished += len(
-                        [e for e in server.drain_progress() if e.get("kind") == "cell-finished"]
-                    )
+                while _time.monotonic() < deadline and not shard_digests(queue):
                     _time.sleep(0.02)
-                assert finished >= 1, "worker never finished its first cell"
-                assert shard_digests(queue) == []  # batched, not yet uploaded
+                first = shard_digests(queue)
+                assert len(first) == 1, "worker never journaled its first cell"
+                while _time.monotonic() < deadline and queue.snapshot()["claimed"] < 1:
+                    _time.sleep(0.02)
+                assert queue.snapshot()["claimed"] == 1  # the second cell is running
                 proc.send_signal(_signal.SIGTERM)
-                proc.wait(timeout=30)
+                assert proc.wait(timeout=30) == 143
             finally:
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait(timeout=10)
-        journaled = shard_digests(queue)
-        assert len(journaled) >= 1  # the batch was flushed on the way out
+        assert shard_digests(queue) == first  # journaled before the signal, and only it
+        assert queue.snapshot() == {"pending": len(cells) - 2, "claimed": 1, "done": 1}
+        _time.sleep(0.3)
+        assert len(queue.reclaim_expired(lease=0.2)) == 1
+        assert queue.snapshot() == {"pending": len(cells) - 1, "claimed": 0, "done": 1}
