@@ -255,7 +255,8 @@ def _drive(
         return not undecided_correct
 
     def all_settled() -> bool:
-        return all(settled(nodes[process_id]) for process_id in correct)
+        # Runs between every two events, so it iterates the set as it is.
+        return all(settled(nodes[process_id]) for process_id in correct)  # lint: allow[DET-ORDER-SET] all() of a side-effect-free per-node predicate is order-free
 
     trace.on_decision = counting_on_decision  # type: ignore[method-assign]
     try:

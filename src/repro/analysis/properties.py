@@ -78,7 +78,7 @@ def check_properties(
         integrity = True
     else:
         integrity = all(
-            decision_counts.get(process, 0) <= 1 for process in correct
+            decision_counts.get(process, 0) <= 1 for process in correct  # lint: allow[DET-ORDER-SET] all() of a per-process count check is order-free
         )
     correct_identifications = {
         process: members for process, members in identified.items() if process in correct

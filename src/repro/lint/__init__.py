@@ -10,17 +10,15 @@ conventional linter:
 * no unseeded randomness and no wall-clock reads inside protocol code
   (**DET-SEED**),
 * no protocol module reaching around the :mod:`repro.runtime` seam into
-  the simulator internals (**SEAM**),
-* no fire-and-forget coroutines or blocking calls on the live event loop
-  (**ASYNC**),
-* no mutable default arguments, and ``slots=True`` on the hot-path
-  dataclasses (**SLOTS-MUT**).
+  the simulator internals (**SEAM**).
 
 :mod:`repro.lint` enforces them mechanically: ``python -m repro.lint src``
 parses every file once, runs the checker families scoped by
 :class:`~repro.lint.config.LintConfig`, applies inline suppressions
-(``# lint: allow[RULE] reason``), and exits nonzero on any finding.  See the README's "Static analysis" section
-for the rule catalog and workflows.
+(``# lint: allow[RULE] reason``), and exits nonzero on any finding.  Checks
+a stock tool already makes stay with that tool: ruff carries event-loop
+hygiene and mutable defaults, mypy catches unawaited coroutines.  See the
+README's "Static analysis" section for the rule catalog and workflows.
 """
 
 from repro.lint.config import DEFAULT_CONFIG, LintConfig, SeamRule

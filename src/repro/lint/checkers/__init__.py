@@ -5,28 +5,22 @@ runner instantiates every family whose scope covers the file's module and
 collects their findings.
 """
 
-from repro.lint.checkers.async_checks import AsyncChecker
 from repro.lint.checkers.base import BaseChecker
 from repro.lint.checkers.det_order import DetOrderChecker
 from repro.lint.checkers.det_seed import DetSeedChecker
 from repro.lint.checkers.seam import SeamChecker
-from repro.lint.checkers.slots_mut import SlotsMutChecker
 
 #: Family instantiation order (stable, so reports are stable).
 ALL_CHECKERS: tuple[type[BaseChecker], ...] = (
     DetOrderChecker,
     DetSeedChecker,
     SeamChecker,
-    AsyncChecker,
-    SlotsMutChecker,
 )
 
 __all__ = [
     "ALL_CHECKERS",
-    "AsyncChecker",
     "BaseChecker",
     "DetOrderChecker",
     "DetSeedChecker",
     "SeamChecker",
-    "SlotsMutChecker",
 ]

@@ -4,7 +4,8 @@ Set iteration order depends on element hashes — for strings it changes
 between interpreter invocations unless ``PYTHONHASHSEED`` is pinned, so a
 ``for`` loop over a set on a trajectory-affecting path silently breaks
 bit-identical runs.  The checker flags iteration (``for``/``async for``
-statements and list comprehensions) whose iterable is provably set-typed:
+statements and the ``for`` clauses of list, set and dict comprehensions and
+generator expressions) whose iterable is provably set-typed:
 
 * set literals, set comprehensions, ``set(...)`` / ``frozenset(...)`` calls,
 * results of ``.union()`` / ``.intersection()`` / ``.difference()`` /
@@ -14,9 +15,9 @@ statements and list comprehensions) whose iterable is provably set-typed:
 
 looking through order-preserving wrappers (``list``, ``tuple``, ``iter``,
 ``enumerate``, ``reversed``).  ``sorted(...)`` is the fix and is never
-flagged.  With :attr:`~repro.lint.config.LintConfig.dict_iteration` enabled
-the checker also flags plain dict walks (advisory: CPython dicts iterate in
-insertion order, but the *insertions* must then be deterministic).
+flagged.  Dict walks are not flagged: CPython dicts iterate in insertion
+order, so they are as deterministic as the insertions, which this rule and
+DET-SEED police.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.lint.config import LintConfig
 SET_NAMES = {"set", "frozenset", "Set", "FrozenSet", "AbstractSet", "MutableSet"}
 SET_OP_METHODS = {"union", "intersection", "difference", "symmetric_difference"}
 ORDER_PRESERVING = {"list", "tuple", "iter", "enumerate", "reversed"}
-DICT_VIEW_METHODS = {"keys", "values", "items"}
 
 
 def _is_set_annotation(annotation: ast.expr | None) -> bool:
@@ -163,9 +163,6 @@ class DetOrderChecker(BaseChecker):
             if isinstance(func, ast.Attribute):
                 if func.attr in SET_OP_METHODS and self._describe_unordered(func.value):
                     return f"a set operation .{func.attr}()"
-                if self.config.dict_iteration and func.attr in DICT_VIEW_METHODS:
-                    return f"a dict view .{func.attr}()"
-                return None
             return None
         if isinstance(node, ast.Name):
             for scope in reversed(self._scopes):
@@ -179,9 +176,6 @@ class DetOrderChecker(BaseChecker):
                 info = self._class_attrs[-1]
                 if info.is_unordered(node.attr):
                     return f"set-typed attribute self.{node.attr}"
-            return None
-        if self.config.dict_iteration and isinstance(node, (ast.Dict, ast.DictComp)):
-            return "a dict"
         return None
 
     # -- visitors ------------------------------------------------------
@@ -207,14 +201,9 @@ class DetOrderChecker(BaseChecker):
         description = self._describe_unordered(iterable)
         if description is None:
             return
-        rule = (
-            "DET-ORDER-DICT"
-            if description.startswith("a dict")
-            else "DET-ORDER-SET"
-        )
         self.report(
             node,
-            rule,
+            "DET-ORDER-SET",
             f"iteration over {description} without an explicit ordering"
             " — wrap the iterable in sorted(...)",
         )
@@ -227,9 +216,10 @@ class DetOrderChecker(BaseChecker):
         self._check_iteration(node.iter, node)
         self.generic_visit(node)
 
-    def visit_ListComp(self, node: ast.ListComp) -> None:
-        for generator in node.generators:
-            self._check_iteration(generator.iter, node)
+    def visit_comprehension(self, node: ast.comprehension) -> None:
+        # One ``for`` clause of any comprehension kind; the clause itself
+        # carries no position, so the finding sits on its iterable.
+        self._check_iteration(node.iter, node.iter)
         self.generic_visit(node)
 
 

@@ -7,28 +7,18 @@ fail); 1 — at least one finding; 2 — usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from repro.lint.config import DEFAULT_CONFIG
 from repro.lint.runner import lint_paths
 
 RULE_CATALOG = """\
 DET-ORDER-SET     iteration over a set/frozenset without explicit ordering
-DET-ORDER-DICT    iteration over a dict/dict view (advisory, --strict-dict-order)
 DET-SEED-GLOBAL   module-level random.* call or import (process-wide RNG)
 DET-SEED-RANDOM   random.Random not visibly fed from derive_seed
 DET-SEED-CLOCK    wall-clock read (time.time, datetime.now, ...) in deterministic scope
 SEAM-IMPORT       import edge forbidden by the declared layering map
-ASYNC-UNAWAITED   local coroutine called but never awaited
-ASYNC-TASK        create_task(...) handle discarded (weakly-referenced task)
-ASYNC-BLOCKING    blocking call (time.sleep, sync sockets, ...) inside async def
-ASYNC-GATHER      gather(return_exceptions=True) result discarded
-SLOTS-MUT-DEFAULT mutable default argument
-SLOTS-MUT-SLOTS   configured hot-path dataclass missing slots=True
 LINT-SUPPRESS     suppression comment without a justification
-LINT-CONFIG       lint configuration references a class that no longer exists
 LINT-PARSE        file does not parse
 
 Suppressions:  # lint: allow[RULE] reason        (this line / this statement)
@@ -44,17 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Determinism-and-layering static analysis for the protocol stack.",
     )
     parser.add_argument("paths", nargs="*", type=Path, help="files or directories to lint")
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--strict-dict-order",
-        action="store_true",
-        help="also flag dict/dict-view iteration in trajectory packages (advisory)",
-    )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
     )
@@ -76,19 +55,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    config = DEFAULT_CONFIG
-    if args.strict_dict_order:
-        from dataclasses import replace
-
-        config = replace(config, dict_iteration=True)
-
-    report = lint_paths(list(args.paths), config)
-
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render_text())
-
+    report = lint_paths(list(args.paths))
+    print(report.render_text())
     return 0 if report.ok else 1
 
 

@@ -8,10 +8,11 @@ The defaults encode *this* repository's architecture contract:
 * the protocol layer talks to the world only through the
   :mod:`repro.runtime` seam, never by importing the simulator engine or
   network directly; the experiment orchestration layer never imports sim
-  machinery at all;
-* the live event loop must not be blocked or leak fire-and-forget tasks;
-* hot-path dataclasses carry ``slots=True`` and nothing uses mutable
-  default arguments.
+  machinery at all.
+
+Event-loop hygiene and mutable defaults are ruff's and mypy's job
+(``ruff.toml``, ``mypy.ini``); the ``slots=True`` layout of the hot-path
+classes is pinned by ``tests/lint/test_slots.py``.
 
 Everything here is plain data so tests (and future repositories) can build
 narrower or wider configs without touching the checkers.
@@ -66,46 +67,6 @@ TRAJECTORY_PACKAGES = (
 #: a clock read there is either operational (heartbeats, lease timing —
 #: fine, suppress with a reason) or a reproducibility bug.
 CLOCK_PACKAGES = TRAJECTORY_PACKAGES + ("repro.experiments",)
-
-#: Call targets considered blocking on an event loop ("module.attr" or the
-#: bare module name to match any attribute of it).
-BLOCKING_CALLS = (
-    "time.sleep",
-    "socket.socket",
-    "socket.create_connection",
-    "select.select",
-    "subprocess.run",
-    "subprocess.call",
-    "subprocess.check_call",
-    "subprocess.check_output",
-    "subprocess.Popen",
-    "os.system",
-    "urllib.request.urlopen",
-)
-
-#: Fully-qualified dataclasses on per-message / per-event hot paths; each
-#: must declare ``@dataclass(slots=True)`` (or an explicit ``__slots__``).
-SLOTS_REQUIRED = (
-    "repro.sim.messages.Envelope",
-    "repro.crypto.signatures.SignedMessage",
-    "repro.core.discovery.DiscoveryState",
-    "repro.core.messages.PdRecord",
-    "repro.core.messages.GetPds",
-    "repro.core.messages.SetPds",
-    "repro.core.messages.GetDecidedValue",
-    "repro.core.messages.DecidedValue",
-    "repro.pbft.messages.PrePrepare",
-    "repro.pbft.messages.Prepare",
-    "repro.pbft.messages.Commit",
-    "repro.pbft.messages.ViewChange",
-    "repro.pbft.messages.NewView",
-    "repro.pbft.messages.GroupKey",
-    "repro.pbft.replica.SingleShotPbft",
-    "repro.graphs.predicates.KnowledgeView",
-    "repro.graphs.predicates.SinkWitness",
-    "repro.graphs.sink_search.SearchOptions",
-    "repro.graphs.sink_search.CoreWitness",
-)
 
 #: Functions whose result is a sanctioned seed for ``random.Random``.
 SEED_SOURCES = ("derive_seed",)
@@ -186,15 +147,7 @@ class LintConfig:
     trajectory_packages: tuple[str, ...] = TRAJECTORY_PACKAGES
     clock_packages: tuple[str, ...] = CLOCK_PACKAGES
     seam_rules: tuple[SeamRule, ...] = field(default_factory=_default_seam_rules)
-    blocking_calls: tuple[str, ...] = BLOCKING_CALLS
-    slots_required: tuple[str, ...] = SLOTS_REQUIRED
     seed_sources: tuple[str, ...] = SEED_SOURCES
-    #: Also flag plain ``dict`` / ``.keys()`` / ``.values()`` / ``.items()``
-    #: iteration in trajectory packages.  CPython dicts iterate in insertion
-    #: order, so this is advisory (the *insertions* must be deterministic,
-    #: which DET-ORDER-SET and DET-SEED police); it stays off by default so
-    #: the gate flags real hazards, not idiomatic dict walks.
-    dict_iteration: bool = False
 
     def in_trajectory_scope(self, module: str) -> bool:
         return _in_scope(module, self.trajectory_packages)
@@ -210,12 +163,10 @@ def _in_scope(module: str, prefixes: tuple[str, ...]) -> bool:
 DEFAULT_CONFIG = LintConfig()
 
 __all__ = [
-    "BLOCKING_CALLS",
     "CLOCK_PACKAGES",
     "DEFAULT_CONFIG",
     "LintConfig",
     "SIM_MACHINERY",
-    "SLOTS_REQUIRED",
     "SEED_SOURCES",
     "SeamRule",
     "TRAJECTORY_PACKAGES",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 
 @dataclass(frozen=True, slots=True)
@@ -21,15 +20,6 @@ class Finding:
     col: int
     message: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
@@ -40,11 +30,6 @@ class SuppressedFinding:
 
     finding: Finding
     reason: str
-
-    def to_dict(self) -> dict[str, Any]:
-        entry = self.finding.to_dict()
-        entry["suppressed_reason"] = self.reason
-        return entry
 
 
 def _sort_key(finding: Finding) -> tuple[str, int, int, str]:
@@ -70,23 +55,6 @@ class LintReport:
     @property
     def ok(self) -> bool:
         return not self.findings
-
-    def counts(self) -> dict[str, int]:
-        """Per-rule totals over every finding (failing + suppressed)."""
-        totals: dict[str, int] = {}
-        for finding in self.findings + [s.finding for s in self.suppressed]:
-            totals[finding.rule] = totals.get(finding.rule, 0) + 1
-        return dict(sorted(totals.items()))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "version": 2,
-            "ok": self.ok,
-            "files_checked": self.files_checked,
-            "counts": self.counts(),
-            "findings": [f.to_dict() for f in self.findings],
-            "suppressed": [s.to_dict() for s in self.suppressed],
-        }
 
     def render_text(self) -> str:
         """Human-readable report: one line per finding plus a summary."""

@@ -49,10 +49,13 @@ def _display_path(path: Path) -> str:
         return path.resolve().as_posix()
 
 
-def _lint_source(
-    source: str, display: str, module: str, config: LintConfig
-) -> tuple[list[Finding], list[SuppressedFinding], set[str]]:
-    """Lint one unit of source; returns (active, suppressed, defined classes)."""
+def lint_file(
+    path: Path,
+    config: LintConfig = DEFAULT_CONFIG,
+) -> tuple[list[Finding], list[SuppressedFinding]]:
+    """Lint one file; returns (active findings, suppressed findings)."""
+    source = path.read_text()
+    display = _display_path(path)
     try:
         tree = ast.parse(source, filename=display)
     except SyntaxError as error:
@@ -63,8 +66,9 @@ def _lint_source(
             col=error.offset or 0,
             message=f"file does not parse: {error.msg}",
         )
-        return [finding], [], set()
+        return [finding], []
 
+    module = module_name(path)
     suppressions = parse_suppressions(source, display)
     findings: list[Finding] = list(suppressions.malformed)
     for checker_cls in ALL_CHECKERS:
@@ -81,23 +85,6 @@ def _lint_source(
             active.append(finding)
         else:
             suppressed.append(SuppressedFinding(finding=finding, reason=reason))
-
-    classes = {
-        f"{module}.{node.name}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-    }
-    return active, suppressed, classes
-
-
-def lint_file(
-    path: Path,
-    config: LintConfig = DEFAULT_CONFIG,
-) -> tuple[list[Finding], list[SuppressedFinding]]:
-    """Lint one file; returns (active findings, suppressed findings)."""
-    active, suppressed, _classes = _lint_source(
-        path.read_text(), _display_path(path), module_name(path), config
-    )
     return active, suppressed
 
 
@@ -119,48 +106,14 @@ def _statement_spans(tree: ast.Module) -> dict[int, tuple[int, ...]]:
     return spans
 
 
-def _missing_slots_classes(
-    config: LintConfig, modules: set[str], found: set[str]
-) -> list[Finding]:
-    """Configured hot classes whose module was checked but which no longer exist."""
-    missing = []
-    for qualified in config.slots_required:
-        module = qualified.rsplit(".", 1)[0]
-        if module in modules and qualified not in found:
-            missing.append(
-                Finding(
-                    rule="LINT-CONFIG",
-                    path="<config>",
-                    line=0,
-                    col=0,
-                    message=(
-                        f"slots_required lists {qualified}, but {module} defines no"
-                        " such class — update the lint config"
-                    ),
-                )
-            )
-    return missing
-
-
 def lint_paths(paths: list[Path], config: LintConfig = DEFAULT_CONFIG) -> LintReport:
     """Lint every file under ``paths``."""
     report = LintReport()
-    checked_modules: set[str] = set()
-    found_classes: set[str] = set()
-
     for path in collect_files(paths):
-        module = module_name(path)
-        checked_modules.add(module)
-        active, suppressed, classes = _lint_source(
-            path.read_text(), _display_path(path), module, config
-        )
+        active, suppressed = lint_file(path, config)
         report.findings.extend(active)
         report.suppressed.extend(suppressed)
         report.files_checked += 1
-        found_classes.update(classes)
-
-    # Stale config entries surface instead of silently checking nothing.
-    report.findings.extend(_missing_slots_classes(config, checked_modules, found_classes))
     report.sort()
     return report
 

@@ -313,7 +313,9 @@ class AsyncioRuntime(Runtime):
                 link.writer = None
         for server in self._servers:
             server.close()
-        await asyncio.gather(  # lint: allow[ASYNC-GATHER] best-effort teardown: wait_closed failures carry no protocol signal
+        # Best-effort teardown: wait_closed failures carry no protocol signal,
+        # so the exceptions gather() collects are dropped on purpose.
+        await asyncio.gather(
             *(server.wait_closed() for server in self._servers), return_exceptions=True
         )
         if self._loop is not None:

@@ -136,7 +136,8 @@ def fault_assignment(
             behaviour, faulty, scenario_graph_processes, seed=seed, inside_core=inside_core
         )
     return {
-        process: default_fault_spec(behaviour, scenario_graph_processes) for process in faulty
+        process: default_fault_spec(behaviour, scenario_graph_processes)
+        for process in sorted(faulty, key=repr)
     }
 
 
