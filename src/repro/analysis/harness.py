@@ -82,7 +82,7 @@ class RunResult:
     virtual_duration: float
     messages_sent: int
     events_processed: int
-    #: Engine diagnostics: heap compactions and the pending-event peak.
+    #: Engine diagnostics: queue compactions and the pending-event peak.
     compactions: int = 0
     pending_peak: int = 0
     #: Locator work over the correct consensus nodes: searches actually

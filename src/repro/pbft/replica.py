@@ -44,10 +44,10 @@ from repro.pbft.quorum import classic_quorum, paper_quorum
 
 SendFn = Callable[[ProcessId, Any], None]
 #: Schedules a one-shot callback.  The return value may be a cancellable
-#: handle (anything with a ``cancel()`` method, e.g. the simulator's
-#: :class:`~repro.sim.engine.EventHandle`); when it is, the replica cancels
-#: its outstanding view timers the moment it decides instead of letting
-#: them fire as no-op events until the horizon.
+#: handle (anything with a ``cancel()`` method, e.g. the queued timer that
+#: :meth:`~repro.sim.engine.Simulator.schedule` returns); when it is, the
+#: replica cancels its outstanding view timers the moment it decides instead
+#: of letting them fire as no-op events until the horizon.
 ScheduleFn = Callable[[float, Callable[[], None]], Any]
 DecideFn = Callable[[Any], None]
 

@@ -1,34 +1,40 @@
 """The discrete-event simulation engine.
 
-A :class:`Simulator` owns a virtual clock and a priority queue of events.
-Each event is a callback scheduled at a virtual time; ties are broken by a
-monotonically increasing sequence number so execution is fully
-deterministic.  The engine knows nothing about processes or networks -- it
-only runs callbacks in time order -- which keeps it reusable for the
-protocol stack, the PBFT substrate and the baselines alike.
+A :class:`Simulator` owns a virtual clock and a queue of entries, each a
+callback due at a virtual time.  Entries run in ``(time, insertion order)``
+order, so execution is fully deterministic.  The engine knows nothing about
+processes or networks -- it only runs callbacks in time order -- which keeps
+it reusable for the protocol stack, the PBFT substrate and the baselines
+alike.
 
-Two representations share the heap, both stored as ``(time, sequence,
-item)`` tuples so comparisons never touch the payload:
+The queue is one FIFO bucket per distinct instant (a dict from time to a
+list of entries) plus a heap of those instants.  Entries of one instant run
+in insertion order, which is exactly ``(time, sequence number)`` order: the
+sequence number is global insertion order, so among equal times it *is* the
+order of appends.  A handler that schedules at ``now`` appends to the bucket
+being drained, where a fresh sequence number would also have put it.  Under
+partial synchrony a message sent before GST that would arrive later than
+``GST + delta`` is delivered at exactly that instant, so a large run puts a
+big share of its deliveries into one bucket, and the heap only ever
+compares distinct floats.
 
-* :class:`_ScheduledEvent` -- one callback, the general case;
-* :class:`_EventBatch` -- many payloads delivered through one shared
-  callable at one instant (same-tick network deliveries).  A batch occupies
-  a single heap entry no matter how many payloads it carries, which is the
-  engine-side half of scaling broadcast-heavy runs to large graphs: a
-  10k-node broadcast is one heap push instead of 10k.
+A bucket stores each entry as two consecutive items, ``fn, arg`` (no
+tuple per entry: a large run holds ~10^5 pending deliveries).  Two kinds of
+entry share a bucket:
 
-Batches preserve execution order *exactly*.  A payload may only be appended
-to a batch while the batch's *fence* holds -- no event has been scheduled
-since the batch was created -- which guarantees no other event can exist at
-the batch's instant with a later sequence number, so the appended payload
-runs precisely where a per-payload event would have.  :meth:`Simulator.step`
-still executes one payload per call, so stop-predicates, event budgets and
-the processed-event count behave identically to the unbatched engine.
+* a timer, ``None, event``: :meth:`Simulator.schedule` returns the queued
+  :class:`_ScheduledEvent` itself as the cancellable handle;
+* an uncancellable call, ``fn, arg`` from :meth:`Simulator.call_at`, which
+  runs ``fn(arg)`` (network deliveries: one per message, no handle).
+
+:meth:`Simulator.step` executes one entry per call, so stop predicates,
+event budgets and the processed-event count see every entry on its own.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from collections.abc import Callable
 from typing import Any
 
@@ -38,66 +44,27 @@ class SimulationLimitExceeded(RuntimeError):
 
 
 class _ScheduledEvent:
-    """A single scheduled callback (heap payload; ordering lives in the tuple)."""
+    """A queued timer, which is also the handle :meth:`Simulator.schedule` returns."""
 
-    __slots__ = ("time", "callback", "cancelled", "done")
+    __slots__ = ("time", "callback", "cancelled", "done", "_simulator")
 
-    def __init__(self, time: float, callback: Callable[[], None]) -> None:
+    def __init__(self, time: float, callback: Callable[[], None], simulator: "Simulator") -> None:
+        #: The virtual time at which the event is scheduled.
         self.time = time
         self.callback = callback
         self.cancelled = False
-        #: Set once the event has been popped from the queue (executed or
-        #: discarded), so late ``cancel()`` calls do not skew the counter of
-        #: cancelled-but-still-queued events.
+        #: Set once the event has left the queue (executed or discarded), so
+        #: late ``cancel()`` calls do not skew the count of cancelled-but-
+        #: still-queued events.
         self.done = False
-
-
-class _EventBatch:
-    """Many same-instant payloads behind one heap entry.
-
-    ``fn`` is invoked once per payload, one payload per :meth:`Simulator.step`
-    call.  ``fence`` snapshots the simulator's sequence counter at creation:
-    appends are only legal while the counter is unchanged (see module
-    docstring), and ``closed`` is set once the last payload ran so a batch
-    that left the queue can never silently swallow a new payload.
-    """
-
-    __slots__ = ("time", "fn", "items", "next_index", "fence", "closed")
-
-    def __init__(self, time: float, fn: Callable[[Any], None], first_item: Any, fence: int) -> None:
-        self.time = time
-        self.fn = fn
-        self.items = [first_item]
-        self.next_index = 0
-        self.fence = fence
-        self.closed = False
-
-
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`, allowing cancellation."""
-
-    __slots__ = ("_event", "_simulator")
-
-    def __init__(self, event: _ScheduledEvent, simulator: "Simulator") -> None:
-        self._event = event
         self._simulator = simulator
 
     def cancel(self) -> None:
         """Cancel the event (no-op if it already ran)."""
-        event = self._event
-        if event.cancelled or event.done:
+        if self.cancelled or self.done:
             return
-        event.cancelled = True
+        self.cancelled = True
         self._simulator._on_cancelled()
-
-    @property
-    def time(self) -> float:
-        """The virtual time at which the event is scheduled."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
 
 
 class Simulator:
@@ -116,27 +83,32 @@ class Simulator:
         livelock in buggy protocols or adversarial schedules).
     """
 
-    #: Queues shorter than this are never compacted (rebuilding a tiny heap
+    #: Queues shorter than this are never compacted (rebuilding a tiny queue
     #: costs more than carrying its dead entries).  The value only trades
-    #: memory against heap traffic -- trajectories are identical for every
+    #: memory against queue traffic -- trajectories are identical for every
     #: value, which ``tests/sim/test_engine.py`` pins.
     COMPACTION_MIN_QUEUE = 64
 
     def __init__(self, max_time: float = 1_000_000.0, max_events: int = 5_000_000) -> None:
         self.max_time = max_time
         self.max_events = max_events
-        self._queue: list[tuple[float, int, _ScheduledEvent | _EventBatch]] = []
-        self._sequence = 0
+        #: The clock starts inside an empty bucket at t=0.  The bucket being
+        #: drained stays in ``_buckets`` (so same-instant schedules append to
+        #: it) but not in ``_instants``, which holds every other bucket's time.
+        self._bucket: list[Any] = []
+        self._bucket_time = 0.0
+        self._cursor = 0
+        self._buckets: dict[float, list[Any]] = {0.0: self._bucket}
+        self._instants: list[float] = []
         self._now = 0.0
         self._processed_events = 0
         self._stopped = False
         self._cancelled_in_queue = 0
         self._compactions = 0
-        #: Live (non-cancelled) events and batch payloads not yet popped:
-        #: +1 per schedule / batch append, -1 per cancel, execution or
-        #: horizon discard.  This *is* :meth:`pending_events`.
+        #: Live (non-cancelled) entries not yet popped: +1 per schedule /
+        #: call_at, -1 per cancel, execution or horizon discard.  This *is*
+        #: :meth:`pending_events`.
         self._live = 0
-        self._active_batch: _EventBatch | None = None
         self._pending_peak = 0
 
     # ------------------------------------------------------------------
@@ -149,7 +121,7 @@ class Simulator:
 
     @property
     def processed_events(self) -> int:
-        """Number of events executed so far (batch payloads count one each)."""
+        """Number of entries executed so far."""
         return self._processed_events
 
     @property
@@ -157,60 +129,46 @@ class Simulator:
         """High-water mark of :meth:`pending_events` over the run."""
         return self._pending_peak
 
-    def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> _ScheduledEvent:
         """Schedule ``callback`` to run ``delay`` time units from now."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
+        if not delay >= 0.0:  # also catches NaN, which ``delay < 0`` lets through
+            raise ValueError(f"delay must be a non-negative number, got {delay!r}")
         return self.schedule_at(self._now + delay, callback, label)
 
-    def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> _ScheduledEvent:
         """Schedule ``callback`` to run at absolute virtual time ``time``."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
+        if not time >= self._now:  # also catches NaN
+            raise ValueError(f"cannot schedule at {time!r}: not a time at or after now ({self._now})")
         del label  # accepted for the Runtime seam; the engine keeps no labels
-        event = _ScheduledEvent(time, callback)
-        self._sequence += 1
-        heapq.heappush(self._queue, (time, self._sequence, event))
+        event = _ScheduledEvent(time, callback, self)
+        self._enqueue(time, None, event)
+        return event
+
+    def call_at(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Run ``fn(arg)`` at absolute virtual time ``time``; cannot be cancelled."""
+        if not time >= self._now:  # also catches NaN
+            raise ValueError(f"cannot schedule at {time!r}: not a time at or after now ({self._now})")
+        self._enqueue(time, fn, arg)
+
+    def _enqueue(self, time: float, fn: Callable[[Any], None] | None, arg: Any) -> None:
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._buckets[time] = []
+            if time < self._bucket_time:
+                # The clock lags the bucket being drained when that bucket's
+                # entries were discarded past the horizon or all cancelled.
+                # The new instant comes first, so the rest of that bucket goes
+                # back on the heap.
+                del self._bucket[: self._cursor]
+                heapq.heappush(self._instants, self._bucket_time)
+                self._bucket, self._bucket_time, self._cursor = bucket, time, 0
+            else:
+                heapq.heappush(self._instants, time)
+        bucket.append(fn)
+        bucket.append(arg)
         live = self._live = self._live + 1
         if live > self._pending_peak:
             self._pending_peak = live
-        return EventHandle(event, self)
-
-    def schedule_batch_at(self, time: float, fn: Callable[[Any], None], first_item: Any) -> _EventBatch:
-        """Open a new batch at ``time`` seeded with ``first_item``.
-
-        Further payloads join via :meth:`try_append_to_batch` while the
-        batch's fence holds.  Batches cannot be cancelled (network
-        deliveries never are).
-        """
-        if time < self._now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self._now})")
-        sequence = self._sequence = self._sequence + 1
-        batch = _EventBatch(time, fn, first_item, sequence)
-        heapq.heappush(self._queue, (time, sequence, batch))
-        live = self._live = self._live + 1
-        if live > self._pending_peak:
-            self._pending_peak = live
-        return batch
-
-    def try_append_to_batch(self, batch: _EventBatch, item: Any) -> bool:
-        """Append ``item`` to ``batch`` iff execution order is provably preserved.
-
-        Succeeds only while nothing has been scheduled since the batch was
-        created (``fence`` intact) and the batch has not finished draining.
-        Under the fence no event can exist at the batch's instant with a
-        later sequence number, so the appended payload runs exactly where a
-        freshly scheduled per-payload event would have run.  Appends do not
-        advance the sequence counter -- they create no heap entry -- so a
-        run of same-instant deliveries keeps one fence alive.
-        """
-        if batch.closed or batch.fence != self._sequence:
-            return False
-        batch.items.append(item)
-        live = self._live = self._live + 1
-        if live > self._pending_peak:
-            self._pending_peak = live
-        return True
 
     def stop(self) -> None:
         """Stop the run after the current event finishes."""
@@ -220,92 +178,84 @@ class Simulator:
     # cancelled-event bookkeeping
     # ------------------------------------------------------------------
     def _on_cancelled(self) -> None:
-        """Account for a cancellation and compact the heap when it is mostly dead.
+        """Account for a cancellation and compact the queue when it is mostly dead.
 
         Long adversarial runs cancel many timers (view changes, discovery
-        re-requests); without compaction those dead entries stay in the heap
-        until their virtual deadline, inflating both memory and the cost of
-        every push/pop.  Once more than half the queue is cancelled the live
-        events are rebuilt into a fresh heap, which is amortised O(1) per
+        re-requests); without compaction those dead entries stay queued
+        until their virtual deadline, inflating both memory and the heap.
+        Once at least half the queued entries are cancelled, every bucket
+        but the one being drained is rebuilt with its live entries only and
+        emptied buckets are dropped, which is amortised O(1) per
         cancellation.
         """
-        self._cancelled_in_queue += 1
+        cancelled = self._cancelled_in_queue = self._cancelled_in_queue + 1
         self._live -= 1
-        if (
-            len(self._queue) >= self.COMPACTION_MIN_QUEUE
-            and 2 * self._cancelled_in_queue >= len(self._queue)
-        ):
-            for _, _, item in self._queue:
-                if type(item) is _ScheduledEvent and item.cancelled:
-                    item.done = True
-            self._queue = [
-                entry
-                for entry in self._queue
-                if type(entry[2]) is _EventBatch or not entry[2].cancelled
-            ]
-            heapq.heapify(self._queue)
-            self._cancelled_in_queue = 0
-            self._compactions += 1
+        queued = self._live + cancelled
+        if queued < self.COMPACTION_MIN_QUEUE or 2 * cancelled < queued:
+            return
+        current = self._bucket
+        buckets: dict[float, list[Any]] = {}
+        for time, bucket in self._buckets.items():
+            if bucket is not current:
+                kept = []
+                for fn, arg in zip(bucket[::2], bucket[1::2], strict=True):
+                    if fn is not None or not arg.cancelled:
+                        kept.append(fn)
+                        kept.append(arg)
+                if not kept:
+                    continue
+                bucket = kept
+            buckets[time] = bucket
+        self._buckets = buckets
+        self._instants = [time for time, bucket in buckets.items() if bucket is not current]
+        heapq.heapify(self._instants)
+        tail = current[self._cursor :]
+        self._cancelled_in_queue = sum(
+            fn is None and arg.cancelled for fn, arg in zip(tail[::2], tail[1::2], strict=True)
+        )
+        self._compactions += 1
 
     @property
     def compactions(self) -> int:
-        """Number of heap compactions performed (for tests and diagnostics)."""
+        """Number of queue compactions performed (for tests and diagnostics)."""
         return self._compactions
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Run the next pending event.  Returns ``False`` when none is left.
+        """Run the next pending entry.  Returns ``False`` when none is left.
 
-        One batch payload counts as one event: an active batch is drained
-        across as many ``step()`` calls as it has payloads, so callers that
-        interleave checks between events (stop predicates, budgets) observe
-        the exact behaviour of the unbatched engine.
+        Past the horizon each call discards one entry and returns ``False``.
         """
-        batch = self._active_batch
-        if batch is not None:
-            return self._step_batch_item(batch)
-        while self._queue:
-            time, _, item = heapq.heappop(self._queue)
-            if type(item) is _EventBatch:
-                self._active_batch = item
-                return self._step_batch_item(item)
-            item.done = True
-            if item.cancelled:
-                self._cancelled_in_queue -= 1
+        bucket = self._bucket
+        while True:
+            cursor = self._cursor
+            if cursor == len(bucket):
+                if not self._instants:
+                    return False
+                del self._buckets[self._bucket_time]
+                time = self._bucket_time = heapq.heappop(self._instants)
+                bucket = self._bucket = self._buckets[time]
+                self._cursor = 0
                 continue
+            fn = bucket[cursor]
+            arg = bucket[cursor + 1]
+            self._cursor = cursor + 2
+            if fn is None:  # a timer: ``arg`` is its _ScheduledEvent
+                arg.done = True
+                if arg.cancelled:
+                    self._cancelled_in_queue -= 1
+                    continue
+                fn, arg = operator.call, arg.callback
             self._live -= 1
+            time = self._bucket_time
             if time > self.max_time:
                 return False
             self._now = time
             self._processed_events += 1
-            item.callback()
+            fn(arg)
             return True
-        return False
-
-    def _step_batch_item(self, batch: _EventBatch) -> bool:
-        if batch.time > self.max_time:
-            # Mirror the unbatched engine: each step discards exactly one
-            # overdue delivery and reports the horizon.
-            batch.next_index += 1
-            self._live -= 1
-            if batch.next_index >= len(batch.items):
-                batch.closed = True
-                self._active_batch = None
-            return False
-        item = batch.items[batch.next_index]
-        batch.next_index += 1
-        self._live -= 1
-        self._now = batch.time
-        self._processed_events += 1
-        batch.fn(item)
-        # Checked after fn(): a handler may legally append to this batch
-        # while the fence still holds, re-opening the tail.
-        if batch.next_index >= len(batch.items):
-            batch.closed = True
-            self._active_batch = None
-        return True
 
     def run(
         self,
@@ -342,5 +292,5 @@ class Simulator:
                 return satisfied
 
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued, batch payloads one each."""
+        """Number of live (non-cancelled) entries still queued."""
         return self._live

@@ -12,6 +12,7 @@ import pytest
 
 HOT_PATH_CLASSES = (
     "repro.sim.messages.Envelope",
+    "repro.sim.engine._ScheduledEvent",
     "repro.crypto.signatures.SignedMessage",
     "repro.core.discovery.DiscoveryState",
     "repro.core.messages.PdRecord",

@@ -1,11 +1,12 @@
 """Tests for the discrete-event simulation engine."""
 
+import heapq
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.sim.engine import SimulationLimitExceeded, Simulator, _EventBatch
+from repro.sim.engine import SimulationLimitExceeded, Simulator
 
 
 class TestScheduling:
@@ -57,6 +58,45 @@ class TestScheduling:
         with pytest.raises(ValueError):
             simulator.schedule_at(1.0, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        """NaN compares false with everything, so ``delay < 0`` let it in."""
+        simulator = Simulator()
+        order = []
+        with pytest.raises(ValueError, match="non-negative"):
+            simulator.schedule(float("nan"), lambda: order.append("nan"))
+        simulator.schedule(1.0, lambda: order.append("one"))
+        simulator.schedule(0.5, lambda: order.append("half"))
+        simulator.run()
+        assert order == ["half", "one"]
+
+    @pytest.mark.parametrize("entry_point", ["schedule_at", "call_at"])
+    def test_nan_time_rejected(self, entry_point):
+        simulator = Simulator()
+        with pytest.raises(ValueError, match="nan"):
+            if entry_point == "schedule_at":
+                simulator.schedule_at(float("nan"), lambda: None)
+            else:
+                simulator.call_at(float("nan"), print, "x")
+        assert simulator.pending_events() == 0
+
+    def test_one_instant_runs_in_insertion_order(self):
+        """Timers and calls at one instant share a FIFO bucket; a zero-delay
+        schedule from a handler goes after everything already queued at now."""
+        simulator = Simulator()
+        seen = []
+
+        def first():
+            seen.append("first")
+            simulator.schedule(0.0, lambda: seen.append("from-handler"))
+
+        simulator.schedule_at(1.0, first)
+        simulator.call_at(1.0, seen.append, "call")
+        simulator.schedule_at(0.5, lambda: seen.append("earlier"))
+        simulator.schedule_at(1.0, lambda: seen.append("last-queued"))
+        simulator.run()
+        assert seen == ["earlier", "first", "call", "last-queued", "from-handler"]
+        assert simulator.processed_events == 5
+
     def test_cancellation(self):
         simulator = Simulator()
         seen = []
@@ -93,6 +133,18 @@ class TestRunControl:
         satisfied = simulator.run(until=lambda: "out" in seen)
         assert not satisfied
         assert seen == ["in"]
+
+    def test_past_horizon_each_step_discards_one_entry(self):
+        simulator = Simulator(max_time=5.0)
+        seen = []
+        for item in ("a", "b", "c"):
+            simulator.call_at(10.0, seen.append, item)
+        for pending in (2, 1, 0):
+            assert not simulator.step()
+            assert simulator.pending_events() == pending
+        assert seen == []
+        assert simulator.now == 0.0
+        assert simulator.processed_events == 0
 
     def test_event_budget(self):
         simulator = Simulator(max_events=5)
@@ -142,11 +194,11 @@ class TestHeapCompaction:
         handles = [simulator.schedule(float(i + 1), lambda: None) for i in range(200)]
         for handle in handles[:150]:
             handle.cancel()
-        # More than half the queue was dead: the heap must have been rebuilt
-        # with only the live events.
+        # More than half the queue was dead: the buckets must have been
+        # rebuilt with only the live events.
         assert simulator.compactions >= 1
         assert simulator.pending_events() == 50
-        assert len(simulator._queue) == 50
+        assert len(queued_entries(simulator)) == 50
 
     def test_small_queues_are_not_compacted(self):
         simulator = Simulator()
@@ -155,6 +207,7 @@ class TestHeapCompaction:
             handle.cancel()
         assert simulator.compactions == 0
         assert simulator.pending_events() == 0
+        assert len(queued_entries(simulator)) == 10
 
     def test_compaction_preserves_execution_order(self):
         simulator = Simulator()
@@ -208,100 +261,6 @@ class TestHeapCompaction:
         assert simulator.pending_events() == 0
 
 
-class TestEventBatches:
-    def test_payloads_run_in_append_order(self):
-        simulator = Simulator()
-        seen = []
-        batch = simulator.schedule_batch_at(1.0, seen.append, "a")
-        assert simulator.try_append_to_batch(batch, "b")
-        assert simulator.try_append_to_batch(batch, "c")
-        simulator.run()
-        assert seen == ["a", "b", "c"]
-        assert simulator.now == 1.0
-
-    def test_batch_interleaves_with_events_by_sequence(self):
-        simulator = Simulator()
-        seen = []
-        simulator.schedule_at(1.0, lambda: seen.append("before"))
-        batch = simulator.schedule_batch_at(1.0, seen.append, "p1")
-        assert simulator.try_append_to_batch(batch, "p2")
-        simulator.schedule_at(1.0, lambda: seen.append("after"))
-        simulator.run()
-        assert seen == ["before", "p1", "p2", "after"]
-
-    def test_append_fails_once_fence_breaks(self):
-        simulator = Simulator()
-        batch = simulator.schedule_batch_at(1.0, lambda item: None, "a")
-        simulator.schedule_at(2.0, lambda: None)
-        assert not simulator.try_append_to_batch(batch, "b")
-
-    def test_append_fails_on_drained_batch(self):
-        simulator = Simulator()
-        batch = simulator.schedule_batch_at(1.0, lambda item: None, "a")
-        simulator.run()
-        assert batch.closed
-        assert not simulator.try_append_to_batch(batch, "b")
-
-    def test_payloads_count_as_individual_events(self):
-        simulator = Simulator()
-        seen = []
-        batch = simulator.schedule_batch_at(1.0, seen.append, "a")
-        for item in ("b", "c"):
-            assert simulator.try_append_to_batch(batch, item)
-        satisfied = simulator.run(until=lambda: len(seen) >= 2)
-        assert satisfied
-        # The stop predicate runs between payloads, exactly as it would
-        # between three separately scheduled events.
-        assert seen == ["a", "b"]
-        assert simulator.processed_events == 2
-
-    def test_handler_may_extend_the_batch_while_draining(self):
-        simulator = Simulator()
-        seen = []
-
-        def deliver(item):
-            seen.append(item)
-            if item == "a":
-                # No event was scheduled since the batch was created, so the
-                # fence still holds mid-drain.
-                assert simulator.try_append_to_batch(batch, "tail")
-
-        batch = simulator.schedule_batch_at(1.0, deliver, "a")
-        simulator.run()
-        assert seen == ["a", "tail"]
-
-    def test_past_horizon_batch_discards_one_payload_per_step(self):
-        simulator = Simulator(max_time=5.0)
-        seen = []
-        batch = simulator.schedule_batch_at(10.0, seen.append, "a")
-        for item in ("b", "c"):
-            assert simulator.try_append_to_batch(batch, item)
-        assert simulator.pending_events() == 3
-        assert not simulator.step()
-        assert simulator.pending_events() == 2
-        assert not simulator.step()
-        assert not simulator.step()
-        assert seen == []
-        assert simulator.pending_events() == 0
-        assert batch.closed
-
-    def test_pending_events_counts_batch_payloads(self):
-        simulator = Simulator()
-        batch = simulator.schedule_batch_at(1.0, lambda item: None, "a")
-        simulator.try_append_to_batch(batch, "b")
-        simulator.schedule_at(2.0, lambda: None)
-        assert simulator.pending_events() == 3
-
-    def test_pending_peak_is_a_high_water_mark(self):
-        simulator = Simulator()
-        batch = simulator.schedule_batch_at(1.0, lambda item: None, "a")
-        for item in ("b", "c", "d"):
-            simulator.try_append_to_batch(batch, item)
-        simulator.run()
-        assert simulator.pending_events() == 0
-        assert simulator.pending_peak == 4
-
-
 class TestCompactionThreshold:
     def test_lower_threshold_compacts_smaller_queues(self, monkeypatch):
         monkeypatch.setattr(Simulator, "COMPACTION_MIN_QUEUE", 10)
@@ -349,22 +308,26 @@ class TestCompactionThreshold:
         assert never == reference
 
 
+
+
+def queued_entries(simulator):
+    """Every entry not yet popped, cancelled or not, as ``(fn, arg)``: walk the buckets."""
+    entries = []
+    for bucket in simulator._buckets.values():
+        start = simulator._cursor if bucket is simulator._bucket else 0
+        entries.extend(zip(bucket[start::2], bucket[start + 1 :: 2], strict=True))
+    return entries
+
+
 def recount_pending(simulator):
-    """Brute-force ``pending_events()``: walk the heap and the draining batch."""
-    items = [item for _, _, item in simulator._queue]
-    if simulator._active_batch is not None:
-        items.append(simulator._active_batch)
-    return sum(
-        len(item.items) - item.next_index if type(item) is _EventBatch else not item.cancelled
-        for item in items
-    )
+    """Brute-force ``pending_events()``: a timer (``fn is None``) counts unless cancelled."""
+    return sum(fn is not None or not arg.cancelled for fn, arg in queued_entries(simulator))
 
 
 ENGINE_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), st.integers(0, 8)),
-        st.tuples(st.just("batch"), st.integers(0, 8)),
-        st.tuples(st.just("append"), st.just(0)),
+        st.tuples(st.just("call_at"), st.integers(0, 8)),
         st.tuples(st.just("cancel"), st.integers(0, 200)),
         st.tuples(st.just("step"), st.integers(1, 4)),
     ),
@@ -378,23 +341,19 @@ class TestLiveEventCount:
     def test_pending_events_equals_a_recount_after_every_operation(self, ops):
         """The one incrementally kept integer never drifts from the queue.
 
-        Random schedules, batch opens and appends, cancellations (with a
-        compaction threshold low enough to compact constantly) and steps
-        that execute, skip cancelled entries or discard events past the
-        ``max_time=5`` horizon.
+        Random timers and calls, cancellations (with a compaction threshold
+        low enough to compact constantly) and steps that execute, skip
+        cancelled entries or discard events past the ``max_time=5`` horizon.
         """
         with mock.patch.object(Simulator, "COMPACTION_MIN_QUEUE", 4):
             simulator = Simulator(max_time=5.0)
             handles = []
-            batch = None
             peak = 0
             for op, arg in ops:
                 if op == "schedule":
                     handles.append(simulator.schedule(float(arg), lambda: None))
-                elif op == "batch":
-                    batch = simulator.schedule_batch_at(simulator.now + arg, lambda item: None, "x")
-                elif op == "append" and batch is not None:
-                    simulator.try_append_to_batch(batch, "y")
+                elif op == "call_at":
+                    simulator.call_at(simulator.now + arg, lambda item: None, "x")
                 elif op == "cancel" and handles:
                     handles[arg % len(handles)].cancel()
                 elif op == "step":
@@ -406,3 +365,124 @@ class TestLiveEventCount:
             simulator.max_time = float("inf")
             simulator.run()
             assert simulator.pending_events() == recount_pending(simulator) == 0
+
+
+class ReferenceEvent:
+    def __init__(self, engine, run):
+        self.engine, self.run, self.state = engine, run, "queued"
+
+    def cancel(self):
+        if self.state == "queued":
+            self.state = "cancelled"
+            self.engine.live -= 1
+
+
+class ReferenceEngine:
+    """One ``(time, sequence)`` heap entry per event: the order the buckets must reproduce."""
+
+    def __init__(self, max_time):
+        self.max_time, self.now, self.heap, self.sequence = max_time, 0.0, [], 0
+        self.processed_events = self.live = self.pending_peak = 0
+
+    def call_at(self, time, fn, arg):
+        self.sequence += 1
+        event = ReferenceEvent(self, lambda: fn(arg))
+        heapq.heappush(self.heap, (time, self.sequence, event))
+        self.live += 1
+        self.pending_peak = max(self.pending_peak, self.live)
+        return event
+
+    def schedule(self, delay, callback):
+        return self.call_at(self.now + delay, lambda _: callback(), None)
+
+    def pending_events(self):
+        return self.live
+
+    def step(self):
+        while self.heap:
+            time, _, event = heapq.heappop(self.heap)
+            cancelled, event.state = event.state == "cancelled", "done"
+            if cancelled:
+                continue
+            self.live -= 1
+            if time > self.max_time:
+                return False
+            self.now = time
+            self.processed_events += 1
+            event.run()
+            return True
+        return False
+
+    def run(self, until):
+        while not until():
+            if not self.step():
+                return until()
+        return True
+
+
+def transcript(engine, ops):
+    """Apply ``ops`` to ``engine``; return everything an observer can see."""
+    seen, handles, results = [], [], []
+
+    def handler(label, child):
+        def run(_=None):
+            seen.append((label, engine.now))
+            if child is not None:
+                enqueue(*child, f"{label}/child", None)
+
+        return run
+
+    def enqueue(kind, delay, label, child):
+        if kind == "schedule":
+            handles.append(engine.schedule(delay, handler(label, child)))
+        else:
+            engine.call_at(engine.now + delay, handler(label, child), label)
+
+    for index, (op, arg, child) in enumerate(ops):
+        if op in ("schedule", "call_at"):
+            enqueue(op, arg, index, child)
+        elif op == "cancel" and handles:
+            handles[arg % len(handles)].cancel()
+        elif op == "step":
+            results.append([engine.step() for _ in range(arg)])
+        elif op == "run":
+            target = len(seen) + arg
+            results.append(engine.run(until=lambda: len(seen) >= target))
+        results.append((engine.now, engine.processed_events, engine.pending_events(), engine.pending_peak))
+    engine.max_time = float("inf")
+    results.append(engine.run(until=lambda: False))
+    results.append((engine.now, engine.processed_events, engine.pending_events(), engine.pending_peak))
+    return seen, results
+
+
+DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5, 4.0, 6.0])
+CHILDREN = st.none() | st.tuples(st.sampled_from(["schedule", "call_at"]), st.sampled_from([0.0, 0.0, 1.0]))
+DIFFERENTIAL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["schedule", "call_at"]), DELAYS, CHILDREN),
+        st.tuples(st.just("cancel"), st.integers(0, 200), st.none()),
+        st.tuples(st.just("step"), st.integers(1, 4), st.none()),
+        st.tuples(st.just("run"), st.integers(1, 6), st.none()),
+    ),
+    max_size=80,
+)
+
+
+class TestReferenceOrder:
+    @pytest.mark.parametrize("compaction_min_queue", [2, 64, 10**9])
+    @settings(max_examples=150, deadline=None)
+    @given(ops=DIFFERENTIAL_OPS)
+    # An instant scheduled after a discard, before the rest of the bucket
+    # being discarded: the clock lags that bucket, and the new instant runs first.
+    @example(ops=[("schedule", 6.0, None), ("call_at", 6.0, None), ("step", 1, None), ("schedule", 0.5, None)])
+    def test_buckets_reproduce_the_sequence_heap(self, compaction_min_queue, ops):
+        """Same execution order, clock, counters and peak as a ``(time, seq)`` heap.
+
+        Timers, uncancellable calls, zero-delay schedules from inside
+        handlers, cancellations, single steps, ``run(until=...)`` and
+        discards past the ``max_time=5`` horizon (then a drain with the
+        horizon lifted), at an always-, a default- and a never-compacting
+        threshold.
+        """
+        with mock.patch.object(Simulator, "COMPACTION_MIN_QUEUE", compaction_min_queue):
+            assert transcript(Simulator(max_time=5.0), ops) == transcript(ReferenceEngine(5.0), ops)

@@ -291,14 +291,14 @@ class TestTransport:
 
 
 class TestDeliveryBatching:
-    def test_same_instant_broadcast_shares_one_heap_entry(self):
+    def test_same_instant_fan_out_occupies_one_heap_instant(self):
         simulator, network, trace = make_network()
         network.add_rule(DelayBy(lambda envelope: 1.0))
         nodes = {pid: Recorder(pid, frozenset(), runtime=SimRuntime(simulator, network)) for pid in range(1, 12)}
         network.broadcast(1, frozenset(nodes), "hello")
-        # Ten same-instant deliveries, one heap entry.
+        # Ten same-instant deliveries, one bucket, one instant on the heap.
         assert simulator.pending_events() == 10
-        assert len(simulator._queue) == 1
+        assert simulator._instants == [1.0]
         simulator.run()
         received = [pid for pid, node in nodes.items() if node.received]
         assert sorted(received) == [pid for pid in range(2, 12)]
