@@ -3,10 +3,10 @@
 The benchmarks are fully seeded, so their exported trajectories are
 deterministic; any metric drift (message counts, solved rates, virtual
 latencies, group aggregates) is a behavioural change, not noise.  This
-script compares a directory of freshly produced trajectories (CI's
-``bench-artifacts/``) against the committed quick-mode baselines and exits
-non-zero on drift, printing a per-benchmark delta table.  Wall-clock times
-are never compared.
+script diffs a directory of freshly produced trajectories (CI's
+``bench-artifacts/``) against the committed quick-mode baselines, each
+metric compared exactly, and exits non-zero on drift, printing a
+per-benchmark delta table.  Wall-clock times are never compared.
 
 Run exactly what CI runs::
 
@@ -28,11 +28,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments.regression import (  # noqa: E402
-    compare_directories,
-    parse_tolerance_overrides,
-    render_report,
-)
+from repro.experiments.regression import compare_directories, render_report  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -48,25 +44,13 @@ def main(argv: list[str] | None = None) -> int:
         help="directory of committed baselines (default: benchmarks/baselines)",
     )
     parser.add_argument(
-        "--tolerance",
-        action="append",
-        default=[],
-        metavar="METRIC=REL[:ABS]",
-        help="per-metric drift allowance, e.g. total_messages=0.02 (default: exact)",
-    )
-    parser.add_argument(
         "--all-deltas",
         action="store_true",
         help="print every compared metric, not only the drifted ones",
     )
     options = parser.parse_args(argv)
 
-    try:
-        tolerances = parse_tolerance_overrides(options.tolerance)
-    except ValueError as error:
-        parser.error(str(error))
-
-    report = compare_directories(options.baselines, options.fresh, tolerances=tolerances)
+    report = compare_directories(options.baselines, options.fresh)
     compared = len(report.deltas)
     benchmarks = len({delta.benchmark for delta in report.deltas})
     rendered = render_report(report, only_violations=not options.all_deltas)

@@ -9,12 +9,6 @@ the benchmark-regression gate alongside the pytest-produced ones).
 ``BENCH_QUICK=1`` shrinks the sweep to the CI-sized smoke run the
 committed quick-mode baseline was recorded with.
 
-When ``BENCH_LAKE`` points at a result-lake directory, the payload is
-additionally appended to the lake's trajectory history (benchmark name
-``experiments-suite-runner``) keyed by the current commit — which is what
-``scripts/bench_trends.py`` diffs and plots.  The commit is taken from
-``$BENCH_COMMIT`` when set, else from ``git rev-parse HEAD``.
-
 Run with::
 
     PYTHONPATH=src python scripts/record_bench_experiments.py
@@ -25,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import subprocess
 import sys
 from pathlib import Path
 
@@ -35,25 +28,7 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from bench_scalability import scalability_scenarios  # noqa: E402
 
-from repro.experiments import ResultStore, SuiteRunner  # noqa: E402
-
-HISTORY_BENCHMARK = "experiments-suite-runner"
-
-
-def _current_commit() -> str:
-    commit = os.environ.get("BENCH_COMMIT")
-    if commit:
-        return commit
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+from repro.experiments import SuiteRunner  # noqa: E402
 
 
 def main() -> None:
@@ -82,14 +57,6 @@ def main() -> None:
     out.write_text(json.dumps(payload, indent=2, default=repr) + "\n")
     print(f"wrote {out}")
 
-    lake_dir = os.environ.get("BENCH_LAKE")
-    if lake_dir:
-        store = ResultStore(lake_dir)
-        commit = _current_commit()
-        digest = store.append_history(
-            HISTORY_BENCHMARK, commit, payload, python=platform.python_version()
-        )
-        print(f"appended history snapshot {digest[:12]} for commit {commit[:12]} to {lake_dir}")
     print(
         f"serial {serial.wall_time:.2f}s vs pool({pooled.processes}) "
         f"{pooled.wall_time:.2f}s over {len(serial)} runs"

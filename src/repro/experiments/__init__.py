@@ -23,8 +23,7 @@
 * :mod:`repro.experiments.lake` -- the content-addressable
   :class:`ResultStore` behind ``SuiteRunner.run(..., store=...)``: a
   digest-keyed cell cache shared across sweeps, backends and remote
-  workers — re-running a killed sweep against it resumes the sweep — plus
-  the per-commit bench trajectory history;
+  workers — re-running a killed sweep against it resumes the sweep;
 * :mod:`repro.experiments.regression` -- benchmark-trajectory comparison
   against committed ``BENCH_*.json`` baselines (the CI regression gate);
 * :mod:`repro.experiments.results` -- :class:`SuiteResult` aggregation

@@ -5,11 +5,12 @@ Every benchmark exports a uniform ``BENCH_*.json`` trajectory (see
 *metric* content of a trajectory — message counts, solved rates, virtual
 latencies, per-group aggregates — is deterministic run to run.  This
 module diffs a directory of freshly produced trajectories against the
-committed baselines and reports every metric that drifted beyond its
-tolerance, which turns silent behavioural regressions ("the protocol still
-passes its tests but now sends 40% more messages") into red CI.
+committed baselines and reports every metric that drifted, which turns
+silent behavioural regressions ("the protocol still passes its tests but
+now sends 40% more messages") into red CI.
 
-Compared, with per-metric tolerances (default: exact):
+Compared exactly — a numeric metric passes iff it is finite on both sides
+and equal:
 
 * suite-level ``runs``, ``errors`` and ``solved_rate``;
 * every numeric metric of every group row (``total_messages``,
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -37,17 +38,6 @@ SUITE_METRICS = ("runs", "errors", "solved_rate")
 
 #: Group-row keys that are identity or noise, never gated metrics.
 EXCLUDED_GROUP_KEYS = frozenset({"key", "wall_time"})
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Allowed drift for one metric: ``|fresh - baseline| <= max(abs, rel*|baseline|)``."""
-
-    rel: float = 0.0
-    abs: float = 0.0
-
-    def allows(self, baseline: float, fresh: float) -> bool:
-        return abs(fresh - baseline) <= max(self.abs, self.rel * abs(baseline)) + 1e-12
 
 
 @dataclass
@@ -74,7 +64,7 @@ class ComparisonReport:
 
     deltas: list[Delta] = field(default_factory=list)
     #: Structural failures (missing baseline, unreadable file, group-set
-    #: mismatch) that fail the gate regardless of metric tolerances.
+    #: mismatch) that fail the gate regardless of metric values.
     problems: list[str] = field(default_factory=list)
     #: Baselines with no fresh counterpart (informational: the fresh run may
     #: legitimately be a subset, e.g. a benchmark not exercised in CI).
@@ -89,12 +79,6 @@ class ComparisonReport:
         return not self.violations and not self.problems
 
 
-def _tolerance_for(metric: str, tolerances: Mapping[str, Tolerance] | None) -> Tolerance:
-    if tolerances and metric in tolerances:
-        return tolerances[metric]
-    return Tolerance()
-
-
 def _numeric(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -106,15 +90,11 @@ def _compare_metric(
     metric: str,
     baseline: Any,
     fresh: Any,
-    tolerances: Mapping[str, Tolerance] | None,
 ) -> None:
-    if _numeric(baseline) and _numeric(fresh):
-        finite = math.isfinite(float(baseline)) and math.isfinite(float(fresh))
-        within = finite and _tolerance_for(metric, tolerances).allows(float(baseline), float(fresh))
-    else:
-        # Non-numeric (None vs None is fine; None vs number is drift: a
-        # metric appearing or disappearing is itself a regression signal).
-        within = baseline == fresh
+    # A non-finite number is drift even against itself; otherwise equality
+    # (None vs None is fine; None vs number is drift: a metric appearing or
+    # disappearing is itself a regression signal).
+    within = baseline == fresh and not (_numeric(baseline) and not math.isfinite(baseline))
     report.deltas.append(
         Delta(
             benchmark=benchmark,
@@ -132,7 +112,6 @@ def compare_payloads(
     baseline: Mapping[str, Any],
     fresh: Mapping[str, Any],
     *,
-    tolerances: Mapping[str, Tolerance] | None = None,
     report: ComparisonReport | None = None,
 ) -> ComparisonReport:
     """Diff one benchmark's fresh trajectory against its baseline payload."""
@@ -148,7 +127,6 @@ def compare_payloads(
             metric,
             baseline_suite.get(metric),
             fresh_suite.get(metric),
-            tolerances,
         )
 
     baseline_groups = {repr(row.get("key")): row for row in baseline_suite.get("groups") or []}
@@ -173,7 +151,6 @@ def compare_payloads(
                 metric,
                 baseline_row.get(metric),
                 fresh_row.get(metric),
-                tolerances,
             )
     return report
 
@@ -193,8 +170,6 @@ def _load(path: Path, report: ComparisonReport) -> dict[str, Any] | None:
 def compare_directories(
     baseline_dir: str | Path,
     fresh_dir: str | Path,
-    *,
-    tolerances: Mapping[str, Tolerance] | None = None,
 ) -> ComparisonReport:
     """Diff every fresh ``BENCH_*.json`` against its committed baseline.
 
@@ -223,7 +198,7 @@ def compare_directories(
         if fresh is None or baseline is None:
             continue
         name = str(fresh.get("benchmark") or fresh_path.stem.removeprefix("BENCH_"))
-        compare_payloads(name, baseline, fresh, tolerances=tolerances, report=report)
+        compare_payloads(name, baseline, fresh, report=report)
     for baseline_path in sorted(baseline_dir.glob("BENCH_*.json")):
         if baseline_path.name not in seen:
             report.unmatched_baselines.append(baseline_path.name)
@@ -262,27 +237,6 @@ def render_report(report: ComparisonReport, *, only_violations: bool = False) ->
     return "\n".join(lines)
 
 
-def parse_tolerance_overrides(specs: Iterable[str]) -> dict[str, Tolerance]:
-    """Parse ``metric=REL`` / ``metric=REL:ABS`` CLI overrides.
-
-    ``REL`` is a relative fraction (``total_messages=0.02`` allows 2%
-    drift), ``ABS`` an absolute slack (``solved_rate=0:0.05``).
-    """
-    overrides: dict[str, Tolerance] = {}
-    for spec in specs:
-        metric, separator, value = spec.partition("=")
-        if not separator or not metric:
-            raise ValueError(f"expected METRIC=REL[:ABS], got {spec!r}")
-        rel_text, _, abs_text = value.partition(":")
-        try:
-            overrides[metric] = Tolerance(
-                rel=float(rel_text or 0.0), abs=float(abs_text or 0.0)
-            )
-        except ValueError as error:
-            raise ValueError(f"bad tolerance {spec!r}: {error}") from error
-    return overrides
-
-
 def _fmt(value: Any) -> str:
     if value is None:
         return "-"
@@ -294,10 +248,8 @@ def _fmt(value: Any) -> str:
 __all__ = [
     "ComparisonReport",
     "Delta",
-    "Tolerance",
     "compare_directories",
     "compare_payloads",
-    "parse_tolerance_overrides",
     "render_report",
     "SUITE_METRICS",
 ]

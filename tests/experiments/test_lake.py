@@ -5,7 +5,9 @@ as a top-level module), so they resolve both in-process and in worker
 drains.
 """
 
-import json
+import hashlib
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,7 @@ from repro.experiments import (
     result_key,
 )
 from repro.experiments.backends.queue import QueueWorker
-from repro.experiments.lake import canonical_json, object_hash
+from repro.experiments.lake import canonical_json, outcome_payload
 from repro.experiments.worker import drain
 
 
@@ -81,7 +83,7 @@ class TestStoreRoundTrip:
         store = ResultStore(tmp_path / "lake")
         payload = {"summary": {"messages": 4}, "error": None, "wall_time": 0.25}
         digest = store.put("k1", payload)
-        assert digest == object_hash(payload)
+        assert digest == hashlib.sha256(canonical_json(payload).encode()).hexdigest()
         assert store.get("k1") == payload
         assert "k1" in store
         assert len(store) == 1 and store.keys() == ["k1"]
@@ -104,16 +106,88 @@ class TestStoreRoundTrip:
             assert store.put("k", {"bad": object()}) is None
         assert store.get("k") is None
 
-    def test_history_append_and_tail(self, tmp_path):
+    def test_concurrent_put_of_one_object_does_not_collide(self, tmp_path, monkeypatch):
+        # A queue worker (or a queue-server thread) storing the same object
+        # between this writer's staging write and its rename must not take
+        # the staging file from under it.
+        payload = {"summary": {"messages": 3}}
+        original_replace = Path.replace
+        interleaved = []
+
+        def replace(staging, target):
+            if not interleaved:
+                interleaved.append(staging.name)
+                other = ResultStore(tmp_path / "lake")
+                worker = threading.Thread(target=other.put, args=("k", payload))
+                worker.start()
+                worker.join()
+            return original_replace(staging, target)
+
+        monkeypatch.setattr(Path, "replace", replace)
         store = ResultStore(tmp_path / "lake")
-        for index in range(3):
-            store.append_history("bench-a", f"c{index}", {"runs": index}, python="3.12")
-        store.append_history("bench-b", "c9", {"runs": 99})
-        records = store.history("bench-a")
-        assert [r["commit"] for r in records] == ["c0", "c1", "c2"]
-        assert records[0]["payload"] == {"runs": 0}
-        assert records[0]["python"] == "3.12"
-        assert [r["commit"] for r in store.history("bench-a", last=2)] == ["c1", "c2"]
+        digest = store.put("k", payload)
+        assert interleaved and store.get("k") == payload
+        assert not list(store._object_path(digest).parent.glob(".*.tmp"))
+
+    def test_objects_are_content_addressed_and_shared_across_keys(self, tmp_path):
+        store = ResultStore(tmp_path / "lake")
+        first = store.put("k1", {"a": 1, "b": [2, 3]})
+        # Key order does not change the canonical bytes, so both keys share
+        # one object stored at objects/<aa>/<rest-of-digest>.
+        second = store.put("k2", {"b": [2, 3], "a": 1})
+        assert first == second
+        path = store._object_path(first)
+        assert path == tmp_path / "lake" / "objects" / first[:2] / first[2:]
+        assert path.read_text() == canonical_json({"a": 1, "b": [2, 3]})
+        assert [p for p in store.objects_dir.rglob("*") if p.is_file()] == [path]
+        assert store.keys() == ["k1", "k2"]
+
+    def test_store_on_a_missing_root_is_empty_until_first_put(self, tmp_path):
+        store = ResultStore(tmp_path / "absent")
+        assert len(store) == 0 and store.keys() == [] and "k" not in store
+        assert store.get("k") is None
+        assert not (tmp_path / "absent").exists()
+        store.put("k", {"v": 1})
+        assert store.index_path.exists()
+        assert ResultStore(tmp_path / "absent").keys() == ["k"]
+
+    def test_outcome_payload_is_content_identical_from_either_side(self, tmp_path):
+        # The worker and the coordinator each build the payload of one cell;
+        # both land on the same object and the index records the key once.
+        store = ResultStore(tmp_path / "lake")
+        first = store.put("k", outcome_payload("s", {"messages": 5}, 0.5))
+        second = store.put("k", outcome_payload("s", {"messages": 5}, 0.5))
+        assert first == second
+        assert store.get("k") == {
+            "scenario": "s",
+            "summary": {"messages": 5},
+            "error": None,
+            "wall_time": 0.5,
+        }
+        assert len(store.index_path.read_text().splitlines()) == 1
+
+    def test_many_threads_putting_one_object_all_succeed(self, tmp_path):
+        payload = {"summary": {"messages": 9}}
+        digests: list = []
+        errors: list = []
+
+        def put(index):
+            try:
+                digests.append(ResultStore(tmp_path / "lake").put(f"k{index}", payload))
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        threads = [threading.Thread(target=put, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert len(set(digests)) == 1 and len(digests) == 8
+        fresh = ResultStore(tmp_path / "lake")
+        assert fresh.keys() == [f"k{i}" for i in range(8)]
+        assert all(fresh.get(f"k{i}") == payload for i in range(8))
+        assert not list(fresh.objects_dir.rglob("*.tmp"))
 
 
 class TestCorruptionRecovery:
@@ -129,36 +203,7 @@ class TestCorruptionRecovery:
         # Re-putting the true payload heals the store in place.
         assert store.put("k", payload) == digest
         assert store.get("k") == payload
-        assert store.verify() == []
-
-    def test_corrupt_pack_entry_degrades_to_miss(self, tmp_path):
-        store = ResultStore(tmp_path / "lake")
-        digest = store.put("k", {"v": 1})
-        assert store.pack() == 1
-        pack = next(store.packs_dir.glob("*.pack"))
-        pack.write_text(json.dumps({"hash": digest, "object": {"v": 2}}) + "\n")
-        fresh = ResultStore(tmp_path / "lake")
-        with pytest.warns(UserWarning, match="corrupt"):
-            assert fresh.get("k") is None
-        assert any("mismatch" in problem for problem in fresh.verify())
-
-    def test_truncated_pack_tail_only_loses_the_partial_line(self, tmp_path):
-        store = ResultStore(tmp_path / "lake")
-        store.put("k1", {"v": 1})
-        store.put("k2", {"v": 2})
-        assert store.pack() == 2
-        pack = next(store.packs_dir.glob("*.pack"))
-        lines = pack.read_text().splitlines()
-        pack.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2])
-        fresh = ResultStore(tmp_path / "lake")
-        with pytest.warns(UserWarning, match="corrupt lake line"):
-            values = {key: fresh.get(key) for key in ("k1", "k2")}
-        survivors = {key: v for key, v in values.items() if v is not None}
-        # Entries are digest-ordered in the pack, so either key may survive —
-        # but exactly one does, and its payload is intact.
-        assert len(survivors) == 1
-        (key, payload), = survivors.items()
-        assert payload == {"v": int(key[1])}
+        assert path.exists()
 
     def test_corrupt_index_line_is_skipped(self, tmp_path):
         store = ResultStore(tmp_path / "lake")
@@ -169,42 +214,54 @@ class TestCorruptionRecovery:
         with pytest.warns(UserWarning, match="corrupt lake line"):
             assert fresh.get("k") == {"v": 1}
 
-
-class TestPackAndGc:
-    def test_pack_folds_loose_objects_and_reads_still_hit(self, tmp_path):
+    def test_truncated_object_degrades_to_miss_and_heals(self, tmp_path):
         store = ResultStore(tmp_path / "lake")
-        digests = [store.put(f"k{i}", {"v": i}) for i in range(4)]
-        assert store.pack() == 4
-        assert not any(store._object_path(d).exists() for d in digests)
-        for i in range(4):
-            assert store.get(f"k{i}") == {"v": i}
-        assert store.verify() == []
+        payload = {"summary": {"messages": 11}}
+        digest = store.put("k", payload)
+        path = store._object_path(digest)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.warns(UserWarning, match="corrupt"):
+            assert store.get("k") is None
+        assert not path.exists()
+        assert store.put("k", payload) == digest
+        assert ResultStore(tmp_path / "lake").get("k") == payload
 
-    def test_gc_drops_superseded_objects_and_keeps_history(self, tmp_path):
+    def test_missing_object_is_a_silent_miss_and_heals(self, tmp_path, recwarn):
         store = ResultStore(tmp_path / "lake")
-        old = store.put("k", {"v": "old"})
-        kept_by_history = store.put("h", {"v": "snapshot"})
-        store.append_history("bench", "c1", {"v": "snapshot"})
-        store.put("k", {"v": "new"})
-        stats = store.gc()
-        assert stats["keys"] == 2
-        assert stats["objects_dropped"] == 1
-        assert not store._object_path(old).exists()
-        assert store._object_path(kept_by_history).exists()
-        assert store.get("k") == {"v": "new"}
-        assert store.history("bench")[0]["payload"] == {"v": "snapshot"}
-        assert store.verify() == []
+        digest = store.put("k", {"v": 1})
+        store._object_path(digest).unlink()
+        assert store.get("k") is None
+        assert not recwarn.list
+        assert "k" in store  # the index entry survives; only the object is gone
+        assert store.put("k", {"v": 1}) == digest
+        assert store.get("k") == {"v": 1}
 
-    def test_gc_rewrites_packs_dropping_unreferenced_entries(self, tmp_path):
+    def test_well_formed_but_foreign_index_lines_are_ignored(self, tmp_path, recwarn):
         store = ResultStore(tmp_path / "lake")
-        store.put("k", {"v": "old"})
-        store.pack()
-        store.put("k", {"v": "new"})
-        stats = store.gc()
-        assert stats["objects_dropped"] == 1
+        store.put("k", {"v": 1})
+        with open(store.index_path, "a") as handle:
+            handle.write("\n[1, 2]\n")
+            handle.write('{"key": 3, "object": "abc"}\n')
+            handle.write('{"key": "other"}\n')
         fresh = ResultStore(tmp_path / "lake")
-        assert fresh.get("k") == {"v": "new"}
-        assert fresh.verify() == []
+        assert fresh.keys() == ["k"]
+        assert fresh.get("k") == {"v": 1}
+        assert not recwarn.list
+
+    def test_put_after_a_truncated_index_tail_is_replayed(self, tmp_path):
+        store = ResultStore(tmp_path / "lake")
+        store.put("k1", {"v": 1})
+        with open(store.index_path, "a") as handle:
+            handle.write('{"key": "k2", "obj\n')
+        with pytest.warns(UserWarning, match="corrupt lake line"):
+            resumed = ResultStore(tmp_path / "lake")
+            assert resumed.get("k2") is None
+        resumed.put("k2", {"v": 2})
+        with pytest.warns(UserWarning, match="corrupt lake line"):
+            fresh = ResultStore(tmp_path / "lake")
+            assert fresh.keys() == ["k1", "k2"]
+        assert fresh.get("k2") == {"v": 2}
 
 
 class TestCacheIdentity:

@@ -2,17 +2,10 @@
 
 import copy
 import json
+import math
 from pathlib import Path
 
-import pytest
-
-from repro.experiments.regression import (
-    Tolerance,
-    compare_directories,
-    compare_payloads,
-    parse_tolerance_overrides,
-    render_report,
-)
+from repro.experiments.regression import compare_directories, compare_payloads, render_report
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 BASELINES = REPO_ROOT / "benchmarks" / "baselines"
@@ -46,28 +39,6 @@ def payload(name="demo", *, solved_rate=1.0, messages=1000, runs=4):
     }
 
 
-class TestTolerance:
-    def test_exact_by_default(self):
-        assert Tolerance().allows(100, 100)
-        assert not Tolerance().allows(100, 101)
-
-    def test_relative_and_absolute(self):
-        assert Tolerance(rel=0.02).allows(100, 102)
-        assert not Tolerance(rel=0.02).allows(100, 103)
-        assert Tolerance(abs=0.5).allows(1.0, 1.4)
-        assert not Tolerance(abs=0.5).allows(1.0, 1.6)
-
-    def test_parse_overrides(self):
-        overrides = parse_tolerance_overrides(["total_messages=0.02", "solved_rate=0:0.05"])
-        assert overrides["total_messages"] == Tolerance(rel=0.02)
-        assert overrides["solved_rate"] == Tolerance(rel=0.0, abs=0.05)
-
-    @pytest.mark.parametrize("bad", ["no-equals", "=0.1", "m=notanumber"])
-    def test_parse_rejects_malformed_overrides(self, bad):
-        with pytest.raises(ValueError):
-            parse_tolerance_overrides([bad])
-
-
 class TestComparePayloads:
     def test_identical_payloads_pass(self):
         report = compare_payloads("demo", payload(), payload())
@@ -82,7 +53,8 @@ class TestComparePayloads:
         assert compare_payloads("demo", payload(), fresh).ok
 
     def test_message_drift_is_a_violation(self):
-        report = compare_payloads("demo", payload(messages=1000), payload(messages=1400))
+        # Exact by default: a single extra message is drift.
+        report = compare_payloads("demo", payload(messages=1000), payload(messages=1001))
         assert not report.ok
         drifted = {(delta.location, delta.metric) for delta in report.violations}
         assert ("group['g1']", "total_messages") in drifted
@@ -92,14 +64,41 @@ class TestComparePayloads:
         report = compare_payloads("demo", payload(solved_rate=1.0), payload(solved_rate=0.75))
         assert any(delta.metric == "solved_rate" for delta in report.violations)
 
-    def test_tolerance_absorbs_small_drift(self):
-        report = compare_payloads(
-            "demo",
-            payload(messages=1000),
-            payload(messages=1010),
-            tolerances={"total_messages": Tolerance(rel=0.02), "mean_messages": Tolerance(rel=0.02)},
-        )
+    def test_non_finite_metric_is_drift_even_against_itself(self):
+        # Plain == would pass inf vs inf; the gate must not.
+        for value in (math.nan, math.inf):
+            report = compare_payloads("demo", payload(solved_rate=value), payload(solved_rate=value))
+            assert any(delta.metric == "solved_rate" for delta in report.violations)
+
+    def test_sub_epsilon_float_drift_is_a_violation(self):
+        # No hidden slack: a drift far below any float rounding noise still fails.
+        report = compare_payloads("demo", payload(solved_rate=0.5), payload(solved_rate=0.5 + 1e-15))
+        assert [delta.metric for delta in report.violations] == ["solved_rate", "solved_rate"]
+
+    def test_int_and_equal_float_compare_equal(self):
+        fresh = payload()
+        fresh["suite"]["runs"] = 4.0
+        assert compare_payloads("demo", payload(runs=4), fresh).ok
+
+    def test_metric_absent_on_both_sides_passes(self):
+        baseline, fresh = payload(), payload()
+        del baseline["suite"]["errors"], fresh["suite"]["errors"]
+        assert compare_payloads("demo", baseline, fresh).ok
+
+    def test_metric_appearing_is_a_violation(self):
+        baseline = payload()
+        baseline["suite"]["groups"][0]["mean_latency"] = None
+        report = compare_payloads("demo", baseline, payload())
+        assert [delta.metric for delta in report.violations] == ["mean_latency"]
+        assert report.violations[0].drift is None
+
+    def test_group_wall_time_is_not_gated(self):
+        baseline, fresh = payload(), payload()
+        baseline["suite"]["groups"][0]["wall_time"] = 1.0
+        fresh["suite"]["groups"][0]["wall_time"] = 9.0
+        report = compare_payloads("demo", baseline, fresh)
         assert report.ok
+        assert all(delta.metric != "wall_time" for delta in report.deltas)
 
     def test_metric_disappearing_is_a_violation(self):
         fresh = payload()
@@ -162,6 +161,22 @@ class TestCompareDirectories:
         (tmp_path / "fresh" / "BENCH_demo.json").write_text("{not json")
         report = compare_directories(tmp_path / "base", tmp_path / "fresh")
         assert not report.ok
+
+    def test_non_object_trajectory_is_a_structural_problem(self, tmp_path):
+        self._write(tmp_path / "base", "demo", payload())
+        self._write(tmp_path / "fresh", "demo", [payload()])
+        report = compare_directories(tmp_path / "base", tmp_path / "fresh")
+        assert not report.ok and report.deltas == []
+        assert any("not a JSON object" in problem for problem in report.problems)
+
+    def test_render_report_lists_problems_and_unmatched_baselines(self, tmp_path):
+        self._write(tmp_path / "base", "demo", payload())
+        self._write(tmp_path / "base", "not_run_in_ci", payload("not_run_in_ci"))
+        self._write(tmp_path / "fresh", "demo", payload())
+        self._write(tmp_path / "fresh", "brand_new", payload("brand_new"))
+        text = render_report(compare_directories(tmp_path / "base", tmp_path / "fresh"))
+        assert "PROBLEM: BENCH_brand_new.json: no committed baseline" in text
+        assert "note: baseline BENCH_not_run_in_ci.json has no fresh trajectory" in text
 
 
 class TestCommittedBaselines:
