@@ -23,7 +23,7 @@ from repro.analysis.tables import render_table
 from repro.core import ProtocolConfig
 from repro.graphs.generators import generate_bft_cupft_graph, generate_split_brain_graph
 from repro.adversary.spec import FaultSpec
-from repro.sim.network import PartialSynchronyModel
+from repro.sim.synchrony import PartialSynchronyModel
 
 
 def healthy_deployment() -> None:

@@ -23,7 +23,7 @@ The library implements, on top of a from-scratch discrete-event simulator:
   drained by ``python -m repro.experiments.worker`` processes) with the
   content-addressable :class:`~repro.experiments.ResultStore` as checkpoint,
   and per-group :class:`~repro.experiments.SuiteResult` statistics with
-  JSON/CSV export.
+  JSON export.
 
 Quickstart
 ----------

@@ -267,10 +267,6 @@ class AdversaryMix:
             return process in inside_core
         return process not in inside_core
 
-    def minimum_faulty(self) -> int:
-        """The smallest faulty-set size this mix can be placed onto."""
-        return sum(int(entry.count) for entry in self.entries if entry.count != REST)
-
     def to_dict(self) -> dict[str, Any]:
         payload: dict[str, Any] = {"entries": [entry.to_dict() for entry in self.entries]}
         if self.name:

@@ -23,7 +23,7 @@ crosses the work-queue job codec losslessly as a
 drop/delay traced under the matching rule's name.
 
 **Model-contract validation.**  The proofs rely on the declared synchrony
-model: under :class:`~repro.sim.network.PartialSynchronyModel` every message
+model: under :class:`~repro.sim.synchrony.PartialSynchronyModel` every message
 between correct processes must be delivered by ``max(sent, GST) + delta``.
 :meth:`NetworkSchedule.validate` rejects any rule that would break that
 contract for correct→correct traffic (withholding it forever, delaying it
@@ -33,7 +33,7 @@ not declared faulty) unless the rule carries an explicit
 deliberately steps outside the model, as the Theorem 7 indistinguishability
 construction does.  Rules that only touch traffic involving faulty
 processes are always admissible (a Byzantine process may do anything), and
-:class:`~repro.sim.network.AsynchronousModel` imposes no delivery contract.
+:class:`~repro.sim.synchrony.AsynchronousModel` imposes no delivery contract.
 """
 
 from __future__ import annotations

@@ -27,50 +27,6 @@ from repro.graphs.knowledge_graph import ProcessId
 from repro.graphs.predicates import KnowledgeView
 
 
-class AbsorbDelta:
-    """What one :meth:`DiscoveryState.absorb` call changed.
-
-    Truthy exactly when the view changed at all (the historical ``bool``
-    contract of ``absorb``), and additionally reports *what* changed so the
-    locators can decide whether the change can possibly invalidate a search
-    result:
-
-    * ``new_records`` — owners whose PD record was stored for the first time;
-    * ``new_known`` — processes that became known (from new owners or from
-      the PDs of received records, including equivocating duplicates);
-    * ``analysis_changed`` — whether the change is visible to the sink/core
-      predicates.  New known processes that appear in *no stored PD* have no
-      in-edges in the received-PD graph and are invisible to every predicate
-      (P1–P5) and to the candidate enumeration, so a delta consisting only
-      of such processes cannot change any search result.
-    """
-
-    __slots__ = ("new_records", "new_known", "analysis_changed")
-
-    def __init__(
-        self,
-        new_records: frozenset[ProcessId],
-        new_known: frozenset[ProcessId],
-        analysis_changed: bool,
-    ) -> None:
-        self.new_records = new_records
-        self.new_known = new_known
-        self.analysis_changed = analysis_changed
-
-    def __bool__(self) -> bool:
-        return bool(self.new_records or self.new_known)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AbsorbDelta(new_records={set(self.new_records)!r}, "
-            f"new_known={set(self.new_known)!r}, analysis_changed={self.analysis_changed})"
-        )
-
-
-#: The delta of an ``absorb`` that changed nothing (shared; never mutated).
-_NO_CHANGE = AbsorbDelta(frozenset(), frozenset(), False)
-
-
 @dataclass(slots=True)
 class DiscoveryState:
     """Local discovery state of one process (Algorithm 1, lines 1 and 4-6)."""
@@ -87,9 +43,6 @@ class DiscoveryState:
     records: dict[ProcessId, SignedMessage] = field(init=False, default_factory=dict)
     known: set[ProcessId] = field(init=False, default_factory=set)
     received: set[ProcessId] = field(init=False, default_factory=set)
-    #: Monotonic counter bumped whenever the view grows (used by the node to
-    #: avoid re-running the sink/core search when nothing changed).
-    version: int = field(init=False, default=0)
     #: Monotonic counter bumped only when the view changes in a way the
     #: sink/core predicates can observe: a new PD record, or a newly known
     #: process that appears in some stored PD.  Known-only growth outside
@@ -115,7 +68,6 @@ class DiscoveryState:
         self.records[self.process_id] = own_record
         self.known = set(self.participant_detector) | {self.process_id}
         self.received = {self.process_id}
-        self.version = 1
         self.analysis_version = 1
         self._pd_union = set(advertised)
 
@@ -129,7 +81,7 @@ class DiscoveryState:
             snapshot = self._snapshot = frozenset(self.records.values())
         return snapshot
 
-    def absorb(self, entries: frozenset[SignedMessage]) -> AbsorbDelta:
+    def absorb(self, entries: frozenset[SignedMessage]) -> bool:
         """Merge a received ``SETPDS`` payload (lines 4-6).
 
         Entries whose signature does not verify, whose signer differs from
@@ -142,12 +94,14 @@ class DiscoveryState:
 
         The fold is independent of the iteration order of ``entries`` (which
         is hash-seed dependent for a ``frozenset``): ``known``, ``received``
-        and the delta components are set unions, and when one payload
+        and ``analysis_version`` are order-free folds, and when one payload
         carries *conflicting* records for the same owner — possible only
         from an equivocating sender — the stored record is the one with the
         smallest signature tag, not whichever the set yields first.
 
-        Returns an :class:`AbsorbDelta`, truthy when the view changed.
+        Returns whether the view changed: a new record was stored or a new
+        process became known.  :attr:`analysis_version` is bumped only when
+        the change is visible to the sink/core predicates.
         """
         # Pre-pass: collect the entries that will reach the signature check
         # and verify them as one batch (one canonical encoding per distinct
@@ -170,11 +124,9 @@ class DiscoveryState:
                 continue
             pending.append(entry)
         if not pending and not malformed:
-            return _NO_CHANGE  # every entry is already stored: the fold would skip them all
-        new_records: list[ProcessId] = []
-        new_known: list[ProcessId] = []
+            return False  # every entry is already stored: the fold would skip them all
+        changed = analysis_changed = False
         stored_this_call: set[ProcessId] = set()
-        analysis_changed = False
         verified = dict(zip(map(id, pending), self.registry.verify_batch(pending), strict=True))
         for entry in entries:  # lint: allow[DET-ORDER-SET] order-insensitive fold; same-owner conflicts resolved by canonical tag below
             record = entry.message
@@ -196,12 +148,9 @@ class DiscoveryState:
                 self._snapshot = None
                 self.received.add(owner)
                 stored_this_call.add(owner)
-                new_records.append(owner)
                 self._pd_union.update(record.pd)
-                analysis_changed = True
-                if owner not in self.known:
-                    self.known.add(owner)
-                    new_known.append(owner)
+                changed = analysis_changed = True
+                self.known.add(owner)
             elif owner in stored_this_call and entry.tag < self.records[owner].tag:
                 # This payload carries two different records signed by the
                 # same owner.  "First one wins" would make the stored record
@@ -216,15 +165,12 @@ class DiscoveryState:
             members = set(record.pd) - self.known
             if members:
                 self.known.update(members)
-                new_known.extend(members)
+                changed = True
                 if not analysis_changed and not members.isdisjoint(self._pd_union):
                     analysis_changed = True
-        delta = AbsorbDelta(frozenset(new_records), frozenset(new_known), analysis_changed)
-        if delta:
-            self.version += 1
-            if analysis_changed:
-                self.analysis_version += 1
-        return delta
+        if analysis_changed:
+            self.analysis_version += 1
+        return changed
 
     # ------------------------------------------------------------------
     # derived views
@@ -261,10 +207,3 @@ class DiscoveryState:
             self._view_key_version = self.analysis_version
         assert self._view_key_cache is not None
         return self._view_key_cache
-
-    def pd_of(self, process: ProcessId) -> frozenset[ProcessId] | None:
-        """The (claimed) participant detector received from ``process``, if any."""
-        entry = self.records.get(process)
-        if entry is None:
-            return None
-        return frozenset(entry.message.pd)

@@ -89,7 +89,6 @@ class ConsensusNode(Process):
         self._query_timer: PeriodicTimer | None = None
         self._pending_requesters: set[ProcessId] = set()
         self._pending_pbft: list[tuple[ProcessId, Any]] = []
-        self._decided_value_replies: dict[ProcessId, Counter] = {}
         self._decided_value_votes: dict[ProcessId, Any] = {}
 
         # Message handlers.

@@ -28,7 +28,7 @@
   against committed ``BENCH_*.json`` baselines (the CI regression gate);
 * :mod:`repro.experiments.results` -- :class:`SuiteResult` aggregation
   (per-group mean/median/p95 latency, message totals, solved-rate) with
-  JSON/CSV export.
+  JSON export.
 """
 
 from repro.core.seeding import derive_seed

@@ -5,14 +5,13 @@ scenario (in scenario order, independent of execution order) and offers:
 
 * per-group statistics — mean/median/p95 latency, message totals and
   solved-rate, grouped by any axis label of the scenarios;
-* uniform JSON / CSV export, so every benchmark's ``BENCH_*.json``
-  trajectory is produced by the same code path;
+* one JSON export, so every benchmark's ``BENCH_*.json`` trajectory is
+  produced by the same code path;
 * plain-text rendering through :func:`repro.analysis.tables.render_table`.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections.abc import Callable, Iterator, Sequence
@@ -287,31 +286,6 @@ class SuiteResult:
         if path is not None:
             Path(path).write_text(text + "\n")
         return text
-
-    def to_csv(self, path: str | Path) -> None:
-        """Write one CSV row per scenario outcome."""
-        label_names: list[str] = []
-        for outcome in self.outcomes:
-            for name, _value in outcome.scenario.labels:
-                if name not in label_names:
-                    label_names.append(name)
-        metric_names: list[str] = []
-        for outcome in self.outcomes:
-            for name in outcome.summary or {}:
-                if name not in metric_names:
-                    metric_names.append(name)
-        header = ["name", "seed", *label_names, *metric_names, "solved", "wall_time", "error"]
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for outcome in self.outcomes:
-                scenario = outcome.scenario
-                row: list[Any] = [scenario.name, scenario.seed]
-                row.extend(scenario.label(name) for name in label_names)
-                summary = outcome.summary or {}
-                row.extend(summary.get(name) for name in metric_names)
-                row.extend([outcome.solved, outcome.wall_time, outcome.error])
-                writer.writerow(row)
 
     def render(
         self,

@@ -29,7 +29,7 @@ import hashlib
 import importlib
 import json
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Any
 
@@ -266,10 +266,6 @@ class Scenario:
             if name == key:
                 return value
         return default
-
-    def with_labels(self, **extra: Any) -> "Scenario":
-        """Return a copy with additional axis labels."""
-        return replace(self, labels=self.labels + _freeze_params(extra))
 
     def to_dict(self) -> dict[str, Any]:
         """Faithful JSON representation (suite exports, job files, digests).

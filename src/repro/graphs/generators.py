@@ -11,9 +11,7 @@ simulations and benchmarks reproducible.
 
 from __future__ import annotations
 
-import math
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -21,58 +19,20 @@ from repro.graphs.knowledge_graph import KnowledgeGraph, ProcessId
 
 FaultPlacement = Literal["sink", "non_sink", "mixed", "none"]
 
-#: How the optional extra edges of the non-sink/non-core layer are sampled.
-#:
-#: ``"pairwise"`` draws one rng value per (member, earlier) pair — quadratic
-#: in the layer size, but those draws are semantically part of the graph
-#: family, so it stays the default: every existing seed reproduces its graph
-#: byte-identically.  ``"skip"`` draws geometric gaps between successive
-#: included edges (O(1 + p·k) draws per member), producing the same edge
-#: distribution from a *different* rng stream — use it for large sparse
-#: layers where the pairwise loop dominates generation time.
-ExtraEdgeSampling = Literal["pairwise", "skip"]
-
-
-def _sampled_indices(rng: random.Random, probability: float, count: int) -> Iterator[int]:
-    """Yield each index in ``range(count)`` independently with ``probability``.
-
-    Geometric skip sampling: instead of one Bernoulli draw per index, draw
-    the gap to the next success directly (``floor(log(1-u) / log(1-p))``),
-    so the expected number of rng draws is ``1 + p * count``.
-    """
-    if count <= 0:
-        return
-    if probability >= 1.0:
-        yield from range(count)
-        return
-    log_failure = math.log1p(-probability)
-    index = -1
-    while True:
-        u = rng.random()
-        # u == 0.0 would need log(1) / log(1-p) = 0 skipped failures.
-        gap = int(math.log1p(-u) / log_failure) if u > 0.0 else 0
-        index += gap + 1
-        if index >= count:
-            return
-        yield index
-
-
 def _extra_layer_edges(
     graph: KnowledgeGraph,
     rng: random.Random,
     members: list[ProcessId],
     position: int,
     probability: float,
-    sampling: ExtraEdgeSampling,
 ) -> None:
-    """Add the optional acyclic forward edges for ``members[position]``."""
+    """Add the optional acyclic forward edges for ``members[position]``.
+
+    One rng draw per (member, earlier) pair: quadratic in the layer size, but
+    those draws are part of the graph family, so every seed reproduces its
+    graph byte-identically.
+    """
     member = members[position]
-    if sampling == "skip":
-        for earlier_index in _sampled_indices(rng, probability, position):
-            graph.add_edge(member, members[earlier_index])
-        return
-    if sampling != "pairwise":
-        raise ValueError(f"unknown extra_edge_sampling {sampling!r}")
     for earlier in members[:position]:
         if rng.random() < probability:
             graph.add_edge(member, earlier)
@@ -121,7 +81,6 @@ def generate_bft_cup_graph(
     byzantine_placement: FaultPlacement = "sink",
     byzantine_count: int | None = None,
     extra_edge_probability: float = 0.1,
-    extra_edge_sampling: ExtraEdgeSampling = "pairwise",
     dense_sink: bool = False,
     seed: int = 0,
 ) -> GeneratedScenario:
@@ -177,13 +136,9 @@ def generate_bft_cup_graph(
         for target in targets:
             graph.add_edge(member, target)
         # With probability 0 no extra edge can appear, so the draws are
-        # skipped entirely; with "skip" sampling the expected draw count is
-        # linear in the edges actually added (see ExtraEdgeSampling for why
-        # the quadratic pairwise stream stays the default).
+        # skipped entirely.
         if extra_edge_probability > 0.0:
-            _extra_layer_edges(
-                graph, rng, non_sink_members, position, extra_edge_probability, extra_edge_sampling
-            )
+            _extra_layer_edges(graph, rng, non_sink_members, position, extra_edge_probability)
 
     # Byzantine processes.
     placements: list[str] = []
@@ -227,13 +182,6 @@ def generate_bft_cup_graph(
             "byzantine_count": byzantine_count,
             "seed": seed,
             "dense_sink": dense_sink,
-            # Recorded only when non-default so existing parameter dicts
-            # (and anything hashed from them) stay byte-identical.
-            **(
-                {"extra_edge_sampling": extra_edge_sampling}
-                if extra_edge_sampling != "pairwise"
-                else {}
-            ),
         },
     )
 
@@ -246,7 +194,6 @@ def generate_bft_cupft_graph(
     byzantine_placement: FaultPlacement = "sink",
     byzantine_count: int | None = None,
     extra_edge_probability: float = 0.1,
-    extra_edge_sampling: ExtraEdgeSampling = "pairwise",
     seed: int = 0,
 ) -> GeneratedScenario:
     """Generate a graph satisfying the BFT-CUPFT requirements (Section V).
@@ -291,12 +238,9 @@ def generate_bft_cupft_graph(
         targets = rng.sample(core_members, min(f + 1, len(core_members)))
         for target in targets:
             graph.add_edge(member, target)
-        # Same fast paths as in generate_bft_cup_graph: zero probability
-        # skips the draws, "skip" sampling makes them linear in the layer.
+        # As in generate_bft_cup_graph, zero probability skips the draws.
         if extra_edge_probability > 0.0:
-            _extra_layer_edges(
-                graph, rng, non_core_members, position, extra_edge_probability, extra_edge_sampling
-            )
+            _extra_layer_edges(graph, rng, non_core_members, position, extra_edge_probability)
 
     placements: list[str] = []
     for index in range(byzantine_count):
@@ -331,11 +275,6 @@ def generate_bft_cupft_graph(
             "byzantine_placement": byzantine_placement,
             "byzantine_count": byzantine_count,
             "seed": seed,
-            **(
-                {"extra_edge_sampling": extra_edge_sampling}
-                if extra_edge_sampling != "pairwise"
-                else {}
-            ),
         },
     )
 

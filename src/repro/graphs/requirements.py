@@ -48,7 +48,7 @@ from functools import cached_property
 from repro.graphs.components import sink_components
 from repro.graphs.connectivity import fewest_disjoint_paths, vertex_connectivity
 from repro.graphs.knowledge_graph import KnowledgeGraph, ProcessId
-from repro.graphs.predicates import KnowledgeView, SinkWitness, f_gdi, k_gdi
+from repro.graphs.predicates import KnowledgeView, SinkWitness
 from repro.graphs.sink_search import SearchOptions, find_all_sinks, strongest_sinks
 
 
@@ -460,16 +460,3 @@ class StaticOracle:
         """``k_Gdi`` of the safe core, or ``None`` when no core exists."""
         witness = self.safe_core_witness
         return None if witness is None else witness.connectivity
-
-    # Predicate helpers on the full graph.
-    def full_view(self) -> KnowledgeView:
-        """The omniscient knowledge view of the full graph."""
-        return KnowledgeView.full(self.graph)
-
-    def f_of(self, members: Iterable[ProcessId]) -> int | None:
-        """``f_Gdi(members)`` evaluated on the full graph."""
-        return f_gdi(self.full_view(), members)
-
-    def k_of(self, members: Iterable[ProcessId]) -> int | None:
-        """``k_Gdi(members)`` evaluated on the full graph."""
-        return k_gdi(self.full_view(), members)

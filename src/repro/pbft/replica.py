@@ -43,11 +43,10 @@ from repro.pbft.messages import (
 from repro.pbft.quorum import classic_quorum, paper_quorum
 
 SendFn = Callable[[ProcessId, Any], None]
-#: Schedules a one-shot callback.  The return value may be a cancellable
-#: handle (anything with a ``cancel()`` method, e.g. the queued timer that
-#: :meth:`~repro.sim.engine.Simulator.schedule` returns); when it is, the
-#: replica cancels its outstanding view timers the moment it decides instead
-#: of letting them fire as no-op events until the horizon.
+#: Schedules a one-shot callback and returns a cancellable handle (anything
+#: with a ``cancel()`` method, e.g. a runtime timer), so the replica cancels
+#: its outstanding view timers the moment it decides instead of letting them
+#: fire as no-op events until the horizon.
 ScheduleFn = Callable[[float, Callable[[], None]], Any]
 DecideFn = Callable[[Any], None]
 
@@ -174,12 +173,9 @@ class SingleShotPbft:
             self._on_view_timeout(view)
 
         handle = self.schedule(timeout, fire)
-        # Remember cancellable handles so deciding can kill the timers for
-        # good; schedule functions that return nothing keep the old
-        # fire-and-no-op behaviour.
-        if hasattr(handle, "cancel"):
-            handle_cell.append(handle)
-            self._view_timers.append(handle)
+        # Remember the handle so deciding can kill the timers for good.
+        handle_cell.append(handle)
+        self._view_timers.append(handle)
 
     def _cancel_view_timers(self) -> None:
         """Cancel every outstanding view timer (they are pointless once decided)."""

@@ -48,6 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Sentinel queued on a link to shut its writer task down.
 _CLOSE = object()
 
+#: Tries per frame to (re)connect a link and write it, and the wall-clock
+#: pause between tries, before the frame is counted as lost.
+_CONNECT_ATTEMPTS = 20
+_RECONNECT_DELAY = 0.05
+
 
 class LiveRunError(RuntimeError):
     """A protocol handler raised while running on the live runtime."""
@@ -134,8 +139,6 @@ class AsyncioRuntime(Runtime):
         time_scale: float = 0.02,
         synchrony: SynchronyModel | None = None,
         faulty: frozenset[ProcessId] = frozenset(),
-        connect_attempts: int = 20,
-        reconnect_delay: float = 0.05,
     ) -> None:
         if time_scale <= 0:
             raise ValueError("time_scale must be positive (wall seconds per time unit)")
@@ -145,8 +148,6 @@ class AsyncioRuntime(Runtime):
         self.model = synchrony if synchrony is not None else PartialSynchronyModel()
         self.trace = SimulationTrace()
         self.faulty = frozenset(faulty)
-        self.connect_attempts = connect_attempts
-        self.reconnect_delay = reconnect_delay
         self.stats = LiveRunStats()
         #: Unexpected handler exceptions, raised as LiveRunError when the run ends.
         self.errors: list[BaseException] = []
@@ -380,7 +381,7 @@ class AsyncioRuntime(Runtime):
             envelope: Envelope = item
             frame = encode_frame(envelope.sender, envelope.sent_at, envelope.payload)
             delivered = False
-            for _attempt in range(self.connect_attempts):
+            for _attempt in range(_CONNECT_ATTEMPTS):
                 try:
                     if link.writer is None:
                         _reader, writer = await asyncio.open_connection(
@@ -400,7 +401,7 @@ class AsyncioRuntime(Runtime):
                         link.writer = None
                     if self._closed:
                         break
-                    await asyncio.sleep(self.reconnect_delay)
+                    await asyncio.sleep(_RECONNECT_DELAY)
             if not delivered:
                 self.stats.messages_lost += 1
                 self.trace.on_drop(envelope, "live link failed", self.now)

@@ -10,9 +10,11 @@ reliable point-to-point channels the protocols rely on.
 Main pieces:
 
 * :class:`~repro.sim.engine.Simulator` -- the event loop and virtual clock.
-* :class:`~repro.sim.network.Network` -- the partial-synchrony delay model
-  (with synchronous and asynchronous variants used by the Table I
-  experiment) and the message transport.
+* :class:`~repro.sim.synchrony.PartialSynchronyModel` -- the partial-synchrony
+  delay model, with the synchronous and asynchronous variants used by the
+  Table I experiment.
+* :class:`~repro.sim.network.Network` -- the message transport over one of
+  those models.
 * :class:`~repro.sim.process.Process` -- base class for protocol processes
   (message handlers, periodic timers, send primitives).
 * :class:`~repro.sim.tracing.SimulationTrace` -- message and decision
@@ -21,14 +23,14 @@ Main pieces:
 
 from repro.sim.engine import Simulator
 from repro.sim.messages import Envelope
-from repro.sim.network import (
-    AsynchronousModel,
-    Network,
-    PartialSynchronyModel,
-    SynchronyModel,
-    SynchronousModel,
-)
+from repro.sim.network import Network
 from repro.sim.process import Process
+from repro.sim.synchrony import (
+    AsynchronousModel,
+    PartialSynchronyModel,
+    SynchronousModel,
+    SynchronyModel,
+)
 from repro.sim.tracing import SimulationTrace
 
 __all__ = [

@@ -39,10 +39,6 @@ from collections.abc import Callable
 from typing import Any
 
 
-class SimulationLimitExceeded(RuntimeError):
-    """Raised when a run exceeds its configured time or event budget."""
-
-
 class _ScheduledEvent:
     """A queued timer, which is also the handle :meth:`Simulator.schedule` returns."""
 
@@ -73,8 +69,8 @@ class Simulator:
     Parameters
     ----------
     max_time:
-        Hard limit on the virtual clock; :meth:`run` stops (or raises,
-        depending on ``raise_on_limit``) when it is reached.  This is the
+        Hard limit on the virtual clock; :meth:`run` stops when it is
+        reached.  This is the
         simulation horizon: protocols that have not terminated by then are
         reported as non-terminating, which is how the impossibility
         experiments detect stalls.
@@ -102,7 +98,6 @@ class Simulator:
         self._instants: list[float] = []
         self._now = 0.0
         self._processed_events = 0
-        self._stopped = False
         self._cancelled_in_queue = 0
         self._compactions = 0
         #: Live (non-cancelled) entries not yet popped: +1 per schedule /
@@ -169,10 +164,6 @@ class Simulator:
         live = self._live = self._live + 1
         if live > self._pending_peak:
             self._pending_peak = live
-
-    def stop(self) -> None:
-        """Stop the run after the current event finishes."""
-        self._stopped = True
 
     # ------------------------------------------------------------------
     # cancelled-event bookkeeping
@@ -257,39 +248,20 @@ class Simulator:
             fn(arg)
             return True
 
-    def run(
-        self,
-        until: Callable[[], bool] | None = None,
-        *,
-        raise_on_limit: bool = False,
-    ) -> bool:
+    def run(self, until: Callable[[], bool] | None = None) -> bool:
         """Run events until ``until()`` is true, the queue drains, or a limit hits.
 
         Returns ``True`` when ``until`` became true (or the queue drained
         with no predicate given), ``False`` when a limit was reached first.
         """
-        self._stopped = False
         while True:
             if until is not None and until():
                 return True
-            if self._stopped:
-                return until() if until is not None else True
             if self._processed_events >= self.max_events:
-                if raise_on_limit:
-                    raise SimulationLimitExceeded(
-                        f"event budget exhausted ({self.max_events} events)"
-                    )
                 return False
             if not self.step():
                 # Queue drained or horizon reached.
-                if until is None:
-                    return True
-                satisfied = until()
-                if not satisfied and raise_on_limit:
-                    raise SimulationLimitExceeded(
-                        f"virtual-time horizon reached at t={self._now} without satisfying the predicate"
-                    )
-                return satisfied
+                return until is None or until()
 
     def pending_events(self) -> int:
         """Number of live (non-cancelled) entries still queued."""

@@ -1,8 +1,7 @@
 """Message transport: reliable authenticated channels over a synchrony model.
 
 The timing assumptions themselves (synchronous / partially synchronous /
-asynchronous delay strategies) live in :mod:`repro.sim.synchrony`; they are
-re-exported here for backwards compatibility.
+asynchronous delay strategies) live in :mod:`repro.sim.synchrony`.
 
 The :class:`Network` combines a synchrony model with the authenticated
 reliable point-to-point channel assumption: messages are never lost,
@@ -19,12 +18,7 @@ from typing import TYPE_CHECKING
 from repro.graphs.knowledge_graph import ProcessId
 from repro.sim.engine import Simulator
 from repro.sim.messages import Envelope, payload_kind
-from repro.sim.synchrony import (
-    AsynchronousModel,
-    PartialSynchronyModel,
-    SynchronousModel,
-    SynchronyModel,
-)
+from repro.sim.synchrony import SynchronyModel
 from repro.sim.tracing import SimulationTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -108,25 +102,13 @@ class Network:
             raise ValueError(f"process {process.process_id!r} already registered")
         self._processes[process.process_id] = process
 
-    def process(self, process_id: ProcessId) -> "Process":
-        """Return the registered process object for ``process_id``."""
-        return self._processes[process_id]
-
     @property
     def process_ids(self) -> frozenset[ProcessId]:
         return frozenset(self._processes)
 
-    def is_correct(self, process_id: ProcessId) -> bool:
-        """A process is correct when it is neither Byzantine nor crashed."""
-        return process_id not in self.faulty and process_id not in self._crashed
-
     def crash(self, process_id: ProcessId) -> None:
         """Crash a process: it stops taking steps and its messages are dropped."""
         self._crashed.add(process_id)
-
-    @property
-    def crashed(self) -> frozenset[ProcessId]:
-        return frozenset(self._crashed)
 
     # ------------------------------------------------------------------
     # adversarial scheduling hooks
@@ -142,11 +124,6 @@ class Network:
         (the schedule layer validates that contract against the model).
         """
         self._rules.append(rule)
-
-    @property
-    def rules(self) -> tuple[NetworkRule, ...]:
-        """The installed scheduling rules, in consultation order."""
-        return tuple(self._rules)
 
     # ------------------------------------------------------------------
     # transport
@@ -215,12 +192,4 @@ class Network:
                 self.send(sender, receiver, payload)
 
 
-__all__ = [
-    "WITHHOLD",
-    "AsynchronousModel",
-    "Network",
-    "NetworkRule",
-    "PartialSynchronyModel",
-    "SynchronousModel",
-    "SynchronyModel",
-]
+__all__ = ["WITHHOLD", "Network", "NetworkRule"]

@@ -83,34 +83,3 @@ class SimulationTrace:
         """Record the sink/core returned by ``process``."""
         if process not in self.sink_returns:
             self.sink_returns[process] = (members, time)
-
-    def note(self, time: float, message: str) -> None:
-        """Record a free-form protocol event."""
-        self.events.append((time, message))
-
-    # ------------------------------------------------------------------
-    # summaries
-    # ------------------------------------------------------------------
-    def decided_values(self) -> dict[ProcessId, Any]:
-        """Mapping process -> decided value."""
-        return {process: value for process, (value, _time) in self.decisions.items()}
-
-    def decision_times(self) -> dict[ProcessId, float]:
-        """Mapping process -> virtual time of its decision."""
-        return {process: time for process, (_value, time) in self.decisions.items()}
-
-    def latest_decision_time(self) -> float | None:
-        """The virtual time at which the last recorded decision happened."""
-        times = [time for _value, time in self.decisions.values()]
-        return max(times) if times else None
-
-    def summary(self) -> dict[str, Any]:
-        """A compact dictionary summary (used by benchmarks and examples)."""
-        return {
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "messages_dropped": self.messages_dropped,
-            "messages_by_kind": dict(self.sent_by_kind),
-            "decisions": {repr(k): v for k, (v, _t) in self.decisions.items()},
-            "latest_decision_time": self.latest_decision_time(),
-        }

@@ -14,8 +14,9 @@ from repro.core.messages import GetPds
 from repro.crypto.signatures import KeyRegistry
 from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulator
-from repro.sim.network import Network, SynchronousModel
+from repro.sim.network import Network
 from repro.sim.process import Process
+from repro.sim.synchrony import SynchronousModel
 from repro.sim.tracing import SimulationTrace
 from repro.workloads import figure_run_config
 
@@ -87,7 +88,6 @@ class TestAdversaryMix:
         with pytest.raises(ValueError):
             # No rest entry to absorb the second faulty process.
             AdversaryMix.of(crash=1).assign(frozenset({1, 2}), seed=0)
-        assert AdversaryMix.of(crash=1).minimum_faulty() == 1
 
     def test_rest_may_be_empty(self):
         mix = AdversaryMix.of(lying_pd=1, silent=REST)
@@ -285,8 +285,11 @@ class TestFaultyNodeBehaviours:
         scenario, simulator, network, registry, trace, node = build_world(figures, spec)
         node.propose("x")
         simulator.run(until=lambda: simulator.now > 10.0)
-        assert 4 in network.crashed
         assert node.stopped
+        # The network crashed 4 too: its sends are dropped at the gate.
+        trace.record_messages = True
+        network.send(4, 1, GetPds())
+        assert trace.events[-1][1].startswith("drop (sender crashed)")
 
     def test_wrong_value_node_poisons_replies(self, figures):
         from repro.core.messages import DecidedValue, GetDecidedValue

@@ -20,13 +20,9 @@ from repro.adversary.schedule import (
 )
 from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulator
-from repro.sim.network import (
-    AsynchronousModel,
-    Network,
-    PartialSynchronyModel,
-    SynchronousModel,
-)
+from repro.sim.network import Network
 from repro.sim.process import Process
+from repro.sim.synchrony import AsynchronousModel, PartialSynchronyModel, SynchronousModel
 from repro.sim.tracing import SimulationTrace
 
 PROCESSES = frozenset({1, 2, 3, 4})
@@ -252,12 +248,13 @@ class TestPartitionRuleSemantics:
 class TestCrashRuleSemantics:
     def test_crashes_the_process_at_the_scheduled_time(self):
         simulator, network, trace, nodes = make_world()
+        trace.record_messages = True
         install(network, CrashRule(process=4, at=5.0))
         simulator.schedule(1.0, lambda: network.send(4, 1, "before"))
         simulator.schedule(6.0, lambda: network.send(4, 1, "after"))
         simulator.run()
         assert [env.payload for _, env in nodes[1].received] == ["before"]
-        assert 4 in network.crashed
+        assert [at for at, event in trace.events if "sender crashed" in event] == [6.0]
 
 
 class TestModelContractValidation:
@@ -333,7 +330,11 @@ class TestModelContractValidation:
         simulator, network, trace, nodes = make_world(model=self.MODEL)
         with pytest.raises(ScheduleContractError):
             install(network, DelayRule())
-        assert network.rules == ()
+        # Nothing was installed: the withhold-everything rule never fires.
+        network.send(1, 2, "x")
+        simulator.run()
+        assert [env.payload for _, env in nodes[2].received] == ["x"]
+        assert trace.dropped_by_rule == {}
 
 
 class TestScheduleCodec:

@@ -40,8 +40,7 @@ class TestAbsorbOrderIndependence:
 
         for payload in [(record_a, record_b), (record_b, record_a)]:
             state = make_state("p0", {"p0", "p1"}, registry)
-            delta = state.absorb(frozenset(payload))
-            assert delta
+            assert state.absorb(frozenset(payload))
             assert state.records["byz"] == winner
             # Both claimed PDs fold into known either way.
             assert {"p1", "p2"} <= state.known
@@ -60,15 +59,14 @@ class TestAbsorbOrderIndependence:
             state = make_state("p0", {"a", "b"}, registry)
             # ``absorb`` only requires an iterable; feeding explicit
             # permutations simulates the orders a frozenset could present.
-            delta = state.absorb(ordering)
+            changed = state.absorb(ordering)
             snapshots.append(
                 (
                     dict(state.records),
                     frozenset(state.known),
                     frozenset(state.received),
-                    frozenset(delta.new_records),
-                    frozenset(delta.new_known),
-                    delta.analysis_changed,
+                    changed,
+                    state.analysis_version,
                 )
             )
         assert snapshots[0] == snapshots[1]

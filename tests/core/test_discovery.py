@@ -34,7 +34,7 @@ class TestInitialState:
         assert state.known == {1, 2, 3, 4}
         assert state.received == {1}
         assert set(state.records) == {1}
-        assert state.pd_of(1) == {2, 3, 4}
+        assert state.view().pds[1] == {2, 3, 4}
 
     def test_own_record_is_signed_correctly(self, graph, registry):
         state = make_state(1, graph, registry)
@@ -56,16 +56,16 @@ class TestAbsorb:
         changed = state_1.absorb(state_3.snapshot())
         assert changed
         assert 3 in state_1.received
-        assert state_1.pd_of(3) == graph.participant_detector(3)
-        assert state_1.version == 2
+        assert state_1.view().pds[3] == graph.participant_detector(3)
+        assert state_1.analysis_version == 2
 
     def test_absorb_is_idempotent(self, graph, registry):
         state_1 = make_state(1, graph, registry)
         state_3 = make_state(3, graph, registry)
         state_1.absorb(state_3.snapshot())
-        version = state_1.version
+        version = state_1.analysis_version
         assert not state_1.absorb(state_3.snapshot())
-        assert state_1.version == version
+        assert state_1.analysis_version == version
 
     def test_new_processes_become_known(self, graph, registry):
         state_7 = make_state(7, graph, registry)
@@ -103,7 +103,7 @@ class TestAbsorb:
         byzantine_key = registry.generate(4)
         fake = byzantine_key.sign(PdRecord(owner=3, pd=frozenset({4})))
         state_1.absorb(frozenset({fake}))
-        assert state_1.pd_of(3) is None  # the fake record was not accepted
+        assert 3 not in state_1.view().pds  # the fake record was not accepted
 
     def test_view_reflects_received_pds(self, graph, registry):
         state_1 = make_state(1, graph, registry)
@@ -122,18 +122,15 @@ class TestRedundantPayloads:
         state_1 = make_state(1, graph, registry)
         state_3 = make_state(3, graph, registry)
         state_1.absorb(state_3.snapshot())
-        before = (state_1.version, state_1.analysis_version, registry.verify_calls)
-        delta = state_1.absorb(state_3.snapshot())
-        assert not delta
-        assert delta.new_records == delta.new_known == frozenset()
-        assert not delta.analysis_changed
+        before = (state_1.analysis_version, registry.verify_calls)
+        assert state_1.absorb(state_3.snapshot()) is False
         assert not state_1.absorb(frozenset())
         # An equal copy (what the live runtime's codec delivers) is as redundant.
         original = state_3.records[3]
         copy = SignedMessage(signer=original.signer, message=original.message, tag=original.tag)
         assert copy is not original
         assert not state_1.absorb(frozenset({copy}))
-        assert (state_1.version, state_1.analysis_version, registry.verify_calls) == before
+        assert (state_1.analysis_version, registry.verify_calls) == before
         assert state_1.rejected_records == 0
 
     @pytest.mark.parametrize("bad", ["not-a-record", "wrong-signer", "forged"])
@@ -151,11 +148,11 @@ class TestRedundantPayloads:
                 signer=2, message=PdRecord(owner=2, pd=frozenset({1})), tag=key_4.sign("x").tag
             ),
         }[bad]
-        version = state_1.version
+        version = state_1.analysis_version
         for expected in (1, 2):  # rejected again on every delivery, as before
             assert not state_1.absorb(frozenset({state_3.records[3], entry}))
             assert state_1.rejected_records == expected
-        assert state_1.version == version
+        assert state_1.analysis_version == version
         assert 2 not in state_1.received
 
 
@@ -216,5 +213,5 @@ class TestTransitiveDiscovery:
         state_1 = make_state(1, graph, registry)
         state_5.absorb(state_1.snapshot())
         state_7.absorb(state_5.snapshot())
-        assert state_7.pd_of(1) == graph.participant_detector(1)
+        assert state_7.view().pds[1] == graph.participant_detector(1)
         assert {1, 2, 3, 4} <= state_7.known

@@ -137,7 +137,8 @@ class TestProtocolDetails:
         from repro.analysis.harness import RunConfig, build_protocol_nodes
         from repro.crypto.signatures import KeyRegistry
         from repro.sim.engine import Simulator
-        from repro.sim.network import Network, PartialSynchronyModel
+        from repro.sim.network import Network
+        from repro.sim.synchrony import PartialSynchronyModel
         from repro.sim.tracing import SimulationTrace
         from repro.core.config import ProtocolConfig
 
@@ -176,7 +177,8 @@ class TestTimerLifecycle:
         from repro.core.config import ProtocolConfig
         from repro.crypto.signatures import KeyRegistry
         from repro.sim.engine import Simulator
-        from repro.sim.network import Network, PartialSynchronyModel
+        from repro.sim.network import Network
+        from repro.sim.synchrony import PartialSynchronyModel
         from repro.sim.tracing import SimulationTrace
 
         scenario = figures["fig4b"]
@@ -257,7 +259,8 @@ class TestDecidedValueVoting:
         from repro.core.node import ConsensusNode
         from repro.crypto.signatures import KeyRegistry
         from repro.sim.engine import Simulator
-        from repro.sim.network import Network, PartialSynchronyModel
+        from repro.sim.network import Network
+        from repro.sim.synchrony import PartialSynchronyModel
         from repro.sim.tracing import SimulationTrace
 
         simulator = Simulator()

@@ -53,15 +53,21 @@ def remote_executor(scenario) -> dict:
     }
 
 
-def slow_remote_executor(scenario) -> dict:
-    import time as _time
+_ran_a_cell = False
 
-    _time.sleep(1.0)
+
+def blocking_after_first_executor(scenario) -> dict:
+    """Run the process's first cell at once; block every later one until the
+    process is signalled (the sleep loop lets a SIGTERM handler run)."""
+    global _ran_a_cell
+    while _ran_a_cell:
+        time.sleep(0.02)
+    _ran_a_cell = True
     return remote_executor(scenario)
 
 
 EXECUTOR_REF = "test_remote:remote_executor"
-SLOW_REF = "test_remote:slow_remote_executor"
+BLOCKING_REF = "test_remote:blocking_after_first_executor"
 
 
 def enqueue(tmp_path, cells):
@@ -894,10 +900,11 @@ class TestGracefulTermination:
     def test_sigterm_mid_cell_keeps_the_finished_cell_and_frees_the_running_one(self, tmp_path):
         """A coordinator's terminate() loses nothing a worker already finished.
 
-        The worker's first (slow) cell is in its shard the moment it is
-        reported; SIGTERM arrives while the second is executing.  The CLI's
-        signal handler turns that into SystemExit(143), and the second claim
-        — never reported — is reclaimed once the worker's lease runs out.
+        The worker's first cell is in its shard the moment it is reported;
+        SIGTERM arrives while the second is executing, which it does until
+        signalled, because its executor never returns.  The CLI's signal
+        handler turns that into SystemExit(143), and the second claim — never
+        reported — is reclaimed once the worker's lease runs out.
         """
         import os
         import signal as _signal
@@ -907,7 +914,7 @@ class TestGracefulTermination:
 
         cells = small_matrix(replicates=2).scenarios()
         queue = WorkQueue(tmp_path / "q")
-        queue.enqueue(list(enumerate(cells)), SLOW_REF)
+        queue.enqueue(list(enumerate(cells)), BLOCKING_REF)
         with QueueServer(queue) as server:
             env = dict(os.environ)
             env["PYTHONPATH"] = os.pathsep.join(p for p in _sys.path if p)
@@ -933,9 +940,14 @@ class TestGracefulTermination:
                     _time.sleep(0.02)
                 first = shard_digests(queue)
                 assert len(first) == 1, "worker never journaled its first cell"
-                while _time.monotonic() < deadline and queue.snapshot()["claimed"] < 1:
+                # The first cell is journaled before its claim moves to done/,
+                # so "one claimed" alone may still be the first cell.  Wait for
+                # the first done *and* the second claimed: the second cell
+                # blocks, so once reached this state holds until the signal.
+                running = {"pending": len(cells) - 2, "claimed": 1, "done": 1}
+                while _time.monotonic() < deadline and queue.snapshot() != running:
                     _time.sleep(0.02)
-                assert queue.snapshot()["claimed"] == 1  # the second cell is running
+                assert queue.snapshot() == running  # the second cell is running
                 proc.send_signal(_signal.SIGTERM)
                 assert proc.wait(timeout=30) == 143
             finally:
@@ -943,7 +955,7 @@ class TestGracefulTermination:
                     proc.kill()
                     proc.wait(timeout=10)
         assert shard_digests(queue) == first  # journaled before the signal, and only it
-        assert queue.snapshot() == {"pending": len(cells) - 2, "claimed": 1, "done": 1}
+        assert queue.snapshot() == running
         _time.sleep(0.3)
         assert len(queue.reclaim_expired(lease=0.2)) == 1
         assert queue.snapshot() == {"pending": len(cells) - 1, "claimed": 0, "done": 1}

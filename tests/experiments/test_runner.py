@@ -126,16 +126,35 @@ class TestSuiteResult:
         assert len(payload["outcomes"]) == len(suite)
         assert len(payload["groups"]) == 2
 
-    def test_csv_export(self, tmp_path):
-        path = tmp_path / "suite.csv"
+    def test_json_export_carries_every_outcome_field(self, tmp_path):
+        path = tmp_path / "suite.json"
         suite = self.suite()
-        suite.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(suite) + 1
-        header = lines[0].split(",")
-        assert header[:2] == ["name", "seed"]
-        assert {"matrix", "graph", "mode", "replicate"} <= set(header)
-        assert {"messages", "latency", "solved", "error"} <= set(header)
+        suite.to_json(path)
+        records = json.loads(path.read_text())["outcomes"]
+        assert len(records) == len(suite)
+        for record, outcome in zip(records, suite, strict=True):
+            scenario = record["scenario"]
+            assert scenario["name"] == outcome.scenario.name
+            assert scenario["seed"] == outcome.scenario.seed
+            assert {"matrix", "graph", "mode", "replicate"} <= set(scenario["labels"])
+            assert record["summary"]["messages"] == 10
+            assert record["summary"]["latency"] == scenario["labels"]["replicate"] + 1.0
+            assert record["solved"] is True
+            assert record["error"] is None
+
+    def test_json_export_records_the_error_of_a_failed_cell(self, tmp_path):
+        path = tmp_path / "suite.json"
+        suite = SuiteRunner(executor=flaky_executor).run(small_matrix(replicates=2).scenarios())
+        suite.to_json(path)
+        payload = json.loads(path.read_text())
+        assert payload["errors"] == 2
+        failed = [record for record in payload["outcomes"] if record["error"] is not None]
+        assert len(failed) == 2
+        for record in failed:
+            assert "boom" in record["error"]
+            assert record["summary"] is None
+            assert record["solved"] is False
+            assert record["scenario"]["labels"]["replicate"] == 1
 
     def test_render_mentions_groups(self):
         table = self.suite().render(group_by="graph")

@@ -16,7 +16,7 @@ from repro.experiments import (
     chain_matrices,
 )
 from repro.graphs.figures import figure_1b
-from repro.sim.network import AsynchronousModel, PartialSynchronyModel, SynchronousModel
+from repro.sim.synchrony import AsynchronousModel, PartialSynchronyModel, SynchronousModel
 
 
 class TestDeriveSeed:
@@ -99,7 +99,6 @@ class TestScenario:
         )
         assert scenario.label("mode") == "bft-cup"
         assert scenario.label("missing", "fallback") == "fallback"
-        assert scenario.with_labels(extra=1).label("extra") == 1
 
     def test_to_dict_is_json_friendly(self):
         import json

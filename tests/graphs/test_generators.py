@@ -1,13 +1,11 @@
 """Tests for the random graph generators."""
 
 import hashlib
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs.generators import (
-    _sampled_indices,
     generate_bft_cup_graph,
     generate_bft_cupft_graph,
     generate_random_digraph,
@@ -88,67 +86,92 @@ def _edge_digest(scenario) -> str:
     return hashlib.sha256(repr(edges).encode()).hexdigest()[:16]
 
 
+def _layered(family, *, f, layer_size, probability, seed):
+    """A generated graph whose correct non-sink (non-core) layer has ``layer_size`` members."""
+    if family == "cup":
+        return generate_bft_cup_graph(
+            f=f, non_sink_size=layer_size, extra_edge_probability=probability, seed=seed
+        )
+    return generate_bft_cupft_graph(
+        f=f, non_core_size=layer_size, extra_edge_probability=probability, seed=seed
+    )
+
+
+def _layer(scenario) -> list:
+    """The correct processes outside the sink, in generation (index) order."""
+    return sorted(scenario.correct - scenario.sink_of_safe_graph)
+
+
 class TestExtraEdgeSampling:
-    """The O(1 + p*k) geometric-skip alternative to the pairwise rng stream."""
+    """The optional forward edges inside the non-sink layer: one draw per pair."""
 
     def test_default_stream_is_byte_identical(self):
-        # Pinned digests: the default ("pairwise") stream must never change
-        # for existing seeds, or every committed expectation drifts.
-        assert _edge_digest(generate_bft_cup_graph(f=1, non_sink_size=6, seed=7)) == (
-            "9166d0576253652d"
-        )
-        explicit = generate_bft_cup_graph(
-            f=1, non_sink_size=6, seed=7, extra_edge_sampling="pairwise"
-        )
-        assert _edge_digest(explicit) == "9166d0576253652d"
-        assert "extra_edge_sampling" not in explicit.parameters
+        # Pinned digests: the one rng draw per (member, earlier) pair must never
+        # change for existing seeds, or every committed expectation drifts.
+        cup = generate_bft_cup_graph(f=1, non_sink_size=6, seed=7)
+        assert _edge_digest(cup) == "9166d0576253652d"
+        cupft = generate_bft_cupft_graph(f=2, non_core_size=8, seed=11)
+        assert _edge_digest(cupft) == "e61da059023aa4aa"
+        assert set(cupft.parameters) == {
+            "f", "core_size", "non_core_size", "byzantine_placement", "byzantine_count", "seed"
+        }
 
-    def test_skip_sampling_pinned_digests(self):
-        # Skip sampling draws a different (but equally valid) graph family
-        # member; pin its stream so refactors of the gap formula are caught.
-        cup = generate_bft_cup_graph(f=1, non_sink_size=6, seed=7, extra_edge_sampling="skip")
-        assert _edge_digest(cup) == "6d0cd2f0f4fa2184"
-        assert cup.parameters["extra_edge_sampling"] == "skip"
-        cupft = generate_bft_cupft_graph(f=2, non_core_size=8, seed=11, extra_edge_sampling="skip")
-        assert _edge_digest(cupft) == "f57148d7f0176015"
-        assert cupft.parameters["extra_edge_sampling"] == "skip"
+    @pytest.mark.parametrize("family", ["cup", "cupft"])
+    def test_probability_one_links_every_earlier_member(self, family):
+        scenario = _layered(family, f=1, layer_size=6, probability=1.0, seed=3)
+        layer = _layer(scenario)
+        assert len(layer) == 6
+        for position, member in enumerate(layer):
+            assert scenario.graph.successors(member) & set(layer) == set(layer[:position])
+
+    @pytest.mark.parametrize("family", ["cup", "cupft"])
+    def test_probability_zero_adds_no_layer_edges(self, family):
+        scenario = _layered(family, f=2, layer_size=6, probability=0.0, seed=3)
+        layer = _layer(scenario)
+        for member in layer:
+            # Only the f + 1 edges into the sink remain.
+            assert scenario.graph.successors(member) <= scenario.sink_of_safe_graph
+            assert scenario.graph.out_degree(member) == 3
+
+    @pytest.mark.parametrize("family", ["cup", "cupft"])
+    def test_layer_edges_point_only_to_earlier_members(self, family):
+        # Index order keeps the layer acyclic, so it can never form a sink.
+        for seed in range(10):
+            scenario = _layered(family, f=1, layer_size=8, probability=0.5, seed=seed)
+            layer = _layer(scenario)
+            for member in layer:
+                assert all(
+                    target < member for target in scenario.graph.successors(member) & set(layer)
+                )
+
+    def test_layer_edge_hit_rate_matches_probability(self):
+        scenario = _layered("cup", f=0, layer_size=300, probability=0.1, seed=42)
+        layer = set(_layer(scenario))
+        hits = sum(1 for a, b in scenario.graph.edges() if a in layer and b in layer)
+        pairs = 300 * 299 // 2
+        assert hits == pytest.approx(pairs * 0.1, rel=0.05)
 
     @settings(max_examples=12, deadline=None)
-    @given(f=st.integers(0, 2), non_sink=st.integers(0, 6), seed=st.integers(0, 50))
-    def test_skip_sampled_graphs_satisfy_theorem_1(self, f, non_sink, seed):
-        scenario = generate_bft_cup_graph(
-            f=f, non_sink_size=non_sink, seed=seed, extra_edge_sampling="skip"
-        )
+    @given(
+        f=st.integers(0, 2),
+        layer_size=st.integers(0, 6),
+        probability=st.floats(0.0, 1.0),
+        seed=st.integers(0, 50),
+    )
+    def test_any_probability_satisfies_theorem_1(self, f, layer_size, probability, seed):
+        scenario = _layered("cup", f=f, layer_size=layer_size, probability=probability, seed=seed)
         assert satisfies_bft_cup(scenario.graph, f, scenario.faulty)
 
     @settings(max_examples=12, deadline=None)
-    @given(f=st.integers(0, 2), non_core=st.integers(0, 6), seed=st.integers(0, 50))
-    def test_skip_sampled_graphs_satisfy_cupft(self, f, non_core, seed):
-        scenario = generate_bft_cupft_graph(
-            f=f, non_core_size=non_core, seed=seed, extra_edge_sampling="skip"
-        )
+    @given(
+        f=st.integers(0, 2),
+        layer_size=st.integers(0, 6),
+        probability=st.floats(0.0, 1.0),
+        seed=st.integers(0, 50),
+    )
+    def test_any_probability_satisfies_cupft(self, f, layer_size, probability, seed):
+        scenario = _layered("cupft", f=f, layer_size=layer_size, probability=probability, seed=seed)
         assert satisfies_bft_cupft(scenario.graph, f, scenario.faulty)
-
-    def test_unknown_sampling_rejected(self):
-        with pytest.raises(ValueError):
-            generate_bft_cup_graph(f=1, non_sink_size=3, extra_edge_sampling="bogus")
-
-    def test_sampled_indices_probability_one_yields_all(self):
-        rng = random.Random(0)
-        assert list(_sampled_indices(rng, 1.0, 5)) == [0, 1, 2, 3, 4]
-
-    def test_sampled_indices_are_strictly_increasing_and_bounded(self):
-        rng = random.Random(3)
-        for count in (0, 1, 10, 100):
-            indices = list(_sampled_indices(rng, 0.3, count))
-            assert indices == sorted(set(indices))
-            assert all(0 <= index < count for index in indices)
-
-    def test_sampled_indices_hit_rate_matches_probability(self):
-        rng = random.Random(42)
-        draws = 200_000
-        hits = sum(1 for _ in _sampled_indices(rng, 0.1, draws))
-        assert hits == pytest.approx(draws * 0.1, rel=0.05)
 
 
 class TestOtherGenerators:

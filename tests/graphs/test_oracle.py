@@ -3,6 +3,7 @@
 import pytest
 
 from repro.graphs.knowledge_graph import KnowledgeGraph
+from repro.graphs.predicates import KnowledgeView, f_gdi, k_gdi
 from repro.graphs.requirements import StaticOracle
 
 
@@ -52,10 +53,10 @@ class TestStaticOracle:
         assert no_core.core_connectivity() is None
 
     def test_predicate_helpers_on_full_graph(self, figures):
-        oracle = StaticOracle(figures["fig2c"].graph)
-        assert oracle.f_of({1, 2, 3, 4}) == 1
-        assert oracle.k_of({1, 2, 3, 4}) == 2
-        assert oracle.f_of({1, 2, 3}) is None
+        view = KnowledgeView.full(figures["fig2c"].graph)
+        assert f_gdi(view, {1, 2, 3, 4}) == 1
+        assert k_gdi(view, {1, 2, 3, 4}) == 2
+        assert f_gdi(view, {1, 2, 3}) is None
 
     def test_empty_fault_set_by_default(self, figures):
         oracle = StaticOracle(figures["fig2c"].graph)

@@ -196,23 +196,6 @@ class TestTimerLifecycle:
         assert harness.simulator.processed_events - at_decision_events < 50
         assert harness.simulator.pending_events() == 0
 
-    def test_schedule_functions_without_handles_still_work(self):
-        # A ScheduleFn may return nothing (older embeddings); the replica
-        # must keep working, just without the cancellation optimisation.
-
-        class NoHandleHarness(Harness):
-            def __init__(self):
-                super().__init__(members=[1, 2, 3], fault_threshold=0)
-                for replica in self.replicas.values():
-                    original = self.simulator.schedule
-                    replica.schedule = lambda delay, cb, _s=original: (_s(delay, cb), None)[1]
-
-        harness = NoHandleHarness()
-        decisions = harness.run()
-        assert len(decisions) == 3
-        for replica in harness.replicas.values():
-            assert replica._view_timers == []
-
 
 class TestAggregatedCertificates:
     """Quorum certificates folded into one AggregateTag (opt-in fast path)."""

@@ -29,8 +29,9 @@ from repro.runtime.base import Runtime
 from repro.runtime.harness import run_live_consensus
 from repro.runtime.sim import SimRuntime, build_sim_runtime
 from repro.sim.engine import Simulator
-from repro.sim.network import Network, SynchronousModel
+from repro.sim.network import Network
 from repro.sim.process import Process
+from repro.sim.synchrony import SynchronousModel
 from repro.workloads.builders import figure_run_config
 
 

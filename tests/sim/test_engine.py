@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.sim.engine import SimulationLimitExceeded, Simulator
+from repro.sim.engine import Simulator
 
 
 class TestScheduling:
@@ -157,28 +157,33 @@ class TestRunControl:
         assert not satisfied
         assert simulator.processed_events == 5
 
-    def test_event_budget_can_raise(self):
-        simulator = Simulator(max_events=3)
+    def test_event_budget_pauses_and_a_larger_budget_resumes(self):
+        # Hitting the budget is a return value, not an error: the queue is
+        # left as it was, so raising the budget continues the same run.
+        simulator = Simulator(max_events=5)
 
         def reschedule():
             simulator.schedule(1.0, reschedule)
 
         simulator.schedule(1.0, reschedule)
-        with pytest.raises(SimulationLimitExceeded):
-            simulator.run(until=lambda: False, raise_on_limit=True)
+        assert not simulator.run(until=lambda: False)
+        assert simulator.now == 5.0
+        assert simulator.pending_events() == 1
+        simulator.max_events = 8
+        assert not simulator.run(until=lambda: False)
+        assert simulator.processed_events == 8
+        assert simulator.now == 8.0
 
-    def test_stop(self):
+    def test_predicate_set_by_a_handler_stops_before_the_next_event(self):
+        # The predicate is checked between events, even within one instant,
+        # so a handler ends the run by making it true.
         simulator = Simulator()
         seen = []
-
-        def first():
-            seen.append("first")
-            simulator.stop()
-
-        simulator.schedule(1.0, first)
-        simulator.schedule(2.0, lambda: seen.append("second"))
-        simulator.run()
+        simulator.schedule(1.0, lambda: seen.append("first"))
+        simulator.schedule(1.0, lambda: seen.append("second"))
+        assert simulator.run(until=lambda: "first" in seen)
         assert seen == ["first"]
+        assert simulator.pending_events() == 1
 
     def test_pending_events_counts_uncancelled(self):
         simulator = Simulator()

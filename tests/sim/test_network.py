@@ -6,14 +6,9 @@ import pytest
 
 from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulator
-from repro.sim.network import (
-    AsynchronousModel,
-    Network,
-    NetworkRule,
-    PartialSynchronyModel,
-    SynchronousModel,
-)
+from repro.sim.network import Network, NetworkRule
 from repro.sim.process import Process
+from repro.sim.synchrony import AsynchronousModel, PartialSynchronyModel, SynchronousModel
 from repro.sim.tracing import SimulationTrace
 
 
@@ -229,7 +224,6 @@ class TestTransport:
         assert sorted(env.payload for env in bob.received) == ["b", "c"]
         assert trace.dropped_by_rule == {"drop-a": 1}
         assert trace.delayed_by_rule == {"slow-b": 1}
-        assert [rule.name for rule in network.rules] == ["drop-a", "slow-a", "slow-b"]
 
     def test_rule_withhold_records_the_name_in_the_drop_reason(self):
         from repro.sim.network import WITHHOLD, NetworkRule
@@ -262,7 +256,7 @@ class TestTransport:
         assert simulator.pending_events() == 0
 
     def test_model_is_told_who_is_correct(self):
-        """``send`` evaluates correctness inline; it must agree with ``is_correct``."""
+        """Faulty and crashed processes reach the model as incorrect; a crashed sender never does."""
         seen = []
 
         class Spy(SynchronousModel):
@@ -274,20 +268,36 @@ class TestTransport:
         for process_id in (1, 2, 3, 4):
             Recorder(process_id, frozenset(), runtime=SimRuntime(simulator, network))
         network.crash(4)
-        for sender, receiver in ((1, 2), (3, 1), (1, 3), (1, 4)):
+        for sender, receiver in ((1, 2), (3, 1), (1, 3), (1, 4), (4, 1)):
             network.send(sender, receiver, "x")
         assert seen == [
-            (sender, receiver, network.is_correct(sender), network.is_correct(receiver))
-            for sender, receiver in ((1, 2), (3, 1), (1, 3), (1, 4))
+            (1, 2, True, True),
+            (3, 1, False, True),
+            (1, 3, True, False),
+            (1, 4, True, False),
         ]
-        assert seen[1][2] is False and seen[2][3] is False and seen[3][3] is False
 
     def test_is_correct_tracks_faults_and_crashes(self):
-        simulator, network, _ = make_network(faulty=frozenset({3}))
-        assert not network.is_correct(3)
-        assert network.is_correct(1)
+        """A crash mid-run makes a correct process incorrect for every later send."""
+        seen = []
+
+        class Spy(SynchronousModel):
+            def delay(self, *, sender_correct, receiver_correct, **kwargs):
+                seen.append((kwargs["sender"], kwargs["receiver"], sender_correct, receiver_correct))
+                return 1.0
+
+        simulator, network, trace = make_network(model=Spy(), faulty=frozenset({3}))
+        trace.record_messages = True
+        for process_id in (1, 2, 3):
+            Recorder(process_id, frozenset(), runtime=SimRuntime(simulator, network))
+        network.send(2, 1, "before")
+        network.send(2, 3, "before")
+        simulator.run()
         network.crash(1)
-        assert not network.is_correct(1)
+        network.send(2, 1, "after")
+        network.send(1, 2, "after")
+        assert seen == [(2, 1, True, True), (2, 3, True, False), (2, 1, True, False)]
+        assert trace.events[-1][1].startswith("drop (sender crashed)")
 
 
 class TestDeliveryBatching:

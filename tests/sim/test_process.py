@@ -4,8 +4,9 @@ from dataclasses import dataclass
 
 from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulator
-from repro.sim.network import Network, SynchronousModel
+from repro.sim.network import Network
 from repro.sim.process import Process
+from repro.sim.synchrony import SynchronousModel
 
 
 @dataclass(frozen=True)
