@@ -29,10 +29,14 @@ entry share a bucket:
 
 :meth:`Simulator.step` executes one entry per call, so stop predicates,
 event budgets and the processed-event count see every entry on its own.
+It overwrites both slots of the entry it consumes with ``None``, and a
+timer drops its callback when it leaves the queue, so nothing the queue
+has finished with is kept alive by it.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import operator
 from collections.abc import Callable
@@ -42,23 +46,25 @@ from typing import Any
 class _ScheduledEvent:
     """A queued timer, which is also the handle :meth:`Simulator.schedule` returns."""
 
-    __slots__ = ("time", "callback", "cancelled", "done", "_simulator")
+    __slots__ = ("time", "callback", "cancelled", "_simulator")
 
     def __init__(self, time: float, callback: Callable[[], None], simulator: "Simulator") -> None:
         #: The virtual time at which the event is scheduled.
         self.time = time
-        self.callback = callback
+        #: ``None`` once the event is cancelled or has left the queue (run or
+        #: discarded past the horizon).  Dropping it breaks the reference
+        #: cycle between a timer and a callback that holds the timer's handle
+        #: (``Process.after``'s closure, ``PeriodicTimer._tick``), so a run
+        #: leaves no cyclic garbage; it also makes a late ``cancel()`` a no-op.
+        self.callback: Callable[[], None] | None = callback
         self.cancelled = False
-        #: Set once the event has left the queue (executed or discarded), so
-        #: late ``cancel()`` calls do not skew the count of cancelled-but-
-        #: still-queued events.
-        self.done = False
         self._simulator = simulator
 
     def cancel(self) -> None:
-        """Cancel the event (no-op if it already ran)."""
-        if self.cancelled or self.done:
+        """Cancel the event (no-op if it already left the queue)."""
+        if self.callback is None:
             return
+        self.callback = None
         self.cancelled = True
         self._simulator._on_cancelled()
 
@@ -232,13 +238,18 @@ class Simulator:
                 continue
             fn = bucket[cursor]
             arg = bucket[cursor + 1]
+            # Release the consumed slots: a bucket can hold ~10^5 entries, and
+            # its drained part would otherwise keep every delivered envelope
+            # alive until the whole bucket is done.
+            bucket[cursor] = bucket[cursor + 1] = None
             self._cursor = cursor + 2
             if fn is None:  # a timer: ``arg`` is its _ScheduledEvent
-                arg.done = True
-                if arg.cancelled:
+                callback = arg.callback
+                if callback is None:  # cancelled while queued
                     self._cancelled_in_queue -= 1
                     continue
-                fn, arg = operator.call, arg.callback
+                arg.callback = None
+                fn, arg = operator.call, callback
             self._live -= 1
             time = self._bucket_time
             if time > self.max_time:
@@ -252,16 +263,29 @@ class Simulator:
         """Run events until ``until()`` is true, the queue drains, or a limit hits.
 
         Returns ``True`` when ``until`` became true (or the queue drained
-        with no predicate given), ``False`` when a limit was reached first.
+        with no predicate given), ``False`` when a limit -- the horizon or
+        the event budget -- was reached first.
+
+        The cyclic garbage collector is paused for the run and restored on
+        every exit: a run creates no reference cycles, so a collection inside
+        it would only walk the heap and free nothing.
         """
-        while True:
-            if until is not None and until():
-                return True
-            if self._processed_events >= self.max_events:
-                return False
-            if not self.step():
-                # Queue drained or horizon reached.
-                return until is None or until()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while True:
+                if until is not None and until():
+                    return True
+                if self._processed_events >= self.max_events:
+                    return False
+                live = self._live
+                if not self.step():
+                    # The queue drained, or (one live entry fewer) an entry
+                    # past the horizon was discarded.
+                    return self._live == live and (until is None or until())
+        finally:
+            if collecting:
+                gc.enable()
 
     def pending_events(self) -> int:
         """Number of live (non-cancelled) entries still queued."""

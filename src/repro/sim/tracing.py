@@ -25,8 +25,6 @@ class SimulationTrace:
     messages_delivered: int = 0
     messages_dropped: int = 0
     sent_by_kind: Counter = field(default_factory=Counter)
-    sent_by_process: Counter = field(default_factory=Counter)
-    delivered_by_kind: Counter = field(default_factory=Counter)
     #: Per-rule tallies of messages withheld/delayed by named scheduling
     #: rules (the declarative fault-schedule path of the network).
     dropped_by_rule: Counter = field(default_factory=Counter)
@@ -42,13 +40,11 @@ class SimulationTrace:
     def on_send(self, envelope: Envelope) -> None:
         self.messages_sent += 1
         self.sent_by_kind[envelope.kind] += 1
-        self.sent_by_process[envelope.sender] += 1
         if self.record_messages:
             self.message_log.append(envelope)
 
     def on_deliver(self, envelope: Envelope) -> None:
         self.messages_delivered += 1
-        self.delivered_by_kind[envelope.kind] += 1
 
     def on_drop(self, envelope: Envelope, reason: str, time: float | None = None) -> None:
         """Count a dropped message; ``time`` is the drop instant when the

@@ -258,11 +258,12 @@ def build_world(figures, behaviour_spec):
 class TestFaultyNodeBehaviours:
     def test_silent_node_never_sends(self, figures):
         scenario, simulator, network, registry, trace, node = build_world(figures, FaultSpec.silent())
+        trace.record_messages = True
         node.propose("x")
         observer = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
         network.send(1, 4, GetPds())
         simulator.run()
-        assert trace.sent_by_process[4] == 0
+        assert [envelope.sender for envelope in trace.message_log] == [1]
 
     def test_lying_pd_node_advertises_the_claim(self, figures):
         spec = FaultSpec.lying_pd(frozenset({1, 2, 3, 5, 6, 7, 8}))

@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulation engine."""
 
+import gc
 import heapq
 from unittest import mock
 
@@ -119,20 +120,60 @@ class TestRunControl:
         assert len(counter) == 3
 
     def test_run_drains_queue_without_predicate(self):
-        simulator = Simulator()
+        simulator = Simulator(max_time=10.0)
         counter = []
         simulator.schedule(1.0, lambda: counter.append(1))
+        simulator.schedule(50.0, lambda: counter.append(50)).cancel()  # past the horizon, but dead
         assert simulator.run()
         assert counter == [1]
 
-    def test_horizon_stops_the_run(self):
+    @pytest.mark.parametrize("with_predicate", [True, False])
+    def test_horizon_stops_the_run(self, with_predicate):
         simulator = Simulator(max_time=10.0)
         seen = []
         simulator.schedule(5.0, lambda: seen.append("in"))
         simulator.schedule(50.0, lambda: seen.append("out"))
-        satisfied = simulator.run(until=lambda: "out" in seen)
+        satisfied = simulator.run(until=(lambda: "out" in seen) if with_predicate else None)
         assert not satisfied
         assert seen == ["in"]
+
+    @pytest.mark.parametrize("collector_on", [True, False])
+    @pytest.mark.parametrize("exit_path", ["predicate", "drain", "horizon", "budget", "raise", "nested"])
+    def test_run_pauses_the_collector_and_restores_it(self, exit_path, collector_on):
+        """Callbacks run with the collector off; every exit puts back the caller's state."""
+        simulator = Simulator(max_time=10.0, max_events=3)
+        states = []
+
+        def record():
+            states.append(gc.isenabled())
+
+        def fail():
+            record()
+            raise RuntimeError("callback failed")
+
+        def nested():
+            inner = Simulator()
+            inner.schedule(1.0, record)
+            inner.run()
+            record()
+
+        delays = {"horizon": (1.0, 50.0), "budget": (1.0, 2.0, 3.0, 4.0)}.get(exit_path, (1.0, 2.0))
+        for delay in delays:
+            simulator.schedule(delay, {"raise": fail, "nested": nested}.get(exit_path, record))
+        until = {"predicate": lambda: len(states) == 1, "budget": lambda: False}.get(exit_path)
+        was_on = gc.isenabled()
+        (gc.enable if collector_on else gc.disable)()
+        try:
+            if exit_path == "raise":
+                with pytest.raises(RuntimeError, match="callback failed"):
+                    simulator.run(until)
+            else:
+                satisfied = simulator.run(until)
+                assert satisfied == (exit_path in ("predicate", "drain", "nested"))
+            assert gc.isenabled() is collector_on
+        finally:
+            (gc.enable if was_on else gc.disable)()
+        assert states and not any(states)
 
     def test_past_horizon_each_step_discards_one_entry(self):
         simulator = Simulator(max_time=5.0)
@@ -425,8 +466,11 @@ class ReferenceEngine:
         return True
 
 
-def transcript(engine, ops):
-    """Apply ``ops`` to ``engine``; return everything an observer can see."""
+def transcript(engine, ops, check=lambda engine, handles: None):
+    """Apply ``ops`` to ``engine``; return everything an observer can see.
+
+    ``check(engine, handles)`` runs after every operation.
+    """
     seen, handles, results = [], [], []
 
     def handler(label, child):
@@ -454,10 +498,24 @@ def transcript(engine, ops):
             target = len(seen) + arg
             results.append(engine.run(until=lambda: len(seen) >= target))
         results.append((engine.now, engine.processed_events, engine.pending_events(), engine.pending_peak))
+        check(engine, handles)
     engine.max_time = float("inf")
     results.append(engine.run(until=lambda: False))
     results.append((engine.now, engine.processed_events, engine.pending_events(), engine.pending_peak))
+    check(engine, handles)
     return seen, results
+
+
+def assert_released(simulator, handles):
+    """The queue keeps nothing it is done with.
+
+    Every slot before the cursor of the bucket being drained is ``None``, and
+    a timer holds its callback exactly while it is queued and not cancelled.
+    """
+    assert all(item is None for item in simulator._bucket[: simulator._cursor])
+    queued = {id(arg) for fn, arg in queued_entries(simulator) if fn is None}
+    for handle in handles:
+        assert (handle.callback is not None) == (id(handle) in queued and not handle.cancelled)
 
 
 DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5, 4.0, 6.0])
@@ -473,13 +531,29 @@ DIFFERENTIAL_OPS = st.lists(
 )
 
 
+#: An instant scheduled after a discard, before the rest of the bucket being
+#: discarded: the clock lags that partly drained bucket, its consumed slots
+#: are cut off, it goes back on the heap and the new instant runs first.
+CLOCK_LAG_OPS = [("schedule", 6.0, None), ("call_at", 6.0, None), ("step", 1, None), ("schedule", 0.5, None)]
+#: Two timers cancelled while the bucket at t=1 is partly drained: at a
+#: threshold of 2 that compacts every other bucket and keeps the current one.
+MID_BUCKET_COMPACTION_OPS = [
+    ("schedule", 1.0, None),
+    ("schedule", 1.0, None),
+    ("schedule", 2.5, None),
+    ("schedule", 2.5, None),
+    ("step", 1, None),
+    ("cancel", 2, None),
+    ("cancel", 3, None),
+]
+
+
 class TestReferenceOrder:
     @pytest.mark.parametrize("compaction_min_queue", [2, 64, 10**9])
     @settings(max_examples=150, deadline=None)
     @given(ops=DIFFERENTIAL_OPS)
-    # An instant scheduled after a discard, before the rest of the bucket
-    # being discarded: the clock lags that bucket, and the new instant runs first.
-    @example(ops=[("schedule", 6.0, None), ("call_at", 6.0, None), ("step", 1, None), ("schedule", 0.5, None)])
+    @example(ops=CLOCK_LAG_OPS)
+    @example(ops=MID_BUCKET_COMPACTION_OPS)
     def test_buckets_reproduce_the_sequence_heap(self, compaction_min_queue, ops):
         """Same execution order, clock, counters and peak as a ``(time, seq)`` heap.
 
@@ -487,7 +561,27 @@ class TestReferenceOrder:
         handlers, cancellations, single steps, ``run(until=...)`` and
         discards past the ``max_time=5`` horizon (then a drain with the
         horizon lifted), at an always-, a default- and a never-compacting
-        threshold.
+        threshold.  After every operation the engine also holds nothing it
+        is done with (:func:`assert_released`).
         """
         with mock.patch.object(Simulator, "COMPACTION_MIN_QUEUE", compaction_min_queue):
-            assert transcript(Simulator(max_time=5.0), ops) == transcript(ReferenceEngine(5.0), ops)
+            simulated = transcript(Simulator(max_time=5.0), ops, assert_released)
+            assert simulated == transcript(ReferenceEngine(5.0), ops)
+
+    def test_the_examples_reach_the_rare_paths_mid_bucket(self):
+        states = []
+
+        def snapshot(simulator, handles):
+            assert_released(simulator, handles)
+            states.append((simulator._bucket_time, simulator._cursor, simulator.compactions))
+
+        with mock.patch.object(Simulator, "COMPACTION_MIN_QUEUE", 2):
+            transcript(Simulator(max_time=5.0), CLOCK_LAG_OPS, snapshot)
+            # After the discard the t=6 bucket is half drained; the t=0.5
+            # schedule then becomes the bucket being drained.
+            assert states[2] == (6.0, 2, 0)
+            assert states[3] == (0.5, 0, 0)
+            states.clear()
+            transcript(Simulator(max_time=5.0), MID_BUCKET_COMPACTION_OPS, snapshot)
+            assert states[4] == (1.0, 2, 0)
+            assert states[6] == (1.0, 2, 1)
