@@ -22,8 +22,9 @@
   repro.experiments.queue_server`` CLI serving a queue directory over TCP;
 * :mod:`repro.experiments.lake` -- the content-addressable
   :class:`ResultStore` behind ``SuiteRunner.run(..., store=...)``: a
-  digest-keyed cell cache shared across sweeps, backends and remote
-  workers — re-running a killed sweep against it resumes the sweep;
+  digest-keyed cell cache shared across sweeps and backends, read and
+  written by the coordinator alone — re-running a killed sweep against it
+  resumes the sweep;
 * :mod:`repro.experiments.regression` -- benchmark-trajectory comparison
   against committed ``BENCH_*.json`` baselines (the CI regression gate);
 * :mod:`repro.experiments.results` -- :class:`SuiteResult` aggregation

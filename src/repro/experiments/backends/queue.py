@@ -30,7 +30,9 @@ Because job files are digest-named and outcomes are journaled in the queue
 directory itself, the directory doubles as a checkpoint: re-running a
 coordinator over the same directory re-enqueues only the cells that never
 completed and stitches the rest from the existing shards — that is how a
-sweep killed mid-run is resumed.
+sweep killed mid-run is resumed.  Only cells and outcomes travel through the
+queue: the cross-sweep cache behind ``SuiteRunner.run(store=...)`` is read
+and written by the coordinator alone.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.experiments.backends.base import CellResult, CellTask, Executor, resolve_executor
-from repro.experiments.lake import ResultStore, executor_digest_of, result_key
 
 #: Separator between digest and worker id in claimed-job filenames.  Safe
 #: because digests are hex and worker ids are sanitised.
@@ -95,10 +96,8 @@ def executor_reference(executor: Executor) -> str:
 
 
 #: One claimed cell, exactly as its job file (and the TCP ``claim`` reply)
-#: carries it: ``digest``, ``index``, the declarative ``scenario`` dict, the
-#: ``executor`` reference and ``result_key`` — the result-lake key of the
-#: (cell, executor) pair, ``None`` when the sweep runs without a store or the
-#: executor declares no cache identity.
+#: carries it: ``digest``, ``index``, the declarative ``scenario`` dict and the
+#: ``executor`` reference.
 Job = dict[str, Any]
 
 
@@ -142,18 +141,11 @@ class WorkQueue:
             directory.mkdir(parents=True, exist_ok=True)
 
     # Coordinator side ------------------------------------------------------
-    def enqueue(
-        self,
-        cells: Sequence[CellTask],
-        executor_ref: str,
-        result_keys: dict[str, str] | None = None,
-    ) -> dict[str, list[int]]:
+    def enqueue(self, cells: Sequence[CellTask], executor_ref: str) -> dict[str, list[int]]:
         """Write one job file per cell not already queued, claimed or done.
 
         Returns the digest -> suite indexes mapping the collector needs to
-        stitch outcomes back (duplicate scenarios share one job).  With
-        ``result_keys`` (digest -> lake key), each job carries its key so
-        workers can consult/feed the result lake.
+        stitch outcomes back (duplicate scenarios share one job).
         """
         index_of: dict[str, list[int]] = {}
         for index, scenario in cells:
@@ -169,8 +161,6 @@ class WorkQueue:
                 "scenario": scenario.to_dict(),
                 "executor": executor_ref,
             }
-            if result_keys and digest in result_keys:
-                job["result_key"] = result_keys[digest]
             staging = self.pending / f".{digest}.tmp"
             staging.write_text(json.dumps(job, indent=2) + "\n")
             staging.replace(self.pending / f"{digest}.json")
@@ -280,13 +270,11 @@ class WorkQueue:
                 continue  # another worker won the rename race
             try:
                 job = json.loads(claim_path.read_text())
-                key = job.get("result_key")
                 return {
                     "digest": job["digest"],
                     "index": int(job.get("index", -1)),
                     "scenario": job["scenario"],
                     "executor": job["executor"],
-                    "result_key": key if isinstance(key, str) else None,
                 }
             except (ValueError, KeyError, TypeError, AttributeError, OSError):
                 # Unreadable job file: report it as a failed cell (keyed by the
@@ -356,11 +344,10 @@ class QueueWorker:
 
     The surface :func:`repro.experiments.worker.drain` is written against
     (:class:`~repro.experiments.backends.remote.RemoteQueueClient` is its TCP
-    twin): claim / report / heartbeat / lake_get / lake_put / idle / close.
-    What is particular to the directory transport lives here — the heartbeat
-    file refreshed before every claim, reclaiming the expired claims of dead
-    workers while idle (so a fleet is self-healing), and a result lake opened
-    straight from the shared filesystem.
+    twin): claim / report / heartbeat / idle / close.  What is particular to
+    the directory transport lives here — the heartbeat file refreshed before
+    every claim, and reclaiming the expired claims of dead workers while idle
+    (so a fleet is self-healing).
     """
 
     def __init__(
@@ -370,13 +357,11 @@ class QueueWorker:
         *,
         lease: float = 60.0,
         poll_interval: float = 0.1,
-        lake: ResultStore | str | Path | None = None,
     ) -> None:
         self.queue = queue if isinstance(queue, WorkQueue) else WorkQueue(queue)
         self.worker_id = worker_id
         self.lease = lease
         self.poll_interval = poll_interval
-        self.lake = lake if lake is None or isinstance(lake, ResultStore) else ResultStore(lake)
         #: A quarter lease, so a claim is only reclaimed when the worker
         #: process actually died, not because one cell outran the lease.
         self.heartbeat_interval = max(min(lease / 4.0, 15.0), 0.05)
@@ -392,13 +377,6 @@ class QueueWorker:
         self, job: Job, *, summary: dict[str, Any] | None, error: str | None, wall_time: float
     ) -> None:
         self.queue.report(self.worker_id, job, summary=summary, error=error, wall_time=wall_time)
-
-    def lake_get(self, key: str) -> dict[str, Any] | None:
-        return None if self.lake is None else self.lake.get(key)
-
-    def lake_put(self, key: str, payload: dict[str, Any]) -> None:
-        if self.lake is not None:
-            self.lake.put(key, payload)
 
     def idle(self) -> None:
         """Nothing to claim: heal the queue, then wait one poll interval."""
@@ -440,13 +418,6 @@ class WorkQueueBackend:
         on an idle queue.
     timeout:
         Optional overall deadline in seconds for the sweep.
-    store:
-        Optional :class:`~repro.experiments.lake.ResultStore` (or its root
-        path).  When set — and the executor declares a cache identity —
-        every enqueued job carries its result key, and workers consult/feed
-        the lake themselves: spawned directory-mode workers are handed
-        ``--lake``, and the TCP transport serves the store through the
-        queue server.
     """
 
     name = "work-queue"
@@ -460,7 +431,6 @@ class WorkQueueBackend:
         lease: float = 60.0,
         idle_timeout: float = 10.0,
         timeout: float | None = None,
-        store: ResultStore | str | Path | None = None,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be non-negative")
@@ -470,9 +440,6 @@ class WorkQueueBackend:
         self.lease = lease
         self.idle_timeout = idle_timeout
         self.timeout = timeout
-        self.store = (
-            store if store is None or isinstance(store, ResultStore) else ResultStore(store)
-        )
         #: The worker processes spawned by the current execute() call, exposed
         #: so harnesses (e.g. the CI chaos smoke) can kill one mid-sweep.
         self.procs: list[subprocess.Popen[bytes]] = []
@@ -484,15 +451,7 @@ class WorkQueueBackend:
     def execute(self, cells: Sequence[CellTask], executor: Executor) -> Iterator[CellResult]:
         queue = WorkQueue(self.root)
         reference = executor_reference(executor)
-        result_keys: dict[str, str] | None = None
-        if self.store is not None:
-            exec_digest = executor_digest_of(executor)
-            if exec_digest is not None:
-                result_keys = {
-                    scenario.cell_digest(): result_key(scenario.cell_digest(), exec_digest)
-                    for _index, scenario in cells
-                }
-        index_of = queue.enqueue(cells, reference, result_keys)
+        index_of = queue.enqueue(cells, reference)
         outstanding = set(index_of)
         offsets: dict[str, int] = {}
 
@@ -569,7 +528,7 @@ class WorkQueueBackend:
 
     def _worker_command(self, queue: WorkQueue, worker_id: str) -> list[str]:
         """The argv used to spawn one local worker process."""
-        command = [
+        return [
             sys.executable,
             "-m",
             "repro.experiments.worker",
@@ -584,11 +543,6 @@ class WorkQueueBackend:
             "--idle-timeout",
             str(self.idle_timeout),
         ]
-        if self.store is not None:
-            # Directory-mode workers share the coordinator's filesystem, so
-            # they can open the lake directly.
-            command.extend(["--lake", str(self.store.root)])
-        return command
 
     # Local worker processes -------------------------------------------------
     def _spawn(self, queue: WorkQueue, number: int) -> "subprocess.Popen[bytes]":

@@ -17,18 +17,20 @@ Design points:
   an atomic rename, every request from a worker refreshes that worker's
   heartbeat file, and the coordinator's reclamation loop reclaims dead
   *remote* workers exactly as it reclaims dead local ones.
-* **One report per cell.**  The moment a cell finishes, the worker uploads
-  its outcome record in one ``report`` request and the server journals it
-  into that worker's shard; the backend collects by tailing the shards, as
-  the directory transport does, so a record the coordinator has seen is
-  durable and :class:`~repro.experiments.runner.SuiteRunner`'s progress
-  callback fires per cell.  Each upload carries a per-worker sequence
-  number, so one re-sent after a lost ACK or a reconnect is applied at
-  most once per server life (no duplicate journal entries).
-* **The journal stays coordinator-side.**  Outcome shards live in the
+* **One outcome per report.**  The moment a cell finishes, the worker
+  uploads its outcome record in one ``report`` request and the server
+  journals it into that worker's shard; the backend collects by tailing the
+  shards, as the directory transport does, so a record the coordinator has
+  seen is durable and :class:`~repro.experiments.runner.SuiteRunner`'s
+  progress callback fires per cell.  Each upload carries a per-worker
+  sequence number, so one re-sent after a lost ACK or a reconnect is
+  applied at most once per server life (no duplicate journal entries).
+* **Durable state stays coordinator-side.**  Outcome shards live in the
   server's queue directory, so re-running a coordinator over the same
   directory works unchanged across transports, and remote runs are
   bit-identical to serial ones (same ``cell_digest``s, same summaries).
+  Only cells and outcomes cross the wire; ``SuiteRunner.run(store=...)``
+  keeps its cross-sweep cache on the coordinator.
 * **One worker loop.**  :func:`repro.experiments.worker.drain` runs against
   a :class:`RemoteQueueClient` exactly as against a directory
   :class:`~repro.experiments.backends.queue.QueueWorker`.
@@ -42,7 +44,6 @@ import threading
 import time  # lint: allow-file[DET-SEED-CLOCK] operational timing: connection deadlines, retry backoff and progress display
 import traceback
 import uuid
-from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
@@ -53,23 +54,17 @@ from repro.experiments.backends.queue import (
     outcome_record,
     sanitize_worker_id,
 )
-from repro.experiments.lake import ResultStore
 from repro.experiments.backends.transport import (
     COMPRESS_MIN_BYTES,
-    MAX_FRAME_BYTES,
     TransportError,
     read_frame,
     write_frame,
 )
 
-#: Version tag exchanged in ``hello`` so future protocol changes can be
-#: detected instead of mis-parsed.  Compression and server-push are
-#: *feature-negotiated* within version 1 (the ``hello`` reply advertises
-#: them), so old and new peers interoperate without a version bump.
-PROTOCOL_VERSION = 1
-
-#: Features this server/client pair understands beyond the bare protocol.
-PROTOCOL_FEATURES = ("compress", "push")
+#: Exchanged in ``hello``, which refuses a peer speaking another version
+#: instead of mis-parsing it.  Version 2 carries one ``outcome`` per
+#: ``report`` (version 1 sent an ``outcomes`` list).
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one long-poll claim park (server side).  Clients asking
 #: for more simply re-poll; bounding the park keeps connections responsive
@@ -117,10 +112,6 @@ class QueueServer:
         When ``reclaim_interval`` is set (the standalone CLI does this), a
         background thread reclaims expired claims every interval; embedded
         servers leave reclamation to the coordinator's collect loop.
-    store:
-        Optional :class:`~repro.experiments.lake.ResultStore` served to
-        workers through the ``lake-get`` / ``lake-put`` ops, so a TCP fleet
-        without filesystem access to the lake still shares cache hits.
     """
 
     def __init__(
@@ -131,24 +122,20 @@ class QueueServer:
         *,
         lease: float = 60.0,
         reclaim_interval: float | None = None,
-        max_frame: int = MAX_FRAME_BYTES,
-        store: ResultStore | str | Path | None = None,
     ) -> None:
         self.queue = queue if isinstance(queue, WorkQueue) else WorkQueue(queue)
-        self.store = store if store is None or isinstance(store, ResultStore) else ResultStore(store)
         self._bind_host = host
         self._bind_port = port
         self.lease = lease
         self.reclaim_interval = reclaim_interval
-        self.max_frame = max_frame
         self.address: tuple[str, int] | None = None
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
         self._connections: set[socket.socket] = set()
         self._queue_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        #: Highest applied batch sequence number per (worker, session).  The
-        #: session half is what distinguishes a *replayed* batch (same client
+        #: Highest applied report sequence number per (worker, session).  The
+        #: session half is what distinguishes a *replayed* report (same client
         #: life re-sending after a lost ACK — must be dropped) from a
         #: *restarted* worker reusing its id whose fresh numbering starts
         #: over at 1 (must be applied).
@@ -238,7 +225,7 @@ class QueueServer:
         try:
             while not self._stopping.is_set():
                 try:
-                    request = read_frame(connection, max_frame=self.max_frame)
+                    request = read_frame(connection)
                 except TransportError:
                     break  # dead or non-protocol peer; leases clean up after it
                 except OSError:
@@ -289,12 +276,7 @@ class QueueServer:
                     "error": f"protocol mismatch: server speaks {PROTOCOL_VERSION}, "
                     f"client sent {client_protocol!r}",
                 }
-            reply = {
-                "ok": True,
-                "server": "repro-queue",
-                "protocol": PROTOCOL_VERSION,
-                "features": list(PROTOCOL_FEATURES),
-            }
+            reply = {"ok": True, "server": "repro-queue", "protocol": PROTOCOL_VERSION}
             requested = request.get("compress")
             if isinstance(requested, dict) and requested.get("algo") == "zlib":
                 min_bytes = max(1, int(requested.get("min_bytes") or COMPRESS_MIN_BYTES))
@@ -311,21 +293,6 @@ class QueueServer:
             return self._apply_report(str(worker), request)
         if op == "snapshot":
             return {"ok": True, "snapshot": self.queue.snapshot()}
-        if op == "lake-get":
-            key = request.get("key")
-            if self.store is None or not isinstance(key, str):
-                return {"ok": True, "payload": None}
-            with self._queue_lock:
-                payload = self.store.get(key)
-            return {"ok": True, "payload": payload if isinstance(payload, dict) else None}
-        if op == "lake-put":
-            key = request.get("key")
-            payload = request.get("payload")
-            if self.store is None or not isinstance(key, str) or not isinstance(payload, dict):
-                return {"ok": True, "stored": False}
-            with self._queue_lock:
-                stored = self.store.put(key, payload)
-            return {"ok": True, "stored": stored is not None}
         return {"ok": False, "error": f"unknown op {op!r}"}
 
     def _claim_reply(
@@ -362,41 +329,34 @@ class QueueServer:
             self._stopping.wait(0.05)
 
     def _apply_report(self, worker: str, request: dict[str, Any]) -> dict[str, Any]:
-        """Journal one uploaded outcome batch, at most once per sequence number.
+        """Journal one uploaded outcome, at most once per sequence number.
 
-        Replay safety: the client re-sends a batch (same ``seq``) whenever
+        Replay safety: the client re-sends a report (same ``seq``) whenever
         an ACK may have been lost — after an i/o timeout or a reconnect.  A
-        batch whose sequence number was already applied is acknowledged
+        report whose sequence number was already applied is acknowledged
         without touching the journal, so replays never duplicate entries.
         """
-        outcomes = request.get("outcomes")
-        if not isinstance(outcomes, list):
-            return {"ok": False, "error": "report carries no outcome list"}
+        record = request.get("outcome")
+        if not isinstance(record, dict) or "digest" not in record:
+            return {"ok": False, "error": "report carries no outcome record"}
         seq = request.get("seq")
         key = (sanitize_worker_id(worker), str(request.get("session") or ""))
         with self._queue_lock:
-            if isinstance(seq, int) and seq <= self._applied_seq.get(key, 0):
-                reply: dict[str, Any] = {"ok": True, "applied": False, "seq": seq}
-            else:
-                accepted = 0
-                for record in outcomes:
-                    if isinstance(record, dict) and "digest" in record:
-                        self.queue.journal_record(worker, record)
-                        accepted += 1
-                # Only a fully journaled batch is marked applied: if an i/o
-                # error above aborts the batch midway, the client's replay
-                # (same seq) is re-journaled rather than dropped — a
-                # duplicate record is harmless (later records win), a lost
-                # one is not.
+            applied = not (isinstance(seq, int) and seq <= self._applied_seq.get(key, 0))
+            if applied:
+                # Marked applied only once journaled: if an i/o error aborts
+                # the append, the client's replay (same seq) is journaled
+                # rather than dropped.
+                self.queue.journal_record(worker, record)
                 if isinstance(seq, int):
                     self._applied_seq[key] = seq
-                reply = {"ok": True, "applied": True, "accepted": accepted}
+        reply: dict[str, Any] = {"ok": True, "applied": applied}
         # Server push: a push-mode worker piggybacks its next claim on the
         # report, folding report + claim into one round-trip.  The claim
         # runs through the tokened path (outside the journal lock hold
         # above), so a replayed report re-offers the *same* job instead of
         # stranding the first one under a live worker.  It never parks: the
-        # ACK of an already-journaled batch must not wait for a job to
+        # ACK of an already-journaled outcome must not wait for a job to
         # appear (the worker's heartbeats queue behind it on the same
         # connection); on an empty queue the worker's next explicit claim
         # long-polls instead.
@@ -418,15 +378,15 @@ class RemoteQueueClient:
     up to ``retry_window`` seconds, which is what lets a worker survive a
     coordinator restart.  Requests are idempotent by construction: claims
     carry per-attempt tokens (a lost-ACK retry gets the same job back),
-    heartbeats are monotone, and outcome batches carry sequence numbers.
+    heartbeats are monotone, and reports carry sequence numbers.
 
     The client is the TCP side of the surface
     :func:`repro.experiments.worker.drain` is written against, and owns what
     is particular to this transport.  :meth:`report` uploads each outcome at
-    once as a sequenced batch of one record, durable server-side when it
-    returns; an upload that failed stays pending and is replayed by
-    :meth:`close`.  ``mode="push"`` flips the claim economics: every report
-    piggybacks a claim (report + next job in one round-trip), and an idle
+    once in one sequenced request, durable server-side when it returns; an
+    upload that failed is replayed under its original sequence number.
+    ``mode="push"`` flips the claim economics: every report piggybacks a
+    claim (report + next job in one round-trip), and an idle
     claim long-polls ``claim_wait`` seconds server-side instead of burning
     ``poll_interval`` claim round-trips.  Cells, outcomes and journal records
     are identical between the modes; only the rhythm differs.
@@ -462,22 +422,22 @@ class RemoteQueueClient:
         self.retry_interval = retry_interval
         #: Request zlib compression for frames at least this large (``None``
         #: disables the request).  Actually compressing requires the server
-        #: to ack the request in ``hello``; see :attr:`negotiated_compress_min`.
+        #: to ack the request in ``hello``.
         self.compress_min = compress_min
         self._write_compress: int | None = None
         self._sock: socket.socket | None = None
         self._lock = threading.Lock()
-        #: Unique per client *instance*: batch replay protection is scoped
+        #: Unique per client *instance*: report replay protection is scoped
         #: to this session, so a restarted worker process reusing a worker
         #: id starts a fresh sequence space instead of colliding with the
         #: dead one's.
         self.session = uuid.uuid4().hex
         self._seq = 0
-        #: Batches handed to :meth:`report_batch` but not yet acknowledged,
-        #: oldest first.  Each keeps the sequence number it was assigned at
-        #: enqueue time, so a re-send after a failed upload is a true replay
-        #: (same seq, same records) the server can deduplicate.
-        self._pending_batches: list[tuple[int, list[dict[str, Any]]]] = []
+        #: The one outcome uploaded but not yet acknowledged, with the
+        #: sequence number it was assigned, so a re-send is a true replay
+        #: the server can deduplicate.  The drain loop stops at a failed
+        #: upload, so there is never more than one.
+        self._unacked: tuple[int, dict[str, Any]] | None = None
         #: Push mode: the job the last report's piggybacked claim handed back.
         self._next_job: Job | None = None
 
@@ -513,11 +473,6 @@ class RemoteQueueClient:
             self._write_compress = None
         self._sock = sock
 
-    @property
-    def negotiated_compress_min(self) -> int | None:
-        """The compression threshold in force on the live connection, if any."""
-        return self._write_compress
-
     def _close_locked(self) -> None:
         if self._sock is not None:
             try:
@@ -527,11 +482,12 @@ class RemoteQueueClient:
             self._sock = None
 
     def close(self) -> None:
-        """Replay any upload that failed, then drop the connection."""
-        try:
-            self.report_batch()
-        except RemoteQueueError as error:
-            print(f"worker {self.worker_id}: final upload failed: {error}", file=sys.stderr)
+        """Replay an upload that failed, then drop the connection."""
+        if self._unacked is not None:
+            try:
+                self._upload(claim=False)
+            except RemoteQueueError as error:
+                print(f"worker {self.worker_id}: final upload failed: {error}", file=sys.stderr)
         with self._lock:
             self._close_locked()
 
@@ -609,90 +565,49 @@ class RemoteQueueClient:
         except RemoteQueueError:
             pass  # the drain loop surfaces persistent connectivity loss
 
-    def report_batch(
-        self,
-        records: Iterable[dict[str, Any]] = (),
-        *,
-        claim: bool = False,
-    ) -> dict[str, Any] | None:
-        """Upload outcome batches (durable server-side once this returns).
-
-        The records are enqueued under a freshly assigned sequence number
-        and *owned by the client from then on*: if the upload fails, the
-        batch stays pending — with its original seq — and is re-sent ahead
-        of newer batches on the next call, so an already-applied batch
-        whose ACK was lost is recognised server-side as a replay instead of
-        being journaled twice.  Calling with no records just retries
-        whatever is pending.
-
-        With ``claim=True`` (push mode), the *last* request of the flush
-        piggybacks a tokened claim and the next job — or ``None``, at once:
-        the server never parks a piggybacked claim — is returned, folding
-        report + claim into one round-trip.  The token is fixed for the
-        whole call, so transport-level retries re-receive the same job.
-        """
-        batch = list(records)
-        if batch:
-            self._seq += 1
-            self._pending_batches.append((self._seq, batch))
-        claim_token = uuid.uuid4().hex if claim else None
-        job: dict[str, Any] | None = None
-        if claim and not self._pending_batches:
-            return self.claim()
-        while self._pending_batches:
-            seq, pending = self._pending_batches[0]
-            payload: dict[str, Any] = {
-                "op": "report",
-                "worker": self.worker_id,
-                "session": self.session,
-                "seq": seq,
-                "outcomes": pending,
-            }
-            if claim_token is not None and len(self._pending_batches) == 1:
-                payload["claim"] = {"token": claim_token}
-            reply = self.call(payload)
-            self._pending_batches.pop(0)
-            offered = reply.get("job")
-            job = offered if isinstance(offered, dict) else None
-        return job
-
-    @property
-    def pending_batches(self) -> int:
-        """Number of outcome batches accepted but not yet acknowledged."""
-        return len(self._pending_batches)
-
     def snapshot(self) -> dict[str, int]:
         reply = self.call({"op": "snapshot"})
         return dict(reply.get("snapshot") or {})
 
-    def lake_get(self, key: str) -> dict[str, Any] | None:
-        """A result-lake payload from the server; ``None`` on a miss — or when
-        the server is unreachable: execution is the fallback."""
-        try:
-            reply = self.call({"op": "lake-get", "worker": self.worker_id, "key": key})
-        except RemoteQueueError:
-            return None
-        payload = reply.get("payload")
-        return payload if isinstance(payload, dict) else None
+    def _upload(self, *, claim: bool) -> Job | None:
+        """Send the unacknowledged outcome; it is journaled once this returns.
 
-    def lake_put(self, key: str, payload: dict[str, Any]) -> bool:
-        """Offer a fresh outcome to the server's result lake (best-effort:
-        losing a lake write never loses the outcome)."""
-        try:
-            reply = self.call(
-                {"op": "lake-put", "worker": self.worker_id, "key": key, "payload": payload}
-            )
-        except RemoteQueueError:
-            return False
-        return bool(reply.get("stored"))
+        With ``claim`` (push mode) the report piggybacks a tokened claim and
+        the next job — or ``None``, at once: the server never parks a
+        piggybacked claim — is returned.  The token is fixed for the call,
+        so a transport-level retry re-receives the same job.
+        """
+        assert self._unacked is not None
+        seq, record = self._unacked
+        payload: dict[str, Any] = {
+            "op": "report",
+            "worker": self.worker_id,
+            "session": self.session,
+            "seq": seq,
+            "outcome": record,
+        }
+        if claim:
+            payload["claim"] = {"token": uuid.uuid4().hex}
+        reply = self.call(payload)
+        self._unacked = None
+        job = reply.get("job")
+        return job if isinstance(job, dict) else None
 
     # The drain-loop surface ------------------------------------------------
     def report(
         self, job: Job, *, summary: dict[str, Any] | None, error: str | None, wall_time: float
     ) -> None:
-        """Upload one finished job's outcome (journaled once this returns)."""
+        """Upload one finished job's outcome (journaled once this returns).
+
+        An upload that fails stays unacknowledged under its sequence number
+        and is replayed ahead of the next report, or by :meth:`close`.
+        """
+        if self._unacked is not None:
+            self._upload(claim=False)
+        self._seq += 1
         record = outcome_record(job, self.worker_id, summary=summary, error=error, wall_time=wall_time)
-        self._next_job = self.report_batch([record], claim=self.push)
+        self._unacked = (self._seq, record)
+        self._next_job = self._upload(claim=self.push)
 
     def idle(self) -> None:
         """Nothing to claim: wait one poll interval."""
@@ -729,7 +644,6 @@ class RemoteWorkQueueBackend(WorkQueueBackend):
         lease: float = 60.0,
         idle_timeout: float = 10.0,
         timeout: float | None = None,
-        store: ResultStore | str | Path | None = None,
         push: bool = False,
         claim_wait: float = 5.0,
         compress_min: int | None = None,
@@ -741,7 +655,6 @@ class RemoteWorkQueueBackend(WorkQueueBackend):
             lease=lease,
             idle_timeout=idle_timeout,
             timeout=timeout,
-            store=store,
         )
         self.host = host
         self.port = port
@@ -762,9 +675,7 @@ class RemoteWorkQueueBackend(WorkQueueBackend):
 
     # Transport hooks --------------------------------------------------------
     def _setup(self, queue: WorkQueue) -> None:
-        self.server = QueueServer(
-            queue, host=self.host, port=self.port, lease=self.lease, store=self.store
-        )
+        self.server = QueueServer(queue, host=self.host, port=self.port, lease=self.lease)
         self.server.start()
 
     def _teardown(self) -> None:

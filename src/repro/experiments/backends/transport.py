@@ -14,8 +14,9 @@ free, so it marks zlib-deflated payloads.  Readers *always* accept
 compressed frames (decompressed under a hard cap, see
 :class:`FrameTooLargeError`); writers only compress when the caller passes
 ``compress_min`` and the encoded body reaches it, and the queue protocol
-only does that after both peers advertised support in the ``hello``
-exchange — an uncompressed peer simply never receives a marked frame.
+only does that after the client asked for it and the server acked it in the
+``hello`` exchange — an uncompressed peer simply never receives a marked
+frame.
 
 Framing errors are typed so callers can tell the recoverable cases apart:
 
@@ -40,8 +41,8 @@ from typing import Any
 #: 4-byte big-endian unsigned frame length.
 _HEADER = struct.Struct(">I")
 
-#: Default cap on one frame's payload.  Outcome batches are a few KiB each;
-#: anything near this size indicates a protocol mismatch, not a big batch.
+#: Default cap on one frame's payload.  An outcome is a few KiB; anything
+#: near this size indicates a protocol mismatch, not a big outcome.
 #: Kept below 2**31 so the length word's high bit is free for the
 #: compression flag.
 MAX_FRAME_BYTES = 64 * 1024 * 1024

@@ -90,10 +90,10 @@ def outcome_payload(
 ) -> dict[str, Any]:
     """The immutable lake object recorded for one successful outcome.
 
-    The single owner of the payload shape: the coordinator and the queue
-    workers both store through it, so the same cell stored from either side
-    is content-identical and shares one object.  Failures are never stored
-    (``error`` is always ``None``), which is what makes a re-run retry them.
+    The single owner of the payload shape, called by the coordinator
+    (:class:`~repro.experiments.runner.SuiteRunner`), the lake's only
+    writer.  Failures are never stored (``error`` is always ``None``), which
+    is what makes a re-run retry them.
     """
     return {
         "scenario": scenario_name,
@@ -130,8 +130,8 @@ class ResultStore:
         if path.exists():
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        # One staging file per writer: a queue worker and the coordinator (or
-        # two queue-server threads) may store the same object concurrently.
+        # One staging file per writer: two coordinators sharing a lake (or two
+        # threads of one process) may store the same object concurrently.
         staging = path.parent / f".{digest[2:]}.{os.getpid()}.{threading.get_ident()}.tmp"
         staging.write_text(text, encoding="utf-8")
         staging.replace(path)

@@ -18,7 +18,9 @@ CLI and one loop (:func:`drain`):
 
 Workers heartbeat continuously in both modes, so a coordinator (or a
 fellow worker) can reclaim the claims of a worker that died mid-cell once
-its lease expires.
+its lease expires.  A worker only executes: the coordinator's
+``SuiteRunner.run(store=...)`` checks its cache before enqueuing and stores
+each outcome it collects.
 
 Examples
 --------
@@ -44,7 +46,6 @@ import time  # lint: allow-file[DET-SEED-CLOCK] operational timing: the idle dea
 from repro.experiments.backends.base import execute_cell
 from repro.experiments.backends.queue import QueueWorker
 from repro.experiments.backends.remote import RemoteQueueClient
-from repro.experiments.lake import outcome_payload
 
 
 def default_worker_id() -> str:
@@ -56,34 +57,22 @@ def _graceful_terminate(signum: int, frame: object) -> None:
     raise SystemExit(143)
 
 
-def drain(
-    queue: QueueWorker | RemoteQueueClient,
-    *,
-    max_jobs: int | None = None,
-    idle_timeout: float = 10.0,
-) -> int:
+def drain(queue: QueueWorker | RemoteQueueClient, *, idle_timeout: float = 10.0) -> int:
     """Claim and execute jobs until idle for ``idle_timeout``; return the job count.
 
-    The one claim → lake-get → execute → report → lake-put loop, written
-    against the worker-side surface the directory
-    :class:`~repro.experiments.backends.queue.QueueWorker` and the TCP
-    :class:`~repro.experiments.backends.remote.RemoteQueueClient` share; it
-    never asks which transport it is draining.
+    The one claim → execute → report loop, written against the worker-side
+    surface the directory :class:`~repro.experiments.backends.queue.QueueWorker`
+    and the TCP :class:`~repro.experiments.backends.remote.RemoteQueueClient`
+    share; it never asks which transport it is draining.
 
-    The worker exits after ``idle_timeout`` seconds without claiming a job
-    (so a large ``idle_timeout`` makes a "warm" worker that keeps waiting
-    for new work, and the default makes it linger briefly past the last
-    job), or after ``max_jobs`` executed jobs.
+    The worker exits after ``idle_timeout`` seconds without claiming a job,
+    so a large ``idle_timeout`` makes a "warm" worker that keeps waiting for
+    new work, and the default makes it linger briefly past the last job.
 
     A background thread heartbeats every ``queue.heartbeat_interval``,
     *including while a cell is executing* — a claim is therefore only
     reclaimed when the worker process actually died, not merely because one
     cell ran longer than the lease.
-
-    A job carrying a ``result_key`` consults the result lake first: a hit
-    journals the stored summary with its *recorded* wall time (so the
-    outcome is bit-identical to the original run) instead of executing the
-    cell, and a fresh success is stored back for the rest of the fleet.
     """
     executed = 0
     stop_heartbeat = threading.Event()
@@ -96,31 +85,17 @@ def drain(
     heartbeat_thread.start()
     try:
         idle_since = time.monotonic()
-        while max_jobs is None or executed < max_jobs:
+        while True:
             job = queue.claim()
             if job is None:
                 if time.monotonic() - idle_since > idle_timeout:
                     break
                 queue.idle()
                 continue
-            key = job.get("result_key")
-            cached = queue.lake_get(key) if key is not None else None
-            if cached is not None and cached.get("error") is None:
-                queue.report(
-                    job,
-                    summary=cached.get("summary"),
-                    error=None,
-                    wall_time=float(cached.get("wall_time") or 0.0),
-                )
-            else:
-                _index, summary, error, wall_time = execute_cell(
-                    (job["index"], job["scenario"], job["executor"])
-                )
-                queue.report(job, summary=summary, error=error, wall_time=wall_time)
-                if key is not None and error is None:
-                    queue.lake_put(
-                        key, outcome_payload(job["scenario"].get("name"), summary, wall_time)
-                    )
+            _index, summary, error, wall_time = execute_cell(
+                (job["index"], job["scenario"], job["executor"])
+            )
+            queue.report(job, summary=summary, error=error, wall_time=wall_time)
             executed += 1
             idle_since = time.monotonic()
     finally:
@@ -143,7 +118,6 @@ def main(argv: list[str] | None = None) -> int:
         help="drain a queue served over TCP by a QueueServer instead of a directory",
     )
     parser.add_argument("--worker-id", default=None, help="unique worker id (default: host-pid)")
-    parser.add_argument("--max-jobs", type=int, default=None, help="exit after this many jobs")
     parser.add_argument(
         "--idle-timeout",
         type=float,
@@ -193,14 +167,6 @@ def main(argv: list[str] | None = None) -> int:
         help="TCP mode: request zlib compression for frames at least this large "
         "(default: uncompressed)",
     )
-    parser.add_argument(
-        "--lake",
-        default=None,
-        metavar="DIR",
-        help="directory mode: result-lake directory consulted before executing jobs "
-        "that carry a result key (TCP workers reach the coordinator's lake through "
-        "the queue server instead)",
-    )
     options = parser.parse_args(argv)
     # A coordinator tearing a sweep down terminates its workers; turning
     # SIGTERM into SystemExit lets the drain loop run its cleanup: stop the
@@ -228,9 +194,8 @@ def main(argv: list[str] | None = None) -> int:
             worker_id,
             lease=options.lease,
             poll_interval=options.poll_interval,
-            lake=options.lake,
         )
-    executed = drain(queue, max_jobs=options.max_jobs, idle_timeout=options.idle_timeout)
+    executed = drain(queue, idle_timeout=options.idle_timeout)
     print(f"worker {worker_id}: executed {executed} jobs")
     return 0
 

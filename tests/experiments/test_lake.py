@@ -1,8 +1,8 @@
-"""Tests for the content-addressable result lake and its runner/worker wiring.
+"""Tests for the content-addressable result lake and its runner wiring.
 
 Executors are referenced as ``test_lake:<name>`` (pytest imports this file
-as a top-level module), so they resolve both in-process and in worker
-drains.
+as a top-level module), so they resolve both in-process and in spawned
+queue workers.
 """
 
 import hashlib
@@ -14,20 +14,17 @@ import pytest
 from repro.core import ProtocolMode
 from repro.experiments import (
     GraphSpec,
-    QueueServer,
-    RemoteQueueClient,
+    RemoteWorkQueueBackend,
     ResultStore,
     ScenarioMatrix,
     SerialBackend,
     SuiteRunner,
-    WorkQueue,
+    WorkQueueBackend,
     executor_digest_of,
     executor_identity,
     result_key,
 )
-from repro.experiments.backends.queue import QueueWorker
-from repro.experiments.lake import canonical_json, outcome_payload
-from repro.experiments.worker import drain
+from repro.experiments.lake import canonical_json
 
 
 def small_matrix(replicates: int = 2) -> ScenarioMatrix:
@@ -41,7 +38,7 @@ def small_matrix(replicates: int = 2) -> ScenarioMatrix:
     )
 
 
-# Module-level so worker drains can resolve it as "test_lake:lake_executor".
+# Module-level so queue workers can resolve it as "test_lake:lake_executor".
 @executor_identity("1")
 def lake_executor(scenario) -> dict:
     return {
@@ -55,9 +52,6 @@ def lake_executor(scenario) -> dict:
 
 def undigested_executor(scenario) -> dict:
     return {"terminated": True, "agreement": True, "validity": True}
-
-
-EXECUTOR_REF = "test_lake:lake_executor"
 
 
 class CountingSerialBackend(SerialBackend):
@@ -107,9 +101,9 @@ class TestStoreRoundTrip:
         assert store.get("k") is None
 
     def test_concurrent_put_of_one_object_does_not_collide(self, tmp_path, monkeypatch):
-        # A queue worker (or a queue-server thread) storing the same object
-        # between this writer's staging write and its rename must not take
-        # the staging file from under it.
+        # Another writer sharing the lake storing the same object between
+        # this writer's staging write and its rename must not take the
+        # staging file from under it.
         payload = {"summary": {"messages": 3}}
         original_replace = Path.replace
         interleaved = []
@@ -150,21 +144,6 @@ class TestStoreRoundTrip:
         store.put("k", {"v": 1})
         assert store.index_path.exists()
         assert ResultStore(tmp_path / "absent").keys() == ["k"]
-
-    def test_outcome_payload_is_content_identical_from_either_side(self, tmp_path):
-        # The worker and the coordinator each build the payload of one cell;
-        # both land on the same object and the index records the key once.
-        store = ResultStore(tmp_path / "lake")
-        first = store.put("k", outcome_payload("s", {"messages": 5}, 0.5))
-        second = store.put("k", outcome_payload("s", {"messages": 5}, 0.5))
-        assert first == second
-        assert store.get("k") == {
-            "scenario": "s",
-            "summary": {"messages": 5},
-            "error": None,
-            "wall_time": 0.5,
-        }
-        assert len(store.index_path.read_text().splitlines()) == 1
 
     def test_many_threads_putting_one_object_all_succeed(self, tmp_path):
         payload = {"summary": {"messages": 9}}
@@ -334,59 +313,27 @@ class TestRunnerIntegration:
         assert retry.cache_hits == 0 and calls["n"] == 2  # re-executed, not served
 
 
-class TestWorkerLake:
-    def test_directory_worker_serves_and_feeds_the_lake(self, tmp_path):
+class TestQueueBackendLake:
+    """A queue sweep is checkpointed by the coordinator, not its workers."""
+
+    def cold_then_warm(self, tmp_path, backend_class):
         cells = small_matrix(replicates=1).scenarios()
-        store = ResultStore(tmp_path / "lake")
-        exec_digest = executor_digest_of(lake_executor)
-        keys = {
-            s.cell_digest(): result_key(s.cell_digest(), exec_digest) for s in cells
-        }
+        lake = ResultStore(tmp_path / "lake")
+        cold_backend = backend_class(tmp_path / "q1", workers=1, poll_interval=0.02, timeout=120.0)
+        cold = SuiteRunner(backend=cold_backend, executor=lake_executor).run(cells, store=lake)
+        assert cold.cache_misses == len(cells) and len(lake) == len(cells)
+        assert not cold.errors
 
-        queue = WorkQueue(tmp_path / "q1")
-        queue.enqueue(list(enumerate(cells)), EXECUTOR_REF, keys)
-        assert drain(QueueWorker(queue, "w1", lake=store), idle_timeout=0.2) == len(cells)
-        assert len(store) == len(cells)
-        stored = {key: store.get(key) for key in keys.values()}
+        warm_backend = backend_class(tmp_path / "q2", workers=1, poll_interval=0.02, timeout=120.0)
+        warm = SuiteRunner(backend=warm_backend, executor=lake_executor).run(cells, store=lake)
+        assert warm.cache_hits == len(cells)
+        assert warm_backend.procs == []  # no worker spawned
+        assert list((tmp_path / "q2").rglob("*.json")) == []  # no job file written
+        assert warm.summaries() == cold.summaries()
+        assert [o.wall_time for o in warm.outcomes] == [o.wall_time for o in cold.outcomes]
 
-        # A second queue over the same cells is served entirely from the lake:
-        # summaries and wall times equal the stored outcomes bit-for-bit.
-        queue2 = WorkQueue(tmp_path / "q2")
-        queue2.enqueue(list(enumerate(cells)), EXECUTOR_REF, keys)
-        assert drain(QueueWorker(queue2, "w2", lake=store), idle_timeout=0.2) == len(cells)
-        records = queue2.read_new_outcomes({})
-        assert len(records) == len(cells)
-        for record in records:
-            payload = stored[keys[record["digest"]]]
-            assert record["summary"] == payload["summary"]
-            assert record["wall_time"] == payload["wall_time"]
+    def test_coordinator_alone_reads_and_writes_the_lake(self, tmp_path):
+        self.cold_then_warm(tmp_path, RemoteWorkQueueBackend)
 
-
-class TestRemoteSharedHits:
-    def test_tcp_fleet_shares_hits_through_the_queue_server(self, tmp_path):
-        cells = small_matrix(replicates=1).scenarios()
-        store = ResultStore(tmp_path / "lake")
-        exec_digest = executor_digest_of(lake_executor)
-        keys = {
-            s.cell_digest(): result_key(s.cell_digest(), exec_digest) for s in cells
-        }
-
-        queue1 = WorkQueue(tmp_path / "q1")
-        queue1.enqueue(list(enumerate(cells)), EXECUTOR_REF, keys)
-        with QueueServer(queue1, store=store) as server:
-            drained = drain(RemoteQueueClient(server.address, "w1"), idle_timeout=0.5)
-        assert drained == len(cells)
-        assert len(store) == len(cells)
-        stored = {key: store.get(key) for key in keys.values()}
-
-        queue2 = WorkQueue(tmp_path / "q2")
-        queue2.enqueue(list(enumerate(cells)), EXECUTOR_REF, keys)
-        with QueueServer(queue2, store=store) as server:
-            drained = drain(RemoteQueueClient(server.address, "w2"), idle_timeout=0.5)
-        assert drained == len(cells)
-        records = queue2.read_new_outcomes({})
-        assert len(records) == len(cells)
-        for record in records:
-            payload = stored[keys[record["digest"]]]
-            assert record["summary"] == payload["summary"]
-            assert record["wall_time"] == payload["wall_time"]
+    def test_directory_queue_coordinator_alone_reads_and_writes_the_lake(self, tmp_path):
+        self.cold_then_warm(tmp_path, WorkQueueBackend)

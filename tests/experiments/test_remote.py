@@ -10,6 +10,7 @@ import socket
 import struct
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -20,14 +21,13 @@ from repro.experiments import (
     RemoteQueueClient,
     RemoteQueueError,
     RemoteWorkQueueBackend,
-    ResultStore,
     ScenarioMatrix,
     SuiteRunner,
     WorkQueue,
 )
-from repro.experiments.backends.queue import QueueWorker
-from repro.experiments.backends.remote import format_address, parse_address
-from repro.experiments.lake import outcome_payload
+from repro.experiments.backends.queue import QueueWorker, outcome_record
+from repro.experiments.backends.remote import PROTOCOL_VERSION, format_address, parse_address
+from repro.experiments.backends.transport import read_frame, write_frame
 from repro.experiments.worker import drain
 
 
@@ -109,18 +109,8 @@ class TestServerOps:
                 jobs.append(job)
             assert len(jobs) == len(cells)
             assert queue.snapshot()["claimed"] == len(cells)
-            records = [
-                {
-                    "digest": job["digest"],
-                    "scenario": job["scenario"]["name"],
-                    "summary": {"ok": True},
-                    "error": None,
-                    "wall_time": 0.0,
-                    "worker": "w1",
-                }
-                for job in jobs
-            ]
-            client.report_batch(records)
+            for job in jobs:
+                client.report(job, summary={"ok": True}, error=None, wall_time=0.0)
             client.close()
         snapshot = queue.snapshot()
         assert snapshot == {"pending": 0, "claimed": 0, "done": len(cells)}
@@ -146,15 +136,43 @@ class TestServerOps:
             client.close()
 
     def test_protocol_version_mismatch_is_rejected_at_hello(self, tmp_path):
-        from repro.experiments.backends.transport import read_frame, write_frame
-
         queue = WorkQueue(tmp_path / "q")
         with QueueServer(queue) as server:
-            with socket.create_connection(server.address, timeout=5.0) as old_peer:
-                write_frame(old_peer, {"op": "hello", "worker": "w1", "protocol": 999})
-                reply = read_frame(old_peer)
-            assert reply["ok"] is False
-            assert "protocol mismatch" in reply["error"]
+            # Version 1 sent an outcome list per report; 999 is any future one.
+            for protocol in (1, 999):
+                with socket.create_connection(server.address, timeout=5.0) as old_peer:
+                    write_frame(old_peer, {"op": "hello", "worker": "w1", "protocol": protocol})
+                    reply = read_frame(old_peer)
+                assert reply["ok"] is False
+                assert "protocol mismatch" in reply["error"]
+
+    def test_a_version_1_report_is_refused_without_using_its_seq(self, tmp_path):
+        # Version 1 wrapped outcomes in a list.  That shape is refused, not
+        # journaled, and its seq stays free for the report that follows.
+        queue = enqueue(tmp_path, small_matrix(replicates=1).scenarios())
+        with QueueServer(queue) as server:
+            client = RemoteQueueClient(server.address, "w1", retry_window=5.0)
+            job = client.claim()
+            record = outcome_record(job, "w1", summary={"ok": True}, error=None, wall_time=0.0)
+            request = {"op": "report", "worker": "w1", "session": client.session, "seq": 1}
+            with pytest.raises(RemoteQueueError, match="no outcome record"):
+                client.call(dict(request, outcomes=[record]))
+            assert shard_digests(queue) == []
+            assert client.call(dict(request, outcome=record))["applied"] is True
+            client.close()
+        assert shard_digests(queue) == [job["digest"]]
+
+    def test_worker_ops_require_a_worker_id(self, tmp_path):
+        queue = enqueue(tmp_path, small_matrix(replicates=1).scenarios())
+        pending = queue.snapshot()
+        with QueueServer(queue) as server:
+            client = RemoteQueueClient(server.address, "w1", retry_window=5.0)
+            for op in ("claim", "report", "heartbeat"):
+                with pytest.raises(RemoteQueueError, match="requires a worker id"):
+                    client.call({"op": op, "token": "t1", "seq": 1})
+            client.close()
+        assert queue.snapshot() == pending  # nothing claimed
+        assert shard_digests(queue) == []  # nothing journaled
 
     def test_claim_retry_with_same_token_returns_the_same_job(self, tmp_path):
         # A lost claim ACK makes the client retry the identical request; the
@@ -186,70 +204,75 @@ class TestServerOps:
             client.close()
 
 
+#: An op name whose ``unknown op`` error echoes 100 kB back: a large reply.
+BIG_OP = "x" * 100_000
+
+ZLIB_512 = {"algo": "zlib", "min_bytes": 512}
+
+
+def raw_hello(peer, **extra) -> dict:
+    write_frame(peer, {"op": "hello", "worker": "raw", "protocol": PROTOCOL_VERSION, **extra})
+    return read_frame(peer)
+
+
+def recv_exactly(peer, count: int) -> bytes:
+    data = b""
+    while len(data) < count:
+        chunk = peer.recv(count - len(data))
+        assert chunk, "server closed the connection mid-frame"
+        data += chunk
+    return data
+
+
+def raw_reply(peer, request: dict) -> tuple[bool, dict]:
+    """Send one request; return the reply's compression flag, read off the
+    frame's raw header word, and the decoded reply."""
+    write_frame(peer, request)
+    (word,) = struct.unpack(">I", recv_exactly(peer, 4))
+    body = recv_exactly(peer, word & 0x7FFF_FFFF)
+    deflated = bool(word & 0x8000_0000)
+    return deflated, json.loads(zlib.decompress(body) if deflated else body)
+
+
 class TestCompressionNegotiation:
     def test_client_requesting_compression_gets_an_acked_threshold(self, tmp_path):
-        queue = enqueue(tmp_path, small_matrix(replicates=1).scenarios())
+        queue = WorkQueue(tmp_path / "q")
         with QueueServer(queue) as server:
-            client = RemoteQueueClient(
-                server.address, "w1", retry_window=5.0, compress_min=512
-            )
-            assert client.claim() is not None  # forces the connect + hello
-            assert client.negotiated_compress_min == 512
-            # Large payloads still round-trip through compressed frames.
-            big = {"blob": "x" * 100_000}
+            with socket.create_connection(server.address, timeout=5.0) as peer:
+                assert raw_hello(peer, compress=ZLIB_512)["compress"] == ZLIB_512
+                deflated, reply = raw_reply(peer, {"op": BIG_OP})
+                assert deflated
+                assert "unknown op" in reply["error"] and BIG_OP in reply["error"]
+            # A client that asks writes large requests through compressed frames.
+            client = RemoteQueueClient(server.address, "w1", retry_window=5.0, compress_min=512)
             with pytest.raises(RemoteQueueError, match="unknown op"):
-                client.call(dict(big, op="frobnicate"))
+                client.call({"op": "frobnicate", "blob": "x" * 100_000})
             client.close()
 
     def test_non_requesting_client_stays_uncompressed(self, tmp_path):
+        # Compression is per connection: a peer that did not ask gets plain
+        # frames while another connection to the same server deflates.
         queue = WorkQueue(tmp_path / "q")
         with QueueServer(queue) as server:
-            client = RemoteQueueClient(server.address, "w1", retry_window=5.0)
-            client.heartbeat()
-            assert client.negotiated_compress_min is None
-            client.close()
+            with socket.create_connection(server.address, timeout=5.0) as asking:
+                with socket.create_connection(server.address, timeout=5.0) as plain:
+                    raw_hello(asking, compress=ZLIB_512)
+                    raw_hello(plain)
+                    assert raw_reply(asking, {"op": BIG_OP})[0] is True
+                    assert raw_reply(plain, {"op": BIG_OP})[0] is False
 
     def test_server_never_compresses_to_a_peer_that_did_not_negotiate(self, tmp_path):
         # A raw peer speaking the protocol without the compress extension
         # must never receive a marked frame, however large the reply — the
         # reply arrives readable with a plain-length header word.
-        from repro.experiments.backends.transport import read_frame, write_frame
-
-        queue = WorkQueue(tmp_path / "q")
-        store_dir = tmp_path / "lake"
-        from repro.experiments.lake import ResultStore
-
-        store = ResultStore(store_dir)
-        store.put("big-key", {"summary": {"blob": "y" * 100_000}, "error": None, "wall_time": 0.0})
-        with QueueServer(queue, store=store) as server:
-            with socket.create_connection(server.address, timeout=5.0) as peer:
-                from repro.experiments.backends.remote import PROTOCOL_VERSION
-
-                write_frame(peer, {"op": "hello", "worker": "plain", "protocol": PROTOCOL_VERSION})
-                hello = read_frame(peer)
-                assert hello["ok"] and "compress" not in hello
-                write_frame(peer, {"op": "lake-get", "worker": "plain", "key": "big-key"})
-                # Read the raw header word: the compression flag must be clear.
-                header = b""
-                while len(header) < 4:
-                    header += peer.recv(4 - len(header))
-                (word,) = struct.unpack(">I", header)
-                assert not word & 0x8000_0000
-                body = b""
-                while len(body) < word:
-                    body += peer.recv(word - len(body))
-                assert json.loads(body)["payload"]["summary"]["blob"] == "y" * 100_000
-
-    def test_hello_advertises_features(self, tmp_path):
-        from repro.experiments.backends.remote import PROTOCOL_VERSION
-        from repro.experiments.backends.transport import read_frame, write_frame
-
         queue = WorkQueue(tmp_path / "q")
         with QueueServer(queue) as server:
             with socket.create_connection(server.address, timeout=5.0) as peer:
-                write_frame(peer, {"op": "hello", "worker": "w1", "protocol": PROTOCOL_VERSION})
-                reply = read_frame(peer)
-        assert set(reply["features"]) >= {"compress", "push"}
+                hello = raw_hello(peer)
+                assert hello["ok"] and "compress" not in hello
+                deflated, reply = raw_reply(peer, {"op": BIG_OP, "worker": "plain"})
+                assert not deflated
+                assert BIG_OP in reply["error"]
 
 
 class TestServerPush:
@@ -310,24 +333,18 @@ class TestServerPush:
     def test_report_piggybacks_the_next_claim(self, tmp_path):
         cells = small_matrix(replicates=2).scenarios()
         queue = enqueue(tmp_path, cells)
-        with QueueServer(queue) as server:
-            client = RemoteQueueClient(server.address, "w1", retry_window=5.0)
+        with CountingServer(queue) as server:
+            client = RemoteQueueClient(server.address, "w1", retry_window=5.0, mode="push")
             first = client.claim()
-            record = {
-                "digest": first["digest"],
-                "scenario": None,
-                "summary": {"ok": True},
-                "error": None,
-                "wall_time": 0.0,
-                "worker": "w1",
-            }
-            second = client.report_batch([record], claim=True)
-            assert second is not None and second["digest"] != first["digest"]
+            client.report(first, summary={"ok": True}, error=None, wall_time=0.0)
             assert queue.snapshot()["claimed"] == 1  # first reported, second claimed
+            second = client.claim()  # the piggybacked job, no second request
+            assert second is not None and second["digest"] != first["digest"]
+            assert len(server.ops("claim")) == 1
             client.close()
 
     def test_piggybacked_claim_never_parks_on_an_empty_queue(self, tmp_path):
-        """The ACK of a journaled batch must not wait for a job to appear.
+        """The ACK of a journaled outcome must not wait for a job to appear.
 
         Even a request that still asks the piggybacked claim to wait (an
         older client) is answered at once; only an explicit claim long-polls.
@@ -342,21 +359,12 @@ class TestServerPush:
                     "worker": "w1",
                     "session": client.session,
                     "seq": 1,
-                    "outcomes": [],
+                    "outcome": {"digest": "d1", "summary": None, "error": "x", "wall_time": 0.0},
                     "claim": {"token": "t1", "wait": 2.0},
                 }
             )
             assert time.monotonic() - started < 1.0
             assert reply["applied"] and reply["job"] is None
-            client.close()
-
-    def test_piggyback_claim_with_empty_pending_just_claims(self, tmp_path):
-        cells = small_matrix(replicates=1).scenarios()
-        queue = enqueue(tmp_path, cells)
-        with QueueServer(queue) as server:
-            client = RemoteQueueClient(server.address, "w1", retry_window=5.0)
-            job = client.report_batch([], claim=True)
-            assert job is not None
             client.close()
 
     def test_push_drain_executes_and_journals_everything(self, tmp_path):
@@ -409,8 +417,8 @@ class TestServerPush:
         assert not push_suite.errors and not push_suite.skipped
 
 
-class TestBatchReplayIdempotence:
-    def test_replayed_batch_is_journaled_once(self, tmp_path):
+class TestReportReplayIdempotence:
+    def test_replayed_report_is_journaled_once(self, tmp_path):
         cells = small_matrix(replicates=1).scenarios()
         queue = enqueue(tmp_path, cells)
         with QueueServer(queue) as server:
@@ -424,23 +432,45 @@ class TestBatchReplayIdempotence:
                 "wall_time": 0.0,
                 "worker": "w1",
             }
-            # Simulate a lost ACK: the same sequenced batch hits the server
+            # Simulate a lost ACK: the same sequenced report hits the server
             # twice.  The second application must be refused.
-            reply_first = client.call(
-                {"op": "report", "worker": "w1", "seq": 1, "outcomes": [record]}
-            )
-            reply_replay = client.call(
-                {"op": "report", "worker": "w1", "seq": 1, "outcomes": [record]}
-            )
+            request = {"op": "report", "worker": "w1", "seq": 1, "outcome": record}
+            reply_first = client.call(dict(request))
+            reply_replay = client.call(dict(request))
             assert reply_first["applied"] is True
             assert reply_replay["applied"] is False
             client.close()
         assert shard_digests(queue) == [job["digest"]]
 
+    def test_replayed_push_report_re_offers_its_piggybacked_job(self, tmp_path):
+        # A push-mode report re-sent after a lost ACK carries the same claim
+        # token: the outcome is journaled once, and the replay gets back the
+        # job the first attempt claimed instead of claiming a second one.
+        cells = small_matrix(replicates=2).scenarios()
+        queue = enqueue(tmp_path, cells)
+        with QueueServer(queue) as server:
+            client = RemoteQueueClient(server.address, "w1", retry_window=5.0, mode="push")
+            job = client.claim()
+            request = {
+                "op": "report",
+                "worker": "w1",
+                "session": client.session,
+                "seq": 1,
+                "outcome": outcome_record(job, "w1", summary={}, error=None, wall_time=0.0),
+                "claim": {"token": "t1"},
+            }
+            first = client.call(dict(request))
+            replay = client.call(dict(request))
+            client.close()
+        assert first["applied"] is True and replay["applied"] is False
+        assert first["job"] is not None and replay["job"] == first["job"]
+        assert queue.snapshot() == {"pending": len(cells) - 2, "claimed": 1, "done": 1}
+        assert shard_digests(queue) == [job["digest"]]
+
     def test_restarted_worker_with_reused_id_is_not_mistaken_for_a_replay(self, tmp_path):
         # A worker process that crashes and is relaunched with the same
-        # --worker-id starts its batch numbering over at 1.  Replay dedup is
-        # scoped per client session, so the new life's batches must apply.
+        # --worker-id starts its report numbering over at 1.  Replay dedup is
+        # scoped per client session, so the new life's reports must apply.
         cells = small_matrix(replicates=2).scenarios()
         queue = enqueue(tmp_path, cells)
         with QueueServer(queue) as server:
@@ -449,57 +479,49 @@ class TestBatchReplayIdempotence:
                 client = RemoteQueueClient(server.address, "gpu1", retry_window=5.0)
                 job = client.claim()
                 digests.append(job["digest"])
-                client.report_batch(
-                    [
-                        {
-                            "digest": job["digest"],
-                            "scenario": None,
-                            "summary": {"life": life},
-                            "error": None,
-                            "wall_time": 0.0,
-                            "worker": "gpu1",
-                        }
-                    ]
-                )
+                client.report(job, summary={"life": life}, error=None, wall_time=0.0)
                 client.close()
         assert shard_digests(queue) == digests  # both lives journaled
 
-    def test_failed_upload_is_replayed_with_its_original_seq(self, tmp_path):
-        # A batch whose upload fails stays pending client-side under the
-        # seq it was assigned; newer records form a *new* batch, so the
-        # retry is a true replay and nothing is merged or renumbered.
-        cells = small_matrix(replicates=2).scenarios()
-        queue = enqueue(tmp_path, cells)
+    def failed_upload(self, tmp_path):
+        """A client whose first report failed against a server now stopped,
+        and a counting server brought up on the same address."""
+        queue = enqueue(tmp_path, small_matrix(replicates=2).scenarios())
         server = QueueServer(queue, port=0)
         server.start()
         host, port = server.address
         client = RemoteQueueClient((host, port), "w1", retry_window=0.3, retry_interval=0.05)
-        first_job = client.claim()
-        record_a = {
-            "digest": first_job["digest"],
-            "scenario": None,
-            "summary": {"batch": "a"},
-            "error": None,
-            "wall_time": 0.0,
-            "worker": "w1",
-        }
+        job = client.claim()
         server.stop()
         with pytest.raises(RemoteQueueError):
-            client.report_batch([record_a])
-        assert client.pending_batches == 1  # still owned, original seq kept
-
-        second = QueueServer(queue, host=host, port=port)
+            client.report(job, summary={"report": "a"}, error=None, wall_time=0.0)
+        second = CountingServer(queue, host=host, port=port)
         second.start()
-        client.report_batch()  # no new records: replays the pending batch
-        assert client.pending_batches == 0
+        return queue, client, job, second
+
+    def test_failed_upload_is_replayed_with_its_original_seq(self, tmp_path):
+        # The failed outcome stays unacknowledged under the seq it was
+        # assigned; the next report re-sends it first, then gets seq 2.
+        queue, client, first_job, second = self.failed_upload(tmp_path)
         second_job = client.claim()
-        record_b = dict(record_a, digest=second_job["digest"], summary={"batch": "b"})
-        client.report_batch([record_b])
-        client.close()
+        client.report(second_job, summary={"report": "b"}, error=None, wall_time=0.0)
+        client.close()  # nothing left to replay
         second.stop()
+        reports = second.ops("report")
+        assert [r["seq"] for r in reports] == [1, 2]
+        assert [r["outcome"]["digest"] for r in reports] == [first_job["digest"], second_job["digest"]]
         assert shard_digests(queue) == [first_job["digest"], second_job["digest"]]
 
-    def test_later_batches_still_apply(self, tmp_path):
+    def test_close_replays_a_failed_upload(self, tmp_path):
+        queue, client, job, second = self.failed_upload(tmp_path)
+        client.close()
+        second.stop()
+        assert [(r["seq"], r["outcome"]["digest"]) for r in second.ops("report")] == [
+            (1, job["digest"])
+        ]
+        assert shard_digests(queue) == [job["digest"]]
+
+    def test_later_reports_still_apply(self, tmp_path):
         cells = small_matrix(replicates=2).scenarios()
         queue = enqueue(tmp_path, cells)
         with QueueServer(queue) as server:
@@ -508,18 +530,7 @@ class TestBatchReplayIdempotence:
             for _ in range(2):
                 job = client.claim()
                 digests.append(job["digest"])
-                client.report_batch(
-                    [
-                        {
-                            "digest": job["digest"],
-                            "scenario": None,
-                            "summary": {},
-                            "error": None,
-                            "wall_time": 0.0,
-                            "worker": "w1",
-                        }
-                    ]
-                )
+                client.report(job, summary={}, error=None, wall_time=0.0)
             client.close()
         assert shard_digests(queue) == digests
 
@@ -547,15 +558,8 @@ class TestReconnect:
 
         restarter = threading.Thread(target=restart)
         restarter.start()
-        record = {
-            "digest": job["digest"],
-            "scenario": None,
-            "summary": {"ok": True},
-            "error": None,
-            "wall_time": 0.0,
-            "worker": "w1",
-        }
-        client.report_batch([record])  # transparently reconnects and retries
+        # Transparently reconnects and retries.
+        client.report(job, summary={"ok": True}, error=None, wall_time=0.0)
         restarter.join()
         second.stop()
         client.close()
@@ -594,8 +598,8 @@ class TestDrainRemote:
 class CountingServer(QueueServer):
     """A server that records every request it dispatches, in order."""
 
-    def __init__(self, queue):
-        super().__init__(queue)
+    def __init__(self, queue, **options):
+        super().__init__(queue, **options)
         self.requests: list[dict] = []
 
     def _dispatch(self, request):
@@ -621,7 +625,7 @@ class TestOneRoute:
             )
         reports, claims = server.ops("report"), server.ops("claim")
         assert len(reports) == len(cells)
-        assert all(len(r["outcomes"]) == 1 and "claim" not in r for r in reports)
+        assert all(r["outcome"]["worker"] == "w1" and "claim" not in r for r in reports)
         assert [r["seq"] for r in reports] == list(range(1, len(cells) + 1))
         idle_claims = len(claims) - len(cells)
         assert 1 <= idle_claims <= 10  # idle_timeout / poll_interval, with slack
@@ -641,7 +645,7 @@ class TestOneRoute:
             )
         reports, claims = server.ops("report"), server.ops("claim")
         assert len(reports) == len(cells)
-        assert all(len(r["outcomes"]) == 1 and r["claim"]["token"] for r in reports)
+        assert all(r["outcome"]["worker"] == "w1" and r["claim"]["token"] for r in reports)
         assert 2 <= len(claims) <= 6  # the first, then long-polls until idle_timeout
         assert all(c["wait"] == 0.1 for c in claims)
         assert server.requests[1]["op"] == "claim"  # right after hello
@@ -649,9 +653,6 @@ class TestOneRoute:
         assert len(shard_digests(queue)) == len(cells)
 
     def test_progress_op_of_an_old_worker_is_refused_and_the_connection_lives(self, tmp_path):
-        from repro.experiments.backends.remote import PROTOCOL_VERSION
-        from repro.experiments.backends.transport import read_frame, write_frame
-
         queue = enqueue(tmp_path, small_matrix(replicates=1).scenarios())
         with QueueServer(queue) as server:
             with socket.create_connection(server.address, timeout=5.0) as old_worker:
@@ -670,47 +671,38 @@ class TestOneRoute:
 class TestOneDrainLoop:
     """Directory and TCP workers run one loop and journal the same records."""
 
-    def populate(self, root, lake):
-        """Four jobs: success, raising executor, unimportable executor, lake hit."""
-        cells = small_matrix(replicates=2).scenarios()
-        digests = [cell.cell_digest() for cell in cells]
-        keys = dict(zip(digests, ["fresh-key", "failed-key", "unimportable-key", "hit-key"]))
-        lake.put("hit-key", outcome_payload(cells[3].name, {"from": "the lake"}, 1.25))
+    def populate(self, root):
+        """Three jobs: success, raising executor, unimportable executor."""
+        cells = small_matrix(replicates=2).scenarios()[:3]
         queue = WorkQueue(root)
-        queue.enqueue([(0, cells[0])], EXECUTOR_REF, keys)
-        queue.enqueue([(1, cells[1])], "test_remote:raising_executor", keys)
-        queue.enqueue([(2, cells[2])], "definitely_not_a_module:nope", keys)
-        queue.enqueue([(3, cells[3])], "test_remote:raising_executor", keys)
-        return queue, digests
+        queue.enqueue([(0, cells[0])], EXECUTOR_REF)
+        queue.enqueue([(1, cells[1])], "test_remote:raising_executor")
+        queue.enqueue([(2, cells[2])], "definitely_not_a_module:nope")
+        return queue, [cell.cell_digest() for cell in cells]
 
     def journaled(self, queue, digests):
         records = {record["digest"]: record for record in queue.read_new_outcomes({})}
         assert sorted(records) == sorted(digests)
-        executed_wall_times = [records[digest].pop("wall_time") for digest in digests[:3]]
-        assert all(wall_time > 0.0 for wall_time in executed_wall_times)
+        assert all(records[digest].pop("wall_time") > 0.0 for digest in digests)
         return [{k: v for k, v in records[digest].items() if k != "worker"} for digest in digests]
 
     @pytest.mark.parametrize("mode", ["claim", "push"])
     def test_transports_journal_equal_records(self, tmp_path, mode):
-        lake = ResultStore(tmp_path / "lake")
-        directory, digests = self.populate(tmp_path / "directory", lake)
-        assert drain(QueueWorker(directory, "dir-w", lake=lake), idle_timeout=0.2) == 4
+        directory, digests = self.populate(tmp_path / "directory")
+        assert drain(QueueWorker(directory, "dir-w"), idle_timeout=0.2) == 3
         expected = self.journaled(directory, digests)
-        success, raised, unimportable, hit = expected
+        success, raised, unimportable = expected
         assert success["summary"] == remote_executor(small_matrix().scenarios()[0])
         assert raised["summary"] is None and "always fails" in raised["error"]
         assert unimportable["summary"] is None and "definitely_not_a_module" in unimportable["error"]
-        assert (hit["summary"], hit["error"], hit["wall_time"]) == ({"from": "the lake"}, None, 1.25)
-        assert lake.keys() == ["fresh-key", "hit-key"]  # failures are never stored
 
-        served, _ = self.populate(tmp_path / "served", ResultStore(tmp_path / "lake-tcp"))
-        with QueueServer(served, store=tmp_path / "lake-tcp") as server:
+        served, _ = self.populate(tmp_path / "served")
+        with QueueServer(served) as server:
             client = RemoteQueueClient(
                 server.address, "tcp-w", mode=mode, claim_wait=0.1, poll_interval=0.02
             )
-            assert drain(client, idle_timeout=0.3) == 4
+            assert drain(client, idle_timeout=0.3) == 3
         assert self.journaled(served, digests) == expected  # tracebacks included
-        assert ResultStore(tmp_path / "lake-tcp").keys() == ["fresh-key", "hit-key"]
 
 
 class TestRemoteBackend:

@@ -25,6 +25,7 @@ from repro.experiments.backends.queue import (
     resolve_executor,
     sanitize_worker_id,
 )
+from repro.experiments.backends.base import execute_cell
 from repro.experiments.worker import drain, main
 
 
@@ -64,6 +65,17 @@ def slow_executor(scenario) -> dict:
 EXECUTOR_REF = "test_workqueue:queue_executor"
 RAISING_REF = "test_workqueue:raising_executor"
 SLOW_REF = "test_workqueue:slow_executor"
+
+
+def run_by_hand(queue: WorkQueue, worker_id: str, jobs: int) -> None:
+    """Claim, execute and report ``jobs`` jobs as ``worker_id``, no drain loop."""
+    for _ in range(jobs):
+        job = queue.claim(worker_id)
+        assert job is not None
+        _index, summary, error, wall_time = execute_cell(
+            (job["index"], job["scenario"], job["executor"])
+        )
+        queue.report(worker_id, job, summary=summary, error=error, wall_time=wall_time)
 
 
 class TestQueuePrimitives:
@@ -151,7 +163,7 @@ class TestDrainAndCollect:
         root = tmp_path / "q"
         queue = WorkQueue(root)
         queue.enqueue(list(enumerate(cells)), EXECUTOR_REF)
-        assert drain(QueueWorker(queue, "w1"), max_jobs=2) == 2
+        run_by_hand(queue, "w1", 2)
         assert drain(QueueWorker(queue, "w2"), idle_timeout=0.2) == len(cells) - 2
         assert queue.is_drained()
         # Each worker journaled its own shard.
@@ -241,7 +253,7 @@ class TestDrainAndCollect:
     def test_worker_cli_parses_and_runs(self, tmp_path, capsys):
         root = tmp_path / "q"
         WorkQueue(root)  # create the directory layout
-        assert main(["--queue", str(root), "--worker-id", "cli", "--max-jobs", "0"]) == 0
+        assert main(["--queue", str(root), "--worker-id", "cli", "--idle-timeout", "0"]) == 0
         assert "executed 0 jobs" in capsys.readouterr().out
 
 
@@ -269,7 +281,7 @@ class TestConcurrentWorkers:
         queue.enqueue(list(enumerate(cells)), EXECUTOR_REF)
         # The first coordinator's worker executes half the suite, then the
         # whole sweep is "killed" (nothing is collected).
-        drain(QueueWorker(queue, "first-life"), max_jobs=len(cells) // 2)
+        run_by_hand(queue, "first-life", len(cells) // 2)
         assert queue.snapshot()["done"] == len(cells) // 2
 
         # A fresh coordinator over the same directory re-enqueues only the
