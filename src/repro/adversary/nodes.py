@@ -19,7 +19,7 @@ from repro.core.node import ConsensusNode
 from repro.crypto.signatures import KeyRegistry, SigningKey
 from repro.graphs.knowledge_graph import ProcessId
 from repro.pbft.messages import PrePrepare
-from repro.pbft.replica import _preprepare_payload
+from repro.pbft.replica import preprepare_payload
 from repro.sim.process import Process
 from repro.sim.tracing import SimulationTrace
 
@@ -148,7 +148,7 @@ class EquivocatingLeaderNode(ConsensusNode):
         values = [self.poison_value, self.proposal]
         for index, member in enumerate(member for member in members if member != self.process_id):
             value = values[index % 2]
-            signed = self.key.sign(_preprepare_payload(group, 0, value))
+            signed = self.key.sign(preprepare_payload(group, 0, value))
             self.send(member, PrePrepare(group=group, view=0, value=value, signed=signed))
 
 

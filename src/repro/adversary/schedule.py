@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Union
 
 from repro.graphs.knowledge_graph import ProcessId
+from repro.sim.gate import WITHHOLD, NetworkRule, Withhold
+from repro.sim.messages import Envelope
 from repro.sim.synchrony import PartialSynchronyModel, SynchronousModel, SynchronyModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -310,7 +312,7 @@ class CrashRule:
 
     A crashed process stops taking steps and its in-flight messages are
     dropped (the standard crash-fault semantics of
-    :meth:`~repro.sim.network.Network.crash`).  Crashing a process that the
+    :meth:`~repro.sim.gate.SendGate.crash`).  Crashing a process that the
     run does not declare faulty silently changes the fault model the proofs
     assume, so validation rejects it unless marked ``adversarial=True``.
     """
@@ -364,7 +366,7 @@ class NetworkSchedule:
     """An ordered script of network fault rules, as plain data.
 
     Rule order is precedence: for each message, the first matching rule
-    decides (see :class:`~repro.sim.network.NetworkRule`).  The schedule is
+    decides (see :class:`~repro.sim.gate.NetworkRule`).  The schedule is
     declarative — nothing is resolved until :func:`install_schedule` binds
     it to a concrete runtime — which is what lets it travel as a
     :class:`~repro.experiments.scenario.Scenario` axis through JSON job
@@ -517,20 +519,65 @@ class NetworkSchedule:
         return cls(rules=tuple(rules), name=payload.get("name", ""))
 
 
+# The rules the send gate runs; _resolve_targets and validate() must agree with them.
+class _CompiledDelayRule(NetworkRule):
+    """A :class:`DelayRule` bound to a concrete membership."""
+
+    def __init__(
+        self, rule: DelayRule, processes: frozenset[ProcessId], faulty: frozenset[ProcessId]
+    ) -> None:
+        self.name = rule.rule_name
+        self._rule = rule
+        self._src = _resolve_targets(rule.src, processes, faulty)
+        self._dst = _resolve_targets(rule.dst, processes, faulty)
+
+    def decide(self, envelope: Envelope, *, now: float) -> float | Withhold | None:
+        rule = self._rule
+        if not rule.t_from <= now < rule.t_to:
+            return None
+        if envelope.sender not in self._src or envelope.receiver not in self._dst:
+            return None
+        if rule.withholds:
+            return WITHHOLD
+        if rule.until is not None:
+            return max(rule.until - now, 0.0)
+        return rule.delay
+
+
+class _CompiledPartitionRule(NetworkRule):
+    """A :class:`PartitionRule` with its group lookup precomputed."""
+
+    def __init__(self, rule: PartitionRule) -> None:
+        self.name = rule.rule_name
+        self._rule = rule
+        self._group_of: dict[ProcessId, int] = {}
+        for index, group in enumerate(rule.groups):
+            for member in group:
+                self._group_of[member] = index
+
+    def decide(self, envelope: Envelope, *, now: float) -> float | Withhold | None:
+        rule = self._rule
+        if not rule.t_from <= now < rule.t_to:
+            return None
+        sender_group = self._group_of.get(envelope.sender)
+        receiver_group = self._group_of.get(envelope.receiver)
+        if sender_group is None or receiver_group is None or sender_group == receiver_group:
+            return None
+        if math.isinf(rule.t_to):
+            return WITHHOLD
+        return (rule.t_to - now) + rule.heal_delay
+
+
 def install_schedule(schedule: NetworkSchedule, runtime: "Runtime") -> None:
     """Validate ``schedule`` against the runtime's model, then compile it onto the runtime.
 
-    Message rules become ordered :class:`~repro.sim.network.NetworkRule`
+    Message rules become ordered :class:`~repro.sim.gate.NetworkRule`
     instances on the send gate (their names show up in trace drop/delay
     reasons); crash rules become runtime timers.  Call from the ``start``
     callback of :meth:`~repro.runtime.base.Runtime.run` (timers need a live
     clock), after every process is registered (symbolic targets resolve
     against the full membership).
     """
-    # Deferred: the compiled forms bind to the rule engine, so they live on
-    # the runtime seam, not in this plain-data module.
-    from repro.runtime.sim import compile_rule
-
     processes, faulty = runtime.process_ids, runtime.faulty
     schedule.validate(runtime.model, processes=processes, faulty=faulty)
     for rule in schedule.rules:
@@ -540,8 +587,10 @@ def install_schedule(schedule: NetworkSchedule, runtime: "Runtime") -> None:
                 lambda process=rule.process: runtime.crash(process),
                 label=f"schedule rule {rule.rule_name}",
             )
+        elif isinstance(rule, PartitionRule):
+            runtime.add_rule(_CompiledPartitionRule(rule))  # membership-independent
         else:
-            runtime.add_rule(compile_rule(rule, processes=processes, faulty=faulty))
+            runtime.add_rule(_CompiledDelayRule(rule, processes, faulty))
 
 
 __all__ = [

@@ -8,7 +8,7 @@ the horizon is hit), and reports the consensus properties plus message and
 latency statistics.  It is the entry point used by the examples, the
 integration tests and every benchmark.
 
-That sequence is written once, in :func:`_drive`, against the
+That sequence is written once, in :func:`drive`, against the
 :class:`~repro.runtime.base.Runtime` seam: :func:`run_consensus`,
 :func:`repro.runtime.harness.run_live_consensus` and the discovery
 baselines (:mod:`repro.baselines.unauthenticated`) only choose the runtime,
@@ -207,10 +207,10 @@ def run_consensus(config: RunConfig) -> RunResult:
         network_seed=derive_seed(config.seed, "network"),
         faulty=frozenset(config.faulty),
     )
-    return _drive(config, runtime, KeyRegistry(seed=derive_seed(config.seed, "keys")))
+    return drive(config, runtime, KeyRegistry(seed=derive_seed(config.seed, "keys")))
 
 
-def _drive(
+def drive(
     config: RunConfig,
     runtime: "Runtime",
     registry: KeyRegistry,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.adversary.spec import FaultSpec
-from repro.analysis.harness import RunConfig, _drive
+from repro.analysis.harness import RunConfig, drive
 from repro.baselines.reachable_broadcast import DisjointPathTracker, FloodedRecord
 from repro.core.config import ProtocolConfig
 from repro.crypto.signatures import KeyRegistry
@@ -224,7 +224,7 @@ def _discover(
     runtime = build_sim_runtime(
         max_time=horizon, synchrony=synchrony, network_seed=seed, faulty=frozenset(faulty)
     )
-    result = _drive(
+    result = drive(
         config,
         runtime,
         registry if registry is not None else KeyRegistry(seed=seed),

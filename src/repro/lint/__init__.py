@@ -10,7 +10,8 @@ conventional linter:
 * no unseeded randomness and no wall-clock reads inside protocol code
   (**DET-SEED**),
 * no protocol module reaching around the :mod:`repro.runtime` seam into
-  the simulator internals (**SEAM**).
+  the simulator internals, and no package importing another's
+  ``_``-prefixed names (**SEAM**).
 
 :mod:`repro.lint` enforces them mechanically: ``python -m repro.lint src``
 parses every file once, runs the checker families scoped by

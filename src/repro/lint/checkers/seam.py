@@ -8,6 +8,11 @@ Relative imports are resolved against the module under check, so ``from
 TYPE_CHECKING:`` block are exempt: type-only references create no runtime
 coupling, and moving an import there is the standard fix for
 annotation-only violations.
+
+``SEAM-PRIVATE`` applies to every module, mapped or not: no ``from`` import
+of a ``_``-prefixed name (or module) out of another top-level package of the
+same distribution, such as ``repro.runtime`` importing ``repro.sim.x._Y``.
+It holds under ``TYPE_CHECKING`` too: an annotation couples to the name.
 """
 
 from __future__ import annotations
@@ -53,13 +58,6 @@ class SeamChecker(BaseChecker):
     def _excepted(cls, module: str, rule: SeamRule) -> bool:
         return any(cls._in_prefix(module, exception) for exception in rule.exceptions)
 
-    @classmethod
-    def applies(cls, config: LintConfig, module: str) -> bool:
-        return any(
-            cls._in_prefix(module, rule.scope) and not cls._excepted(module, rule)
-            for rule in config.seam_rules
-        )
-
     # -- TYPE_CHECKING tracking ----------------------------------------
 
     @staticmethod
@@ -100,6 +98,21 @@ class SeamChecker(BaseChecker):
             self._check_target(alias.name, node)
         self.generic_visit(node)
 
+    def _check_private(self, base: str, node: ast.ImportFrom) -> None:
+        importer, source = self.module.split("."), base.split(".")
+        if importer[0] != source[0] or importer[:2] == source[:2]:
+            return  # another distribution, or inside one package
+        private = [part for part in source if part.startswith("_")]
+        private += [alias.name for alias in node.names if alias.name.startswith("_")]
+        private = [name for name in private if not name.startswith("__")]
+        if private:
+            self.report(
+                node,
+                "SEAM-PRIVATE",
+                f"{self.module} imports private {', '.join(private)} from {base}; "
+                f"make the name public or keep its users inside {'.'.join(source[:2])}",
+            )
+
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         base = _resolve_relative(self.module, node)
         if not self._check_target(base, node) and base is not None:
@@ -108,6 +121,8 @@ class SeamChecker(BaseChecker):
             for alias in node.names:
                 if self._check_target(f"{base}.{alias.name}", node):
                     break
+        if base is not None:
+            self._check_private(base, node)
         self.generic_visit(node)
 
 

@@ -18,6 +18,7 @@ DET-SEED-GLOBAL   module-level random.* call or import (process-wide RNG)
 DET-SEED-RANDOM   random.Random not visibly fed from derive_seed
 DET-SEED-CLOCK    wall-clock read (time.time, datetime.now, ...) in deterministic scope
 SEAM-IMPORT       import edge forbidden by the declared layering map
+SEAM-PRIVATE      import of a _-prefixed name from another package
 LINT-SUPPRESS     suppression comment without a justification
 LINT-PARSE        file does not parse
 

@@ -43,9 +43,10 @@ class SeamRule:
 
 #: The simulator machinery protocol code must reach only through the
 #: ``repro.runtime`` seam.  ``repro.sim.messages`` / ``tracing`` /
-#: ``synchrony`` / ``process`` are deliberately *not* listed: envelopes,
-#: traces, synchrony models and the ``Process`` base class are shared
-#: vocabulary used identically by the sim and the live runtime.
+#: ``synchrony`` / ``process`` / ``gate`` are deliberately *not* listed:
+#: envelopes, traces, synchrony models, the ``Process`` base class and the
+#: send gate are shared vocabulary used identically by the sim and the live
+#: runtime.
 SIM_MACHINERY = ("repro.sim.engine", "repro.sim.network")
 
 #: Packages whose code executes inside (or deterministically derives) a
@@ -88,7 +89,8 @@ def _default_seam_rules() -> tuple[SeamRule, ...]:
             scope="repro.adversary",
             forbidden=SIM_MACHINERY,
             reason="faulty-node behaviours and fault schedules are plain data/behaviour; "
-            "install_schedule is written against Runtime, the compiled rules live in repro.runtime.sim",
+            "install_schedule is written against Runtime, and the compiled rules subclass "
+            "NetworkRule from the shared repro.sim.gate",
         ),
         SeamRule(
             scope="repro.crypto",

@@ -79,7 +79,7 @@ def _prepare_payload(group: GroupKey, view: int, value: Any) -> tuple:
     return ("prepare", tuple(sorted(group.members, key=repr)), view, value)
 
 
-def _preprepare_payload(group: GroupKey, view: int, value: Any) -> tuple:
+def preprepare_payload(group: GroupKey, view: int, value: Any) -> tuple:
     """Canonical signed content of a leader proposal."""
     return ("pre-prepare", tuple(sorted(group.members, key=repr)), view, value)
 
@@ -184,7 +184,7 @@ class SingleShotPbft:
             handle.cancel()
 
     def _propose_in_view(self, view: int, value: Any) -> None:
-        signed = self.key.sign(_preprepare_payload(self.group, view, value))
+        signed = self.key.sign(preprepare_payload(self.group, view, value))
         message = PrePrepare(group=self.group, view=view, value=value, signed=signed)
         self._broadcast(message)
         # The leader processes its own proposal locally.
@@ -219,7 +219,7 @@ class SingleShotPbft:
             return
         if sender != self.leader_of(message.view):
             return
-        expected = _preprepare_payload(self.group, message.view, message.value)
+        expected = preprepare_payload(self.group, message.view, message.value)
         if message.signed.signer != sender or message.signed.message != expected:
             return
         if not self.registry.verify(message.signed):

@@ -14,11 +14,12 @@ per protocol time unit, so a PBFT view timeout of 20 units fires after
 ``20 * time_scale`` real seconds and ``Runtime.now`` reports units since
 :meth:`AsyncioRuntime.run` bound the sockets.  Real socket latency stands in
 for the synchrony model's delay draws (loopback delivery is far below one
-unit at any reasonable scale, consistent with the post-GST contract);
-scripted :class:`~repro.adversary.schedule.NetworkSchedule` rules are applied
-at the send gate exactly as the simulated network applies them — delays via
-timer callbacks, partitions/withholds via per-link drop decisions, crash
-rules via scheduled :meth:`crash` calls.
+unit at any reasonable scale, consistent with the post-GST contract).
+Membership, crashes and scripted
+:class:`~repro.adversary.schedule.NetworkSchedule` rules go through the same
+:class:`~repro.sim.gate.SendGate` the simulated network uses: a rule's delay
+becomes a timer callback, a message no rule claims goes straight onto its
+link, and crash rules become scheduled :meth:`crash` calls.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from repro.experiments.backends.transport import (
 from repro.graphs.knowledge_graph import ProcessId
 from repro.runtime.base import Runtime
 from repro.runtime.codec import PayloadCodecError, decode_frame, encode_frame
+from repro.sim.gate import SendGate
 from repro.sim.messages import Envelope, payload_kind
-from repro.sim.network import NetworkRule, _Withhold
 from repro.sim.synchrony import PartialSynchronyModel, SynchronyModel
 from repro.sim.tracing import SimulationTrace
 
@@ -151,12 +152,10 @@ class AsyncioRuntime(Runtime):
         self.stats = LiveRunStats()
         #: Unexpected handler exceptions, raised as LiveRunError when the run ends.
         self.errors: list[BaseException] = []
-        self._processes: dict[ProcessId, "Process"] = {}
+        self._gate = SendGate(self.trace)
         self._ports: dict[ProcessId, int] = {}
         self._servers: list[asyncio.Server] = []
         self._links: dict[tuple[ProcessId, ProcessId], _Link] = {}
-        self._rules: list[NetworkRule] = []
-        self._crashed: set[ProcessId] = set()
         self._delayed: set[asyncio.TimerHandle] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0: float = 0.0
@@ -176,19 +175,10 @@ class AsyncioRuntime(Runtime):
         end = self._loop.time() if self._stopped_at is None else self._stopped_at
         return (end - self._t0) / self.time_scale
 
-    @property
-    def process_ids(self) -> frozenset[ProcessId]:
-        return frozenset(self._processes)
-
-    def add_rule(self, rule: NetworkRule) -> None:
-        self._rules.append(rule)
-
     def register(self, process: "Process") -> None:
         if self._loop is not None:
             raise RuntimeError("register every process before AsyncioRuntime.run()")
-        if process.process_id in self._processes:
-            raise ValueError(f"process {process.process_id!r} already registered")
-        self._processes[process.process_id] = process
+        super().register(process)
 
     def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> _LiveTimer:
         del label  # labels are a debugging aid; call_later has no use for them
@@ -204,44 +194,17 @@ class AsyncioRuntime(Runtime):
         timer = _LiveTimer(loop.call_later(max(delay, 0.0) * self.time_scale, fire))
         return timer
 
-    def crash(self, process_id: ProcessId) -> None:
-        """Crash semantics matching the simulated network: silence both ways."""
-        self._crashed.add(process_id)
-
     def send(self, sender: ProcessId, receiver: ProcessId, payload: Any) -> None:
-        envelope = Envelope(
-            sender=sender,
-            receiver=receiver,
-            payload=payload,
-            sent_at=self.now,
-            kind=payload_kind(payload),
-        )
-        self.trace.on_send(envelope)
-
-        if self._closed:
-            self.trace.on_drop(envelope, "runtime stopped")
+        # The same send gate as Network.send; real sockets stand in for the
+        # synchrony model, so a message no rule delays goes out at once.
+        admitted = self._gate.admit(sender, receiver, payload, self.now)
+        if admitted is None:
             return
-        if sender in self._crashed:
-            self.trace.on_drop(envelope, "sender crashed")
-            return
-        if receiver not in self._processes:
-            self.trace.on_drop(envelope, "unknown receiver")
-            return
-
-        # Same first-match-wins rule gate as Network.send: scripted faults
-        # decide before the transport sees the message.
-        for rule in self._rules:
-            decision = rule.decide(envelope, now=self.now)
-            if decision is None:
-                continue
-            if isinstance(decision, _Withhold):
-                self.trace.on_rule_drop(envelope, rule.name)
-                return
-            delay = float(decision)
-            self.trace.on_rule_delay(envelope, rule.name, delay)
+        envelope, delay = admitted
+        if delay is None:
+            self._enqueue(envelope)
+        else:
             self._enqueue_later(envelope, delay)
-            return
-        self._enqueue(envelope)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -259,7 +222,7 @@ class AsyncioRuntime(Runtime):
         self._until = until
         try:
             # One TCP server per registered process, then the clock starts.
-            for process_id in sorted(self._processes, key=repr):
+            for process_id in sorted(self._gate.processes, key=repr):
                 serve = functools.partial(self._serve_connection, process_id)
                 server = await asyncio.start_server(serve, self.host, 0)
                 self._servers.append(server)
@@ -358,7 +321,7 @@ class AsyncioRuntime(Runtime):
             if not self._closed:
                 self._enqueue(envelope)
 
-        handle = loop.call_later(max(delay, 0.0) * self.time_scale, release)
+        handle = loop.call_later(delay * self.time_scale, release)
         self._delayed.add(handle)
 
     def _enqueue(self, envelope: Envelope) -> None:
@@ -430,15 +393,15 @@ class AsyncioRuntime(Runtime):
                     sent_at=sent_at,
                     kind=payload_kind(payload),
                 )
-                # The crashed-receiver gate sits at delivery time, exactly
+                # The crashed-receiver check sits at delivery time, exactly
                 # like Network._deliver_one: frames in flight when the
                 # process crashes are dropped, not buffered.
-                if receiver in self._crashed:
-                    self.trace.on_drop(envelope, "receiver crashed", self.now)
+                if receiver in self._gate.crashed:
+                    self._gate.drop_at_crashed_receiver(envelope, self.now)
                     continue
                 self.stats.messages_received += 1
                 self.trace.on_deliver(envelope)
-                self._guarded(lambda: self._processes[receiver].receive(envelope))
+                self._guarded(lambda: self._gate.processes[receiver].receive(envelope))
         except (TransportError, ConnectionError, OSError):
             return  # peer died mid-frame; its writer task will reconnect
         finally:

@@ -9,10 +9,14 @@ back without knowing which substrate it is.  Two implementations exist:
 
 * :class:`~repro.runtime.sim.SimRuntime` — the discrete-event simulator
   (virtual clock, deterministic delivery through the
-  :class:`~repro.sim.network.Network` rule engine);
+  :class:`~repro.sim.network.Network`);
 * :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime` — real wall-clock
   execution where each process exchanges length-prefixed JSON frames over
   TCP sockets on an asyncio event loop.
+
+Both keep membership, crashes and rules in one
+:class:`~repro.sim.gate.SendGate`, which this base class fronts; they differ
+only in what happens to a message no rule claimed (a model draw, a socket).
 
 The protocol code is byte-for-byte identical on both: the seam is the whole
 point, and :mod:`repro.runtime.fidelity` asserts that the live runtime
@@ -28,11 +32,11 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.graphs.knowledge_graph import ProcessId
+from repro.sim.gate import NetworkRule, SendGate
 from repro.sim.synchrony import SynchronyModel
 from repro.sim.tracing import SimulationTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.network import NetworkRule
     from repro.sim.process import Process
 
 
@@ -49,11 +53,11 @@ class Runtime(ABC):
     """Execution substrate for protocol processes.
 
     Concrete runtimes provide a clock (:attr:`now`), a transport
-    (:meth:`send`) with a first-match-wins rule gate (:meth:`add_rule`),
-    one-shot timers (:meth:`schedule`), crash semantics (:meth:`crash`), the
-    run's membership and model (:attr:`process_ids`, :attr:`faulty`,
-    :attr:`model`), a :class:`~repro.sim.tracing.SimulationTrace`, and
-    :meth:`run`, which owns the substrate's whole lifecycle.
+    (:meth:`send`) that consults ``_gate``, one-shot timers
+    (:meth:`schedule`), the run's model (:attr:`faulty`, :attr:`model`), a
+    :class:`~repro.sim.tracing.SimulationTrace`, and :meth:`run`, which owns
+    the substrate's whole lifecycle.  Membership, rules and crashes
+    (:meth:`register`, :meth:`add_rule`, :meth:`crash`) are the gate's.
     """
 
     trace: SimulationTrace
@@ -61,6 +65,8 @@ class Runtime(ABC):
     faulty: frozenset[ProcessId]
     #: The synchrony model fault schedules are validated against.
     model: SynchronyModel
+    #: Membership, crash set and rules, shared with the runtime's transport.
+    _gate: SendGate
 
     @property
     @abstractmethod
@@ -68,21 +74,21 @@ class Runtime(ABC):
         """Current time in protocol time units (virtual or scaled wall clock)."""
 
     @property
-    @abstractmethod
     def process_ids(self) -> frozenset[ProcessId]:
         """Every process registered so far."""
+        return self._gate.process_ids
 
-    @abstractmethod
     def register(self, process: "Process") -> None:
         """Attach ``process`` so it can receive messages (ids must be unique)."""
+        self._gate.register(process)
 
     @abstractmethod
     def send(self, sender: ProcessId, receiver: ProcessId, payload: Any) -> None:
         """Transmit ``payload`` over the authenticated point-to-point channel."""
 
-    @abstractmethod
-    def add_rule(self, rule: "NetworkRule") -> None:
+    def add_rule(self, rule: NetworkRule) -> None:
         """Append a scripted-fault rule to the send gate (first match decides)."""
+        self._gate.add_rule(rule)
 
     @abstractmethod
     def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> TimerHandle:
@@ -91,9 +97,9 @@ class Runtime(ABC):
         The live runtime's clock starts in :meth:`run`: call from ``start`` or later.
         """
 
-    @abstractmethod
     def crash(self, process_id: ProcessId) -> None:
         """Crash ``process_id``: it stops taking steps, its messages are dropped."""
+        self._gate.crash(process_id)
 
     @abstractmethod
     def run(self, start: Callable[[], None], until: Callable[[], bool]) -> None:

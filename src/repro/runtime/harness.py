@@ -10,7 +10,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.harness import RunConfig, RunResult, _drive
+from repro.analysis.harness import RunConfig, RunResult, drive
 from repro.core.seeding import derive_seed
 from repro.crypto.signatures import KeyRegistry
 from repro.runtime.asyncio_runtime import AsyncioRuntime, LiveRunError
@@ -39,7 +39,7 @@ def run_live_consensus(
     )
     # Same key substream as the simulated harness: signatures produced live
     # verify against the registry a simulated run of the same seed builds.
-    return _drive(config, runtime, KeyRegistry(seed=derive_seed(config.seed, "keys")))
+    return drive(config, runtime, KeyRegistry(seed=derive_seed(config.seed, "keys")))
 
 
 __all__ = ["LiveRunError", "run_live_consensus"]

@@ -13,6 +13,9 @@ Main pieces:
 * :class:`~repro.sim.synchrony.PartialSynchronyModel` -- the partial-synchrony
   delay model, with the synchronous and asynchronous variants used by the
   Table I experiment.
+* :class:`~repro.sim.gate.SendGate` -- the channel contract (membership,
+  crash set, scripted-fault rules) that the simulated and the live transport
+  share.
 * :class:`~repro.sim.network.Network` -- the message transport over one of
   those models.
 * :class:`~repro.sim.process.Process` -- base class for protocol processes

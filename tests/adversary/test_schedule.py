@@ -224,7 +224,7 @@ class TestPartitionRuleSemantics:
         for at in (1.0, 2.5, 4.0):
             simulator.schedule(at, lambda: network.send(1, 3, "lost"))
         simulator.schedule(5.0, lambda: network.send(4, 2, "late"))
-        simulator.schedule(6.0, lambda: network.crash(2))
+        simulator.schedule(6.0, lambda: network.gate.crash(2))
         simulator.run()
         drops = [at for at, event in trace.events if "withheld by rule 'cut'" in event]
         assert drops == [1.0, 2.5, 4.0]

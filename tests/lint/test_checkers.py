@@ -288,6 +288,49 @@ class TestSeam:
         assert rules_of(active) == ["SEAM-IMPORT"]
 
 
+class TestSeamPrivate:
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.runtime.snippet", "repro.lint.snippet"],  # no layering rule covers either
+    )
+    def test_flags_private_name_from_another_package(self, tmp_path, module):
+        active, _ = lint_snippet(
+            tmp_path,
+            """
+            from repro.analysis.harness import RunConfig, _drive
+            """,
+            module=module,
+        )
+        assert rules_of(active) == ["SEAM-PRIVATE"]
+        assert "_drive" in active[0].message and "repro.analysis" in active[0].message
+
+    def test_private_names_inside_one_package_and_dunders_are_clean(self, tmp_path):
+        active, _ = lint_snippet(
+            tmp_path,
+            """
+            from repro.core.discovery import _helper
+            from repro.sim import __doc__
+            from os import _exit
+            """,
+        )
+        assert active == []
+
+    def test_relative_and_type_checking_imports_are_checked(self, tmp_path):
+        active, _ = lint_snippet(
+            tmp_path,
+            """
+            from typing import TYPE_CHECKING
+
+            from ..pbft.replica import _prepare_payload
+
+            if TYPE_CHECKING:
+                from repro.sim.network import _Hidden
+            """,
+            module="repro.adversary.snippet",
+        )
+        assert rules_of(active) == ["SEAM-PRIVATE", "SEAM-PRIVATE"]
+
+
 class TestSuppressions:
     def test_allow_comment_suppresses_with_reason(self, tmp_path):
         active, suppressed = lint_snippet(

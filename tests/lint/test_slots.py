@@ -13,6 +13,7 @@ import pytest
 HOT_PATH_CLASSES = (
     "repro.sim.messages.Envelope",
     "repro.sim.engine._ScheduledEvent",
+    "repro.sim.gate.SendGate",
     "repro.crypto.signatures.SignedMessage",
     "repro.core.discovery.DiscoveryState",
     "repro.core.messages.PdRecord",

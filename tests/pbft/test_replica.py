@@ -9,7 +9,7 @@ from repro.pbft.replica import (
     PbftConfig,
     SingleShotPbft,
     _prepare_payload,
-    _preprepare_payload,
+    preprepare_payload,
 )
 from repro.sim.engine import Simulator
 
@@ -102,7 +102,7 @@ class TestFaultTolerance:
         key = harness.registry.generate(1)
         # The Byzantine leader sends different view-0 proposals to different members.
         for member, value in ((2, "evil-A"), (3, "evil-B"), (4, "evil-A")):
-            signed = key.sign(_preprepare_payload(group, 0, value))
+            signed = key.sign(preprepare_payload(group, 0, value))
             harness.deliver(1, member, PrePrepare(group=group, view=0, value=value, signed=signed))
         decisions = harness.run()
         assert len(decisions) == 3
@@ -139,7 +139,7 @@ class TestValidation:
         other_group = GroupKey(members=frozenset({7, 8, 9}))
         key = harness.registry.generate(7)
         message = PrePrepare(
-            group=other_group, view=0, value="other", signed=key.sign(_preprepare_payload(other_group, 0, "other"))
+            group=other_group, view=0, value="other", signed=key.sign(preprepare_payload(other_group, 0, "other"))
         )
         harness.replicas[1].handle(7, message)
         assert harness.replicas[1]._preprepare_seen == {}
@@ -150,7 +150,7 @@ class TestValidation:
         mallory = harness.registry.generate(4)
         # Process 4 forges a pre-prepare pretending to be leader 1.
         forged = PrePrepare(
-            group=group, view=0, value="forged", signed=mallory.sign(_preprepare_payload(group, 0, "forged"))
+            group=group, view=0, value="forged", signed=mallory.sign(preprepare_payload(group, 0, "forged"))
         )
         harness.replicas[2].handle(1, forged)
         assert 0 not in harness.replicas[2]._prepared_sent

@@ -20,15 +20,16 @@ from repro.adversary.schedule import (
     PartitionRule,
     ScheduleContractError,
 )
-from repro.analysis.harness import _drive, run_consensus
+from repro.analysis.harness import drive, run_consensus
 from repro.core.config import ProtocolMode
 from repro.crypto.signatures import KeyRegistry
 from repro.graphs.figures import figure_4b
-from repro.runtime.asyncio_runtime import AsyncioRuntime
+from repro.runtime.asyncio_runtime import AsyncioRuntime, LiveRunError
 from repro.runtime.base import Runtime
 from repro.runtime.harness import run_live_consensus
 from repro.runtime.sim import SimRuntime, build_sim_runtime
 from repro.sim.engine import Simulator
+from repro.sim.gate import WITHHOLD, NetworkRule
 from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.synchrony import SynchronousModel
@@ -55,7 +56,7 @@ class TestSimRuntime:
         assert runtime.model is network.model
         assert runtime.faulty == network.faulty
         Process(1, frozenset(), runtime=runtime)
-        assert runtime.process_ids == network.process_ids == frozenset({1})
+        assert runtime.process_ids == network.gate.process_ids == frozenset({1})
 
     def test_schedule_and_timers(self):
         simulator, network = make_world()
@@ -158,7 +159,7 @@ class TestOneDriver:
 
         monkeypatch.setattr(runtime, "add_rule", recording_add_rule)
         monkeypatch.setattr(runtime, "schedule", recording_schedule)
-        result = _drive(config, runtime, KeyRegistry(seed=config.seed))
+        result = drive(config, runtime, KeyRegistry(seed=config.seed))
         assert rules == ["slow-faulty", "early-split"]
         (crash_delay,) = [delay for delay, label in timers if "crash-faulty" in label]
         assert crash_delay == pytest.approx(2.0, abs=0.5)  # live: minus the elapsed start-up
@@ -182,6 +183,116 @@ class TestOneDriver:
             gc.collect()
         assert str(live.value) == str(simulated.value)
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class Fixed(NetworkRule):
+    """A rule that makes one decision for every message."""
+
+    def __init__(self, name, decision):
+        self.name = name
+        self.decision = decision
+
+    def decide(self, envelope, *, now):
+        return self.decision
+
+
+class Inbox(Process):
+    def __init__(self, process_id, runtime):
+        super().__init__(process_id, frozenset(), runtime=runtime)
+        self.received = []
+        self.on(str, lambda sender, payload: self.received.append(payload))
+
+
+def _send_from_crashed(runtime, alice):
+    runtime.crash(1)
+    alice.send(2, "x")
+
+
+def _send_then_crash_receiver(runtime, alice):
+    alice.send(2, "x")
+    runtime.crash(2)
+
+
+#: case id -> (rule or None, what ``start`` does, what bob receives, trace events).
+GATE_CASES = {
+    "sender-crashed": (None, _send_from_crashed, [], ["drop (sender crashed): 1 -> 2: str"]),
+    "unknown-receiver": (
+        None,
+        lambda runtime, alice: alice.send(99, "x"),
+        [],
+        ["drop (unknown receiver): 1 -> 99: str"],
+    ),
+    "withholding-rule": (
+        Fixed("blackout", WITHHOLD),
+        lambda runtime, alice: alice.send(2, "x"),
+        [],
+        ["drop (withheld by rule 'blackout'): 1 -> 2: str"],
+    ),
+    "delaying-rule": (
+        Fixed("slow", 1.0),
+        lambda runtime, alice: alice.send(2, "x"),
+        ["x"],
+        ["delay (rule 'slow', 1): 1 -> 2: str"],
+    ),
+    "receiver-crashed-before-delivery": (
+        None,
+        _send_then_crash_receiver,
+        [],
+        ["drop (receiver crashed): 1 -> 2: str"],
+    ),
+}
+
+#: A synchronous model keeps every simulated delivery inside the horizon.
+_GATE_RUNTIMES = {
+    "sim": lambda: build_sim_runtime(max_time=20.0, synchrony=SynchronousModel()),
+    "live": lambda: AsyncioRuntime(max_time=20.0, time_scale=0.01, synchrony=SynchronousModel()),
+}
+
+
+def _gate_outcome(make_runtime, case):
+    rule, start, _, _ = GATE_CASES[case]
+    runtime = make_runtime()
+    runtime.trace.record_messages = True
+    alice, bob = Inbox(1, runtime), Inbox(2, runtime)
+    if rule is not None:
+        runtime.add_rule(rule)
+    runtime.run(lambda: start(runtime, alice), until=lambda: False)
+    trace = runtime.trace
+    return {
+        "counts": (trace.messages_sent, trace.messages_dropped),
+        "dropped_by_rule": dict(trace.dropped_by_rule),
+        "delayed_by_rule": dict(trace.delayed_by_rule),
+        "events": [event for _, event in trace.events],
+        "received": bob.received + alice.received,
+    }
+
+
+class TestSendGateParity:
+    """One send gate: both runtimes trace and drop the same way, for the same reasons."""
+
+    @pytest.mark.parametrize("case", sorted(GATE_CASES))
+    def test_both_runtimes_agree(self, case):
+        rule, _, received, events = GATE_CASES[case]
+        simulated = _gate_outcome(_GATE_RUNTIMES["sim"], case)
+        live = _gate_outcome(_GATE_RUNTIMES["live"], case)
+        assert live == simulated
+        assert simulated["counts"] == (1, 0 if received else 1)
+        assert simulated["events"] == events
+        assert simulated["received"] == received
+
+    @pytest.mark.parametrize("bad_delay", [float("nan"), -0.5])
+    def test_live_runtime_rejects_nan_or_negative_rule_delay(self, bad_delay):
+        """The simulator always raised; the live runtime clamped -0.5 and passed NaN to call_later."""
+        runtime = AsyncioRuntime(max_time=20.0, time_scale=0.01)
+        alice, _ = Inbox(1, runtime), Inbox(2, runtime)
+        runtime.add_rule(Fixed("bad", bad_delay))
+        with pytest.raises(LiveRunError) as failure:
+            runtime.run(
+                lambda: runtime.schedule(0.0, lambda: alice.send(2, "x")),
+                until=lambda: bool(runtime.errors),
+            )
+        assert isinstance(failure.value.__cause__, ValueError)
+        assert "non-negative" in str(failure.value.__cause__)
 
 
 class TestProcessConstruction:

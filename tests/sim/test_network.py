@@ -6,7 +6,8 @@ import pytest
 
 from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulator
-from repro.sim.network import Network, NetworkRule
+from repro.sim.gate import NetworkRule
+from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.synchrony import AsynchronousModel, PartialSynchronyModel, SynchronousModel
 from repro.sim.tracing import SimulationTrace
@@ -155,11 +156,11 @@ class TestTransport:
         simulator, network, trace = make_network()
         Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
         bob = Recorder(2, frozenset(), runtime=SimRuntime(simulator, network))
-        network.crash(1)
+        network.gate.crash(1)
         network.send(1, 2, "from-crashed")
         simulator.run()
         assert not bob.received
-        network.crash(2)
+        network.gate.crash(2)
         network.send(2, 1, "to-crashed")  # sender also crashed
         simulator.run()
         assert trace.messages_dropped == 2
@@ -169,7 +170,7 @@ class TestTransport:
         Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
         bob = Recorder(2, frozenset(), runtime=SimRuntime(simulator, network))
         network.send(1, 2, "hello")
-        network.crash(2)
+        network.gate.crash(2)
         simulator.run()
         assert not bob.received
         assert trace.messages_dropped == 1
@@ -193,14 +194,14 @@ class TestTransport:
         simulator, network, trace = make_network()
         Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
         bob = Recorder(2, frozenset(), runtime=SimRuntime(simulator, network))
-        network.add_rule(DelayBy(lambda envelope: None if envelope.payload != "drop-me" else 0.0))
-        network.add_rule(DelayBy(lambda envelope: 0.5))
+        network.gate.add_rule(DelayBy(lambda envelope: None if envelope.payload != "drop-me" else 0.0))
+        network.gate.add_rule(DelayBy(lambda envelope: 0.5))
         network.send(1, 2, "normal")
         simulator.run()
         assert len(bob.received) == 1
 
     def test_rules_are_consulted_in_order_first_match_wins(self):
-        from repro.sim.network import WITHHOLD, NetworkRule
+        from repro.sim.gate import WITHHOLD, NetworkRule
 
         class Match(NetworkRule):
             def __init__(self, name, payload, decision):
@@ -214,9 +215,9 @@ class TestTransport:
         simulator, network, trace = make_network()
         Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
         bob = Recorder(2, frozenset(), runtime=SimRuntime(simulator, network))
-        network.add_rule(Match("drop-a", "a", WITHHOLD))
-        network.add_rule(Match("slow-a", "a", 9.0))  # shadowed by drop-a
-        network.add_rule(Match("slow-b", "b", 3.0))
+        network.gate.add_rule(Match("drop-a", "a", WITHHOLD))
+        network.gate.add_rule(Match("slow-a", "a", 9.0))  # shadowed by drop-a
+        network.gate.add_rule(Match("slow-b", "b", 3.0))
         network.send(1, 2, "a")
         network.send(1, 2, "b")
         network.send(1, 2, "c")
@@ -226,7 +227,7 @@ class TestTransport:
         assert trace.delayed_by_rule == {"slow-b": 1}
 
     def test_rule_withhold_records_the_name_in_the_drop_reason(self):
-        from repro.sim.network import WITHHOLD, NetworkRule
+        from repro.sim.gate import WITHHOLD, NetworkRule
 
         class DropAll(NetworkRule):
             name = "blackout"
@@ -238,7 +239,7 @@ class TestTransport:
         trace.record_messages = True
         Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
         Recorder(2, frozenset(), runtime=SimRuntime(simulator, network))
-        network.add_rule(DropAll())
+        network.gate.add_rule(DropAll())
         network.send(1, 2, "x")
         simulator.run()
         assert trace.messages_dropped == 1
@@ -250,7 +251,7 @@ class TestTransport:
         simulator, network, _ = make_network()
         Recorder(1, frozenset(), runtime=SimRuntime(simulator, network))
         Recorder(2, frozenset(), runtime=SimRuntime(simulator, network))
-        network.add_rule(DelayBy(lambda envelope: bad_delay))
+        network.gate.add_rule(DelayBy(lambda envelope: bad_delay))
         with pytest.raises(ValueError, match="non-negative"):
             network.send(1, 2, "x")
         assert simulator.pending_events() == 0
@@ -267,7 +268,7 @@ class TestTransport:
         simulator, network, _ = make_network(model=Spy(), faulty=frozenset({3}))
         for process_id in (1, 2, 3, 4):
             Recorder(process_id, frozenset(), runtime=SimRuntime(simulator, network))
-        network.crash(4)
+        network.gate.crash(4)
         for sender, receiver in ((1, 2), (3, 1), (1, 3), (1, 4), (4, 1)):
             network.send(sender, receiver, "x")
         assert seen == [
@@ -293,7 +294,7 @@ class TestTransport:
         network.send(2, 1, "before")
         network.send(2, 3, "before")
         simulator.run()
-        network.crash(1)
+        network.gate.crash(1)
         network.send(2, 1, "after")
         network.send(1, 2, "after")
         assert seen == [(2, 1, True, True), (2, 3, True, False), (2, 1, True, False)]
@@ -303,7 +304,7 @@ class TestTransport:
 class TestDeliveryBatching:
     def test_same_instant_fan_out_occupies_one_heap_instant(self):
         simulator, network, trace = make_network()
-        network.add_rule(DelayBy(lambda envelope: 1.0))
+        network.gate.add_rule(DelayBy(lambda envelope: 1.0))
         nodes = {pid: Recorder(pid, frozenset(), runtime=SimRuntime(simulator, network)) for pid in range(1, 12)}
         network.broadcast(1, frozenset(nodes), "hello")
         # Ten same-instant deliveries, one bucket, one instant on the heap.
@@ -317,10 +318,10 @@ class TestDeliveryBatching:
 
     def test_batched_delivery_respects_crashes(self):
         simulator, network, trace = make_network()
-        network.add_rule(DelayBy(lambda envelope: 1.0))
+        network.gate.add_rule(DelayBy(lambda envelope: 1.0))
         nodes = {pid: Recorder(pid, frozenset(), runtime=SimRuntime(simulator, network)) for pid in (1, 2, 3)}
         network.broadcast(1, frozenset(nodes), "hello")
-        network.crash(2)
+        network.gate.crash(2)
         simulator.run()
         assert nodes[2].received == []
         assert [env.payload for env in nodes[3].received] == ["hello"]
@@ -328,7 +329,7 @@ class TestDeliveryBatching:
     def test_distinct_delays_still_deliver_in_time_order(self):
         simulator, network, trace = make_network()
         delays = {2: 3.0, 3: 1.0, 4: 2.0}
-        network.add_rule(DelayBy(lambda envelope: delays[envelope.receiver]))
+        network.gate.add_rule(DelayBy(lambda envelope: delays[envelope.receiver]))
         order = []
 
         class Logger(Recorder):
