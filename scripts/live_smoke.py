@@ -11,8 +11,10 @@ under both the deterministic simulator and the socket-backed
 
 — and exits non-zero unless every run decides the *same values*, identifies
 the *same membership* and satisfies the *same consensus properties* on both
-runtimes.  A hard ``signal.alarm`` bounds the whole script so a wedged event
-loop fails the job instead of hanging it.
+runtimes, and unless every live run opens at most one connection per process
+(the runtime keys its outbound links by receiver).  A hard ``signal.alarm``
+bounds the whole script so a wedged event loop fails the job instead of
+hanging it.
 
 Run with::
 
@@ -68,14 +70,20 @@ def main() -> int:
     for name, config in _scenarios():
         report = check_fidelity(config, time_scale=TIME_SCALE)
         live = report.live.summary()
-        status = "ok" if report.ok and report.live.consensus_solved else "FAIL"
+        connections = report.live.live.connections
+        processes = len(config.graph)
+        too_many_links = connections > processes
+        status = "ok" if report.ok and report.live.consensus_solved and not too_many_links else "FAIL"
         print(
             f"[{status}] {name}: solved={report.live.consensus_solved} "
             f"frames={live['live_messages_sent']} "
+            f"connections={connections} (processes={processes}) "
             f"decide_wall={live['live_decide_wall_seconds']}"
         )
         if status == "FAIL":
             failures += 1
+            if too_many_links:
+                print(f"{name}: {connections} connections for {processes} processes", file=sys.stderr)
             print(report.describe(), file=sys.stderr)
     if failures:
         print(f"{failures} fidelity failure(s)", file=sys.stderr)

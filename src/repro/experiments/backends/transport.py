@@ -91,10 +91,7 @@ def _recv_exactly(sock: socket.socket, count: int) -> bytes | None:
 
 
 def _encode_body(payload: dict[str, Any]) -> bytes:
-    body = json.dumps(payload, separators=(",", ":"), default=repr).encode()
-    if len(body) > MAX_FRAME_BYTES:
-        raise FrameTooLargeError(f"refusing to send a {len(body)}-byte frame")
-    return body
+    return json.dumps(payload, separators=(",", ":"), default=repr).encode()
 
 
 def _parse_body(body: bytes) -> dict[str, Any]:
@@ -107,9 +104,15 @@ def _parse_body(body: bytes) -> dict[str, Any]:
     return message
 
 
-def _frame_bytes(payload: dict[str, Any], compress_min: int | None) -> bytes:
-    """Header + body for one frame, deflating at or above ``compress_min``."""
-    body = _encode_body(payload)
+def pack_frame(body: bytes, *, compress_min: int | None = None) -> bytes:
+    """Header + body for one frame whose JSON object is already encoded.
+
+    Deflates the body when it is at least ``compress_min`` bytes.  This is
+    the framing :func:`write_frame` applies; a caller that writes its own
+    JSON text (the live runtime's codec) frames it here.
+    """
+    if len(body) > MAX_FRAME_BYTES:
+        raise FrameTooLargeError(f"refusing to send a {len(body)}-byte frame")
     word = len(body)
     if compress_min is not None and len(body) >= compress_min:
         body = zlib.compress(body, 6)
@@ -117,6 +120,10 @@ def _frame_bytes(payload: dict[str, Any], compress_min: int | None) -> bytes:
             raise FrameTooLargeError(f"refusing to send a {len(body)}-byte compressed frame")
         word = len(body) | _FLAG_DEFLATE
     return _HEADER.pack(word) + body
+
+
+def _frame_bytes(payload: dict[str, Any], compress_min: int | None) -> bytes:
+    return pack_frame(_encode_body(payload), compress_min=compress_min)
 
 
 def _inflate_body(body: bytes, max_frame: int) -> bytes:
@@ -176,14 +183,6 @@ def read_frame(
     return _parse_body(body)
 
 
-async def write_frame_async(
-    writer: asyncio.StreamWriter, payload: dict[str, Any], *, compress_min: int | None = None
-) -> None:
-    """Asyncio variant of :func:`write_frame` (same wire format, same cap)."""
-    writer.write(_frame_bytes(payload, compress_min))
-    await writer.drain()
-
-
 async def read_frame_async(
     reader: asyncio.StreamReader, *, max_frame: int = MAX_FRAME_BYTES
 ) -> dict[str, Any] | None:
@@ -220,6 +219,6 @@ __all__ = [
     "FrameTooLargeError",
     "read_frame",
     "write_frame",
+    "pack_frame",
     "read_frame_async",
-    "write_frame_async",
 ]

@@ -17,11 +17,11 @@ PBFT replica, the adversary behaviours) talk to the world only through the
 from repro.runtime.asyncio_runtime import AsyncioRuntime, LiveRunStats
 from repro.runtime.base import Runtime, TimerHandle
 from repro.runtime.codec import (
+    EncodeMemo,
     PayloadCodecError,
     decode_frame,
     decode_value,
     encode_frame,
-    encode_value,
     register_payload_type,
 )
 from repro.runtime.fidelity import FidelityError, FidelityReport, assert_fidelity, check_fidelity
@@ -41,7 +41,7 @@ __all__ = [
     "check_fidelity",
     "assert_fidelity",
     "PayloadCodecError",
-    "encode_value",
+    "EncodeMemo",
     "decode_value",
     "encode_frame",
     "decode_frame",

@@ -9,6 +9,14 @@ the lossless tagged codec (:mod:`repro.runtime.codec`).  The protocol
 handlers run byte-for-byte the same code as under the simulator — only the
 clock and the transport differ.
 
+Outbound traffic is keyed by *receiver*: a run opens at most one connection
+and one writer task per process, whoever the senders are.  Each frame
+carries its sender, taken from the envelope the send gate built, and one
+FIFO queue per receiver keeps every ordered pair's frames in send order.
+Each time a writer task wakes it encodes everything queued on its link
+(once per frame, through the run's :class:`~repro.runtime.codec.EncodeMemo`),
+writes it and drains the socket once.
+
 Time is *scaled wall clock*: ``time_scale`` is the number of wall seconds
 per protocol time unit, so a PBFT view timeout of 20 units fires after
 ``20 * time_scale`` real seconds and ``Runtime.now`` reports units since
@@ -30,15 +38,11 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.experiments.backends.transport import (
-    TransportError,
-    read_frame_async,
-    write_frame_async,
-)
+from repro.experiments.backends.transport import TransportError, pack_frame, read_frame_async
 from repro.graphs.knowledge_graph import ProcessId
 from repro.runtime.base import Runtime
-from repro.runtime.codec import PayloadCodecError, decode_frame, encode_frame
-from repro.sim.gate import SendGate
+from repro.runtime.codec import EncodeMemo, PayloadCodecError, decode_frame, encode_frame
+from repro.sim.gate import SendGate, invalid_delay
 from repro.sim.messages import Envelope, payload_kind
 from repro.sim.synchrony import PartialSynchronyModel, SynchronyModel
 from repro.sim.tracing import SimulationTrace
@@ -46,11 +50,8 @@ from repro.sim.tracing import SimulationTrace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.process import Process
 
-#: Sentinel queued on a link to shut its writer task down.
-_CLOSE = object()
-
-#: Tries per frame to (re)connect a link and write it, and the wall-clock
-#: pause between tries, before the frame is counted as lost.
+#: Tries per batch to (re)connect a link and write it, and the wall-clock
+#: pause between tries, before each of its frames is counted as lost.
 _CONNECT_ATTEMPTS = 20
 _RECONNECT_DELAY = 0.05
 
@@ -114,16 +115,16 @@ class _LiveTimer:
 
 @dataclass
 class _Link:
-    """Outbound state for one (sender, receiver) direction.
+    """Outbound state for every message addressed to one receiver.
 
-    A single writer task drains the queue, so frames keep FIFO order per
-    link — the live counterpart of the reliable ordered channel the
-    simulated network provides.
+    A single writer task drains ``pending`` in order, so each ordered pair's
+    frames keep FIFO order — the live counterpart of the reliable ordered
+    channel the simulated network provides.
     """
 
-    sender: ProcessId
     receiver: ProcessId
-    queue: asyncio.Queue = field(default_factory=asyncio.Queue)
+    pending: list[Envelope] = field(default_factory=list)
+    wakeup: asyncio.Event = field(default_factory=asyncio.Event)
     task: asyncio.Task | None = None
     writer: asyncio.StreamWriter | None = None
     ever_connected: bool = False
@@ -155,7 +156,8 @@ class AsyncioRuntime(Runtime):
         self._gate = SendGate(self.trace)
         self._ports: dict[ProcessId, int] = {}
         self._servers: list[asyncio.Server] = []
-        self._links: dict[tuple[ProcessId, ProcessId], _Link] = {}
+        self._links: dict[ProcessId, _Link] = {}
+        self._memo = EncodeMemo()
         self._delayed: set[asyncio.TimerHandle] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0: float = 0.0
@@ -182,6 +184,8 @@ class AsyncioRuntime(Runtime):
 
     def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> _LiveTimer:
         del label  # labels are a debugging aid; call_later has no use for them
+        if not delay >= 0.0:  # also catches NaN, which ``delay < 0`` lets through
+            raise invalid_delay(delay)
         loop = self._require_loop()
         timer: _LiveTimer
 
@@ -191,7 +195,7 @@ class AsyncioRuntime(Runtime):
             self.stats.timer_fires += 1
             self._guarded(callback)
 
-        timer = _LiveTimer(loop.call_later(max(delay, 0.0) * self.time_scale, fire))
+        timer = _LiveTimer(loop.call_later(delay * self.time_scale, fire))
         return timer
 
     def send(self, sender: ProcessId, receiver: ProcessId, payload: Any) -> None:
@@ -259,7 +263,7 @@ class AsyncioRuntime(Runtime):
         link_tasks = []
         for link in self._links.values():
             if link.task is not None:
-                link.queue.put_nowait(_CLOSE)
+                link.wakeup.set()
                 link_tasks.append(link.task)
         if link_tasks:
             results = await asyncio.gather(*link_tasks, return_exceptions=True)
@@ -284,7 +288,11 @@ class AsyncioRuntime(Runtime):
         )
         if self._loop is not None:
             self.stats.wall_seconds = self._loop.time() - self._t0
-        decided_at = [time for _value, time in self.trace.decisions.values()]
+        decided_at = [
+            time
+            for process, (_value, time) in self.trace.decisions.items()
+            if process not in self.faulty
+        ]
         if decided_at:
             self.stats.decide_wall_seconds = max(decided_at) * self.time_scale
 
@@ -325,49 +333,58 @@ class AsyncioRuntime(Runtime):
         self._delayed.add(handle)
 
     def _enqueue(self, envelope: Envelope) -> None:
-        loop = self._require_loop()
-        key = (envelope.sender, envelope.receiver)
-        link = self._links.get(key)
+        link = self._links.get(envelope.receiver)
         if link is None:
-            link = _Link(sender=envelope.sender, receiver=envelope.receiver)
-            link.task = loop.create_task(self._run_link(link))
-            self._links[key] = link
+            link = _Link(receiver=envelope.receiver)
+            link.task = self._require_loop().create_task(self._run_link(link))
+            self._links[envelope.receiver] = link
         self.stats.messages_sent += 1
-        link.queue.put_nowait(envelope)
+        link.pending.append(envelope)
+        link.wakeup.set()
 
     async def _run_link(self, link: _Link) -> None:
-        """Writer task: drain the link queue into its TCP connection."""
+        """Writer task: on each wakeup, write everything queued on the link."""
         while True:
-            item = await link.queue.get()
-            if item is _CLOSE:
+            await link.wakeup.wait()
+            link.wakeup.clear()
+            batch, link.pending = link.pending, []
+            if batch:
+                await self._write_batch(link, batch)
+            if self._closed:
                 return
-            envelope: Envelope = item
-            frame = encode_frame(envelope.sender, envelope.sent_at, envelope.payload)
-            delivered = False
-            for _attempt in range(_CONNECT_ATTEMPTS):
-                try:
-                    if link.writer is None:
-                        _reader, writer = await asyncio.open_connection(
-                            self.host, self._ports[link.receiver]
-                        )
-                        link.writer = writer
-                        self.stats.connections += 1
-                        if link.ever_connected:
-                            self.stats.reconnects += 1
-                        link.ever_connected = True
-                    await write_frame_async(link.writer, frame)
-                    delivered = True
+
+    async def _write_batch(self, link: _Link, batch: list[Envelope]) -> None:
+        """Encode each frame once, then (re)connect and write until one drain succeeds."""
+        data = b"".join(
+            [
+                pack_frame(encode_frame(envelope.sender, envelope.sent_at, envelope.payload, self._memo))
+                for envelope in batch
+            ]
+        )
+        for _attempt in range(_CONNECT_ATTEMPTS):
+            try:
+                if link.writer is None:
+                    _reader, writer = await asyncio.open_connection(
+                        self.host, self._ports[link.receiver]
+                    )
+                    link.writer = writer
+                    self.stats.connections += 1
+                    if link.ever_connected:
+                        self.stats.reconnects += 1
+                    link.ever_connected = True
+                link.writer.write(data)
+                await link.writer.drain()
+                return
+            except (ConnectionError, OSError):
+                if link.writer is not None:
+                    link.writer.close()
+                    link.writer = None
+                if self._closed:
                     break
-                except (ConnectionError, OSError):
-                    if link.writer is not None:
-                        link.writer.close()
-                        link.writer = None
-                    if self._closed:
-                        break
-                    await asyncio.sleep(_RECONNECT_DELAY)
-            if not delivered:
-                self.stats.messages_lost += 1
-                self.trace.on_drop(envelope, "live link failed", self.now)
+                await asyncio.sleep(_RECONNECT_DELAY)
+        for envelope in batch:
+            self.stats.messages_lost += 1
+            self.trace.on_drop(envelope, "live link failed", self.now)
 
     async def _serve_connection(
         self,

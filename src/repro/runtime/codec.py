@@ -11,15 +11,29 @@ signatures would verify while quorum matching quietly breaks.
 The encoding is a small tagged tree: scalars pass through as themselves,
 containers and registered dataclasses become ``{"t": tag, ...}`` objects.
 Every JSON object the encoder emits is such a wrapper, so plain-scalar
-payload values are never ambiguous.  Set-like containers are serialised in
-a deterministic order (sorted by their members' encoded JSON), keeping
-frames reproducible byte-for-byte across processes and runs.
+payload values are never ambiguous.
+
+:func:`encode_frame` writes a frame's JSON body in one pass, straight to
+text: scalars are spelled by the :mod:`json` module's own encoders (string
+escaping, ``NaN``/``Infinity``), and set-like members and dict keys are
+ordered by their own JSON text, so frames are reproducible byte-for-byte
+across processes and runs.  A run's :class:`EncodeMemo` keeps the text of
+every deeply immutable value it has encoded — registered frozen
+dataclasses, tuples and frozensets whose members are scalars or are
+themselves immutable — keyed by identity, so a payload object sent to many
+receivers, or nested in many snapshots, is encoded once.  Lists, sets,
+dicts and non-frozen dataclasses can change between two sends, so neither
+they nor anything holding them is memoised.  :func:`decode_frame` takes the
+JSON object back apart.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Callable
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any
 
 from repro.core.messages import DecidedValue, GetDecidedValue, GetPds, PdRecord, SetPds
@@ -45,6 +59,13 @@ _CONTAINER_TAGS = frozenset({"tuple", "list", "set", "fset", "dict", "bytes"})
 
 _REGISTRY: dict[str, type] = {}
 
+#: Per registered class: the text that opens its JSON object, each field's
+#: name with its key text, and whether its instances are frozen.
+_LAYOUTS: dict[type, tuple[str, tuple[tuple[str, str], ...], bool]] = {}
+
+#: Entries an :class:`EncodeMemo` holds before it evicts its oldest.
+_MEMO_ENTRIES = 4096
+
 
 def register_payload_type(cls: type) -> type:
     """Register a dataclass so it can cross the live transport by name."""
@@ -57,6 +78,14 @@ def register_payload_type(cls: type) -> type:
     if existing is not None and existing is not cls:
         raise PayloadCodecError(f"payload tag {tag!r} already registered for {existing!r}")
     _REGISTRY[tag] = cls
+    _LAYOUTS[cls] = (
+        '{"t":' + encode_basestring_ascii(tag) + ',"f":{',
+        tuple(
+            (field.name, encode_basestring_ascii(field.name) + ":")
+            for field in dataclasses.fields(cls)
+        ),
+        cls.__dataclass_params__.frozen,  # type: ignore[attr-defined]
+    )
     return cls
 
 
@@ -83,41 +112,105 @@ for _cls in (
 del _cls
 
 
-def _sort_key(encoded: Any) -> str:
-    return json.dumps(encoded, separators=(",", ":"), sort_keys=True)
+class EncodeMemo:
+    """Identity memo of the JSON text of deeply immutable payload values.
+
+    Follows :class:`repro.crypto.signatures.CanonicalMemo`: entries are keyed
+    by ``id(value)`` and hold a strong reference to the value, so its id
+    cannot be reused by another object while the entry lives; eviction is
+    FIFO once :data:`_MEMO_ENTRIES` are held; and each run owns its memo (one
+    per :class:`~repro.runtime.asyncio_runtime.AsyncioRuntime`).
+    """
+
+    __slots__ = ("_entries", "_mutable")
+
+    def __init__(self) -> None:
+        self._entries: dict[int, tuple[Any, str]] = {}
+        #: Mutable containers met so far: a value whose encoding leaves the
+        #: count unchanged holds none, so its text can be memoised.
+        self._mutable = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
-def encode_value(value: Any) -> Any:
-    """Encode ``value`` into the tagged JSON-safe tree."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
+def _bool_text(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _null_text(value: None) -> str:
+    return "null"
+
+
+#: Exact scalar types and their JSON spelling, as the ``json`` module writes
+#: them (it spells ints with ``int.__repr__`` too).
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: json.dumps,
+    bool: _bool_text,
+    type(None): _null_text,
+}
+
+_first = itemgetter(0)
+
+
+def _text(value: Any, memo: EncodeMemo) -> str:
+    """The JSON text of ``value``: exact scalars, then the memo, then the rest."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    hit = memo._entries.get(id(value))
+    if hit is not None and hit[0] is value:
+        return hit[1]
+    if isinstance(value, (bool, int, float, str)):
+        return json.dumps(value)  # a scalar subclass: spelled as its base type
     if isinstance(value, bytes):
-        return {"t": "bytes", "v": value.hex()}
+        return '{"t":"bytes","v":"' + value.hex() + '"}'
+    mutable = memo._mutable
     if isinstance(value, tuple):
-        return {"t": "tuple", "v": [encode_value(item) for item in value]}
-    if isinstance(value, list):
-        return {"t": "list", "v": [encode_value(item) for item in value]}
-    if isinstance(value, (frozenset, set)):
-        tag = "fset" if isinstance(value, frozenset) else "set"
-        return {"t": tag, "v": sorted((encode_value(item) for item in value), key=_sort_key)}
-    if isinstance(value, dict):
-        items = [[encode_value(key), encode_value(item)] for key, item in value.items()]
-        items.sort(key=lambda pair: _sort_key(pair[0]))
-        return {"t": "dict", "v": items}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        tag = type(value).__name__
-        if _REGISTRY.get(tag) is not type(value):
-            raise PayloadCodecError(f"unregistered payload dataclass {type(value)!r}")
-        fields = {
-            field.name: encode_value(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-        }
-        return {"t": tag, "f": fields}
-    raise PayloadCodecError(f"cannot encode {type(value).__name__} payloads: {value!r}")
+        text = '{"t":"tuple","v":[' + ",".join([_text(item, memo) for item in value]) + "]}"
+    elif isinstance(value, list):
+        memo._mutable += 1
+        text = '{"t":"list","v":[' + ",".join([_text(item, memo) for item in value]) + "]}"
+    elif isinstance(value, (frozenset, set)):
+        if isinstance(value, frozenset):
+            tag = "fset"
+        else:
+            tag = "set"
+            memo._mutable += 1
+        members = sorted([_text(item, memo) for item in value])
+        text = '{"t":"' + tag + '","v":[' + ",".join(members) + "]}"
+    elif isinstance(value, dict):
+        memo._mutable += 1
+        pairs = sorted(
+            [(_text(key, memo), _text(item, memo)) for key, item in value.items()], key=_first
+        )
+        text = '{"t":"dict","v":[' + ",".join(["[" + k + "," + v + "]" for k, v in pairs]) + "]}"
+    else:
+        layout = _LAYOUTS.get(type(value))
+        if layout is None:
+            if dataclasses.is_dataclass(value) and not isinstance(value, type):
+                raise PayloadCodecError(f"unregistered payload dataclass {type(value)!r}")
+            raise PayloadCodecError(f"cannot encode {type(value).__name__} payloads: {value!r}")
+        opening, fields, frozen = layout
+        if not frozen:
+            memo._mutable += 1
+        text = (
+            opening
+            + ",".join([key + _text(getattr(value, name), memo) for name, key in fields])
+            + "}}"
+        )
+    if memo._mutable == mutable:
+        entries = memo._entries
+        if len(entries) >= _MEMO_ENTRIES:
+            del entries[next(iter(entries))]
+        entries[id(value)] = (value, text)
+    return text
 
 
 def decode_value(node: Any) -> Any:
-    """Decode a tree produced by :func:`encode_value`."""
+    """Decode one node of the tagged tree :func:`encode_frame` writes."""
     if node is None or isinstance(node, (bool, int, float, str)):
         return node
     if not isinstance(node, dict):
@@ -144,9 +237,18 @@ def decode_value(node: Any) -> Any:
     return cls(**{name: decode_value(item) for name, item in fields.items()})
 
 
-def encode_frame(sender: Any, sent_at: float, payload: Any) -> dict[str, Any]:
-    """Build the wire frame for one protocol message."""
-    return {"s": encode_value(sender), "at": sent_at, "p": encode_value(payload)}
+def encode_frame(sender: Any, sent_at: float, payload: Any, memo: EncodeMemo) -> bytes:
+    """The JSON body of the wire frame for one protocol message."""
+    text = (
+        '{"s":'
+        + _text(sender, memo)
+        + ',"at":'
+        + _text(sent_at, memo)
+        + ',"p":'
+        + _text(payload, memo)
+        + "}"
+    )
+    return text.encode()
 
 
 def decode_frame(frame: dict[str, Any]) -> tuple[Any, float, Any]:
@@ -162,7 +264,7 @@ def decode_frame(frame: dict[str, Any]) -> tuple[Any, float, Any]:
 __all__ = [
     "PayloadCodecError",
     "register_payload_type",
-    "encode_value",
+    "EncodeMemo",
     "decode_value",
     "encode_frame",
     "decode_frame",

@@ -135,7 +135,7 @@ class TestCompression:
     def test_async_reader_inflates_compressed_frames(self):
         import asyncio
 
-        from repro.experiments.backends.transport import read_frame_async, write_frame_async
+        from repro.experiments.backends.transport import pack_frame, read_frame_async
 
         async def round_trip():
             server_side: dict = {}
@@ -143,14 +143,16 @@ class TestCompression:
 
             async def handle(reader, writer):
                 server_side["frame"] = await read_frame_async(reader)
-                await write_frame_async(writer, {"ack": True}, compress_min=1)
+                writer.write(pack_frame(b'{"ack":true}', compress_min=1))
+                await writer.drain()
                 writer.close()
                 done.set()
 
             server = await asyncio.start_server(handle, "127.0.0.1", 0)
             host, port = server.sockets[0].getsockname()[:2]
             reader, writer = await asyncio.open_connection(host, port)
-            await write_frame_async(writer, {"blob": "z" * 9000}, compress_min=64)
+            writer.write(_frame_bytes({"blob": "z" * 9000}, 64))
+            await writer.drain()
             ack = await read_frame_async(reader)
             await done.wait()
             writer.close()

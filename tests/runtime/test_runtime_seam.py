@@ -295,6 +295,23 @@ class TestSendGateParity:
         assert "non-negative" in str(failure.value.__cause__)
 
 
+class TestTimerDelays:
+    """``Runtime.schedule`` rejects a delay that is negative or NaN on both runtimes."""
+
+    @pytest.mark.parametrize("runtime_name", sorted(_GATE_RUNTIMES))
+    @pytest.mark.parametrize("bad_delay", [-1.0, float("nan")])
+    def test_schedule_rejects_negative_or_nan_delay(self, runtime_name, bad_delay):
+        runtime = _GATE_RUNTIMES[runtime_name]()
+        Inbox(1, runtime)
+        fired = []
+        with pytest.raises(ValueError, match="non-negative"):
+            runtime.run(
+                lambda: runtime.schedule(bad_delay, lambda: fired.append(True)),
+                until=lambda: False,
+            )
+        assert fired == []
+
+
 class TestProcessConstruction:
     def test_consensus_node_runtime_construction(self):
         from repro.core.config import ProtocolConfig
