@@ -6,7 +6,7 @@
 * :mod:`repro.core.locators` -- the Sink algorithm (Algorithm 2, known
   fault threshold) and the Core algorithm (Algorithm 4, unknown fault
   threshold) as incremental locators over the discovery state.
-* :mod:`repro.core.config` -- protocol configuration (mode, periods,
+* :mod:`repro.core.config` -- protocol configuration (mode, fault threshold,
   predicate options, quorum rule).
 * :mod:`repro.core.node` -- the consensus node tying everything together
   (Algorithm 3 with either the Sink or the Core locator, plus the inner

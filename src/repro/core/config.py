@@ -8,6 +8,11 @@ Two protocol modes are provided, matching the two models of the paper:
 * ``BFT_CUPFT`` -- the BFT-CUPFT protocol of Section VI: no process knows
   ``f``; processes locate the *core* (Algorithm 4) instead and derive the
   fault-threshold estimate ``f_Gdi`` from it.
+
+Besides the mode and the threshold, a run chooses only the predicate-search
+options and the inner consensus's quorum rule.  The discovery and query
+periods are constants of :mod:`repro.core.node`; the view timing of the
+inner consensus is a constant of :mod:`repro.pbft.replica`.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.graphs.sink_search import SearchOptions
-from repro.pbft.replica import PbftConfig
 
 
 class ProtocolMode(enum.Enum):
@@ -43,21 +47,12 @@ class ProtocolConfig:
     #: ``BFT_CUP``; must be ``None`` for ``BFT_CUPFT`` (that is the point of
     #: the model).
     fault_threshold: int | None = None
-    #: Period of the Discovery algorithm's ``GETPDS`` round (Algorithm 1, line 2).
-    discovery_period: float = 5.0
-    #: Period at which non-members re-request the decided value (Algorithm 3, line 6).
-    query_period: float = 10.0
     #: Options forwarded to the sink/core predicate searches.
     search: SearchOptions = field(default_factory=SearchOptions)
-    #: Inner-consensus tuning.
-    pbft: PbftConfig = field(default_factory=PbftConfig)
+    #: Quorum rule of the inner consensus; its value (``"paper"`` or
+    #: ``"classic"``) is accepted too and coerced here, so a bad rule fails
+    #: when the config is built rather than when a member starts consensus.
     quorum_rule: QuorumRule = QuorumRule.PAPER
-    #: Fold prepare quorums into one aggregate tag (see
-    #: :mod:`repro.crypto.aggregate`).  Opt-in: committed trajectories carry
-    #: full vote sets, so the default must stay ``False``.
-    aggregate_quorum_certs: bool = False
-    #: Stop issuing GETPDS requests once the sink/core has been identified.
-    stop_discovery_after_identification: bool = True
 
     def __post_init__(self) -> None:
         if self.mode is ProtocolMode.BFT_CUP and self.fault_threshold is None:
@@ -69,8 +64,11 @@ class ProtocolConfig:
             )
         if self.fault_threshold is not None and self.fault_threshold < 0:
             raise ValueError("the fault threshold must be non-negative")
-        self.pbft.quorum_rule = self.quorum_rule.value
-        self.pbft.aggregate_certificates = self.aggregate_quorum_certs
+        try:
+            self.quorum_rule = QuorumRule(self.quorum_rule)
+        except ValueError:
+            allowed = ", ".join(repr(rule.value) for rule in QuorumRule)
+            raise ValueError(f"unknown quorum rule {self.quorum_rule!r}; allowed: {allowed}") from None
 
     @classmethod
     def bft_cup(cls, fault_threshold: int, **kwargs: Any) -> "ProtocolConfig":

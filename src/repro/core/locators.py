@@ -61,13 +61,9 @@ class SinkLocator:
     options: SearchOptions = field(default_factory=SearchOptions)
     _last_analysis_version: int = field(init=False, default=-1)
     _witness: SinkWitness | None = field(init=False, default=None)
-    #: Searches actually executed (memo misses).
-    attempts: int = field(init=False, default=0)
-    #: Searches answered by the process-local memo.
-    memo_hits: int = field(init=False, default=0)
-    #: Search consults (``attempts + memo_hits``): deterministic per run,
-    #: unlike the attempts/hits split which depends on what the worker
-    #: process computed earlier.
+    #: Searches consulted (memo hits and misses alike): deterministic per
+    #: run, unlike the hit/miss split, which depends on what the process
+    #: computed earlier.
     searches: int = field(init=False, default=0)
     #: Locate calls short-circuited without consulting the memo (unchanged
     #: analysis version, too few received PDs, or a pinned witness).
@@ -94,16 +90,11 @@ class SinkLocator:
         key = ("sink", self.fault_threshold, self.options, discovery.view_key())
         memo = sink_search_memo()
         cached = memo.lookup(key)
-        if cached is not SinkSearchMemo._MISS:
-            self.memo_hits += 1
-            self._witness = cached
-            return self._witness
-        self.attempts += 1
-        self._witness = find_sink_with_fault_threshold(
-            discovery.view(), self.fault_threshold, self.options
-        )
-        memo.store(key, self._witness)
-        return self._witness
+        if cached is SinkSearchMemo._MISS:
+            cached = find_sink_with_fault_threshold(discovery.view(), self.fault_threshold, self.options)
+            memo.store(key, cached)
+        self._witness = cached
+        return cached
 
     @property
     def result(self) -> SinkWitness | None:
@@ -125,8 +116,6 @@ class CoreLocator:
     options: SearchOptions = field(default_factory=SearchOptions)
     _last_analysis_version: int = field(init=False, default=-1)
     _core: CoreWitness | None = field(init=False, default=None)
-    attempts: int = field(init=False, default=0)
-    memo_hits: int = field(init=False, default=0)
     searches: int = field(init=False, default=0)
     skips: int = field(init=False, default=0)
 
@@ -143,14 +132,11 @@ class CoreLocator:
         key = ("core", self.options, discovery.view_key())
         memo = sink_search_memo()
         cached = memo.lookup(key)
-        if cached is not SinkSearchMemo._MISS:
-            self.memo_hits += 1
-            self._core = cached
-            return self._core
-        self.attempts += 1
-        self._core = find_core_candidate(discovery.view(), self.options)
-        memo.store(key, self._core)
-        return self._core
+        if cached is SinkSearchMemo._MISS:
+            cached = find_core_candidate(discovery.view(), self.options)
+            memo.store(key, cached)
+        self._core = cached
+        return cached
 
     @property
     def result(self) -> CoreWitness | None:

@@ -9,7 +9,8 @@ cycle follows Algorithm 3:
 2. Once the sink/core ``S`` is identified, a member of ``S`` runs the inner
    PBFT-style consensus with the other members; a non-member periodically
    asks the members for the decided value and decides once
-   ``⌈(|S| + 1) / 2⌉`` members returned the same value.
+   ``⌈(|S| + 1) / 2⌉`` members returned the same value.  Discovery stops
+   once ``S`` is identified.
 3. The decided value is stored in ``val`` and served to any process that
    asks (``GETDECIDEDVAL`` / ``DECIDEDVAL``).
 
@@ -38,6 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.base import Runtime
 
 _PBFT_MESSAGE_TYPES = (PrePrepare, Prepare, Commit, ViewChange, NewView)
+
+#: Period of the Discovery algorithm's ``GETPDS`` round (Algorithm 1, line 2).
+DISCOVERY_PERIOD = 5.0
+#: Period at which non-members re-request the decided value (Algorithm 3, line 6).
+QUERY_PERIOD = 10.0
 
 
 class ConsensusNode(Process):
@@ -148,9 +154,7 @@ class ConsensusNode(Process):
             return
         self._discovery_active = True
         self._discovery_round()
-        self._discovery_timer = self.every(
-            self.config.discovery_period, self._discovery_round, label="discovery"
-        )
+        self._discovery_timer = self.every(DISCOVERY_PERIOD, self._discovery_round, label="discovery")
 
     def _discovery_round(self) -> None:
         """Line 2 of Algorithm 1: ask every known process for its PDs."""
@@ -188,8 +192,7 @@ class ConsensusNode(Process):
         self.identified_at = self.now
         self.estimated_fault_threshold = self.locator.estimated_fault_threshold()
         self.trace.on_sink_identified(self.process_id, members, self.now)
-        if self.config.stop_discovery_after_identification:
-            self._stop_discovery()
+        self._stop_discovery()
         self._after_identification()
 
     def _stop_discovery(self) -> None:
@@ -207,9 +210,7 @@ class ConsensusNode(Process):
             self._start_inner_consensus()
         else:
             self._query_round()
-            self._query_timer = self.every(
-                self.config.query_period, self._query_round, label="query decided value"
-            )
+            self._query_timer = self.every(QUERY_PERIOD, self._query_round, label="query decided value")
 
     # ------------------------------------------------------------------
     # Inner consensus (members)
@@ -231,7 +232,7 @@ class ConsensusNode(Process):
             send=self._send_pbft,
             schedule=lambda delay, callback: self.after(delay, callback),
             on_decide=self._on_inner_decision,
-            config=self.config.pbft,
+            quorum_rule=self.config.quorum_rule.value,
         )
         self.replica.start()
         # Replay PBFT messages that arrived before the sink was identified.

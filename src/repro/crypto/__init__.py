@@ -9,11 +9,6 @@ handed only to the owning process, and verification recomputes the tag from
 the registry's copy of the secret.
 """
 
-from repro.crypto.aggregate import (
-    AggregateTag,
-    aggregate_signatures,
-    verify_aggregate,
-)
 from repro.crypto.signatures import (
     CanonicalMemo,
     KeyRegistry,
@@ -23,12 +18,9 @@ from repro.crypto.signatures import (
 )
 
 __all__ = [
-    "AggregateTag",
     "CanonicalMemo",
     "KeyRegistry",
     "SigningKey",
     "SignedMessage",
     "SignatureError",
-    "aggregate_signatures",
-    "verify_aggregate",
 ]

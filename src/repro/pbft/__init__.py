@@ -10,7 +10,7 @@ least ``⌈(|Vsink| + f + 1) / 2⌉`` sink processes.
 
 from repro.pbft.messages import Commit, NewView, PrePrepare, Prepare, PreparedCertificate, ViewChange
 from repro.pbft.quorum import classic_quorum, paper_quorum
-from repro.pbft.replica import PbftConfig, SingleShotPbft
+from repro.pbft.replica import SingleShotPbft
 
 __all__ = [
     "PrePrepare",
@@ -21,6 +21,5 @@ __all__ = [
     "PreparedCertificate",
     "paper_quorum",
     "classic_quorum",
-    "PbftConfig",
     "SingleShotPbft",
 ]

@@ -4,7 +4,8 @@ All messages carry the *group key* -- the (frozen) membership of the
 sink/core plus the fault-threshold estimate -- so that instances started by
 different (possibly Byzantine-confused) processes cannot interfere with each
 other.  Pre-prepares and prepares are signed, which lets view-change
-messages carry verifiable prepared certificates.
+messages carry verifiable prepared certificates: a certificate is the set of
+signed prepare votes itself, checked vote by vote.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.crypto.aggregate import AggregateTag
 from repro.crypto.signatures import SignedMessage
 from repro.graphs.knowledge_graph import ProcessId
 
@@ -71,18 +71,12 @@ class Commit:
 
 @dataclass(frozen=True, slots=True)
 class PreparedCertificate:
-    """Proof that a value gathered a prepare quorum in some view.
-
-    Carries either the full set of signed prepare votes (``prepares``) or,
-    when the run opts into aggregation, a single :class:`AggregateTag` over
-    the common prepare payload (``aggregate``, with ``prepares`` empty).
-    """
+    """Proof that a value gathered a prepare quorum in some view: the quorum's signed prepare votes."""
 
     group: GroupKey
     view: int
     value: Any
     prepares: frozenset[SignedMessage]
-    aggregate: AggregateTag | None = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,6 +20,9 @@ correct replica) plus the lock rule: a replica that has seen a prepare
 quorum for a value only ever prepares that value again, unless shown a
 ``NewView`` justified by a quorum of view changes whose certificates carry a
 higher view.  Proposal values must be hashable.
+
+The quorum rule is the one choice a run makes (``"paper"`` or ``"classic"``,
+see :mod:`repro.pbft.quorum`); the view timing is fixed below.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.crypto.aggregate import aggregate_signatures, verify_aggregate
 from repro.crypto.signatures import KeyRegistry, SignedMessage, SigningKey
 from repro.graphs.knowledge_graph import ProcessId
 from repro.pbft.messages import (
@@ -51,27 +53,17 @@ ScheduleFn = Callable[[float, Callable[[], None]], Any]
 DecideFn = Callable[[Any], None]
 
 
-@dataclass
-class PbftConfig:
-    """Tuning of the inner consensus."""
+#: Timeout of view 0; view ``v`` waits ``VIEW_TIMEOUT * VIEW_TIMEOUT_GROWTH ** v``.
+VIEW_TIMEOUT = 20.0
+VIEW_TIMEOUT_GROWTH = 1.5
+#: A replica stops starting view changes at this view.
+MAX_VIEWS = 64
 
-    base_timeout: float = 20.0
-    timeout_growth: float = 1.5
-    quorum_rule: str = "paper"  # "paper" or "classic"
-    max_views: int = 64
-    #: Fold prepare quorums into one :class:`~repro.crypto.aggregate.AggregateTag`
-    #: instead of carrying 2f+1 signed votes.  Off by default so committed
-    #: trajectories stay byte-identical; opt in per scenario via
-    #: ``protocol_options={"aggregate_quorum_certs": True}``.
-    aggregate_certificates: bool = False
-
-    def quorum(self, group_size: int, fault_threshold: int) -> int:
-        if self.quorum_rule == "classic":
-            return classic_quorum(group_size, fault_threshold)
-        return paper_quorum(group_size, fault_threshold)
-
-    def timeout_for_view(self, view: int) -> float:
-        return self.base_timeout * (self.timeout_growth ** view)
+#: Quorum size per rule name, as a function of (group size, fault threshold).
+_QUORUM_RULES: dict[str, Callable[[int, int], int]] = {
+    "paper": paper_quorum,
+    "classic": classic_quorum,
+}
 
 
 def _prepare_payload(group: GroupKey, view: int, value: Any) -> tuple:
@@ -101,7 +93,9 @@ class SingleShotPbft:
     send: SendFn
     schedule: ScheduleFn
     on_decide: DecideFn
-    config: PbftConfig = field(default_factory=PbftConfig)
+    #: ``"paper"`` or ``"classic"`` (the value of a
+    #: :class:`repro.core.config.QuorumRule`).
+    quorum_rule: str = "paper"
 
     view: int = field(init=False, default=0)
     decided: bool = field(init=False, default=False)
@@ -125,7 +119,7 @@ class SingleShotPbft:
         self._members = sorted(self.group.members, key=repr)
         if self.process_id not in self.group.members:
             raise ValueError("a replica must be a member of its group")
-        self._quorum = self.config.quorum(len(self._members), self.fault_threshold)
+        self._quorum = _QUORUM_RULES[self.quorum_rule](len(self._members), self.fault_threshold)
 
     # ------------------------------------------------------------------
     # helpers
@@ -157,7 +151,7 @@ class SingleShotPbft:
         self._arm_view_timer(0)
 
     def _arm_view_timer(self, view: int) -> None:
-        timeout = self.config.timeout_for_view(view)
+        timeout = VIEW_TIMEOUT * (VIEW_TIMEOUT_GROWTH ** view)
         # A view can legitimately be armed twice (once when the previous
         # view times out, once on entering it through a quorum of view
         # changes), so handles are tracked as a list — every one must be
@@ -258,18 +252,9 @@ class SingleShotPbft:
             self._on_prepared(message.view, message.value, slot)
 
     def _on_prepared(self, view: int, value: Any, votes: dict[ProcessId, SignedMessage]) -> None:
-        if self.config.aggregate_certificates:
-            certificate = PreparedCertificate(
-                group=self.group,
-                view=view,
-                value=value,
-                prepares=frozenset(),
-                aggregate=aggregate_signatures(votes.values()),
-            )
-        else:
-            certificate = PreparedCertificate(
-                group=self.group, view=view, value=value, prepares=frozenset(votes.values())
-            )
+        certificate = PreparedCertificate(
+            group=self.group, view=view, value=value, prepares=frozenset(votes.values())
+        )
         if self.locked is None or view >= self.locked.view:
             self.locked = certificate
         if view not in self._commit_sent:
@@ -302,7 +287,7 @@ class SingleShotPbft:
     def _on_view_timeout(self, view: int) -> None:
         if self.decided or self.view > view:
             return
-        if view + 1 >= self.config.max_views:
+        if view + 1 >= MAX_VIEWS:
             return
         self._send_view_change(view + 1)
         self._arm_view_timer(view + 1)
@@ -322,19 +307,9 @@ class SingleShotPbft:
             return True
         if certificate.group != self.group:
             return False
-        expected = _prepare_payload(self.group, certificate.view, certificate.value)
-        if certificate.aggregate is not None:
-            # Aggregated form: one tag over the common prepare payload.  The
-            # signer set is the voter set, so the quorum/membership checks
-            # move onto it; distinctness is structural (it is a set).
-            signers = certificate.aggregate.signers
-            if len(signers) < self._quorum:
-                return False
-            if not signers <= self.group.members:
-                return False
-            return verify_aggregate(self.registry, expected, certificate.aggregate)
         if len(certificate.prepares) < self._quorum:
             return False
+        expected = _prepare_payload(self.group, certificate.view, certificate.value)
         voters: set[ProcessId] = set()
         prepares: list[SignedMessage] = []
         for signed in certificate.prepares:

@@ -37,7 +37,6 @@ from operator import itemgetter
 from typing import Any
 
 from repro.core.messages import DecidedValue, GetDecidedValue, GetPds, PdRecord, SetPds
-from repro.crypto.aggregate import AggregateTag
 from repro.crypto.signatures import SignedMessage
 from repro.pbft.messages import (
     Commit,
@@ -98,7 +97,6 @@ for _cls in (
     DecidedValue,
     # Signatures.
     SignedMessage,
-    AggregateTag,
     # Inner PBFT consensus.
     GroupKey,
     PrePrepare,

@@ -153,10 +153,39 @@ def _inside_core_for(
     return None
 
 
-def _protocol_for(mode: ProtocolMode, fault_threshold: int, **protocol_kwargs) -> ProtocolConfig:
+def _run_config(
+    scenario: "FigureScenario | GeneratedScenario",
+    mode: ProtocolMode,
+    behaviour: "str | AdversaryMix",
+    proposals: dict[ProcessId, Any] | None,
+    synchrony: SynchronyModel | None,
+    schedule: NetworkSchedule | None,
+    seed: int,
+    horizon: float,
+    **protocol_kwargs: Any,
+) -> RunConfig:
+    """The one body behind every builder: faults, protocol and run parameters."""
+    faulty = fault_assignment(
+        behaviour,
+        scenario.faulty,
+        scenario.graph.processes,
+        seed=seed,
+        inside_core=_inside_core_for(behaviour, scenario),
+    )
     if mode is ProtocolMode.BFT_CUP:
-        return ProtocolConfig.bft_cup(fault_threshold, **protocol_kwargs)
-    return ProtocolConfig.bft_cupft(**protocol_kwargs)
+        protocol = ProtocolConfig.bft_cup(scenario.fault_threshold, **protocol_kwargs)
+    else:
+        protocol = ProtocolConfig.bft_cupft(**protocol_kwargs)
+    return RunConfig(
+        graph=scenario.graph,
+        protocol=protocol,
+        faulty=faulty,
+        proposals=proposals or {},
+        synchrony=synchrony if synchrony is not None else PartialSynchronyModel(),
+        schedule=schedule,
+        seed=seed,
+        horizon=horizon,
+    )
 
 
 def figure_run_config(
@@ -172,23 +201,8 @@ def figure_run_config(
     **protocol_kwargs,
 ) -> RunConfig:
     """Build a run configuration for a reconstructed paper figure."""
-    faulty = fault_assignment(
-        behaviour,
-        scenario.faulty,
-        scenario.graph.processes,
-        seed=seed,
-        inside_core=_inside_core_for(behaviour, scenario),
-    )
-    protocol = _protocol_for(mode, scenario.fault_threshold, **protocol_kwargs)
-    return RunConfig(
-        graph=scenario.graph,
-        protocol=protocol,
-        faulty=faulty,
-        proposals=proposals or {},
-        synchrony=synchrony if synchrony is not None else PartialSynchronyModel(),
-        schedule=schedule,
-        seed=seed,
-        horizon=horizon,
+    return _run_config(
+        scenario, mode, behaviour, proposals, synchrony, schedule, seed, horizon, **protocol_kwargs
     )
 
 
@@ -200,28 +214,16 @@ def scenario_run_config(scenario: "Scenario") -> RunConfig:
     shipped across process boundaries — so the suite runner can execute the
     same scenario identically in-process or on a worker.
     """
-    built = scenario.graph.build()
-    adversary: "str | AdversaryMix" = (
-        scenario.mix if scenario.mix is not None else scenario.behaviour
-    )
-    faulty = fault_assignment(
-        adversary,
-        built.faulty,
-        built.graph.processes,
-        seed=scenario.seed,
-        inside_core=_inside_core_for(adversary, built),
-    )
-    protocol = _protocol_for(
-        scenario.mode, built.fault_threshold, **dict(scenario.protocol_options)
-    )
-    return RunConfig(
-        graph=built.graph,
-        protocol=protocol,
-        faulty=faulty,
-        synchrony=scenario.synchrony.build(),
-        schedule=scenario.schedule,
-        seed=scenario.seed,
-        horizon=scenario.horizon,
+    return _run_config(
+        scenario.graph.build(),
+        scenario.mode,
+        scenario.mix if scenario.mix is not None else scenario.behaviour,
+        None,
+        scenario.synchrony.build(),
+        scenario.schedule,
+        scenario.seed,
+        scenario.horizon,
+        **dict(scenario.protocol_options),
     )
 
 
@@ -238,21 +240,6 @@ def generated_run_config(
     **protocol_kwargs,
 ) -> RunConfig:
     """Build a run configuration for a generated random scenario."""
-    faulty = fault_assignment(
-        behaviour,
-        scenario.faulty,
-        scenario.graph.processes,
-        seed=seed,
-        inside_core=_inside_core_for(behaviour, scenario),
-    )
-    protocol = _protocol_for(mode, scenario.fault_threshold, **protocol_kwargs)
-    return RunConfig(
-        graph=scenario.graph,
-        protocol=protocol,
-        faulty=faulty,
-        proposals=proposals or {},
-        synchrony=synchrony if synchrony is not None else PartialSynchronyModel(),
-        schedule=schedule,
-        seed=seed,
-        horizon=horizon,
+    return _run_config(
+        scenario, mode, behaviour, proposals, synchrony, schedule, seed, horizon, **protocol_kwargs
     )

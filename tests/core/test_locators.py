@@ -53,7 +53,7 @@ class TestSinkLocator:
         locator = SinkLocator(fault_threshold=1)
         locator.locate(state)
         locator.locate(state)
-        assert locator.attempts == 1  # the second call hit the version cache
+        assert locator.searches == 1  # the second call hit the version cache
         assert locator.skips == 1
 
     def test_skips_search_below_2f_plus_1_records(self):
@@ -64,7 +64,6 @@ class TestSinkLocator:
         # Two received PDs < 2f+1 = 3: no candidate S1 can satisfy P1, so
         # the locator skips without even consulting the memo.
         assert locator.locate(state) is None
-        assert locator.attempts == 0
         assert locator.searches == 0
         assert locator.skips == 1
 
@@ -109,6 +108,16 @@ class TestCoreLocator:
         assert core_a.members != core_b.members
 
 
+def memo_lookups(locate, kind):
+    """``(hits, misses)`` of ``kind`` in the process-local memo during ``locate()``."""
+    from repro.graphs.search_memo import sink_search_memo
+
+    memo = sink_search_memo()
+    hits, misses = memo.hits_by_kind[kind], memo.misses_by_kind[kind]
+    result = locate()
+    return result, (memo.hits_by_kind[kind] - hits, memo.misses_by_kind[kind] - misses)
+
+
 class TestSinkSearchMemo:
     def test_converged_views_share_one_search(self):
         from repro.graphs.search_memo import sink_search_memo
@@ -126,12 +135,11 @@ class TestSinkSearchMemo:
 
         first = SinkLocator(fault_threshold=1)
         second = SinkLocator(fault_threshold=1)
-        witness_one = first.locate(state_one)
-        witness_two = second.locate(state_two)
+        witness_one, first_lookups = memo_lookups(lambda: first.locate(state_one), "sink")
+        witness_two, second_lookups = memo_lookups(lambda: second.locate(state_two), "sink")
         assert witness_one is not None
         assert witness_two is witness_one  # the memoised object itself
-        assert first.attempts == 1 and first.memo_hits == 0
-        assert second.attempts == 0 and second.memo_hits == 1
+        assert (first_lookups, second_lookups) == ((0, 1), (1, 0))
         stats = sink_search_memo().stats()
         assert stats["hits"] >= 1
 
@@ -141,10 +149,8 @@ class TestSinkSearchMemo:
         state = discovery_for(graph, 1, registry, absorbed=[5, 6])
         first = SinkLocator(fault_threshold=1)
         second = SinkLocator(fault_threshold=1)
-        assert first.locate(state) is None
-        assert second.locate(state) is None
-        assert (first.attempts, second.attempts) == (1, 0)
-        assert second.memo_hits == 1
+        assert memo_lookups(lambda: first.locate(state), "sink") == (None, (0, 1))
+        assert memo_lookups(lambda: second.locate(state), "sink") == (None, (1, 0))
 
     def test_memo_keys_differ_per_fault_threshold_and_kind(self):
         registry = KeyRegistry(seed=0)
@@ -153,11 +159,13 @@ class TestSinkSearchMemo:
         sink = SinkLocator(fault_threshold=1)
         stricter = SinkLocator(fault_threshold=2)
         core = CoreLocator()
-        sink.locate(state)
-        stricter.locate(state)
-        core.locate(state)
-        # Three distinct searches: no cross-contamination between keys.
-        assert (sink.memo_hits, stricter.memo_hits, core.memo_hits) == (0, 0, 0)
+        # Distinct keys: no locator is answered by another's entry.
+        hits = [
+            memo_lookups(lambda: sink.locate(state), "sink")[1][0],
+            memo_lookups(lambda: stricter.locate(state), "sink")[1][0],
+            memo_lookups(lambda: core.locate(state), "core")[1][0],
+        ]
+        assert hits == [0, 0, 0]
 
     def test_eviction_keeps_the_memo_bounded(self):
         from repro.graphs.search_memo import SinkSearchMemo

@@ -166,7 +166,7 @@ class TestTimerLifecycle:
     """Regression tests for the dead-periodic-timer fix.
 
     Discovery timers used to keep firing (as no-op events) after
-    ``stop_discovery_after_identification`` triggered, and decided
+    identification stopped discovery, and decided
     non-members kept processing query ticks, so a decided run's event queue
     never drained before the horizon.
     """

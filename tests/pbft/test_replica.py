@@ -2,24 +2,16 @@
 
 import pytest
 
-from repro.crypto.aggregate import AggregateTag, aggregate_signatures
 from repro.crypto.signatures import KeyRegistry
-from repro.pbft.messages import GroupKey, PreparedCertificate, PrePrepare
-from repro.pbft.replica import (
-    PbftConfig,
-    SingleShotPbft,
-    _prepare_payload,
-    preprepare_payload,
-)
+from repro.pbft.messages import GroupKey, PrePrepare
+from repro.pbft.replica import VIEW_TIMEOUT, SingleShotPbft, preprepare_payload
 from repro.sim.engine import Simulator
 
 
 class Harness:
     """Runs a group of replicas over an in-memory instant network."""
 
-    def __init__(
-        self, members, fault_threshold, byzantine=frozenset(), quorum_rule="paper", aggregate=False
-    ):
+    def __init__(self, members, fault_threshold, byzantine=frozenset(), quorum_rule="paper"):
         self.simulator = Simulator(max_time=100_000.0)
         self.registry = KeyRegistry(seed=0)
         self.members = list(members)
@@ -40,9 +32,7 @@ class Harness:
                 send=lambda receiver, payload, sender=member: self.deliver(sender, receiver, payload),
                 schedule=lambda delay, callback: self.simulator.schedule(delay, callback),
                 on_decide=lambda value, member=member: self.decisions.setdefault(member, value),
-                config=PbftConfig(
-                    base_timeout=10.0, quorum_rule=quorum_rule, aggregate_certificates=aggregate
-                ),
+                quorum_rule=quorum_rule,
             )
         self.group = group
 
@@ -177,7 +167,7 @@ class TestTimerLifecycle:
         # fire, so virtual time must stay far below the first view timeout.
         harness.simulator.run()
         assert harness.simulator.pending_events() == 0
-        assert harness.simulator.now < harness.replicas[1].config.base_timeout
+        assert harness.simulator.now < VIEW_TIMEOUT
 
     def test_view_change_path_also_cancels_its_timers(self):
         # A silent leader forces a view change; the decision lands in view 1
@@ -196,138 +186,3 @@ class TestTimerLifecycle:
         assert harness.simulator.processed_events - at_decision_events < 50
         assert harness.simulator.pending_events() == 0
 
-
-class TestAggregatedCertificates:
-    """Quorum certificates folded into one AggregateTag (opt-in fast path)."""
-
-    def _prepared_votes(self, harness, view, value, voters):
-        payload = _prepare_payload(harness.group, view, value)
-        return [harness.registry.generate(voter).sign(payload) for voter in voters]
-
-    def test_happy_path_decides_and_locks_aggregated_certificates(self):
-        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1, aggregate=True)
-        decisions = harness.run()
-        assert set(decisions) == {1, 2, 3, 4}
-        assert set(decisions.values()) == {"value-1"}
-        for replica in harness.replicas.values():
-            certificate = replica.locked
-            assert certificate is not None
-            assert certificate.prepares == frozenset()
-            assert certificate.aggregate is not None
-            assert len(certificate.aggregate.signers) >= replica._quorum
-
-    def test_view_change_carries_aggregated_certificates(self):
-        # A silent view-0 leader forces a view change; the locked aggregated
-        # certificates travel inside the ViewChange messages and must pass
-        # _certificate_is_valid on every receiver.
-        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1, byzantine={1}, aggregate=True)
-        decisions = harness.run()
-        assert set(decisions) == {2, 3, 4}
-        assert set(decisions.values()) == {"value-2"}
-
-    def test_valid_aggregate_certificate_accepted(self):
-        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1, aggregate=True)
-        replica = harness.replicas[1]
-        votes = self._prepared_votes(harness, 0, "v", [1, 2, 3])
-        certificate = PreparedCertificate(
-            group=harness.group,
-            view=0,
-            value="v",
-            prepares=frozenset(),
-            aggregate=aggregate_signatures(votes),
-        )
-        assert replica._certificate_is_valid(certificate)
-
-    def test_tampered_aggregate_tag_rejected(self):
-        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1, aggregate=True)
-        replica = harness.replicas[1]
-        aggregate = aggregate_signatures(self._prepared_votes(harness, 0, "v", [1, 2, 3]))
-        flipped = "0" if aggregate.tag[0] != "0" else "1"
-        tampered = PreparedCertificate(
-            group=harness.group,
-            view=0,
-            value="v",
-            prepares=frozenset(),
-            aggregate=AggregateTag(
-                scheme=aggregate.scheme,
-                signers=aggregate.signers,
-                tag=flipped + aggregate.tag[1:],
-            ),
-        )
-        assert not replica._certificate_is_valid(tampered)
-
-    def test_sub_quorum_signer_set_rejected(self):
-        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1, aggregate=True)
-        replica = harness.replicas[1]
-        votes = self._prepared_votes(harness, 0, "v", [1, 2])  # quorum is 3
-        certificate = PreparedCertificate(
-            group=harness.group,
-            view=0,
-            value="v",
-            prepares=frozenset(),
-            aggregate=aggregate_signatures(votes),
-        )
-        assert len(votes) < replica._quorum
-        assert not replica._certificate_is_valid(certificate)
-
-    def test_signers_outside_the_group_rejected(self):
-        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1, aggregate=True)
-        replica = harness.replicas[1]
-        payload = _prepare_payload(harness.group, 0, "v")
-        outsider_votes = [harness.registry.generate(voter).sign(payload) for voter in (1, 2, 9)]
-        certificate = PreparedCertificate(
-            group=harness.group,
-            view=0,
-            value="v",
-            prepares=frozenset(),
-            aggregate=aggregate_signatures(outsider_votes),
-        )
-        assert not replica._certificate_is_valid(certificate)
-
-    def test_aggregate_over_a_different_value_rejected(self):
-        # The aggregate verifies against the *claimed* (view, value) payload:
-        # re-badging a certificate for value "v" as one for value "w" fails.
-        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1, aggregate=True)
-        replica = harness.replicas[1]
-        aggregate = aggregate_signatures(self._prepared_votes(harness, 0, "v", [1, 2, 3]))
-        rebadged = PreparedCertificate(
-            group=harness.group, view=0, value="w", prepares=frozenset(), aggregate=aggregate
-        )
-        assert not replica._certificate_is_valid(rebadged)
-
-    def test_aggregated_and_plain_runs_decide_identically(self):
-        plain = Harness(members=[1, 2, 3, 4], fault_threshold=1).run()
-        aggregated = Harness(members=[1, 2, 3, 4], fault_threshold=1, aggregate=True).run()
-        assert plain == aggregated
-
-    def test_protocol_options_reach_the_replica_config(self):
-        from repro.experiments import GraphSpec, Scenario
-        from repro.workloads.builders import scenario_run_config
-
-        scenario = Scenario(
-            name="agg-cell",
-            graph=GraphSpec.figure("fig1b"),
-            seed=3,
-            protocol_options=(("aggregate_quorum_certs", True),),
-        )
-        config = scenario_run_config(scenario)
-        assert config.protocol.aggregate_quorum_certs
-        assert config.protocol.pbft.aggregate_certificates
-
-    def test_aggregated_cell_solves_like_the_plain_cell(self):
-        from repro.experiments import GraphSpec, Scenario, SuiteRunner
-
-        plain = Scenario(name="plain", graph=GraphSpec.figure("fig1b"), seed=3)
-        aggregated = Scenario(
-            name="aggregated",
-            graph=GraphSpec.figure("fig1b"),
-            seed=3,
-            protocol_options=(("aggregate_quorum_certs", True),),
-        )
-        suite = SuiteRunner(fail_fast=True).run([plain, aggregated])
-        summaries = {outcome.scenario.name: outcome.summary for outcome in suite.outcomes}
-        # Aggregation changes the certificate wire format, not the protocol
-        # trajectory: both cells must terminate and agree identically.
-        for name in ("plain", "aggregated"):
-            assert summaries[name]["terminated"], name
-            assert summaries[name]["agreement"], name

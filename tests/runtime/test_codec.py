@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import pytest
 
 from repro.core.messages import DecidedValue, GetDecidedValue, GetPds, PdRecord, SetPds
-from repro.crypto.aggregate import AggregateTag, aggregate_signatures
 from repro.crypto.signatures import KeyRegistry, SignedMessage
 from repro.pbft.messages import (
     Commit,
@@ -179,7 +178,6 @@ def registered_payloads():
         GetDecidedValue(),
         DecidedValue(value=("v", frozenset({1}))),
         signed,
-        aggregate_signatures([registry.generate(pid).sign("common") for pid in (1, 2, 3)]),
         group,
         PrePrepare(group=group, view=0, value="value", signed=registry.generate(1).sign((group, 0, "value"))),
         Prepare(
@@ -200,7 +198,7 @@ class TestMessages:
     def test_every_registered_payload_round_trips_with_exact_types(self):
         payloads = registered_payloads()
         built_in = {
-            PdRecord, GetPds, SetPds, GetDecidedValue, DecidedValue, SignedMessage, AggregateTag,
+            PdRecord, GetPds, SetPds, GetDecidedValue, DecidedValue, SignedMessage,
             GroupKey, PrePrepare, Prepare, Commit, PreparedCertificate, ViewChange, NewView,
         }
         assert {type(payload) for payload in payloads} == built_in
