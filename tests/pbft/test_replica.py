@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.crypto.signatures import KeyRegistry
-from repro.pbft.messages import GroupKey, PrePrepare
-from repro.pbft.replica import VIEW_TIMEOUT, SingleShotPbft, preprepare_payload
+from repro.crypto.signatures import KeyRegistry, SignedMessage
+from repro.pbft.messages import Commit, GroupKey, Prepare, PreparedCertificate, PrePrepare, ViewChange
+from repro.pbft.replica import VIEW_TIMEOUT, SingleShotPbft, _prepare_payload, preprepare_payload
 from repro.sim.engine import Simulator
 
 
@@ -186,3 +186,122 @@ class TestTimerLifecycle:
         assert harness.simulator.processed_events - at_decision_events < 50
         assert harness.simulator.pending_events() == 0
 
+
+
+class TestPreparedCertificates:
+    """A prepared certificate is the quorum's signed prepare votes; every check on it."""
+
+    def _certificate(self, harness, view, value, voters, group=None):
+        payload = _prepare_payload(harness.group, view, value)
+        votes = frozenset(harness.registry.generate(voter).sign(payload) for voter in voters)
+        return PreparedCertificate(group=group or harness.group, view=view, value=value, prepares=votes)
+
+    def test_happy_path_locks_a_quorum_of_signed_prepares(self):
+        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1)
+        harness.run()
+        expected = _prepare_payload(harness.group, 0, "value-1")
+        for replica in harness.replicas.values():
+            certificate = replica.locked
+            assert certificate is not None
+            assert (certificate.view, certificate.value) == (0, "value-1")
+            assert len(certificate.prepares) >= replica._quorum
+            assert {signed.message for signed in certificate.prepares} == {expected}
+            assert {signed.signer for signed in certificate.prepares} <= harness.group.members
+            assert replica._certificate_is_valid(certificate)
+
+    def test_view_change_carries_the_locked_value_into_the_next_view(self):
+        # Every view-0 commit is lost, and so is every view-0 prepare sent to
+        # process 2: processes 1, 3 and 4 lock "value-1" in view 0, nobody
+        # decides, and process 2 holds no lock.  As the view-1 leader it can
+        # only learn the locked value from the certificates inside the
+        # view-change votes; it must re-propose it, and view 1 must decide.
+        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1)
+        deliver = harness.deliver
+
+        def lose_view_zero_traffic(sender, receiver, payload):
+            if isinstance(payload, Commit) and payload.view == 0:
+                return
+            if isinstance(payload, Prepare) and payload.view == 0 and receiver == 2:
+                return
+            deliver(sender, receiver, payload)
+
+        harness.deliver = lose_view_zero_traffic
+        decisions = harness.run()
+        assert set(decisions) == {1, 2, 3, 4}
+        assert set(decisions.values()) == {"value-1"}
+        assert {replica.view for replica in harness.replicas.values()} == {1}
+
+    def test_valid_certificate_accepted(self):
+        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1)
+        assert harness.replicas[1]._certificate_is_valid(self._certificate(harness, 0, "v", [1, 2, 3]))
+
+    def test_tampered_signature_rejected(self):
+        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1)
+        certificate = self._certificate(harness, 0, "v", [1, 2, 3])
+        victim = min(certificate.prepares, key=lambda signed: signed.signer)
+        flipped = "0" if victim.tag[0] != "0" else "1"
+        forged = SignedMessage(signer=victim.signer, message=victim.message, tag=flipped + victim.tag[1:])
+        tampered = PreparedCertificate(
+            group=harness.group,
+            view=0,
+            value="v",
+            prepares=(certificate.prepares - {victim}) | {forged},
+        )
+        assert not harness.replicas[1]._certificate_is_valid(tampered)
+
+    def test_sub_quorum_certificate_rejected(self):
+        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1)
+        replica = harness.replicas[1]
+        certificate = self._certificate(harness, 0, "v", [1, 2])
+        assert len(certificate.prepares) < replica._quorum
+        assert not replica._certificate_is_valid(certificate)
+
+    def test_padded_copy_of_a_vote_does_not_make_a_quorum(self):
+        # A second entry under voter 1's name makes the set quorum-sized,
+        # though only two members voted.  Signing is deterministic, so the
+        # copy must carry a different tag: it fails both the one-vote-per-
+        # signer check and signature verification.
+        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1)
+        certificate = self._certificate(harness, 0, "v", [1, 2])
+        original = min(certificate.prepares, key=lambda signed: signed.signer)
+        copy = SignedMessage(signer=original.signer, message=original.message, tag=original.tag + "00")
+        padded = PreparedCertificate(
+            group=harness.group, view=0, value="v", prepares=certificate.prepares | {copy}
+        )
+        assert len(padded.prepares) >= harness.replicas[1]._quorum
+        assert not harness.replicas[1]._certificate_is_valid(padded)
+
+    def test_signer_outside_the_group_rejected(self):
+        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1)
+        assert not harness.replicas[1]._certificate_is_valid(self._certificate(harness, 0, "v", [1, 2, 9]))
+
+    def test_certificate_rebadged_to_another_value_rejected(self):
+        # The votes verify against the claimed (view, value) payload: re-badging
+        # a certificate for "v" as one for "w", or for view 0 as view 1, fails.
+        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1)
+        replica = harness.replicas[1]
+        votes = self._certificate(harness, 0, "v", [1, 2, 3]).prepares
+        other_value = PreparedCertificate(group=harness.group, view=0, value="w", prepares=votes)
+        other_view = PreparedCertificate(group=harness.group, view=1, value="v", prepares=votes)
+        assert not replica._certificate_is_valid(other_value)
+        assert not replica._certificate_is_valid(other_view)
+
+    def test_certificate_for_another_group_rejected(self):
+        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1)
+        other_group = GroupKey(members=frozenset({1, 2, 3, 4, 5}))
+        certificate = self._certificate(harness, 0, "v", [1, 2, 3], group=other_group)
+        assert not harness.replicas[1]._certificate_is_valid(certificate)
+
+    def test_view_change_with_an_invalid_certificate_is_ignored(self):
+        harness = Harness(members=[1, 2, 3, 4], fault_threshold=1)
+        replica = harness.replicas[1]
+        bad = ViewChange(
+            group=harness.group, new_view=1, voter=2, prepared=self._certificate(harness, 0, "v", [2, 3])
+        )
+        good = ViewChange(
+            group=harness.group, new_view=1, voter=3, prepared=self._certificate(harness, 0, "v", [1, 2, 3])
+        )
+        replica.handle_view_change(2, bad)
+        assert 1 not in replica._view_changes
+        replica.handle_view_change(3, good)
+        assert set(replica._view_changes[1]) == {3}
