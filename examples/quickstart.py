@@ -78,8 +78,9 @@ def single_run() -> None:
 
 def scenario_sweep() -> None:
     # The canonical workflow: declare the whole matrix, run it as a suite.
-    # Every cell gets a deterministic derived seed, and ``processes=N``
-    # would run the same suite on a worker pool with identical results.
+    # Every cell gets a deterministic derived seed, and
+    # ``SuiteRunner(backend=PoolBackend(n))`` would run the same suite on a
+    # pool of n worker processes with identical results.
     matrix = ScenarioMatrix(
         name="quickstart",
         graphs=(GraphSpec.figure("fig1b"), GraphSpec.figure("fig4b")),

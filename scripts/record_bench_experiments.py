@@ -28,14 +28,14 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from bench_scalability import scalability_scenarios  # noqa: E402
 
-from repro.experiments import SuiteRunner  # noqa: E402
+from repro.experiments import PoolBackend, SuiteRunner  # noqa: E402
 
 
 def main() -> None:
     scenarios = scalability_scenarios()
 
     serial = SuiteRunner().run(scenarios)
-    pooled = SuiteRunner(processes=2).run(scenarios)
+    pooled = SuiteRunner(backend=PoolBackend(2)).run(scenarios)
 
     if serial.summaries() != pooled.summaries():
         raise SystemExit("serial and pool summaries diverged; refusing to record a baseline")

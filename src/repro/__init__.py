@@ -18,7 +18,7 @@ The library implements, on top of a from-scratch discrete-event simulator:
   :class:`~repro.experiments.Scenario` cells, cartesian
   :class:`~repro.experiments.ScenarioMatrix` sweeps with deterministic
   per-cell seeding, the :class:`~repro.experiments.SuiteRunner` over
-  pluggable execution backends (serial, ``multiprocessing`` pool, or the
+  pluggable execution backends (serial, a local process pool, or the
   distributed filesystem :class:`~repro.experiments.WorkQueueBackend`
   drained by ``python -m repro.experiments.worker`` processes) with the
   content-addressable :class:`~repro.experiments.ResultStore` as checkpoint,
@@ -29,8 +29,8 @@ Quickstart
 ----------
 
 The canonical workflow declares a scenario matrix and runs it as a suite
-(``processes=N`` runs the same suite on a worker pool, with identical
-results):
+(``SuiteRunner(backend=PoolBackend(n))`` runs the same suite on a pool of
+``n`` worker processes, with identical results):
 
 >>> from repro.core import ProtocolMode
 >>> from repro.experiments import GraphSpec, ScenarioMatrix, SuiteRunner

@@ -7,7 +7,7 @@
   ``cell_digest`` for result-lake and job-queue identity);
 * :mod:`repro.experiments.backends` -- the :class:`ExecutionBackend`
   protocol and its implementations: :class:`SerialBackend`,
-  :class:`PoolBackend` (local ``multiprocessing``),
+  :class:`PoolBackend` (a local ``ProcessPoolExecutor``),
   :class:`WorkQueueBackend` (a filesystem job queue drained by independent
   worker processes) and :class:`RemoteWorkQueueBackend` (the same queue
   served over TCP to workers on any machine);

@@ -4,15 +4,15 @@ A backend answers exactly one question: *given these (index, scenario)
 cells and this executor, produce one raw result per cell*.  Everything else
 — outcome assembly, progress callbacks, fail-fast, the result-lake
 checkpoint — stays in :class:`~repro.experiments.runner.SuiteRunner`,
-so every backend (in-process serial, local multiprocessing pool, filesystem
-work queue, or anything a downstream project plugs in) shares the exact
-same semantics.
+so every backend (in-process serial, local process pool, filesystem work
+queue, or anything a downstream project plugs in) shares the exact same
+semantics.
 
 Backends yield results in *completion* order; the runner re-assembles
-scenario order.  A backend that ends its iteration without yielding a
-result for every cell signals that cells were skipped/terminated — the
-runner records those in :class:`~repro.experiments.results.SuiteResult`
-metadata rather than dropping them silently.
+scenario order.  The contract is one result per cell, or raise: a backend
+that cannot finish a cell (a dead worker, a timed-out queue) raises out of
+its iterator, and one whose iteration ends short makes the runner raise
+``RuntimeError`` naming the first missing cell.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class ExecutionBackend(Protocol):
     name: str
 
     def execute(self, cells: Sequence[CellTask], executor: Executor) -> Iterator[CellResult]:
-        """Yield one :data:`CellResult` per cell, in completion order."""
+        """Yield one :data:`CellResult` per cell, in completion order, or raise."""
         ...
 
 

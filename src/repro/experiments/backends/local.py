@@ -1,18 +1,21 @@
-"""In-process backends: serial execution and the local multiprocessing pool.
+"""In-process backends: serial execution and the local process pool.
 
-Both implement :class:`~repro.experiments.backends.base.ExecutionBackend`:
-the serial backend executes cells in suite order, the pool backend fans
-them out over ``imap_unordered`` and yields results as workers finish.
-
-Both are generators, so fail-fast works for free: when the runner raises
-while consuming the iterator, the generator is closed and the ``with``
-block around the pool terminates the workers.
+The serial backend executes cells in suite order; the pool backend submits
+each to a :class:`~concurrent.futures.ProcessPoolExecutor` and yields them
+through ``as_completed`` as workers finish.  A dead worker breaks the
+executor, so the next result raises ``BrokenProcessPool`` out of
+:meth:`~repro.experiments.runner.SuiteRunner.run` instead of leaving the
+sweep waiting forever.  Both are generators: when the runner raises
+(fail-fast), closing the generator shuts the pool down with
+``cancel_futures=True``, which cancels every cell not yet handed to a
+worker and waits for the ones already handed over (at most ``processes``
+running, plus the one call the executor queues ahead).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from collections.abc import Iterator, Sequence
+from concurrent.futures import ProcessPoolExecutor, as_completed
 
 from repro.experiments.backends.base import CellResult, CellTask, Executor, execute_cell
 
@@ -29,7 +32,7 @@ class SerialBackend:
 
 
 class PoolBackend:
-    """Fan cells out over a local ``multiprocessing.Pool``."""
+    """Fan cells out over a local ``ProcessPoolExecutor`` of ``processes`` workers."""
 
     name = "pool"
 
@@ -39,9 +42,13 @@ class PoolBackend:
         self.processes = processes
 
     def execute(self, cells: Sequence[CellTask], executor: Executor) -> Iterator[CellResult]:
-        payloads = [(index, scenario, executor) for index, scenario in cells]
-        with multiprocessing.Pool(processes=self.processes) as pool:
-            yield from pool.imap_unordered(execute_cell, payloads)
+        pool = ProcessPoolExecutor(max_workers=self.processes)
+        try:
+            futures = [pool.submit(execute_cell, (index, scenario, executor)) for index, scenario in cells]
+            for future in as_completed(futures):
+                yield future.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 __all__ = ["PoolBackend", "SerialBackend"]

@@ -97,7 +97,8 @@ def _encode_body(payload: dict[str, Any]) -> bytes:
 def _parse_body(body: bytes) -> dict[str, Any]:
     try:
         message = json.loads(body.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+        # RecursionError: a body nested past the decoder's depth limit.
         raise TransportError(f"frame payload is not valid JSON: {error}") from error
     if not isinstance(message, dict):
         raise TransportError(f"frame payload must be a JSON object, got {type(message).__name__}")

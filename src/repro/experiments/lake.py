@@ -34,11 +34,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 import warnings
 from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import Any
+
+#: An object name: a lowercase hex SHA-256 digest.
+_DIGEST = re.compile("[0-9a-f]{64}")
 
 #: Attribute carrying an executor's declared cache identity.
 EXECUTOR_DIGEST_ATTR = "executor_digest"
@@ -224,17 +228,25 @@ def _read_index(path: Path) -> Iterator[tuple[str, str]]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                warnings.warn(
-                    f"{path}:{line_number}: skipping corrupt lake line "
-                    "(truncated write from a crashed run?)",
-                    stacklevel=3,
-                )
+                _warn_corrupt_line(path, line_number)
                 continue
             if not isinstance(record, dict):
                 continue
             key, digest = record.get("key"), record.get("object")
-            if isinstance(key, str) and isinstance(digest, str):
-                yield key, digest
+            if not (isinstance(key, str) and isinstance(digest, str)):
+                continue
+            # A digest names a path: a non-digest could point outside the lake.
+            if _DIGEST.fullmatch(digest) is None:
+                _warn_corrupt_line(path, line_number)
+                continue
+            yield key, digest
+
+
+def _warn_corrupt_line(path: Path, line_number: int) -> None:
+    warnings.warn(
+        f"{path}:{line_number}: skipping corrupt lake line (truncated write from a crashed run?)",
+        stacklevel=4,
+    )
 
 
 __all__ = [

@@ -161,7 +161,6 @@ class SuiteResult:
         wall_time: float = 0.0,
         processes: int = 1,
         backend: str = "serial",
-        skipped: Sequence[str] = (),
         memo_stats: dict[str, Any] | None = None,
         cache_hits: int | None = None,
         cache_misses: int | None = None,
@@ -171,9 +170,6 @@ class SuiteResult:
         self.processes = processes
         #: Name of the execution backend that produced the outcomes.
         self.backend = backend
-        #: Names of cells the backend never reported an outcome for (e.g. a
-        #: terminated pool) — recorded instead of silently truncating.
-        self.skipped = tuple(skipped)
         #: Coordinator-process snapshot of the sink-search memo
         #: (:func:`repro.graphs.search_memo.sink_search_memo`), taken after
         #: the suite ran.  Meaningful for the serial backend, where every
@@ -259,7 +255,6 @@ class SuiteResult:
             "wall_time": self.wall_time,
             "processes": self.processes,
             "backend": self.backend,
-            "skipped": list(self.skipped),
             "sink_search_memo": self.memo_stats,
         }
         if self.cache_hits is not None:

@@ -8,14 +8,14 @@ plain data and the per-run construction never needs to be pickled.
 
 Where the cells execute is delegated to an
 :class:`~repro.experiments.backends.ExecutionBackend`:
-:class:`~repro.experiments.backends.SerialBackend` in-process,
-:class:`~repro.experiments.backends.PoolBackend` on a local
-``multiprocessing`` pool, or
-:class:`~repro.experiments.backends.WorkQueueBackend` sharded across
+:class:`~repro.experiments.backends.SerialBackend` in-process (the default),
+:class:`~repro.experiments.backends.PoolBackend` on a local process pool,
+or :class:`~repro.experiments.backends.WorkQueueBackend` sharded across
 independent worker processes through a filesystem job queue.  Execution is
 deterministic: results are collected in scenario order and the per-scenario
 summaries are identical across backends (each run is self-contained and
-fully seeded by its scenario).
+fully seeded by its scenario).  A run returns every cell's outcome or
+raises; there is no partial result.
 
 Passing ``store=`` (a :class:`~repro.experiments.lake.ResultStore` or its
 root path) consults the content-addressable result lake *before* any cell
@@ -41,7 +41,7 @@ from collections.abc import Callable, Iterable
 from typing import Any
 
 from repro.experiments.backends.base import ExecutionBackend, Executor
-from repro.experiments.backends.local import PoolBackend, SerialBackend
+from repro.experiments.backends.local import SerialBackend
 from repro.experiments.lake import (
     ResultStore,
     executor_digest_of,
@@ -88,14 +88,12 @@ class SuiteRunner:
 
     Parameters
     ----------
-    processes:
-        Convenience shorthand: ``None`` or ``1`` selects the
-        :class:`SerialBackend`, ``N > 1`` a :class:`PoolBackend` of ``N``
-        worker processes.  Mutually exclusive with ``backend``.
     backend:
-        Any :class:`~repro.experiments.backends.ExecutionBackend` (e.g. a
-        :class:`~repro.experiments.backends.WorkQueueBackend` to shard the
-        suite across independent worker processes).
+        Any :class:`~repro.experiments.backends.ExecutionBackend`: the
+        default ``None`` runs in-process on a :class:`SerialBackend`;
+        ``PoolBackend(n)`` runs on a local pool of ``n`` processes, and a
+        :class:`~repro.experiments.backends.WorkQueueBackend` shards the
+        suite across independent worker processes.
     executor:
         The per-scenario executor (default: :func:`execute_scenario`, which
         runs the full consensus simulation).  Custom executors let suites
@@ -115,17 +113,11 @@ class SuiteRunner:
     def __init__(
         self,
         *,
-        processes: int | None = None,
         backend: ExecutionBackend | None = None,
         executor: Executor = execute_scenario,
         fail_fast: bool = False,
         progress: ProgressCallback | None = None,
     ) -> None:
-        if processes is not None and processes < 1:
-            raise ValueError("processes must be at least 1")
-        if backend is not None and processes is not None:
-            raise ValueError("pass either processes or backend, not both")
-        self.processes = processes
         self.backend = backend
         self.executor = executor
         self.fail_fast = fail_fast
@@ -149,7 +141,7 @@ class SuiteRunner:
         where it stopped and retries exactly the cells that failed.
         """
         cells = list(scenarios)
-        backend = self._resolve_backend()
+        backend = self.backend if self.backend is not None else SerialBackend()
         lake = self._resolve_lake(store)
         started = time.perf_counter()
 
@@ -202,34 +194,23 @@ class SuiteRunner:
                 if close is not None:
                     close()
 
-        skipped = tuple(
-            cells[index].name for index in range(len(cells)) if outcomes[index] is None
-        )
-        if skipped:
-            warnings.warn(
-                f"backend {backend.name!r} finished without outcomes for {len(skipped)} "
-                f"of {len(cells)} cells; they are recorded in SuiteResult.skipped",
-                stacklevel=2,
+        finished = [outcome for outcome in outcomes if outcome is not None]
+        if len(finished) < len(cells):
+            missing = next(cell for cell, outcome in zip(cells, outcomes) if outcome is None)
+            raise RuntimeError(
+                f"backend {backend.name!r} finished without an outcome for cell {missing.name!r}"
             )
         return SuiteResult(
-            [outcome for outcome in outcomes if outcome is not None],
+            finished,
             wall_time=time.perf_counter() - started,
             processes=getattr(backend, "processes", 1),
             backend=backend.name,
-            skipped=skipped,
             memo_stats=sink_search_memo().stats(),
             cache_hits=cache_hits if lake is not None else None,
             cache_misses=len(cells) - cache_hits if lake is not None else None,
         )
 
     # ------------------------------------------------------------------
-    def _resolve_backend(self) -> ExecutionBackend:
-        if self.backend is not None:
-            return self.backend
-        if self.processes is None or self.processes == 1:
-            return SerialBackend()
-        return PoolBackend(self.processes)
-
     def _resolve_lake(self, store: ResultStore | str | None) -> ResultStore | None:
         if store is None:
             return None

@@ -19,7 +19,7 @@ that matrix a first-class, fully declarative representation:
 
 Everything here is plain data: the expensive objects (graphs, synchrony
 models, run configs, nodes) are only materialised behind the runner, which
-is what makes scenarios safe to ship to a ``multiprocessing`` pool.
+is what makes scenarios safe to ship to a process pool.
 """
 
 from __future__ import annotations

@@ -253,7 +253,7 @@ def decode_frame(frame: dict[str, Any]) -> tuple[Any, float, Any]:
     """Split a wire frame back into ``(sender, sent_at, payload)``."""
     try:
         return decode_value(frame["s"]), float(frame["at"]), decode_value(frame["p"])
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError, ValueError, RecursionError) as error:
         if isinstance(error, PayloadCodecError):
             raise
         raise PayloadCodecError(f"malformed live frame: {error}") from error

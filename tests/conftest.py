@@ -27,7 +27,7 @@ def _fail_hung_tests():
     """Turn a hung test into a failure instead of a stalled run.
 
     On expiry every thread's stack goes to stderr, every ``multiprocessing``
-    child is killed (a dead pool child is the usual hang), and the test
+    child is killed (a stuck worker keeps its parent waiting), and the test
     fails with :class:`HangTimeout`.
     """
     limit = HANG_LIMIT_SECONDS

@@ -1,6 +1,10 @@
 """Tests for the execution-backend seam, cell digests and resuming from the lake."""
 
 import json
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -56,8 +60,28 @@ def crashy_executor(scenario: Scenario) -> dict:
     return cheap_executor(scenario)
 
 
+def dying_executor(scenario: Scenario) -> dict:
+    """Kill the worker process on one cell (fig1b, replicate 1), as a crash would."""
+    if scenario.label("replicate") == 1 and "fig1b" in scenario.label("graph"):
+        os._exit(1)
+    return cheap_executor(scenario)
+
+
+#: Environment variable naming the directory ``marking_executor`` writes to.
+MARK_DIR = "REPRO_TEST_MARK_DIR"
+
+
+def marking_executor(scenario: Scenario) -> dict:
+    """Leave one file per executed cell; replicate 0 fails, the others take a while."""
+    (Path(os.environ[MARK_DIR]) / str(scenario.seed)).touch()
+    if scenario.label("replicate") == 0:
+        raise RuntimeError("first cell fails")
+    time.sleep(0.2)
+    return cheap_executor(scenario)
+
+
 class DroppingBackend:
-    """A backend that 'loses' the last cell, like a terminated pool."""
+    """A backend that 'loses' the last cell."""
 
     name = "dropping"
     processes = 1
@@ -117,18 +141,35 @@ class TestBackendSeam:
         assert pooled.backend == "pool"
         assert pooled.processes == 2
 
-    def test_processes_and_backend_are_mutually_exclusive(self):
+    def test_pool_rejects_zero_processes(self):
         with pytest.raises(ValueError):
-            SuiteRunner(processes=2, backend=SerialBackend())
+            PoolBackend(0)
 
     def test_dropped_cells_are_recorded_not_truncated(self):
+        # A backend that ends short is an error naming the first missing
+        # cell, never a partial suite.
         cells = small_matrix(replicates=1).scenarios()
         runner = SuiteRunner(backend=DroppingBackend(), executor=cheap_executor)
-        with pytest.warns(UserWarning, match="without outcomes for 1"):
-            suite = runner.run(cells)
-        assert len(suite) == len(cells) - 1
-        assert suite.skipped == (cells[-1].name,)
-        assert suite.to_dict()["skipped"] == [cells[-1].name]
+        with pytest.raises(RuntimeError, match="'dropping' finished without an outcome") as raised:
+            runner.run(cells)
+        assert repr(cells[-1].name) in str(raised.value)
+
+    def test_dead_pool_worker_raises_instead_of_hanging(self):
+        cells = small_matrix(replicates=3).scenarios()
+        assert len(cells) == 6
+        started = time.monotonic()
+        with pytest.raises(BrokenProcessPool):
+            SuiteRunner(backend=PoolBackend(2), executor=dying_executor).run(cells)
+        assert time.monotonic() - started < 5.0
+
+    def test_pool_fail_fast_cancels_unstarted_cells(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(MARK_DIR, str(tmp_path))
+        cells = small_matrix(replicates=6).scenarios()
+        runner = SuiteRunner(backend=PoolBackend(2), executor=marking_executor, fail_fast=True)
+        with pytest.raises(SuiteExecutionError, match="first cell fails"):
+            runner.run(cells)
+        executed = len(list(tmp_path.iterdir()))
+        assert 1 <= executed < len(cells)
 
 
 class TestResume:

@@ -6,6 +6,7 @@ queue workers.
 """
 
 import hashlib
+import json
 import threading
 from pathlib import Path
 
@@ -192,6 +193,18 @@ class TestCorruptionRecovery:
         fresh = ResultStore(tmp_path / "lake")
         with pytest.warns(UserWarning, match="corrupt lake line"):
             assert fresh.get("k") == {"v": 1}
+
+    def test_index_line_naming_a_path_outside_the_lake_is_skipped(self, tmp_path):
+        # An object digest is a path under objects/: a non-digest could make
+        # the corrupt-object quarantine unlink an arbitrary file.
+        victim = tmp_path / "victim.txt"
+        victim.write_text("not a lake object")
+        store = ResultStore(tmp_path / "lake")
+        store.index_path.parent.mkdir(parents=True, exist_ok=True)
+        store.index_path.write_text(json.dumps({"key": "k", "object": f"xx{victim}"}) + "\n")
+        with pytest.warns(UserWarning, match="corrupt lake line"):
+            assert store.get("k") is None
+        assert victim.read_text() == "not a lake object"
 
     def test_truncated_object_degrades_to_miss_and_heals(self, tmp_path):
         store = ResultStore(tmp_path / "lake")

@@ -7,6 +7,7 @@ import pytest
 from repro.core import ProtocolMode
 from repro.experiments import (
     GraphSpec,
+    PoolBackend,
     Scenario,
     ScenarioMatrix,
     SuiteExecutionError,
@@ -59,7 +60,7 @@ class TestSuiteRunner:
         # yield byte-identical per-scenario summary dicts to the serial path.
         cells = small_matrix(replicates=2).scenarios()
         serial = SuiteRunner().run(cells)
-        pooled = SuiteRunner(processes=2).run(cells)
+        pooled = SuiteRunner(backend=PoolBackend(2)).run(cells)
         assert serial.summaries() == pooled.summaries()
         assert [o.scenario for o in serial] == [o.scenario for o in pooled]
 
@@ -78,7 +79,7 @@ class TestSuiteRunner:
 
     def test_pool_collects_errors_too(self):
         cells = small_matrix(replicates=2).scenarios()
-        suite = SuiteRunner(executor=flaky_executor, processes=2).run(cells)
+        suite = SuiteRunner(executor=flaky_executor, backend=PoolBackend(2)).run(cells)
         assert len(suite.errors) == 2
 
     def test_progress_callback(self):
@@ -91,10 +92,6 @@ class TestSuiteRunner:
         runner.run(cells)
         assert [done for done, _total, _name in seen] == list(range(1, len(cells) + 1))
         assert all(total == len(cells) for _done, total, _name in seen)
-
-    def test_invalid_process_count(self):
-        with pytest.raises(ValueError):
-            SuiteRunner(processes=0)
 
 
 class TestSuiteResult:

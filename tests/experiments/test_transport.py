@@ -1,5 +1,6 @@
 """Tests for the length-prefixed JSON framing under the TCP queue."""
 
+import asyncio
 import socket
 import struct
 import threading
@@ -13,7 +14,9 @@ from repro.experiments.backends.transport import (
     FrameTooLargeError,
     TransportError,
     TruncatedFrameError,
+    pack_frame,
     read_frame,
+    read_frame_async,
     write_frame,
 )
 
@@ -133,10 +136,6 @@ class TestCompression:
                 read_frame(right)
 
     def test_async_reader_inflates_compressed_frames(self):
-        import asyncio
-
-        from repro.experiments.backends.transport import pack_frame, read_frame_async
-
         async def round_trip():
             server_side: dict = {}
             done = asyncio.Event()
@@ -229,3 +228,70 @@ class TestEdgeCases:
             left.sendall(struct.pack(">I", len(body)) + body)
             with pytest.raises(TransportError, match="JSON object"):
                 read_frame(right)
+
+
+def read_blocking(data: bytes, **kwargs):
+    """Feed ``data`` then EOF to :func:`read_frame` over a socket pair."""
+    left, right = pair()
+    with right:
+        with left:
+            left.sendall(data)
+        return read_frame(right, **kwargs)
+
+
+def read_async(data: bytes, **kwargs):
+    """Feed ``data`` then EOF to :func:`read_frame_async` through a stream reader."""
+
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await read_frame_async(reader, **kwargs)
+
+    return asyncio.run(read())
+
+
+PLAIN_FRAME = pack_frame(_encode_body({"job": "cell-7", "scenario": {"seed": 301}}))
+DEFLATED_FRAME = pack_frame(_encode_body({"blob": "ab" * 200}), compress_min=1)
+
+
+@pytest.fixture(params=[read_blocking, read_async], ids=["blocking", "async"])
+def reader(request):
+    return request.param
+
+
+class TestByteBoundaries:
+    """Both readers, fed byte strings that end or go wrong at every boundary."""
+
+    @pytest.mark.parametrize("frame", [PLAIN_FRAME, DEFLATED_FRAME], ids=["plain", "deflated"])
+    def test_every_truncation_point(self, reader, frame):
+        assert reader(frame[:0]) is None
+        for cut in range(1, len(frame)):
+            with pytest.raises(TruncatedFrameError):
+                reader(frame[:cut])
+        assert reader(frame) is not None
+
+    def test_oversized_length_word(self, reader):
+        with pytest.raises(FrameTooLargeError):
+            reader(struct.pack(">I", 1025) + b"{}", max_frame=1024)
+
+    def test_deflate_bomb(self, reader):
+        bomb = zlib.compress(b" " * (1024 * 1024), 9)
+        with pytest.raises(FrameTooLargeError):
+            reader(struct.pack(">I", _FLAG_DEFLATE | len(bomb)) + bomb, max_frame=64 * 1024)
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"GET / HTTP/1.1", b"\xff\xfe", b'{"open": ', b"[1, 2]", b'"text"', b"null"],
+        ids=["not-json", "not-utf8", "cut-json", "array", "string", "null"],
+    )
+    def test_body_that_is_not_a_json_object(self, reader, body):
+        with pytest.raises(TransportError):
+            reader(struct.pack(">I", len(body)) + body)
+
+    @pytest.mark.parametrize("deflate", [False, True], ids=["plain", "deflated"])
+    def test_body_nested_past_the_recursion_limit(self, reader, deflate):
+        body = b"[" * 2000 + b"]" * 2000
+        frame = pack_frame(body, compress_min=1 if deflate else None)
+        with pytest.raises(TransportError):
+            reader(frame)

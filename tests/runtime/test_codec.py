@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.messages import DecidedValue, GetDecidedValue, GetPds, PdRecord, SetPds
 from repro.crypto.signatures import KeyRegistry, SignedMessage
@@ -324,6 +325,28 @@ class TestEncodeMemo:
         assert payload_text(values[0], small) == payload_text(values[0])
 
 
+#: Every tag the decoder knows, plus one it does not.
+_TAGS = sorted(codec._CONTAINER_TAGS | set(codec._REGISTRY)) + ["NoSuchPayload"]
+
+#: JSON trees shaped like wire payloads: scalars, lists, and tagged nodes
+#: whose ``"v"`` and ``"f"`` members are themselves arbitrary trees.
+_wire_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.fixed_dictionaries(
+            {"t": st.sampled_from(_TAGS)},
+            optional={
+                "v": children,
+                "f": st.dictionaries(st.text(max_size=8), children, max_size=4),
+            },
+        )
+        | st.dictionaries(st.text(max_size=4), children, max_size=3)
+    ),
+    max_leaves=20,
+)
+
+
 class TestErrors:
     def test_unregistered_dataclass_rejected(self):
         @dataclass(frozen=True)
@@ -362,6 +385,21 @@ class TestErrors:
     def test_malformed_frame_rejected(self):
         with pytest.raises(PayloadCodecError):
             decode_frame({"s": 1})
+
+    def test_tree_nested_past_the_recursion_limit_rejected(self):
+        node = 1
+        for _ in range(1000):
+            node = {"t": "tuple", "v": [node]}
+        with pytest.raises(PayloadCodecError):
+            decode_frame({"s": 0, "at": 0.0, "p": node})
+
+    @settings(max_examples=100, deadline=None)
+    @given(frame=st.dictionaries(st.sampled_from(["s", "at", "p", "x"]), _wire_trees))
+    def test_malformed_frames_decode_or_raise_only_the_codec_error(self, frame):
+        try:
+            decode_frame(frame)
+        except PayloadCodecError:
+            pass
 
 
 class TestFrames:
