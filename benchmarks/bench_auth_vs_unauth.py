@@ -129,9 +129,7 @@ def auth_fast_path_executor(scenario: Scenario) -> dict:
     """
     built = scenario.graph.build()
     fast, fast_crypto, fast_wall = _profiled_auth_run(built, scenario.seed, None)
-    cacheless = KeyRegistry(
-        seed=scenario.seed, verified_cache_entries=0, canonical_memo_entries=0
-    )
+    cacheless = KeyRegistry(seed=scenario.seed, cached=False)
     slow, slow_crypto, slow_wall = _profiled_auth_run(built, scenario.seed, cacheless)
     if (fast.identified, fast.identification_times, fast.messages_sent) != (
         slow.identified,

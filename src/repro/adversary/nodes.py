@@ -21,7 +21,6 @@ from repro.graphs.knowledge_graph import ProcessId
 from repro.pbft.messages import PrePrepare
 from repro.pbft.replica import preprepare_payload
 from repro.sim.process import Process
-from repro.sim.tracing import SimulationTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.base import Runtime
@@ -52,7 +51,7 @@ class CrashNode(ConsensusNode):
 
     def propose(self, value: Any) -> None:
         super().propose(value)
-        self.after(max(self.crash_time - self.now, 0.0), self._crash, label="crash fault")
+        self.after(max(self.crash_time - self.now, 0.0), self._crash)
 
     def _crash(self) -> None:
         self.runtime.crash(self.process_id)
@@ -160,7 +159,6 @@ def build_faulty_node(
     registry: KeyRegistry,
     key: SigningKey,
     config: ProtocolConfig,
-    trace: SimulationTrace | None = None,
     runtime: "Runtime",
 ) -> Process:
     """Instantiate the node implementing ``spec`` for a faulty process."""
@@ -170,7 +168,6 @@ def build_faulty_node(
         registry=registry,
         key=key,
         config=config,
-        trace=trace,
         runtime=runtime,
     )
     if spec.behaviour == "silent":

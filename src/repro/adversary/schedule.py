@@ -585,7 +585,6 @@ def install_schedule(schedule: NetworkSchedule, runtime: "Runtime") -> None:
             runtime.schedule(
                 max(rule.at - runtime.now, 0.0),
                 lambda process=rule.process: runtime.crash(process),
-                label=f"schedule rule {rule.rule_name}",
             )
         elif isinstance(rule, PartitionRule):
             runtime.add_rule(_CompiledPartitionRule(rule))  # membership-independent

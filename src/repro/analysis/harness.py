@@ -165,7 +165,6 @@ def build_protocol_nodes(
     config: RunConfig,
     runtime: "Runtime",
     registry: KeyRegistry,
-    trace: SimulationTrace,
 ) -> dict[ProcessId, Process]:
     """Instantiate every process of the run (correct and faulty) on ``runtime``.
 
@@ -181,7 +180,6 @@ def build_protocol_nodes(
             registry=registry,
             key=registry.generate(process_id),
             config=config.protocol,
-            trace=trace,
         )
         spec = config.faulty.get(process_id)
         nodes[process_id] = (
@@ -226,7 +224,7 @@ def drive(
     the run to stop (``settled``; by default, its decision).
     """
     trace = runtime.trace
-    nodes = (build or build_protocol_nodes)(config, runtime, registry, trace)
+    nodes = (build or build_protocol_nodes)(config, runtime, registry)
     correct = frozenset(config.graph.processes - set(config.faulty))
     participants = config.graph.processes if config.participants is None else config.participants
 
@@ -316,6 +314,7 @@ def collect_run_result(
         proposals=proposals,
         decisions=decisions,
         identified=identified,
+        decision_counts=runtime.trace.decision_counts,
     )
     return RunResult(
         config=config,

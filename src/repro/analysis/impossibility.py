@@ -32,6 +32,9 @@ from repro.sim.synchrony import PartialSynchronyModel
 
 GROUP_A = frozenset({1, 2, 3, 4})
 GROUP_B = frozenset({5, 6, 7, 8})
+#: How long execution AB holds every cross-group message: past both groups'
+#: decisions.
+CROSS_GROUP_DELAY = 1_500.0
 
 
 @dataclass
@@ -75,7 +78,7 @@ def _run_single_system(scenario, value: str, seed: int) -> RunResult:
     return run_consensus(config)
 
 
-def theorem7_cross_group_schedule(cross_group_delay: float) -> NetworkSchedule:
+def theorem7_cross_group_schedule() -> NetworkSchedule:
     """The Theorem 7 adversarial scheduler, as a declarative schedule.
 
     Every message between the two groups is delayed beyond both groups'
@@ -89,13 +92,13 @@ def theorem7_cross_group_schedule(cross_group_delay: float) -> NetworkSchedule:
     return NetworkSchedule(
         name="theorem7-cross-group",
         rules=(
-            DelayRule(src=GROUP_A, dst=GROUP_B, delay=cross_group_delay, adversarial=True),
-            DelayRule(src=GROUP_B, dst=GROUP_A, delay=cross_group_delay, adversarial=True),
+            DelayRule(src=GROUP_A, dst=GROUP_B, delay=CROSS_GROUP_DELAY, adversarial=True),
+            DelayRule(src=GROUP_B, dst=GROUP_A, delay=CROSS_GROUP_DELAY, adversarial=True),
         ),
     )
 
 
-def _run_joint_system(seed: int, cross_group_delay: float) -> RunResult:
+def _run_joint_system(seed: int) -> RunResult:
     scenario = figure_2c()
     proposals = {}
     for process in scenario.graph.processes:
@@ -106,18 +109,18 @@ def _run_joint_system(seed: int, cross_group_delay: float) -> RunResult:
         faulty={},
         proposals=proposals,
         synchrony=PartialSynchronyModel(gst=20.0, delta=1.0),
-        schedule=theorem7_cross_group_schedule(cross_group_delay),
+        schedule=theorem7_cross_group_schedule(),
         seed=seed,
         horizon=2_000.0,
     )
     return run_consensus(config)
 
 
-def run_impossibility_experiment(seed: int = 0, cross_group_delay: float = 1_500.0) -> ImpossibilityOutcome:
+def run_impossibility_experiment(seed: int = 0) -> ImpossibilityOutcome:
     """Replay the three executions of Theorem 7 and report the outcome."""
     execution_a = _run_single_system(figure_2a(), "v", seed)
     execution_b = _run_single_system(figure_2b(), "u", seed)
-    execution_ab = _run_joint_system(seed, cross_group_delay)
+    execution_ab = _run_joint_system(seed)
     return ImpossibilityOutcome(
         execution_a=execution_a,
         execution_b=execution_b,

@@ -7,7 +7,8 @@
 * **Termination** -- every correct process eventually decides (within the
   simulation horizon).
 * **Integrity** -- every correct process decides at most once (enforced
-  structurally by the node; re-checked from the trace here).
+  structurally by the node; re-checked here from the decisions the trace
+  counted).
 
 Additionally the harness checks **identification agreement**: every correct
 process that returned a sink/core returned the same set, which is the
@@ -17,6 +18,7 @@ of Section IV manifest).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -47,7 +49,7 @@ def check_properties(
     proposals: dict[ProcessId, Any],
     decisions: dict[ProcessId, Any],
     identified: dict[ProcessId, frozenset[ProcessId]],
-    decision_counts: dict[ProcessId, int] | None = None,
+    decision_counts: Mapping[ProcessId, int],
 ) -> ConsensusProperties:
     """Evaluate the consensus properties for one run.
 
@@ -63,9 +65,7 @@ def check_properties(
     identified:
         The sink/core returned by each correct process that identified one.
     decision_counts:
-        Optional per-process decision counts (for the Integrity check); when
-        omitted, Integrity is vacuously true because the node structure
-        already prevents double decisions.
+        How many decisions each process reported (for the Integrity check).
     """
     correct_decisions = {process: value for process, value in decisions.items() if process in correct}
     proposed_values = set(proposals.values())
@@ -74,12 +74,9 @@ def check_properties(
     distinct = tuple(sorted({repr(value) for value in correct_decisions.values()}))
     agreement = len({repr(value) for value in correct_decisions.values()}) <= 1
     termination = set(correct_decisions) == set(correct)
-    if decision_counts is None:
-        integrity = True
-    else:
-        integrity = all(
-            decision_counts.get(process, 0) <= 1 for process in correct  # lint: allow[DET-ORDER-SET] all() of a per-process count check is order-free
-        )
+    integrity = all(
+        decision_counts.get(process, 0) <= 1 for process in correct  # lint: allow[DET-ORDER-SET] all() of a per-process count check is order-free
+    )
     correct_identifications = {
         process: members for process, members in identified.items() if process in correct
     }

@@ -25,15 +25,15 @@ from repro.adversary.spec import FaultSpec
 from repro.analysis.harness import RunConfig, drive
 from repro.baselines.reachable_broadcast import DisjointPathTracker, FloodedRecord
 from repro.core.config import ProtocolConfig
+from repro.core.node import DISCOVERY_PERIOD
 from repro.crypto.signatures import KeyRegistry
 from repro.graphs.knowledge_graph import KnowledgeGraph, ProcessId
 from repro.graphs.predicates import KnowledgeView
-from repro.graphs.sink_search import SearchOptions, find_sink_with_fault_threshold
+from repro.graphs.sink_search import find_sink_with_fault_threshold
 from repro.runtime.base import Runtime
 from repro.runtime.sim import build_sim_runtime
 from repro.sim.process import Process
 from repro.sim.synchrony import SynchronyModel
-from repro.sim.tracing import SimulationTrace
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,9 @@ class UnauthenticatedDiscoveryNode(Process):
         participant_detector: frozenset[ProcessId],
         runtime: Runtime,
         fault_threshold: int,
-        *,
-        flood_period: float = 5.0,
-        search: SearchOptions | None = None,
     ) -> None:
         super().__init__(process_id, participant_detector, runtime=runtime)
         self.fault_threshold = fault_threshold
-        self.flood_period = flood_period
-        self.search = search or SearchOptions()
-        self.trace = runtime.trace
 
         self.tracker = DisjointPathTracker(receiver=process_id)
         #: Accepted participant detectors (delivered by reachable broadcast).
@@ -90,7 +84,7 @@ class UnauthenticatedDiscoveryNode(Process):
             return
         self._started = True
         self._flood_round()
-        self.every(self.flood_period, self._flood_round, label="unauthenticated flood")
+        self.every(DISCOVERY_PERIOD, self._flood_round)
 
     def _flood_round(self) -> None:
         if self.identified_members is not None:
@@ -153,11 +147,11 @@ class UnauthenticatedDiscoveryNode(Process):
         if self.identified_members is not None:
             return
         view = KnowledgeView(known=frozenset(self.known), pds=dict(self.accepted))
-        witness = find_sink_with_fault_threshold(view, self.fault_threshold, self.search)
+        witness = find_sink_with_fault_threshold(view, self.fault_threshold)
         if witness is not None:
             self.identified_members = witness.members
             self.identified_at = self.now
-            self.trace.on_sink_identified(self.process_id, witness.members, self.now)
+            self.runtime.trace.on_sink_identified(self.process_id, witness.members, self.now)
 
 
 @dataclass
@@ -177,10 +171,8 @@ class SinkDiscoveryOutcome:
     canonical_cache_hits: int = 0
 
 
-def _flooding_nodes(
-    config: RunConfig, runtime: Runtime, registry: KeyRegistry, trace: SimulationTrace
-) -> dict[ProcessId, Process]:
-    del registry, trace  # the flooding protocol signs nothing; nodes trace on runtime.trace
+def _flooding_nodes(config: RunConfig, runtime: Runtime, registry: KeyRegistry) -> dict[ProcessId, Process]:
+    del registry  # the flooding protocol signs nothing
     return {
         process_id: UnauthenticatedDiscoveryNode(
             process_id,

@@ -9,8 +9,9 @@ Two protocol modes are provided, matching the two models of the paper:
   ``f``; processes locate the *core* (Algorithm 4) instead and derive the
   fault-threshold estimate ``f_Gdi`` from it.
 
-Besides the mode and the threshold, a run chooses only the predicate-search
-options and the inner consensus's quorum rule.  The discovery and query
+Besides the mode and the threshold, a run chooses only the inner
+consensus's quorum rule; the predicate searches run with their default
+:class:`~repro.graphs.sink_search.SearchOptions`.  The discovery and query
 periods are constants of :mod:`repro.core.node`; the view timing of the
 inner consensus is a constant of :mod:`repro.pbft.replica`.
 """
@@ -18,10 +19,8 @@ inner consensus is a constant of :mod:`repro.pbft.replica`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
-
-from repro.graphs.sink_search import SearchOptions
 
 
 class ProtocolMode(enum.Enum):
@@ -47,8 +46,6 @@ class ProtocolConfig:
     #: ``BFT_CUP``; must be ``None`` for ``BFT_CUPFT`` (that is the point of
     #: the model).
     fault_threshold: int | None = None
-    #: Options forwarded to the sink/core predicate searches.
-    search: SearchOptions = field(default_factory=SearchOptions)
     #: Quorum rule of the inner consensus; its value (``"paper"`` or
     #: ``"classic"``) is accepted too and coerced here, so a bad rule fails
     #: when the config is built rather than when a member starts consensus.

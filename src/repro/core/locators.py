@@ -33,7 +33,7 @@ Three layers make the locators cheap on large graphs:
    scans) of the searches that do miss.
 
 None of the layers changes any result: the searches are pure functions of
-the view, the threshold and the options, and every skip is backed by the
+the view and the threshold, and every skip is backed by the
 invisibility argument above.
 """
 
@@ -47,7 +47,6 @@ from repro.graphs.predicates import SinkWitness
 from repro.graphs.search_memo import SinkSearchMemo, sink_search_memo
 from repro.graphs.sink_search import (
     CoreWitness,
-    SearchOptions,
     find_core_candidate,
     find_sink_with_fault_threshold,
 )
@@ -58,7 +57,6 @@ class SinkLocator:
     """The Sink algorithm (Algorithm 2): locate the sink given ``f``."""
 
     fault_threshold: int
-    options: SearchOptions = field(default_factory=SearchOptions)
     _last_analysis_version: int = field(init=False, default=-1)
     _witness: SinkWitness | None = field(init=False, default=None)
     #: Searches consulted (memo hits and misses alike): deterministic per
@@ -87,11 +85,11 @@ class SinkLocator:
             self.skips += 1
             return None
         self.searches += 1
-        key = ("sink", self.fault_threshold, self.options, discovery.view_key())
+        key = ("sink", self.fault_threshold, discovery.view_key())
         memo = sink_search_memo()
         cached = memo.lookup(key)
         if cached is SinkSearchMemo._MISS:
-            cached = find_sink_with_fault_threshold(discovery.view(), self.fault_threshold, self.options)
+            cached = find_sink_with_fault_threshold(discovery.view(), self.fault_threshold)
             memo.store(key, cached)
         self._witness = cached
         return cached
@@ -113,7 +111,6 @@ class SinkLocator:
 class CoreLocator:
     """The Core algorithm (Algorithm 4): locate the core without knowing ``f``."""
 
-    options: SearchOptions = field(default_factory=SearchOptions)
     _last_analysis_version: int = field(init=False, default=-1)
     _core: CoreWitness | None = field(init=False, default=None)
     searches: int = field(init=False, default=0)
@@ -129,11 +126,11 @@ class CoreLocator:
             return None
         self._last_analysis_version = discovery.analysis_version
         self.searches += 1
-        key = ("core", self.options, discovery.view_key())
+        key = ("core", discovery.view_key())
         memo = sink_search_memo()
         cached = memo.lookup(key)
         if cached is SinkSearchMemo._MISS:
-            cached = find_core_candidate(discovery.view(), self.options)
+            cached = find_core_candidate(discovery.view())
             memo.store(key, cached)
         self._core = cached
         return cached

@@ -33,7 +33,6 @@ from repro.graphs.knowledge_graph import ProcessId
 from repro.pbft.messages import Commit, GroupKey, NewView, PrePrepare, Prepare, ViewChange
 from repro.pbft.replica import SingleShotPbft
 from repro.sim.process import PeriodicTimer, Process
-from repro.sim.tracing import SimulationTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.base import Runtime
@@ -56,7 +55,6 @@ class ConsensusNode(Process):
         registry: KeyRegistry,
         key: SigningKey,
         config: ProtocolConfig,
-        trace: SimulationTrace | None = None,
         *,
         runtime: "Runtime",
     ) -> None:
@@ -64,7 +62,6 @@ class ConsensusNode(Process):
         self.registry = registry
         self.key = key
         self.config = config
-        self.trace = trace if trace is not None else self.runtime.trace
 
         self.discovery = DiscoveryState(
             process_id=process_id,
@@ -74,11 +71,9 @@ class ConsensusNode(Process):
             advertised_pd=self.advertised_pd(),
         )
         if config.mode is ProtocolMode.BFT_CUP:
-            self.locator: SinkLocator | CoreLocator = SinkLocator(
-                fault_threshold=config.fault_threshold or 0, options=config.search
-            )
+            self.locator: SinkLocator | CoreLocator = SinkLocator(config.fault_threshold or 0)
         else:
-            self.locator = CoreLocator(options=config.search)
+            self.locator = CoreLocator()
 
         self.proposal: Any = None
         self.value: Any = None  # ``val`` in Algorithm 3
@@ -154,7 +149,7 @@ class ConsensusNode(Process):
             return
         self._discovery_active = True
         self._discovery_round()
-        self._discovery_timer = self.every(DISCOVERY_PERIOD, self._discovery_round, label="discovery")
+        self._discovery_timer = self.every(DISCOVERY_PERIOD, self._discovery_round)
 
     def _discovery_round(self) -> None:
         """Line 2 of Algorithm 1: ask every known process for its PDs."""
@@ -191,7 +186,7 @@ class ConsensusNode(Process):
         self.identified_members = members
         self.identified_at = self.now
         self.estimated_fault_threshold = self.locator.estimated_fault_threshold()
-        self.trace.on_sink_identified(self.process_id, members, self.now)
+        self.runtime.trace.on_sink_identified(self.process_id, members, self.now)
         self._stop_discovery()
         self._after_identification()
 
@@ -210,7 +205,7 @@ class ConsensusNode(Process):
             self._start_inner_consensus()
         else:
             self._query_round()
-            self._query_timer = self.every(QUERY_PERIOD, self._query_round, label="query decided value")
+            self._query_timer = self.every(QUERY_PERIOD, self._query_round)
 
     # ------------------------------------------------------------------
     # Inner consensus (members)
@@ -230,7 +225,7 @@ class ConsensusNode(Process):
             key=self.key,
             registry=self.registry,
             send=self._send_pbft,
-            schedule=lambda delay, callback: self.after(delay, callback),
+            schedule=self.after,
             on_decide=self._on_inner_decision,
             quorum_rule=self.config.quorum_rule.value,
         )
@@ -300,7 +295,7 @@ class ConsensusNode(Process):
             # Non-members stop asking for the decided value once they have it.
             self._query_timer.cancel()
             self._query_timer = None
-        self.trace.on_decision(self.process_id, value, self.now)
+        self.runtime.trace.on_decision(self.process_id, value, self.now)
         requesters, self._pending_requesters = self._pending_requesters, set()
         for requester in sorted(requesters, key=repr):
             self.send(requester, DecidedValue(value=self.decided_value_reply(requester)))

@@ -117,7 +117,7 @@ def verify_aggregate(registry: KeyRegistry, message: Any, aggregate: AggregateTa
     if fold is None or not aggregate.signers:
         return False
     registry.verify_calls += 1
-    encoded = registry.memo.encode(message)
+    encoded = registry.encode(message)
     # Shares the registry's private verified-tag LRU; the composite key
     # cannot collide with per-signature ``(signer, tag)`` keys.
     cache_key = (("aggregate", aggregate.scheme, aggregate.signers), aggregate.tag)

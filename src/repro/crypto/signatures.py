@@ -23,20 +23,28 @@ same answer), which makes two caches trajectory-neutral:
   so a replayed tag under a *different* message still falls through to the
   (failing) full check.
 
-Both caches count their hits (:attr:`KeyRegistry.verify_calls`,
-:attr:`KeyRegistry.verify_cache_hits`, :attr:`KeyRegistry.canonical_cache_hits`)
-so harnesses can surface how much work the fast path removed.
+Both caches are bounded by module constants (:data:`CANONICAL_MEMO_ENTRIES`,
+:data:`VERIFIED_CACHE_ENTRIES`) and count their hits
+(:attr:`KeyRegistry.verify_calls`, :attr:`KeyRegistry.verify_cache_hits`,
+:attr:`KeyRegistry.canonical_cache_hits`) so harnesses can surface how much
+work the fast path removed.  ``KeyRegistry(cached=False)`` has neither cache:
+it is the reference registry the fast path is measured and tested against.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Any
 
 from repro.graphs.knowledge_graph import ProcessId
+
+#: Capacity of a registry's canonical-encoding memo (FIFO eviction).
+CANONICAL_MEMO_ENTRIES = 16384
+#: Capacity of a registry's verified-signature LRU.
+VERIFIED_CACHE_ENTRIES = 8192
 
 
 class SignatureError(Exception):
@@ -91,15 +99,9 @@ class CanonicalMemo:
     earlier runs in the same worker process.  Eviction is FIFO and bounded.
     """
 
-    __slots__ = ("max_entries", "hits", "misses", "evictions", "_entries")
+    __slots__ = ("hits", "misses", "evictions", "_entries")
 
-    def __init__(self, max_entries: int = 16384) -> None:
-        if max_entries < 0:
-            raise ValueError("max_entries must be non-negative")
-        #: ``0`` disables memoisation entirely (every encode recurses); the
-        #: benchmarks use that to measure the fast path against a cache-less
-        #: registry on identical runs.
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -110,9 +112,7 @@ class CanonicalMemo:
 
     def encode(self, message: Any) -> bytes:
         """Encode ``message``, memoised by identity for container payloads."""
-        if self.max_entries == 0 or not (
-            isinstance(message, tuple) or hasattr(message, "__dataclass_fields__")
-        ):
+        if not (isinstance(message, tuple) or hasattr(message, "__dataclass_fields__")):
             return _canonical(message)
         key = id(message)
         hit = self._entries.get(key)
@@ -121,7 +121,7 @@ class CanonicalMemo:
             return hit[1]
         self.misses += 1
         encoded = _canonical(message)
-        while len(self._entries) >= self.max_entries:
+        while len(self._entries) >= CANONICAL_MEMO_ENTRIES:
             self._entries.pop(next(iter(self._entries)))
             self.evictions += 1
         self._entries[key] = (message, encoded)
@@ -159,16 +159,16 @@ class SigningKey:
     handed to the owning process at setup time.
     """
 
-    __slots__ = ("owner", "_secret", "_memo")
+    __slots__ = ("owner", "_secret", "_encode")
 
-    def __init__(self, owner: ProcessId, secret: bytes, memo: CanonicalMemo | None = None) -> None:
+    def __init__(self, owner: ProcessId, secret: bytes, encode: Callable[[Any], bytes]) -> None:
         self.owner = owner
         self._secret = secret
-        self._memo = memo
+        self._encode = encode
 
     def sign(self, message: Any) -> SignedMessage:
         """Sign ``message`` under the owner's identity."""
-        encoded = self._memo.encode(message) if self._memo is not None else _canonical(message)
+        encoded = self._encode(message)
         tag = hmac.new(self._secret, encoded, hashlib.sha256).hexdigest()
         return SignedMessage(signer=self.owner, message=message, tag=tag)
 
@@ -180,22 +180,19 @@ class KeyRegistry:
     verified-signature LRU deduplicates the ``n``-receivers-verify-one-tag
     pattern across the whole run: the first receiver pays the HMAC, the
     rest pay a dict probe plus a (memoised) canonical comparison.
+    ``cached=False`` builds the reference registry without either cache:
+    every encode recurses and every verification pays the HMAC.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        verified_cache_entries: int = 8192,
-        canonical_memo_entries: int = 16384,
-    ) -> None:
+    def __init__(self, seed: int = 0, *, cached: bool = True) -> None:
         self._seed = seed
         self._secrets: dict[ProcessId, bytes] = {}
-        self.memo = CanonicalMemo(canonical_memo_entries)
-        self._verified_cache_entries = verified_cache_entries
-        #: ``(signer, tag) → canonical encoding that verified``.  A hit must
-        #: re-check the encoding, so replaying a valid tag under a different
-        #: message cannot ride the cache.
+        self.memo: CanonicalMemo | None = CanonicalMemo() if cached else None
+        #: The canonical encoder every sign and verify goes through.
+        self.encode = _canonical if self.memo is None else self.memo.encode
+        #: ``(signer, tag) → canonical encoding that verified`` (empty when
+        #: not cached).  A hit must re-check the encoding, so replaying a
+        #: valid tag under a different message cannot ride the cache.
         self._verified: dict[tuple[ProcessId, str], bytes] = {}
         self.verify_calls = 0
         self.verify_cache_hits = 0
@@ -203,14 +200,14 @@ class KeyRegistry:
     @property
     def canonical_cache_hits(self) -> int:
         """Hits of the registry's canonical-encoding memo (sign + verify)."""
-        return self.memo.hits
+        return 0 if self.memo is None else self.memo.hits
 
     def generate(self, owner: ProcessId) -> SigningKey:
         """Create (or return) the signing key of ``owner``."""
         if owner not in self._secrets:
             material = f"{self._seed}:{owner!r}".encode()
             self._secrets[owner] = hashlib.sha256(material).digest()
-        return SigningKey(owner, self._secrets[owner], memo=self.memo)
+        return SigningKey(owner, self._secrets[owner], self.encode)
 
     def knows(self, owner: ProcessId) -> bool:
         """Whether a key has been generated for ``owner``."""
@@ -224,9 +221,9 @@ class KeyRegistry:
         return hmac.new(secret, encoded, hashlib.sha256).hexdigest()
 
     def _cache_verified(self, key: tuple[ProcessId, str], encoded: bytes) -> None:
-        if self._verified_cache_entries <= 0:
-            return  # cache disabled: every verification pays the HMAC
-        while len(self._verified) >= self._verified_cache_entries:
+        if self.memo is None:
+            return  # the reference registry caches nothing
+        while len(self._verified) >= VERIFIED_CACHE_ENTRIES:
             self._verified.pop(next(iter(self._verified)))
         self._verified[key] = encoded
 
@@ -252,7 +249,7 @@ class KeyRegistry:
 
     def verify(self, signed: SignedMessage) -> bool:
         """Return ``True`` when ``signed`` was produced by its claimed signer."""
-        return self._verify_encoded(signed, self.memo.encode(signed.message))
+        return self._verify_encoded(signed, self.encode(signed.message))
 
     def verify_batch(self, entries: Iterable[SignedMessage]) -> list[bool]:
         """Verify many signatures at once; returns per-entry validity in order.
@@ -278,7 +275,7 @@ class KeyRegistry:
                 self.verify_calls += 1
                 if secret is None:
                     continue
-                encoded = self.memo.encode(entry.message)
+                encoded = self.encode(entry.message)
                 key = (signer, entry.tag)
                 cached = self._verified.get(key)
                 if cached is not None and cached == encoded:
@@ -311,6 +308,8 @@ class KeyRegistry:
 
 
 __all__ = [
+    "CANONICAL_MEMO_ENTRIES",
+    "VERIFIED_CACHE_ENTRIES",
     "CanonicalMemo",
     "KeyRegistry",
     "SignatureError",

@@ -12,7 +12,7 @@ simulations and benchmarks reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 from repro.graphs.knowledge_graph import KnowledgeGraph, ProcessId
@@ -48,7 +48,6 @@ class GeneratedScenario:
     fault_threshold: int
     sink_of_safe_graph: frozenset[ProcessId]
     core_of_safe_graph: frozenset[ProcessId]
-    parameters: dict[str, object] = field(default_factory=dict)
 
     @property
     def correct(self) -> frozenset[ProcessId]:
@@ -81,15 +80,13 @@ def generate_bft_cup_graph(
     byzantine_placement: FaultPlacement = "sink",
     byzantine_count: int | None = None,
     extra_edge_probability: float = 0.1,
-    dense_sink: bool = False,
     seed: int = 0,
 ) -> GeneratedScenario:
     """Generate a graph satisfying the BFT-CUP requirements (Theorem 1).
 
     Construction:
 
-    * the correct sink is a circulant (or complete, with ``dense_sink``) on
-      ``sink_size`` processes with out-degree ``f + 1``, hence
+    * the correct sink is a circulant on ``sink_size`` processes with out-degree ``f + 1``, hence
       ``(f+1)``-strongly connected;
     * every correct non-sink process points to ``f + 1`` distinct sink
       members chosen at random (plus optional extra edges towards other
@@ -124,7 +121,7 @@ def generate_bft_cup_graph(
     for node in sink_members + non_sink_members + byzantine_members:
         graph.add_process(node)
 
-    if dense_sink or sink_size <= f + 1:
+    if sink_size <= f + 1:
         graph.add_edges(_complete_edges(sink_members))
     else:
         graph.add_edges(_circulant_edges(sink_members, f + 1))
@@ -174,15 +171,6 @@ def generate_bft_cup_graph(
         fault_threshold=f,
         sink_of_safe_graph=frozenset(sink_members),
         core_of_safe_graph=frozenset(sink_members) if sink_size == 2 * f + 1 else frozenset(),
-        parameters={
-            "f": f,
-            "sink_size": sink_size,
-            "non_sink_size": non_sink_size,
-            "byzantine_placement": byzantine_placement,
-            "byzantine_count": byzantine_count,
-            "seed": seed,
-            "dense_sink": dense_sink,
-        },
     )
 
 
@@ -268,18 +256,10 @@ def generate_bft_cupft_graph(
         fault_threshold=f,
         sink_of_safe_graph=frozenset(core_members),
         core_of_safe_graph=frozenset(core_members),
-        parameters={
-            "f": f,
-            "core_size": core_size,
-            "non_core_size": non_core_size,
-            "byzantine_placement": byzantine_placement,
-            "byzantine_count": byzantine_count,
-            "seed": seed,
-        },
     )
 
 
-def generate_split_brain_graph(*, group_size: int = 4, seed: int = 0) -> GeneratedScenario:
+def generate_split_brain_graph(*, group_size: int = 4) -> GeneratedScenario:
     """Generate a Fig. 2c-style graph: two cliques joined by a single bridge.
 
     The graph satisfies the BFT-CUP requirements only for ``f = 0`` and is
@@ -289,7 +269,6 @@ def generate_split_brain_graph(*, group_size: int = 4, seed: int = 0) -> Generat
     """
     if group_size < 2:
         raise ValueError("each group needs at least two processes")
-    del seed  # deterministic; kept for interface uniformity
     group_a = list(range(1, group_size + 1))
     group_b = list(range(group_size + 1, 2 * group_size + 1))
     graph = KnowledgeGraph()
@@ -304,7 +283,6 @@ def generate_split_brain_graph(*, group_size: int = 4, seed: int = 0) -> Generat
         fault_threshold=0,
         sink_of_safe_graph=frozenset(group_a + group_b),
         core_of_safe_graph=frozenset(),
-        parameters={"group_size": group_size},
     )
 
 

@@ -44,6 +44,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any
 
+#: Capacity of the process-local memo; the oldest entry goes first.
+SINK_SEARCH_MEMO_ENTRIES = 4096
+
 
 class SinkSearchMemo:
     """Bounded process-local memo of sink/core search (and sub-search) results.
@@ -55,10 +58,7 @@ class SinkSearchMemo:
     monotonically growing discovery states, so old views never come back.
     """
 
-    def __init__(self, max_entries: int = 4096) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._entries: dict[tuple, Any] = {}
         self.hits = 0
         self.misses = 0
@@ -80,7 +80,7 @@ class SinkSearchMemo:
         return result
 
     def store(self, key: tuple, value: Any) -> None:
-        while len(self._entries) >= self.max_entries:
+        while len(self._entries) >= SINK_SEARCH_MEMO_ENTRIES:
             self._entries.pop(next(iter(self._entries)))
             self.evictions += 1
         self._entries[key] = value
@@ -108,4 +108,4 @@ def sink_search_memo() -> SinkSearchMemo:
     return _PROCESS_MEMO
 
 
-__all__ = ["SinkSearchMemo", "sink_search_memo"]
+__all__ = ["SINK_SEARCH_MEMO_ENTRIES", "SinkSearchMemo", "sink_search_memo"]

@@ -45,6 +45,10 @@ class SearchOptions:
     max_subsets: int = DEFAULT_MAX_SUBSETS
 
 
+#: The options of every search whose caller passes none (the protocol's).
+_DEFAULT_OPTIONS = SearchOptions()
+
+
 def _sink_hits(
     view: KnowledgeView, options: SearchOptions, highest: int, lowest: int
 ) -> Iterator[tuple[int, int, int]]:
@@ -111,7 +115,7 @@ def find_sink_with_fault_threshold(
     algorithm returns) or ``None`` when the current view does not yet allow
     the sink to be identified.
     """
-    for s1, g, s2 in _sink_hits(view, options or SearchOptions(), f, f):
+    for s1, g, s2 in _sink_hits(view, options or _DEFAULT_OPTIONS, f, f):
         return _witness(view.index(), g, s1, s2)
     return None
 
@@ -132,7 +136,7 @@ def find_all_sinks(
     index = view.index()
     best: dict[int, tuple[int, int, int]] = {}
     # every g that P1 allows, down to minimum_f
-    for s1, g, s2 in _sink_hits(view, options or SearchOptions(), len(index.ids), minimum_f):
+    for s1, g, s2 in _sink_hits(view, options or _DEFAULT_OPTIONS, len(index.ids), minimum_f):
         existing = best.get(s1 | s2)
         if existing is None or g > existing[0]:
             best[s1 | s2] = (g, s1, s2)
@@ -165,7 +169,7 @@ def has_stronger_subsink(
     enumeration is restricted to subsets whose size lies in
     ``[2*connectivity - 1, |members| - 1]``.
     """
-    options = options or SearchOptions()
+    options = options or _DEFAULT_OPTIONS
     member_set = frozenset(members)
     index = view.subview(member_set).index()
     unknown = member_set - index.bit_of.keys()
@@ -230,7 +234,7 @@ def find_core_candidate(
     with connectivity ``>= k_Gdi(S)``.  Returns ``None`` otherwise (the
     caller keeps discovering).
     """
-    options = options or SearchOptions()
+    options = options or _DEFAULT_OPTIONS
     best = strongest_sinks(view, options)
     if len(best) != 1:
         # No sink at all, or a tie: the core (which must be strictly the

@@ -123,6 +123,12 @@ def _default_seam_rules() -> tuple[SeamRule, ...]:
             forbidden=SIM_MACHINERY,
             reason="baseline protocols should run on the Runtime seam like the main stack",
         ),
+        SeamRule(
+            scope="repro.runtime",
+            forbidden=("repro.experiments",),
+            reason="a live run loads the runtime, not the sweep orchestrator: the frame format "
+            "both use is repro.runtime.framing",
+        ),
         # The reverse direction: the simulator must not know about the
         # protocol stack built on top of it.
         SeamRule(

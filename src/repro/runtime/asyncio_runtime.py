@@ -3,8 +3,8 @@
 An :class:`AsyncioRuntime` implements the :class:`~repro.runtime.base.Runtime`
 seam on an asyncio event loop: every registered process gets its own TCP
 server on the loopback interface, and every message crosses a real socket as
-one of the work-queue's length-prefixed JSON frames
-(:mod:`repro.experiments.backends.transport`), with payloads serialised by
+one length-prefixed JSON frame (:mod:`repro.runtime.framing`, the format
+the work queue's TCP transport uses too), with payloads serialised by
 the lossless tagged codec (:mod:`repro.runtime.codec`).  The protocol
 handlers run byte-for-byte the same code as under the simulator — only the
 clock and the transport differ.
@@ -38,10 +38,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.experiments.backends.transport import TransportError, pack_frame, read_frame_async
 from repro.graphs.knowledge_graph import ProcessId
 from repro.runtime.base import Runtime
 from repro.runtime.codec import EncodeMemo, PayloadCodecError, decode_frame, encode_frame
+from repro.runtime.framing import TransportError, pack_frame, read_frame_async
 from repro.sim.gate import SendGate, invalid_delay
 from repro.sim.messages import Envelope, payload_kind
 from repro.sim.synchrony import PartialSynchronyModel, SynchronyModel
@@ -182,8 +182,7 @@ class AsyncioRuntime(Runtime):
             raise RuntimeError("register every process before AsyncioRuntime.run()")
         super().register(process)
 
-    def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> _LiveTimer:
-        del label  # labels are a debugging aid; call_later has no use for them
+    def schedule(self, delay: float, callback: Callable[[], None]) -> _LiveTimer:
         if not delay >= 0.0:  # also catches NaN, which ``delay < 0`` lets through
             raise invalid_delay(delay)
         loop = self._require_loop()

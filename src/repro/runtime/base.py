@@ -91,7 +91,7 @@ class Runtime(ABC):
         self._gate.add_rule(rule)
 
     @abstractmethod
-    def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> TimerHandle:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         """Run ``callback`` once, ``delay`` protocol time units from now.
 
         The live runtime's clock starts in :meth:`run`: call from ``start`` or later.

@@ -44,8 +44,8 @@ class SimRuntime(Runtime):
     def send(self, sender: ProcessId, receiver: ProcessId, payload: Any) -> None:
         self._network.send(sender, receiver, payload)
 
-    def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> TimerHandle:
-        return self._simulator.schedule(delay, callback, label)
+    def schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
+        return self._simulator.schedule(delay, callback)
 
     def run(self, start: Callable[[], None], until: Callable[[], bool]) -> None:
         start()

@@ -130,17 +130,16 @@ class Simulator:
         """High-water mark of :meth:`pending_events` over the run."""
         return self._pending_peak
 
-    def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> _ScheduledEvent:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> _ScheduledEvent:
         """Schedule ``callback`` to run ``delay`` time units from now."""
         if not delay >= 0.0:  # also catches NaN, which ``delay < 0`` lets through
             raise ValueError(f"delay must be a non-negative number, got {delay!r}")
-        return self.schedule_at(self._now + delay, callback, label)
+        return self.schedule_at(self._now + delay, callback)
 
-    def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> _ScheduledEvent:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> _ScheduledEvent:
         """Schedule ``callback`` to run at absolute virtual time ``time``."""
         if not time >= self._now:  # also catches NaN
             raise ValueError(f"cannot schedule at {time!r}: not a time at or after now ({self._now})")
-        del label  # accepted for the Runtime seam; the engine keeps no labels
         event = _ScheduledEvent(time, callback, self)
         self._enqueue(time, None, event)
         return event

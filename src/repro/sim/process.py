@@ -32,17 +32,14 @@ class PeriodicTimer:
     rescheduling loop.
     """
 
-    __slots__ = ("_owner", "_period", "_callback", "_label", "_handle", "_cancelled")
+    __slots__ = ("_owner", "_period", "_callback", "_handle", "_cancelled")
 
-    def __init__(
-        self, owner: "Process", period: float, callback: Callable[[], None], label: str
-    ) -> None:
+    def __init__(self, owner: "Process", period: float, callback: Callable[[], None]) -> None:
         self._owner = owner
         self._period = period
         self._callback = callback
-        self._label = label
         self._cancelled = False
-        self._handle = owner.runtime.schedule(period, self._tick, label)
+        self._handle = owner.runtime.schedule(period, self._tick)
 
     def _tick(self) -> None:
         if self._cancelled or self._owner.stopped:
@@ -50,7 +47,7 @@ class PeriodicTimer:
         self._callback()
         if self._cancelled or self._owner.stopped:
             return  # the callback cancelled the timer (or stopped the process)
-        self._handle = self._owner.runtime.schedule(self._period, self._tick, self._label)
+        self._handle = self._owner.runtime.schedule(self._period, self._tick)
 
     def cancel(self) -> None:
         """Stop the timer: cancel the pending tick and never reschedule."""
@@ -144,7 +141,7 @@ class Process:
     # ------------------------------------------------------------------
     # timers
     # ------------------------------------------------------------------
-    def after(self, delay: float, callback: Callable[[], None], label: str = "") -> "TimerHandle":
+    def after(self, delay: float, callback: Callable[[], None]) -> "TimerHandle":
         """Run ``callback`` once, ``delay`` time units from now.
 
         Fired handles are pruned from the process's timer registry, so
@@ -158,13 +155,11 @@ class Process:
             if not self._stopped:
                 callback()
 
-        # Static default label: formatting the process id on every one-shot
-        # is measurable at large n and the label is only read when debugging.
-        handle = self.runtime.schedule(delay, guarded, label or "one-shot")
+        handle = self.runtime.schedule(delay, guarded)
         self._timers.add(handle)
         return handle
 
-    def every(self, period: float, callback: Callable[[], None], label: str = "") -> PeriodicTimer:
+    def every(self, period: float, callback: Callable[[], None]) -> PeriodicTimer:
         """Run ``callback`` every ``period`` time units until cancelled.
 
         Returns a :class:`PeriodicTimer`; cancelling it stops the ticks for
@@ -172,7 +167,7 @@ class Process:
         """
         if period <= 0:
             raise ValueError("period must be positive")
-        timer = PeriodicTimer(self, period, callback, label or "periodic")
+        timer = PeriodicTimer(self, period, callback)
         self._timers.add(timer)
         return timer
 

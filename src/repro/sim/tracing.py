@@ -30,6 +30,9 @@ class SimulationTrace:
     dropped_by_rule: Counter = field(default_factory=Counter)
     delayed_by_rule: Counter = field(default_factory=Counter)
     decisions: dict[ProcessId, tuple[Any, float]] = field(default_factory=dict)
+    #: Every decision reported, per process: Integrity holds while no
+    #: correct process has more than one.
+    decision_counts: Counter = field(default_factory=Counter)
     sink_returns: dict[ProcessId, tuple[frozenset[ProcessId], float]] = field(default_factory=dict)
     events: list[tuple[float, str]] = field(default_factory=list)
     message_log: list[Envelope] = field(default_factory=list)
@@ -71,7 +74,8 @@ class SimulationTrace:
     # protocol hooks
     # ------------------------------------------------------------------
     def on_decision(self, process: ProcessId, value: Any, time: float) -> None:
-        """Record the first decision of ``process`` (Integrity is checked elsewhere)."""
+        """Count a decision of ``process`` and record its first one."""
+        self.decision_counts[process] += 1
         if process not in self.decisions:
             self.decisions[process] = (value, time)
 

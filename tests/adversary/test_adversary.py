@@ -250,7 +250,6 @@ def build_world(figures, behaviour_spec):
         registry=registry,
         key=registry.generate(4),
         config=ProtocolConfig.bft_cup(1),
-        trace=trace,
     )
     return scenario, simulator, network, registry, trace, node
 

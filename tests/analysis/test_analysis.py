@@ -25,6 +25,7 @@ class TestPropertyChecker:
             proposals={1: "v", 2: "v"},
             decisions={1: "v", 2: "v"},
             identified={1: frozenset({1, 2}), 2: frozenset({1, 2})},
+            decision_counts={1: 1, 2: 1},
         )
         assert properties.consensus_solved
         assert properties.identification_agreement
@@ -35,6 +36,7 @@ class TestPropertyChecker:
             proposals={1: "v", 2: "u"},
             decisions={1: "v", 2: "u"},
             identified={},
+            decision_counts={1: 1, 2: 1},
         )
         assert not properties.agreement
         assert properties.termination
@@ -46,6 +48,7 @@ class TestPropertyChecker:
             proposals={1: "v"},
             decisions={1: "not-proposed"},
             identified={},
+            decision_counts={1: 1},
         )
         assert not properties.validity
 
@@ -55,6 +58,7 @@ class TestPropertyChecker:
             proposals={1: "v", 2: "v"},
             decisions={1: "v"},
             identified={},
+            decision_counts={1: 1},
         )
         assert not properties.termination
 
@@ -64,8 +68,9 @@ class TestPropertyChecker:
             proposals={1: "v", 2: "u"},
             decisions={1: "v", 2: "weird"},
             identified={2: frozenset({9})},
+            decision_counts={1: 1, 2: 3},
         )
-        assert properties.agreement and properties.validity
+        assert properties.agreement and properties.validity and properties.integrity
 
     def test_integrity_from_counts(self):
         properties = check_properties(
@@ -76,6 +81,28 @@ class TestPropertyChecker:
             decision_counts={1: 2},
         )
         assert not properties.integrity
+
+    def test_a_second_decision_report_breaks_integrity(self, figures, monkeypatch):
+        """Integrity is checked on what the run reported, not assumed."""
+        from repro.core.node import ConsensusNode
+
+        decide = ConsensusNode._decide
+
+        def decide_and_report_again(node, value):
+            decide(node, value)
+            node.runtime.trace.on_decision(node.process_id, value, node.now)
+
+        monkeypatch.setattr(ConsensusNode, "_decide", decide_and_report_again)
+        config = RunConfig(
+            graph=figures["fig1b"].graph,
+            protocol=ProtocolConfig.bft_cup(1),
+            faulty={4: FaultSpec.silent()},
+        )
+        result = run_consensus(config)
+        assert result.termination and result.agreement and result.validity
+        assert not result.properties.integrity
+        assert not result.consensus_solved
+        assert result.trace.decision_counts[1] >= 2
 
 
 class TestHarness:

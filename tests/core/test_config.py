@@ -8,7 +8,6 @@ from repro.analysis.harness import RunConfig, build_protocol_nodes
 from repro.core.config import ProtocolConfig, ProtocolMode, QuorumRule
 from repro.crypto.signatures import KeyRegistry
 from repro.graphs.knowledge_graph import KnowledgeGraph
-from repro.graphs.sink_search import SearchOptions
 from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -29,7 +28,7 @@ def run_replicas(protocol):
     trace = SimulationTrace()
     network = Network(simulator, PartialSynchronyModel(), trace=trace, seed=0, faulty=frozenset())
     config = RunConfig(graph=graph, protocol=protocol)
-    nodes = build_protocol_nodes(config, SimRuntime(simulator, network), KeyRegistry(seed=0), trace)
+    nodes = build_protocol_nodes(config, SimRuntime(simulator, network), KeyRegistry(seed=0))
     for pid, node in nodes.items():
         node.propose(f"value-of-{pid}")
     simulator.run(until=lambda: all(node.decided for node in nodes.values()))
@@ -83,10 +82,8 @@ class TestProtocolConfig:
     def test_defaults(self):
         config = ProtocolConfig.bft_cupft()
         assert config.quorum_rule is QuorumRule.PAPER
-        assert config.search == SearchOptions()
         assert [field.name for field in dataclasses.fields(ProtocolConfig)] == [
             "mode",
             "fault_threshold",
-            "search",
             "quorum_rule",
         ]

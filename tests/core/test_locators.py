@@ -168,16 +168,16 @@ class TestSinkSearchMemo:
         assert hits == [0, 0, 0]
 
     def test_eviction_keeps_the_memo_bounded(self):
-        from repro.graphs.search_memo import SinkSearchMemo
+        from repro.graphs.search_memo import SINK_SEARCH_MEMO_ENTRIES, SinkSearchMemo
 
-        memo = SinkSearchMemo(max_entries=2)
-        memo.store(("a",), 1)
-        memo.store(("b",), 2)
-        memo.store(("c",), 3)
-        assert memo.stats()["entries"] == 2
+        memo = SinkSearchMemo()
+        for index in range(SINK_SEARCH_MEMO_ENTRIES + 1):
+            memo.store(("a", index), index)
+        assert memo.stats()["entries"] == SINK_SEARCH_MEMO_ENTRIES
         assert memo.stats()["evictions"] == 1
-        assert memo.lookup(("a",)) is SinkSearchMemo._MISS  # FIFO evicted
-        assert memo.lookup(("c",)) == 3
+        assert memo.lookup(("a", 0)) is SinkSearchMemo._MISS  # FIFO evicted
+        assert memo.lookup(("a", 1)) == 1
+        assert memo.lookup(("a", SINK_SEARCH_MEMO_ENTRIES)) == SINK_SEARCH_MEMO_ENTRIES
 
 
 class TestIncrementalMatchesFromScratch:

@@ -148,7 +148,7 @@ class TestProtocolDetails:
         trace = SimulationTrace()
         network = Network(simulator, PartialSynchronyModel(), trace=trace, seed=0)
         runtime = SimRuntime(simulator, network)
-        nodes = build_protocol_nodes(config, runtime, KeyRegistry(seed=0), trace)
+        nodes = build_protocol_nodes(config, runtime, KeyRegistry(seed=0))
         nodes[1].propose("v")
         with pytest.raises(RuntimeError):
             nodes[1].propose("v")
@@ -194,7 +194,7 @@ class TestTimerLifecycle:
             simulator, PartialSynchronyModel(), trace=trace, seed=0, faulty=frozenset({4})
         )
         runtime = SimRuntime(simulator, network)
-        nodes = build_protocol_nodes(config, runtime, KeyRegistry(seed=0), trace)
+        nodes = build_protocol_nodes(config, runtime, KeyRegistry(seed=0))
         correct = sorted(scenario.graph.processes - {4})
         for pid, node in nodes.items():
             node.propose(f"value-of-{pid}")
@@ -274,7 +274,6 @@ class TestDecidedValueVoting:
             registry=registry,
             key=registry.generate(99),
             config=ProtocolConfig.bft_cupft(),
-            trace=trace,
         )
         node._proposed = True
         node.identified_members = members

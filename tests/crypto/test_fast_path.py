@@ -18,6 +18,8 @@ from repro.crypto.aggregate import (
     verify_aggregate,
 )
 from repro.crypto.signatures import (
+    CANONICAL_MEMO_ENTRIES,
+    VERIFIED_CACHE_ENTRIES,
     CanonicalMemo,
     KeyRegistry,
     SignatureError,
@@ -72,7 +74,7 @@ def adversarial_population(seed: int) -> list[SignedMessage]:
 
 def reference_verdicts(seed: int, population: list[SignedMessage]) -> list[bool]:
     """Ground truth: per-signature verification on a cache-less registry."""
-    registry = KeyRegistry(seed=seed, verified_cache_entries=0, canonical_memo_entries=0)
+    registry = KeyRegistry(seed=seed, cached=False)
     for name in SIGNERS:
         registry.generate(name)
     return [registry.verify(entry) for entry in population]
@@ -124,9 +126,7 @@ class TestFastPathEquivalence:
         rng = random.Random(seed)
         registry = KeyRegistry(seed=seed)
         keys = {name: registry.generate(name) for name in SIGNERS}
-        reference = KeyRegistry(
-            seed=seed, verified_cache_entries=0, canonical_memo_entries=0
-        )
+        reference = KeyRegistry(seed=seed, cached=False)
         for name in SIGNERS:
             reference.generate(name)
         for trial in range(30):
@@ -161,17 +161,34 @@ class TestVerifiedCacheSoundness:
         assert registry.verify_cache_hits == 0
 
     def test_cache_hits_are_counted_and_bounded(self):
-        registry = KeyRegistry(seed=1, verified_cache_entries=4)
+        registry = KeyRegistry(seed=1)
         key = registry.generate("alice")
-        signatures = [key.sign(("msg", index)) for index in range(8)]
+        signatures = [key.sign(("msg", index)) for index in range(VERIFIED_CACHE_ENTRIES + 4)]
         for signed in signatures:
             assert registry.verify(signed)
-        assert len(registry._verified) == 4  # FIFO-bounded
-        # The four most recent entries are still cached hits.
+        assert len(registry._verified) == VERIFIED_CACHE_ENTRIES  # FIFO-bounded
+        # The four oldest entries were evicted: verifying them again pays the HMAC.
         before = registry.verify_cache_hits
+        for signed in signatures[:4]:
+            assert registry.verify(signed)
+        assert registry.verify_cache_hits == before
+        # The four most recent entries are still cached hits.
         for signed in signatures[-4:]:
             assert registry.verify(signed)
         assert registry.verify_cache_hits == before + 4
+
+    def test_uncached_registry_has_neither_cache(self):
+        registry = KeyRegistry(seed=1, cached=False)
+        key = registry.generate("alice")
+        record = PdRecord(owner="alice", pd=frozenset({"bob"}))
+        signed = key.sign(record)
+        assert registry.verify(signed) and registry.verify(signed)
+        assert registry.memo is None and registry._verified == {}
+        assert registry.counters() == {
+            "verify_calls": 2,
+            "verify_cache_hits": 0,
+            "canonical_cache_hits": 0,
+        }
 
     def test_counters_snapshot(self):
         registry = KeyRegistry(seed=1)
@@ -186,7 +203,7 @@ class TestVerifiedCacheSoundness:
 
 class TestCanonicalMemo:
     def test_identity_hit_and_strong_reference(self):
-        memo = CanonicalMemo(max_entries=4)
+        memo = CanonicalMemo()
         record = PdRecord(owner=1, pd=frozenset({2, 3}))
         first = memo.encode(record)
         second = memo.encode(record)
@@ -198,12 +215,17 @@ class TestCanonicalMemo:
         assert memo.misses == 2
 
     def test_eviction_is_bounded(self):
-        memo = CanonicalMemo(max_entries=2)
-        records = [PdRecord(owner=i, pd=frozenset()) for i in range(5)]
+        memo = CanonicalMemo()
+        records = [PdRecord(owner=i, pd=frozenset()) for i in range(CANONICAL_MEMO_ENTRIES + 3)]
         for record in records:
             memo.encode(record)
-        assert len(memo) == 2
+        assert len(memo) == CANONICAL_MEMO_ENTRIES
         assert memo.evictions == 3
+        # FIFO: the oldest record was evicted, the newest still hits.
+        memo.encode(records[-1])
+        assert memo.hits == 1
+        memo.encode(records[0])
+        assert memo.hits == 1
 
     def test_scalars_are_not_memoised(self):
         memo = CanonicalMemo()
@@ -211,11 +233,13 @@ class TestCanonicalMemo:
         memo.encode(42)
         assert len(memo) == 0 and memo.misses == 0
 
-    def test_zero_entries_disables_memoisation(self):
-        memo = CanonicalMemo(max_entries=0)
+    def test_uncached_registry_encodes_without_a_memo(self):
+        cached, uncached = KeyRegistry(seed=1), KeyRegistry(seed=1, cached=False)
         record = PdRecord(owner=1, pd=frozenset({2}))
-        assert memo.encode(record) == memo.encode(record)
-        assert len(memo) == 0 and memo.hits == 0 and memo.misses == 0
+        assert uncached.encode(record) == uncached.encode(record) == cached.encode(record)
+        assert uncached.canonical_cache_hits == 0
+        # Both registries sign with the same tags.
+        assert uncached.generate(1).sign(record) == cached.generate(1).sign(record)
 
     def test_clear_and_stats(self):
         memo = CanonicalMemo()

@@ -112,9 +112,6 @@ class TestExtraEdgeSampling:
         assert _edge_digest(cup) == "9166d0576253652d"
         cupft = generate_bft_cupft_graph(f=2, non_core_size=8, seed=11)
         assert _edge_digest(cupft) == "e61da059023aa4aa"
-        assert set(cupft.parameters) == {
-            "f", "core_size", "non_core_size", "byzantine_placement", "byzantine_count", "seed"
-        }
 
     @pytest.mark.parametrize("family", ["cup", "cupft"])
     def test_probability_one_links_every_earlier_member(self, family):

@@ -210,15 +210,22 @@ class TestDetSeed:
 
 
 class TestSeam:
-    def test_flags_forbidden_import_edge(self, tmp_path):
-        active, _ = lint_snippet(
-            tmp_path,
-            """
-            from repro.sim.engine import Simulator
-            """,
-        )
+    @pytest.mark.parametrize(
+        "module,statement,forbidden",
+        [
+            ("repro.core.snippet", "from repro.sim.engine import Simulator", "repro.sim.engine"),
+            (
+                "repro.runtime.asyncio_runtime",
+                "from repro.experiments.backends.transport import pack_frame",
+                "repro.experiments",
+            ),
+        ],
+        ids=["core-to-engine", "runtime-to-experiments"],
+    )
+    def test_flags_forbidden_import_edge(self, tmp_path, module, statement, forbidden):
+        active, _ = lint_snippet(tmp_path, statement + "\n", module=module)
         assert rules_of(active) == ["SEAM-IMPORT"]
-        assert "repro.sim.engine" in active[0].message
+        assert forbidden in active[0].message
 
     def test_relative_imports_are_resolved(self, tmp_path):
         active, _ = lint_snippet(
@@ -291,7 +298,7 @@ class TestSeam:
 class TestSeamPrivate:
     @pytest.mark.parametrize(
         "module",
-        ["repro.runtime.snippet", "repro.lint.snippet"],  # no layering rule covers either
+        ["repro.runtime.snippet", "repro.lint.snippet"],  # no layering rule forbids repro.analysis here
     )
     def test_flags_private_name_from_another_package(self, tmp_path, module):
         active, _ = lint_snippet(

@@ -62,7 +62,7 @@ class TestSimRuntime:
         simulator, network = make_world()
         runtime = SimRuntime(simulator, network)
         fired = []
-        handle = runtime.schedule(2.0, lambda: fired.append(runtime.now), label="tick")
+        handle = runtime.schedule(2.0, lambda: fired.append(runtime.now))
         cancelled = runtime.schedule(3.0, lambda: fired.append("never"))
         cancelled.cancel()
         assert cancelled.cancelled
@@ -153,16 +153,17 @@ class TestOneDriver:
             rules.append(rule.name)
             add_rule(rule)
 
-        def recording_schedule(delay, callback, label=""):
-            timers.append((delay, label))
-            return arm(delay, callback, label)
+        def recording_schedule(delay, callback):
+            timers.append(delay)
+            return arm(delay, callback)
 
         monkeypatch.setattr(runtime, "add_rule", recording_add_rule)
         monkeypatch.setattr(runtime, "schedule", recording_schedule)
         result = drive(config, runtime, KeyRegistry(seed=config.seed))
         assert rules == ["slow-faulty", "early-split"]
-        (crash_delay,) = [delay for delay, label in timers if "crash-faulty" in label]
-        assert crash_delay == pytest.approx(2.0, abs=0.5)  # live: minus the elapsed start-up
+        # The schedule is installed before any process proposes, so the
+        # crash rule's timer is the first one armed.
+        assert timers[0] == pytest.approx(2.0, abs=0.5)  # live: minus the elapsed start-up
         assert result.consensus_solved
 
     def test_rejected_schedule_leaks_no_socket(self):
@@ -330,4 +331,5 @@ class TestProcessConstruction:
             config=ProtocolConfig(),
         )
         assert node.runtime is runtime
-        assert node.trace is network.trace
+        node._decide("v")  # a node reports to the trace of its runtime
+        assert network.trace.decisions == {1: ("v", 0.0)}
