@@ -15,13 +15,13 @@ The ``auth-only`` workload adds a large-n point that exercises the crypto
 fast path: the authenticated run is executed twice on the same graph and
 seed — once with the default :class:`~repro.crypto.KeyRegistry` (canonical
 memo + verified-signature LRU) and once with a cache-less registry — under
-``cProfile``, attributing internal time to ``repro/crypto/`` the same way
-``scripts/profile_run.py`` does.  Both runs must produce identical
-trajectories; the crypto-layer time ratio is the measured speedup of the
-fast path (the whole-run walls are reported too, but signature checking is
-only a few percent of the simulator's time, so the end-to-end delta is
-small by design).  Unauthenticated flooding is quadratic-ish in n and is
-deliberately not run at this size.
+``cProfile``, attributing internal time to ``repro/crypto/`` (the call
+counts of that layer are pinned by ``scripts/work_counts.py``).  Both runs
+must produce identical trajectories; the crypto-layer time ratio is the
+measured speedup of the fast path (the whole-run walls are reported too,
+but signature checking is only a few percent of the simulator's time, so the
+end-to-end delta is small by design).  Unauthenticated flooding is
+quadratic-ish in n and is deliberately not run at this size.
 
 Set ``BENCH_QUICK=1`` to shrink the large-n point to a CI-sized run; the
 quick trajectory is gated against

@@ -43,20 +43,10 @@ class DiscoveryState:
     records: dict[ProcessId, SignedMessage] = field(init=False, default_factory=dict)
     known: set[ProcessId] = field(init=False, default_factory=set)
     received: set[ProcessId] = field(init=False, default_factory=set)
-    #: Monotonic counter bumped only when the view changes in a way the
-    #: sink/core predicates can observe: a new PD record, or a newly known
-    #: process that appears in some stored PD.  Known-only growth outside
-    #: every stored PD (nodes mentioned by equivocating duplicates, say) adds
-    #: isolated vertices with no in-edges to the received-PD graph, which no
-    #: predicate and no candidate enumeration can distinguish from absence —
-    #: so the locators skip re-searching while this counter is unchanged.
-    analysis_version: int = field(init=False, default=0)
     rejected_records: int = field(init=False, default=0)
     #: Union of the PDs of every stored record (the "derivable" processes).
     #: A known process outside this union is invisible to the predicates.
     _pd_union: set[ProcessId] = field(init=False, default_factory=set, repr=False)
-    _view_key_cache: tuple | None = field(init=False, default=None, repr=False)
-    _view_key_version: int = field(init=False, default=-1, repr=False)
     #: ``frozenset(records.values())``, dropped whenever ``records`` changes.
     _snapshot: frozenset[SignedMessage] | None = field(init=False, default=None, repr=False)
 
@@ -68,7 +58,6 @@ class DiscoveryState:
         self.records[self.process_id] = own_record
         self.known = set(self.participant_detector) | {self.process_id}
         self.received = {self.process_id}
-        self.analysis_version = 1
         self._pd_union = set(advertised)
 
     # ------------------------------------------------------------------
@@ -93,15 +82,14 @@ class DiscoveryState:
         a stored record's PD is already folded into ``known``.
 
         The fold is independent of the iteration order of ``entries`` (which
-        is hash-seed dependent for a ``frozenset``): ``known``, ``received``
-        and ``analysis_version`` are order-free folds, and when one payload
+        is hash-seed dependent for a ``frozenset``): ``known`` and
+        ``received`` are order-free folds, and when one payload
         carries *conflicting* records for the same owner — possible only
         from an equivocating sender — the stored record is the one with the
         smallest signature tag, not whichever the set yields first.
 
         Returns whether the view changed: a new record was stored or a new
-        process became known.  :attr:`analysis_version` is bumped only when
-        the change is visible to the sink/core predicates.
+        process became known.
         """
         # Pre-pass: collect the entries that will reach the signature check
         # and verify them as one batch (one canonical encoding per distinct
@@ -125,7 +113,7 @@ class DiscoveryState:
             pending.append(entry)
         if not pending and not malformed:
             return False  # every entry is already stored: the fold would skip them all
-        changed = analysis_changed = False
+        changed = False
         stored_this_call: set[ProcessId] = set()
         verified = dict(zip(map(id, pending), self.registry.verify_batch(pending), strict=True))
         for entry in entries:  # lint: allow[DET-ORDER-SET] order-insensitive fold; same-owner conflicts resolved by canonical tag below
@@ -149,7 +137,7 @@ class DiscoveryState:
                 self.received.add(owner)
                 stored_this_call.add(owner)
                 self._pd_union.update(record.pd)
-                changed = analysis_changed = True
+                changed = True
                 self.known.add(owner)
             elif owner in stored_this_call and entry.tag < self.records[owner].tag:
                 # This payload carries two different records signed by the
@@ -166,10 +154,6 @@ class DiscoveryState:
             if members:
                 self.known.update(members)
                 changed = True
-                if not analysis_changed and not members.isdisjoint(self._pd_union):
-                    analysis_changed = True
-        if analysis_changed:
-            self.analysis_version += 1
         return changed
 
     # ------------------------------------------------------------------
@@ -194,16 +178,9 @@ class DiscoveryState:
         some stored PD (plus the record owners, which are always known):
         known processes outside every stored PD are invisible to the
         predicates (no in-edges, never in a candidate or a derived ``S2``),
-        so including them would only fragment the memo.  The key is cached
-        per :attr:`analysis_version` — invisible deltas reuse it as-is.
+        so including them would only fragment the memo.
         """
-        if self._view_key_version != self.analysis_version:
-            self._view_key_cache = (
-                frozenset(self.known & self._pd_union),
-                frozenset(
-                    (owner, frozenset(entry.message.pd)) for owner, entry in self.records.items()
-                ),
-            )
-            self._view_key_version = self.analysis_version
-        assert self._view_key_cache is not None
-        return self._view_key_cache
+        return (
+            frozenset(self.known & self._pd_union),
+            frozenset((owner, frozenset(entry.message.pd)) for owner, entry in self.records.items()),
+        )

@@ -1,9 +1,8 @@
 """Sink and Core locators: Algorithms 2 and 4 as incremental searches.
 
 Both algorithms are "wait until the current knowledge view contains a
-witness" loops; the locators below encapsulate the witness search plus an
-incremental-delta cache so the search only re-runs when the discovery state
-changed *in a way the predicates can observe*:
+witness" loops; the locators below encapsulate the witness search plus the
+shortcuts that keep it from re-running work:
 
 * :class:`SinkLocator` -- Algorithm 2: requires the fault threshold ``f``
   and returns the sink ``S1 ∪ S2`` once ``isSinkGdi(f, S1, S2)`` holds.
@@ -12,19 +11,16 @@ changed *in a way the predicates can observe*:
   subset (Theorem 8, as clarified in DESIGN.md, "Core rule"), together with
   the implied fault-threshold estimate ``f_Gdi``.
 
-Three layers make the locators cheap on large graphs:
+Two layers make the locators cheap on large graphs:
 
 1. **Witness pinning** — once found, a witness is returned forever without
    looking at the view again (the algorithms return at the first witness).
-2. **Delta gating** — :meth:`DiscoveryState.absorb` classifies each change;
-   a delta that only adds known processes outside every stored PD cannot
-   change any search result (such processes have no in-edges in the
-   received-PD graph), so the locators skip the search entirely while
-   ``discovery.analysis_version`` is unchanged.  The sink locator further
-   skips while fewer than ``2f + 1`` PDs were received: property P1 needs
-   ``|S1| >= 2f + 1`` and every candidate ``S1`` is drawn from the received
-   processes, so no witness can exist yet.
-3. **Process-local memoisation** — searches that do run are answered from
+   The sink locator also skips while fewer than ``2f + 1`` PDs were
+   received: property P1 needs ``|S1| >= 2f + 1`` and every candidate
+   ``S1`` is drawn from the received processes, so no witness can exist
+   yet.  The node calls ``locate`` at its proposal and after each
+   ``absorb`` that changed the view.
+2. **Process-local memoisation** — searches that do run are answered from
    the process-local :class:`~repro.graphs.search_memo.SinkSearchMemo`
    keyed by the exact view content (:meth:`DiscoveryState.view_key`): in a
    run, all correct nodes converge towards the same received-PD view, so
@@ -32,9 +28,8 @@ Three layers make the locators cheap on large graphs:
    The same store memoises the sub-searches (connectivity checks, subsink
    scans) of the searches that do miss.
 
-None of the layers changes any result: the searches are pure functions of
-the view and the threshold, and every skip is backed by the
-invisibility argument above.
+Neither layer changes any result: the searches are pure functions of
+the view and the threshold, and the ``2f + 1`` skip is backed by P1.
 """
 
 from __future__ import annotations
@@ -57,30 +52,24 @@ class SinkLocator:
     """The Sink algorithm (Algorithm 2): locate the sink given ``f``."""
 
     fault_threshold: int
-    _last_analysis_version: int = field(init=False, default=-1)
     _witness: SinkWitness | None = field(init=False, default=None)
     #: Searches consulted (memo hits and misses alike): deterministic per
     #: run, unlike the hit/miss split, which depends on what the process
     #: computed earlier.
     searches: int = field(init=False, default=0)
-    #: Locate calls short-circuited without consulting the memo (unchanged
-    #: analysis version, too few received PDs, or a pinned witness).
+    #: Locate calls short-circuited without consulting the memo (too few
+    #: received PDs, or a pinned witness).
     skips: int = field(init=False, default=0)
 
     def locate(self, discovery: DiscoveryState) -> SinkWitness | None:
         """Return the sink witness if the current view admits one.
 
-        Skips the search when the view did not change visibly since the
-        last call, when fewer than ``2f + 1`` PDs were received (P1 makes a
-        witness impossible), or when a witness was already found.
+        Skips the search when fewer than ``2f + 1`` PDs were received (P1
+        makes a witness impossible), or when a witness was already found.
         """
         if self._witness is not None:
             self.skips += 1
             return self._witness
-        if discovery.analysis_version == self._last_analysis_version:
-            self.skips += 1
-            return None
-        self._last_analysis_version = discovery.analysis_version
         if len(discovery.records) < 2 * self.fault_threshold + 1:
             self.skips += 1
             return None
@@ -111,7 +100,6 @@ class SinkLocator:
 class CoreLocator:
     """The Core algorithm (Algorithm 4): locate the core without knowing ``f``."""
 
-    _last_analysis_version: int = field(init=False, default=-1)
     _core: CoreWitness | None = field(init=False, default=None)
     searches: int = field(init=False, default=0)
     skips: int = field(init=False, default=0)
@@ -121,10 +109,6 @@ class CoreLocator:
         if self._core is not None:
             self.skips += 1
             return self._core
-        if discovery.analysis_version == self._last_analysis_version:
-            self.skips += 1
-            return None
-        self._last_analysis_version = discovery.analysis_version
         self.searches += 1
         key = ("core", discovery.view_key())
         memo = sink_search_memo()

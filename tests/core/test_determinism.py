@@ -66,7 +66,6 @@ class TestAbsorbOrderIndependence:
                     frozenset(state.known),
                     frozenset(state.received),
                     changed,
-                    state.analysis_version,
                 )
             )
         assert snapshots[0] == snapshots[1]

@@ -57,15 +57,12 @@ class TestAbsorb:
         assert changed
         assert 3 in state_1.received
         assert state_1.view().pds[3] == graph.participant_detector(3)
-        assert state_1.analysis_version == 2
 
     def test_absorb_is_idempotent(self, graph, registry):
         state_1 = make_state(1, graph, registry)
         state_3 = make_state(3, graph, registry)
         state_1.absorb(state_3.snapshot())
-        version = state_1.analysis_version
         assert not state_1.absorb(state_3.snapshot())
-        assert state_1.analysis_version == version
 
     def test_new_processes_become_known(self, graph, registry):
         state_7 = make_state(7, graph, registry)
@@ -122,7 +119,7 @@ class TestRedundantPayloads:
         state_1 = make_state(1, graph, registry)
         state_3 = make_state(3, graph, registry)
         state_1.absorb(state_3.snapshot())
-        before = (state_1.analysis_version, registry.verify_calls)
+        before = registry.verify_calls
         assert state_1.absorb(state_3.snapshot()) is False
         assert not state_1.absorb(frozenset())
         # An equal copy (what the live runtime's codec delivers) is as redundant.
@@ -130,7 +127,7 @@ class TestRedundantPayloads:
         copy = SignedMessage(signer=original.signer, message=original.message, tag=original.tag)
         assert copy is not original
         assert not state_1.absorb(frozenset({copy}))
-        assert (state_1.analysis_version, registry.verify_calls) == before
+        assert registry.verify_calls == before
         assert state_1.rejected_records == 0
 
     @pytest.mark.parametrize("bad", ["not-a-record", "wrong-signer", "forged"])
@@ -148,11 +145,9 @@ class TestRedundantPayloads:
                 signer=2, message=PdRecord(owner=2, pd=frozenset({1})), tag=key_4.sign("x").tag
             ),
         }[bad]
-        version = state_1.analysis_version
         for expected in (1, 2):  # rejected again on every delivery, as before
             assert not state_1.absorb(frozenset({state_3.records[3], entry}))
             assert state_1.rejected_records == expected
-        assert state_1.analysis_version == version
         assert 2 not in state_1.received
 
 

@@ -5,6 +5,7 @@ from repro.core.discovery import DiscoveryState
 from repro.core.locators import CoreLocator, SinkLocator
 from repro.crypto.signatures import KeyRegistry
 from repro.graphs.figures import figure_1b, figure_2c, figure_4b
+from repro.graphs.search_memo import sink_search_memo
 
 
 def discovery_for(graph, process_id, registry, absorbed=()):
@@ -44,7 +45,7 @@ class TestSinkLocator:
         assert locator.locate(state) is None
         assert locator.members() is None
 
-    def test_caches_by_discovery_version(self):
+    def test_repeated_locate_on_an_unchanged_view_is_one_memo_hit(self):
         registry = KeyRegistry(seed=0)
         graph = figure_1b().graph
         # Three received PDs (>= 2f+1) so the search actually runs, but the
@@ -52,9 +53,11 @@ class TestSinkLocator:
         state = discovery_for(graph, 1, registry, absorbed=[5, 6])
         locator = SinkLocator(fault_threshold=1)
         locator.locate(state)
-        locator.locate(state)
-        assert locator.searches == 1  # the second call hit the version cache
-        assert locator.skips == 1
+        memo = sink_search_memo()
+        before = (memo.hits, memo.misses)
+        assert locator.locate(state) is None
+        assert (memo.hits, memo.misses) == (before[0] + 1, before[1])
+        assert (locator.searches, locator.skips) == (2, 0)
 
     def test_skips_search_below_2f_plus_1_records(self):
         registry = KeyRegistry(seed=0)
