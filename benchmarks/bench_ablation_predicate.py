@@ -50,8 +50,8 @@ def _p5_rows():
     ]
 
 
-def test_predicate_interpretation_ablation(benchmark, experiment_report):
-    p3_rows, p5_rows = benchmark.pedantic(lambda: (_p3_rows(), _p5_rows()), iterations=1, rounds=1)
+def test_predicate_interpretation_ablation(experiment_report):
+    p3_rows, p5_rows = _p3_rows(), _p5_rows()
     experiment_report(
         "Ablation: isSinkGdi interpretation",
         render_table(["variant", "outcome"], p3_rows + p5_rows),
@@ -61,7 +61,7 @@ def test_predicate_interpretation_ablation(benchmark, experiment_report):
 
 
 @pytest.mark.parametrize("rule", [QuorumRule.PAPER, QuorumRule.CLASSIC])
-def test_quorum_rule_ablation(benchmark, experiment_report, rule):
+def test_quorum_rule_ablation(experiment_report, rule):
     scenario = Scenario(
         name=f"quorum-{rule.value}",
         graph=GraphSpec.figure("fig1b"),
@@ -69,12 +69,7 @@ def test_quorum_rule_ablation(benchmark, experiment_report, rule):
         behaviour="silent",
         protocol_options=(("quorum_rule", rule),),
     )
-    suite = benchmark.pedantic(
-        SuiteRunner(fail_fast=True).run,
-        args=([scenario],),
-        iterations=1,
-        rounds=1,
-    )
+    suite = SuiteRunner(fail_fast=True).run([scenario])
     outcome = suite.outcomes[0]
     rows = [
         ["quorum rule", rule.value],

@@ -12,11 +12,7 @@ every execution backend: the same scenario list runs on the serial backend,
 a local multiprocessing pool and the filesystem work-queue backend (whose
 job files force every cell — mixes included — through the JSON codec), and
 the per-scenario summaries must be identical on all three.
-
-Set ``BENCH_QUICK=1`` to shrink the sweep to a CI-sized smoke run.
 """
-
-import os
 
 from repro.analysis.tables import render_table
 from repro.core import ProtocolMode
@@ -29,14 +25,11 @@ from repro.experiments import (
     WorkQueueBackend,
 )
 
-QUICK = os.environ.get("BENCH_QUICK") == "1"
-
 MIXES = (
     AdversaryMix.of("one-equivocator", equivocating_pd=1, silent="rest"),
     AdversaryMix.of("lying-scout", lying_pd=1, crash="rest"),
     AdversaryMix.of("poisoner", wrong_value=1, silent="rest"),
 )
-REPLICATES = 1 if QUICK else 2
 
 
 def mix_matrix() -> ScenarioMatrix:
@@ -49,7 +42,6 @@ def mix_matrix() -> ScenarioMatrix:
         modes=(ProtocolMode.BFT_CUPFT,),
         behaviours=("silent",),  # homogeneous reference column
         mixes=MIXES,
-        replicates=REPLICATES,
         base_seed=23,
     )
 
@@ -71,20 +63,15 @@ def _sweep(tmp_path):
     return serial, pool, queue
 
 
-def test_adversary_mix_sweep(benchmark, experiment_report, suite_export, tmp_path):
-    serial, pool, queue = benchmark.pedantic(_sweep, args=(tmp_path,), iterations=1, rounds=1)
+def test_adversary_mix_sweep(experiment_report, suite_export, tmp_path):
+    serial, pool, queue = _sweep(tmp_path)
 
     # The mix cells must cross every backend boundary losslessly: identical
     # summaries whether the cell was materialised in-process, in a pool
     # worker, or rebuilt from a JSON job file by a work-queue worker.
     assert _comparable(serial) == _comparable(pool) == _comparable(queue)
 
-    suite_export(
-        "adversary_mixes",
-        serial,
-        group_by="behaviour",
-        extra={"quick": QUICK, "backends_compared": ["serial", "pool", "work-queue"]},
-    )
+    suite_export("adversary_mixes", serial, group_by="behaviour")
 
     rows = [
         [
@@ -104,4 +91,4 @@ def test_adversary_mix_sweep(benchmark, experiment_report, suite_export, tmp_pat
     # Every mix keeps consensus solvable on requirement-satisfying graphs.
     assert serial.solved_rate == 1.0, [o.scenario.name for o in serial if not o.solved]
     mixed = [outcome for outcome in serial if outcome.scenario.mix is not None]
-    assert len(mixed) == len(MIXES) * 2 * REPLICATES
+    assert len(mixed) == len(MIXES) * 2

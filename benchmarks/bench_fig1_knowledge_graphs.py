@@ -56,10 +56,10 @@ def fig1_scenarios() -> list[Scenario]:
     return cells
 
 
-def test_fig1_suite(benchmark, experiment_report, suite_export):
+def test_fig1_suite(experiment_report, suite_export):
     cells = fig1_scenarios()
     runner = SuiteRunner(executor=fig1_executor)
-    suite = benchmark.pedantic(runner.run, args=(cells,), iterations=1, rounds=1)
+    suite = runner.run(cells)
     suite_export("fig1_knowledge_graphs", suite, group_by="figure")
 
     by_name = {outcome.scenario.name: outcome for outcome in suite}

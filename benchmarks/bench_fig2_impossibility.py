@@ -41,9 +41,9 @@ def fig2_scenarios() -> list[Scenario]:
     ]
 
 
-def test_theorem7_impossibility(benchmark, experiment_report, suite_export):
+def test_theorem7_impossibility(experiment_report, suite_export):
     runner = SuiteRunner(executor=impossibility_executor)
-    suite = benchmark.pedantic(runner.run, args=(fig2_scenarios(),), iterations=1, rounds=1)
+    suite = runner.run(fig2_scenarios())
     suite_export("fig2_impossibility", suite, group_by="figure")
     outcome = suite.outcomes[0]
     experiment_report("Fig. 2 / Theorem 7", outcome.metric("description"))

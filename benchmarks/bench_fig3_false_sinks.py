@@ -60,9 +60,9 @@ def fig3_scenarios() -> list[Scenario]:
     ]
 
 
-def test_fig3_suite(benchmark, experiment_report, suite_export):
+def test_fig3_suite(experiment_report, suite_export):
     runner = SuiteRunner(executor=fig3_executor)
-    suite = benchmark.pedantic(runner.run, args=(fig3_scenarios(),), iterations=1, rounds=1)
+    suite = runner.run(fig3_scenarios())
     suite_export("fig3_false_sinks", suite, group_by="figure")
     by_name = {outcome.scenario.name: outcome for outcome in suite}
 

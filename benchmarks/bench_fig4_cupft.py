@@ -45,9 +45,9 @@ def fig4_scenarios() -> list[Scenario]:
     ]
 
 
-def test_fig4_consensus_without_fault_threshold(benchmark, experiment_report, suite_export):
+def test_fig4_consensus_without_fault_threshold(experiment_report, suite_export):
     runner = SuiteRunner(executor=fig4_executor)
-    suite = benchmark.pedantic(runner.run, args=(fig4_scenarios(),), iterations=1, rounds=1)
+    suite = runner.run(fig4_scenarios())
     suite_export("fig4_cupft", suite, group_by="figure")
 
     true_faulty = {name: len(paper_figures()[name].faulty) for name in FIGURES}

@@ -1,23 +1,17 @@
 """E9 -- Large-n engine throughput (extension; the paper reports no numbers).
 
-Runs the full BFT-CUP stack on generated extended k-OSR graphs up to 10,000
-processes and reports message totals, identification latency, decision
+Runs the full BFT-CUP stack on generated extended k-OSR graphs of 100 and
+200 processes and reports message totals, identification latency, decision
 latency and the engine diagnostics (events, pending-event peak) per system
 size, under both a synchronous and a partially synchronous network.
 
 The sweep exists to pin the engine's scaling behaviour: message complexity
 must stay linear in the system size (the graphs keep ``f`` fixed, so each
-process exchanges O(f) discovery and query messages per round), and a
-10k-process run must complete in seconds.  The graphs are generated with
-``extra_edge_probability=0.0`` so graph construction itself is linear.
-
-Set ``BENCH_QUICK=1`` to shrink the sweep to a CI-sized smoke run (small
-system sizes, same axes); the quick trajectory is gated against
-``benchmarks/baselines/BENCH_large_n.json`` by the benchmark-regression CI
-job like every other suite.
+process exchanges O(f) discovery and query messages per round).  The graphs
+are generated with ``extra_edge_probability=0.0`` so graph construction itself
+is linear.  The wall time of one n=5,000 run is measured by
+``perf/run.py --workload cup_large_partial``.
 """
-
-import os
 
 from repro.analysis.tables import render_table
 from repro.core import ProtocolMode
@@ -28,11 +22,9 @@ from repro.experiments import (
 )
 from repro.experiments.scenario import SynchronySpec
 
-QUICK = os.environ.get("BENCH_QUICK") == "1"
-
 #: Correct non-sink layer sizes; the system size is ``non_sink + 4`` here
 #: (sink of ``2f + 1 = 3`` plus one Byzantine process at ``f = 1``).
-NON_SINK_SIZES = [96, 196] if QUICK else [996, 4996, 9996]
+NON_SINK_SIZES = [96, 196]
 
 #: Per-process message budget asserted below: discovery, sink queries and
 #: decided-value queries are all O(f) per process per round, and the round
@@ -60,13 +52,9 @@ def large_n_scenarios():
     ).scenarios()
 
 
-def _sweep():
-    return SuiteRunner().run(large_n_scenarios())
-
-
-def test_large_n_sweep(benchmark, experiment_report, suite_export):
-    suite = benchmark.pedantic(_sweep, iterations=1, rounds=1)
-    suite_export("large_n", suite, group_by=_system_size, extra={"quick": QUICK})
+def test_large_n_sweep(experiment_report, suite_export):
+    suite = SuiteRunner().run(large_n_scenarios())
+    suite_export("large_n", suite, group_by=_system_size)
     rows = []
     for outcome in suite:
         rows.append(

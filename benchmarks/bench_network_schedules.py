@@ -13,11 +13,7 @@ across every execution backend: the same scenario list runs on the serial
 backend, a local multiprocessing pool and the filesystem work-queue backend
 (whose job files force every cell — schedules included — through the JSON
 codec), and the per-scenario summaries must be identical on all three.
-
-Set ``BENCH_QUICK=1`` to shrink the sweep to a CI-sized smoke run.
 """
-
-import os
 
 from repro.analysis.tables import render_table
 from repro.core import ProtocolMode
@@ -32,8 +28,6 @@ from repro.experiments import (
     SynchronySpec,
     WorkQueueBackend,
 )
-
-QUICK = os.environ.get("BENCH_QUICK") == "1"
 
 #: The partial-synchrony GST/delta this sweep runs under (the matrix default).
 GST, DELTA = 50.0, 1.0
@@ -67,7 +61,6 @@ SCHEDULES = (
         rules=(DelayRule(src="faulty"),),
     ),
 )
-REPLICATES = 1 if QUICK else 2
 
 
 def schedule_matrix() -> ScenarioMatrix:
@@ -84,7 +77,6 @@ def schedule_matrix() -> ScenarioMatrix:
         # these runs is the *scripted* faults, not the model's own pre-GST
         # slack, so the schedules' effects are visible in the latencies.
         synchrony=(SynchronySpec.partial(gst=GST, delta=DELTA, pre_gst_max_delay=2.0),),
-        replicates=REPLICATES,
         base_seed=31,
     )
 
@@ -106,20 +98,15 @@ def _sweep(tmp_path):
     return serial, pool, queue
 
 
-def test_network_schedule_sweep(benchmark, experiment_report, suite_export, tmp_path):
-    serial, pool, queue = benchmark.pedantic(_sweep, args=(tmp_path,), iterations=1, rounds=1)
+def test_network_schedule_sweep(experiment_report, suite_export, tmp_path):
+    serial, pool, queue = _sweep(tmp_path)
 
     # The schedule cells must cross every backend boundary losslessly:
     # identical summaries whether the cell was materialised in-process, in a
     # pool worker, or rebuilt from a JSON job file by a work-queue worker.
     assert _comparable(serial) == _comparable(pool) == _comparable(queue)
 
-    suite_export(
-        "network_schedules",
-        serial,
-        group_by="schedule",
-        extra={"quick": QUICK, "backends_compared": ["serial", "pool", "work-queue"]},
-    )
+    suite_export("network_schedules", serial, group_by="schedule")
 
     rows = [
         [
@@ -143,7 +130,7 @@ def test_network_schedule_sweep(benchmark, experiment_report, suite_export, tmp_
     # messages thaw, and silencing Byzantine processes only helps.
     assert serial.solved_rate == 1.0, [o.scenario.name for o in serial if not o.solved]
     scheduled = [outcome for outcome in serial if outcome.scenario.schedule is not None]
-    assert len(scheduled) == (len(SCHEDULES) - 1) * 2 * 2 * REPLICATES
+    assert len(scheduled) == (len(SCHEDULES) - 1) * 2 * 2
 
     # Scripted cells must actually bite: with every pre-GST message frozen,
     # no process can identify the sink/core before the thaw at GST + 0.5,

@@ -32,12 +32,8 @@ def synchrony_matrix() -> ScenarioMatrix:
     )
 
 
-def _sweep():
-    return SuiteRunner().run(synchrony_matrix().scenarios())
-
-
-def test_partial_synchrony_sensitivity(benchmark, experiment_report, suite_export):
-    suite = benchmark.pedantic(_sweep, iterations=1, rounds=1)
+def test_partial_synchrony_sensitivity(experiment_report, suite_export):
+    suite = SuiteRunner().run(synchrony_matrix().scenarios())
     suite_export("partial_synchrony", suite, group_by="synchrony")
     rows = []
     for outcome in suite:

@@ -6,11 +6,7 @@ latency for both protocol modes.  The sweep is expressed as two
 :class:`~repro.experiments.ScenarioMatrix` instances (one per protocol
 mode, since each mode pairs with its own graph family) executed through the
 :class:`~repro.experiments.SuiteRunner`.
-
-Set ``BENCH_QUICK=1`` to shrink the sweep to a CI-sized smoke run.
 """
-
-import os
 
 from repro.analysis.tables import render_table
 from repro.core import ProtocolMode
@@ -21,15 +17,12 @@ from repro.experiments import (
     chain_matrices,
 )
 
-QUICK = os.environ.get("BENCH_QUICK") == "1"
-
-CUP_CELLS = [(1, 4), (1, 12), (2, 8)] if not QUICK else [(1, 4), (1, 12)]
-CUPFT_CELLS = [(1, 4), (1, 12), (2, 8), (3, 8)] if not QUICK else [(1, 4)]
-REPLICATES = 1 if QUICK else 2
+CUP_CELLS = [(1, 4), (1, 12)]
+CUPFT_CELLS = [(1, 4)]
 
 
 def scalability_scenarios():
-    """The full sweep: both protocol modes, each over its graph family."""
+    """Both protocol modes, each over its graph family."""
     cup = ScenarioMatrix(
         name="scalability-cup",
         graphs=tuple(
@@ -37,7 +30,6 @@ def scalability_scenarios():
             for f, extra in CUP_CELLS
         ),
         modes=(ProtocolMode.BFT_CUP,),
-        replicates=REPLICATES,
         base_seed=1,
     )
     cupft = ScenarioMatrix(
@@ -47,19 +39,14 @@ def scalability_scenarios():
             for f, extra in CUPFT_CELLS
         ),
         modes=(ProtocolMode.BFT_CUPFT,),
-        replicates=REPLICATES,
         base_seed=1,
     )
     return chain_matrices(cup, cupft)
 
 
-def _sweep():
-    return SuiteRunner().run(scalability_scenarios())
-
-
-def test_scalability_sweep(benchmark, experiment_report, suite_export):
-    suite = benchmark.pedantic(_sweep, iterations=1, rounds=1)
-    suite_export("scalability", suite, group_by="mode", extra={"quick": QUICK})
+def test_scalability_sweep(experiment_report, suite_export):
+    suite = SuiteRunner().run(scalability_scenarios())
+    suite_export("scalability", suite, group_by="mode")
     rows = []
     for outcome in suite:
         rows.append(

@@ -66,9 +66,9 @@ def format_suite_table(suite) -> str:
     )
 
 
-def test_table1_possibility_matrix(benchmark, experiment_report, suite_export):
+def test_table1_possibility_matrix(experiment_report, suite_export):
     runner = SuiteRunner(executor=table1_executor)
-    suite = benchmark.pedantic(runner.run, args=(table1_scenarios(),), iterations=1, rounds=1)
+    suite = runner.run(table1_scenarios())
     suite_export("table1_possibility", suite, group_by="communication")
     experiment_report("Table I (measured vs paper)", format_suite_table(suite))
     assert all(outcome.ok for outcome in suite)

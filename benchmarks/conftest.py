@@ -1,28 +1,22 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark prints, in addition to the pytest-benchmark timing, the
-table/figure rows it reproduces (via ``report``), so running
-``pytest benchmarks/ --benchmark-only -s`` regenerates the paper's artifacts
-in text form.
+Every benchmark prints the table/figure rows it reproduces (via ``report``),
+so running ``pytest benchmarks/bench_*.py -q -s`` regenerates the paper's
+artifacts in text form.
 
-Benchmarks built on :class:`~repro.experiments.SuiteRunner` additionally
-export their :class:`~repro.experiments.SuiteResult` as a ``BENCH_*.json``
-trajectory through ``suite_export``, so every benchmark emits comparable
-JSON (same shape as ``BENCH_experiments.json``).  Set ``BENCH_JSON_DIR`` to
-redirect the exports away from the repo root (e.g. into a CI artifact
-directory).
+Benchmarks built on :class:`~repro.experiments.SuiteRunner` also write their
+trajectory (:meth:`~repro.experiments.SuiteResult.trajectory_json`) to
+``bench-artifacts/BENCH_<name>.json``; the gate is
+``diff -ru -x README.md benchmarks/baselines bench-artifacts``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 from pathlib import Path
 
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+ARTIFACTS = Path(__file__).resolve().parent.parent / "bench-artifacts"
 
 
 def report(title: str, body: str) -> None:
@@ -39,20 +33,10 @@ def experiment_report():
 
 @pytest.fixture(scope="session")
 def suite_export():
-    """Write one suite's JSON trajectory to ``BENCH_<name>.json``."""
+    """Write one suite's trajectory to ``bench-artifacts/BENCH_<name>.json``."""
 
-    def export(name: str, suite, *, group_by=None, extra: dict | None = None) -> Path:
-        out_dir = Path(os.environ.get("BENCH_JSON_DIR", REPO_ROOT))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "benchmark": name,
-            "python": platform.python_version(),
-            "suite": suite.to_dict(group_by=group_by),
-        }
-        if extra:
-            payload.update(extra)
-        path = out_dir / f"BENCH_{name}.json"
-        path.write_text(json.dumps(payload, indent=2, default=repr) + "\n")
-        return path
+    def export(name: str, suite, *, group_by) -> None:
+        ARTIFACTS.mkdir(exist_ok=True)
+        (ARTIFACTS / f"BENCH_{name}.json").write_text(suite.trajectory_json(group_by))
 
     return export

@@ -1,6 +1,6 @@
 """End-to-end smoke test of the content-addressable result lake.
 
-Runs the quick scalability sweep twice through :class:`SuiteRunner` against
+Runs the benchmark scalability sweep twice through :class:`SuiteRunner` against
 one :class:`ResultStore`:
 
 * the **cold** pass must miss on every cell and execute everything;
@@ -32,10 +32,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-
-import os  # noqa: E402
-
-os.environ.setdefault("BENCH_QUICK", "1")
 
 from bench_scalability import scalability_scenarios  # noqa: E402
 

@@ -25,11 +25,10 @@
   digest-keyed cell cache shared across sweeps and backends, read and
   written by the coordinator alone — re-running a killed sweep against it
   resumes the sweep;
-* :mod:`repro.experiments.regression` -- benchmark-trajectory comparison
-  against committed ``BENCH_*.json`` baselines (the CI regression gate);
 * :mod:`repro.experiments.results` -- :class:`SuiteResult` aggregation
-  (per-group mean/median/p95 latency, message totals, solved-rate) with
-  JSON export.
+  (per-group mean/median/p95 latency, message totals, solved-rate), its
+  dictionary export and the canonical benchmark trajectory
+  (``trajectory_json``) that ``benchmarks/baselines/`` pins.
 """
 
 from repro.core.seeding import derive_seed

@@ -5,8 +5,8 @@ scenario (in scenario order, independent of execution order) and offers:
 
 * per-group statistics — mean/median/p95 latency, message totals and
   solved-rate, grouped by any axis label of the scenarios;
-* one JSON export, so every benchmark's ``BENCH_*.json`` trajectory is
-  produced by the same code path;
+* one dictionary export, and the benchmark trajectory projected from it
+  (:meth:`SuiteResult.trajectory_json`, the only writer of ``BENCH_*.json``);
 * plain-text rendering through :func:`repro.analysis.tables.render_table`.
 """
 
@@ -16,7 +16,6 @@ import json
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 from repro.analysis.tables import render_table
@@ -180,8 +179,7 @@ class SuiteResult:
         #: Result-lake statistics: cells stitched from / missed in the
         #: :class:`~repro.experiments.lake.ResultStore` a run was given.
         #: Both stay ``None`` when no lake was used, which keeps exports
-        #: (and the committed BENCH baselines) byte-identical to pre-lake
-        #: runs.
+        #: byte-identical to pre-lake runs.
         self.cache_hits = cache_hits
         self.cache_misses = cache_misses
 
@@ -275,12 +273,21 @@ class SuiteResult:
             ]
         return payload
 
-    def to_json(self, path: str | Path | None = None, **kwargs: Any) -> str:
-        """Serialise the suite to JSON (optionally writing it to ``path``)."""
-        text = json.dumps(self.to_dict(**kwargs), indent=2, default=repr)
-        if path is not None:
-            Path(path).write_text(text + "\n")
-        return text
+    def trajectory_json(self, group_by: str | GroupKey) -> str:
+        """The benchmark trajectory: what ``benchmarks/baselines/`` pins, as canonical JSON.
+
+        Suite ``runs``, ``errors`` and ``solved_rate`` plus every group row
+        without its ``wall_time``; nothing machine-dependent, so two runs of
+        the same cells give the same bytes and the gate is a plain ``diff``.
+        A non-finite metric raises ``ValueError`` rather than pass as ``NaN``.
+        """
+        payload = self.to_dict(group_by=group_by)
+        trajectory = {key: payload[key] for key in ("runs", "errors", "solved_rate")}
+        trajectory["groups"] = [
+            {key: value for key, value in row.items() if key != "wall_time"}
+            for row in payload["groups"]
+        ]
+        return json.dumps(trajectory, sort_keys=True, indent=2, allow_nan=False, default=repr) + "\n"
 
     def render(
         self,

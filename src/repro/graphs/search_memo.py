@@ -86,7 +86,11 @@ class SinkSearchMemo:
         self._entries[key] = value
 
     def clear(self) -> None:
+        """Drop every entry and zero every counter: a cleared memo is a new one."""
         self._entries.clear()
+        self.hits = self.misses = self.evictions = 0
+        self.hits_by_kind.clear()
+        self.misses_by_kind.clear()
 
     def stats(self) -> dict[str, Any]:
         return {

@@ -182,6 +182,24 @@ class TestSinkSearchMemo:
         assert memo.lookup(("a", 1)) == 1
         assert memo.lookup(("a", SINK_SEARCH_MEMO_ENTRIES)) == SINK_SEARCH_MEMO_ENTRIES
 
+    def test_clear_resets_every_counter(self):
+        from repro.graphs.search_memo import SINK_SEARCH_MEMO_ENTRIES, SinkSearchMemo
+
+        memo = SinkSearchMemo()
+        for index in range(SINK_SEARCH_MEMO_ENTRIES + 1):
+            memo.store(("a", index), index)
+        memo.lookup(("a", 0))
+        memo.lookup(("a", 1))
+        memo.clear()
+        assert memo.stats() == {
+            "entries": 0,
+            "hits": 0,
+            "misses": 0,
+            "evictions": 0,
+            "hits_by_kind": {},
+            "misses_by_kind": {},
+        }
+
 
 class TestIncrementalMatchesFromScratch:
     """Property-style check: the incremental locators agree with a from-scratch

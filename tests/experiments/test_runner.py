@@ -1,6 +1,7 @@
 """Tests for the suite runner and the result aggregation/export layer."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +46,13 @@ def cheap_executor(scenario: Scenario) -> dict:
 
 def no_messages_executor(scenario: Scenario) -> dict:
     return {"terminated": True, "agreement": True, "validity": True}
+
+
+def nan_latency_executor(scenario: Scenario) -> dict:
+    return {**cheap_executor(scenario), "latency": float("nan")}
+
+
+BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
 
 class TestSuiteRunner:
@@ -113,21 +121,17 @@ class TestSuiteResult:
         stats = self.suite().group_stats(lambda scenario: scenario.label("replicate"))
         assert sorted(stats) == [0, 1, 2]
 
-    def test_json_export_round_trip(self, tmp_path):
-        path = tmp_path / "suite.json"
+    def test_json_export_round_trip(self):
         suite = self.suite()
-        suite.to_json(path, group_by="graph")
-        payload = json.loads(path.read_text())
+        payload = json.loads(json.dumps(suite.to_dict(group_by="graph")))
         assert payload["runs"] == len(suite)
         assert payload["solved_rate"] == 1.0
         assert len(payload["outcomes"]) == len(suite)
         assert len(payload["groups"]) == 2
 
-    def test_json_export_carries_every_outcome_field(self, tmp_path):
-        path = tmp_path / "suite.json"
+    def test_json_export_carries_every_outcome_field(self):
         suite = self.suite()
-        suite.to_json(path)
-        records = json.loads(path.read_text())["outcomes"]
+        records = suite.to_dict()["outcomes"]
         assert len(records) == len(suite)
         for record, outcome in zip(records, suite, strict=True):
             scenario = record["scenario"]
@@ -139,11 +143,9 @@ class TestSuiteResult:
             assert record["solved"] is True
             assert record["error"] is None
 
-    def test_json_export_records_the_error_of_a_failed_cell(self, tmp_path):
-        path = tmp_path / "suite.json"
+    def test_json_export_records_the_error_of_a_failed_cell(self):
         suite = SuiteRunner(executor=flaky_executor).run(small_matrix(replicates=2).scenarios())
-        suite.to_json(path)
-        payload = json.loads(path.read_text())
+        payload = suite.to_dict()
         assert payload["errors"] == 2
         failed = [record for record in payload["outcomes"] if record["error"] is not None]
         assert len(failed) == 2
@@ -172,3 +174,37 @@ class TestSuiteResult:
         payload = suite.to_dict(group_by="replicate")
         keys = [group["key"] for group in payload["groups"]]
         assert keys == list(range(12))  # not 0, 1, 10, 11, 2, ...
+
+
+class TestTrajectoryJson:
+    def test_holds_only_the_gated_metrics(self):
+        cells = small_matrix(replicates=1).scenarios()
+        assert len(cells) == 2
+        trajectory = json.loads(SuiteRunner(executor=cheap_executor).run(cells).trajectory_json("graph"))
+        assert set(trajectory) == {"runs", "errors", "solved_rate", "groups"}
+        assert (trajectory["runs"], trajectory["errors"], trajectory["solved_rate"]) == (2, 0, 1.0)
+        assert len(trajectory["groups"]) == 2
+        for row in trajectory["groups"]:
+            assert "wall_time" not in row
+            assert row["runs"] == 1 and row["total_messages"] == 10
+
+    def test_a_non_finite_metric_raises(self):
+        suite = SuiteRunner(executor=nan_latency_executor).run(small_matrix(replicates=1).scenarios())
+        with pytest.raises(ValueError):
+            suite.trajectory_json("graph")
+
+    def test_serial_and_pool_write_the_same_bytes(self):
+        cells = small_matrix(replicates=2).scenarios()
+        serial = SuiteRunner().run(cells).trajectory_json("graph")
+        pooled = SuiteRunner(backend=PoolBackend(2)).run(cells).trajectory_json("graph")
+        assert serial == pooled
+
+    def test_committed_baselines_are_canonical(self):
+        paths = sorted(BASELINES.glob("BENCH_*.json"))
+        assert len(paths) == 11
+        for path in paths:
+            text = path.read_text()
+            payload = json.loads(text)
+            assert set(payload) == {"runs", "errors", "solved_rate", "groups"}, path.name
+            canonical = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            assert text == canonical, path.name
