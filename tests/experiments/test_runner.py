@@ -52,6 +52,25 @@ def nan_latency_executor(scenario: Scenario) -> dict:
     return {**cheap_executor(scenario), "latency": float("nan")}
 
 
+def one_more_message_executor(scenario: Scenario) -> dict:
+    return {**cheap_executor(scenario), "messages": 11}
+
+
+def no_agreement_executor(scenario: Scenario) -> dict:
+    return {**cheap_executor(scenario), "agreement": False}
+
+
+def nudged_latency_executor(scenario: Scenario) -> dict:
+    summary = cheap_executor(scenario)
+    return {**summary, "latency": summary["latency"] + 1e-12}
+
+
+def no_latency_executor(scenario: Scenario) -> dict:
+    summary = cheap_executor(scenario)
+    del summary["latency"]
+    return summary
+
+
 BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
 
@@ -199,6 +218,59 @@ class TestTrajectoryJson:
         pooled = SuiteRunner(backend=PoolBackend(2)).run(cells).trajectory_json("graph")
         assert serial == pooled
 
+    def trajectory(self, executor=cheap_executor, replicates: int = 1, group_by="graph") -> str:
+        cells = small_matrix(replicates=replicates).scenarios()
+        return SuiteRunner(executor=executor).run(cells).trajectory_json(group_by)
+
+    def test_is_canonical_json_with_one_trailing_newline(self):
+        text = self.trajectory(replicates=2)
+        canonical = json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert text == canonical
+        assert not text.endswith("\n\n")
+
+    def test_wall_times_do_not_reach_the_bytes(self):
+        cells = small_matrix(replicates=2).scenarios()
+        suite = SuiteRunner(executor=cheap_executor).run(cells)
+        before = suite.trajectory_json("graph")
+        for index, outcome in enumerate(suite.outcomes):
+            outcome.wall_time = 1000.0 + index
+        suite.wall_time = 12345.0
+        assert suite.trajectory_json("graph") == before
+
+    @pytest.mark.parametrize(
+        "executor",
+        [one_more_message_executor, no_agreement_executor, nudged_latency_executor, no_latency_executor],
+        ids=["messages", "solved", "latency-below-any-tolerance", "metric-disappears"],
+    )
+    def test_a_changed_metric_changes_the_bytes(self, executor):
+        assert self.trajectory(executor) != self.trajectory()
+
+    def test_a_changed_group_set_changes_the_bytes(self):
+        assert self.trajectory(replicates=2, group_by="replicate") != self.trajectory(
+            replicates=1, group_by="replicate"
+        )
+
+    def test_errors_are_pinned_per_suite_and_per_group(self):
+        trajectory = json.loads(self.trajectory(flaky_executor, replicates=2))
+        assert (trajectory["runs"], trajectory["errors"], trajectory["solved_rate"]) == (4, 2, 0.5)
+        assert [(row["runs"], row["errors"], row["solved"]) for row in trajectory["groups"]] == [
+            (2, 1, 1),
+            (2, 1, 1),
+        ]
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")], ids=["inf", "-inf"])
+    def test_an_infinite_metric_raises(self, value):
+        def executor(scenario: Scenario) -> dict:
+            return {**cheap_executor(scenario), "latency": value}
+
+        with pytest.raises(ValueError):
+            self.trajectory(executor)
+
+    def test_a_non_json_group_key_is_written_as_its_repr(self):
+        trajectory = json.loads(self.trajectory(group_by=lambda scenario: ProtocolMode.BFT_CUPFT))
+        assert [row["key"] for row in trajectory["groups"]] == [repr(ProtocolMode.BFT_CUPFT)]
+        assert trajectory["groups"][0]["runs"] == 2
+
     def test_committed_baselines_are_canonical(self):
         paths = sorted(BASELINES.glob("BENCH_*.json"))
         assert len(paths) == 11
@@ -208,3 +280,23 @@ class TestTrajectoryJson:
             assert set(payload) == {"runs", "errors", "solved_rate", "groups"}, path.name
             canonical = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
             assert text == canonical, path.name
+
+
+@pytest.mark.parametrize("path", sorted(BASELINES.glob("BENCH_*.json")), ids=lambda path: path.stem)
+def test_committed_baseline_rows_add_up(path):
+    """Each pinned group row agrees with the suite totals it was grouped from."""
+    trajectory = json.loads(path.read_text())
+    groups = trajectory["groups"]
+    assert groups, path.name
+    assert sum(row["runs"] for row in groups) == trajectory["runs"]
+    assert sum(row["errors"] for row in groups) == trajectory["errors"]
+    assert sum(row["solved"] for row in groups) / trajectory["runs"] == pytest.approx(
+        trajectory["solved_rate"]
+    )
+    assert len({json.dumps(row["key"]) for row in groups}) == len(groups)
+    for row in groups:
+        assert "wall_time" not in row
+        assert row["solved"] + row["errors"] <= row["runs"]
+        assert row["solved_rate"] == row["solved"] / row["runs"]
+        if row["median_latency"] is not None:
+            assert row["median_latency"] <= row["p95_latency"]
