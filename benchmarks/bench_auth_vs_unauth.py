@@ -6,13 +6,16 @@ common phase of both protocols (discovery until sink identification): number
 of messages and identification latency, authenticated Discovery vs flooding
 with reachable reliable broadcast.
 
-The workloads are declarative :class:`~repro.experiments.GraphSpec` cells
-run through the :class:`~repro.experiments.SuiteRunner` with a *custom
-executor* (this phase does not go through ``run_consensus``), showing how
-non-consensus harnesses plug into the same suite machinery.
+The workloads are declarative :class:`~repro.experiments.GraphSpec` cells,
+one per discovery variant (the ``variant`` label), run through the
+:class:`~repro.experiments.SuiteRunner` with a *custom executor* (this phase
+does not go through ``run_consensus``), showing how non-consensus harnesses
+plug into the same suite machinery.  Each cell reports its variant's
+``messages`` and identification ``latency``, so the exported trajectory pins
+both; ``solved`` stays 0, since discovery decides nothing.
 
 The ``auth-only`` workload adds an n=50 point that exercises the crypto
-fast path: the authenticated run is executed twice on the same graph and
+fast path.  Every authenticated cell is executed twice on the same graph and
 seed — once with the default :class:`~repro.crypto.KeyRegistry` (canonical
 memo + verified-signature LRU) and once with a cache-less registry — and
 both runs must produce identical trajectories.  The work the caches save is
@@ -43,121 +46,117 @@ LARGE_NON_SINK = 46
 
 AUTH_ONLY = f"auth-only, n={LARGE_NON_SINK + 4}"
 
-
-def _auth_summary(auth) -> dict:
-    return {
-        "auth_messages": auth.messages_sent,
-        "auth_latency": max(auth.identification_times.values()),
-        "auth_agreement": auth.agreement_on_members,
-        "auth_all_identified": auth.all_correct_identified,
-        "verify_calls": auth.verify_calls,
-        "verify_cache_hits": auth.verify_cache_hits,
-        "canonical_cache_hits": auth.canonical_cache_hits,
-    }
+VARIANTS = ("auth", "unauth")
 
 
-@executor_identity("2")
+@executor_identity("3")
 def discovery_executor(scenario: Scenario) -> dict:
-    """Run both discovery variants on the scenario's graph; report both."""
-    built = scenario.graph.build()
-    auth = run_authenticated_sink_discovery(
-        built.graph, built.fault_threshold, built.faulty, seed=scenario.seed
-    )
-    unauth = run_unauthenticated_sink_discovery(
-        built.graph, built.fault_threshold, built.faulty, seed=scenario.seed
-    )
-    return {
-        "n": len(built.graph),
-        **_auth_summary(auth),
-        "unauth_messages": unauth.messages_sent,
-        "unauth_latency": max(unauth.identification_times.values()),
-        "unauth_agreement": unauth.agreement_on_members,
-        "unauth_all_identified": unauth.all_correct_identified,
-    }
+    """Run the scenario's discovery variant on its graph and report it.
 
-
-@executor_identity("2")
-def auth_fast_path_executor(scenario: Scenario) -> dict:
-    """Authenticated discovery: fast path vs cache-less registry.
-
-    Runs the identical scenario twice — the trajectory must not depend on
-    the caches, so everything except the cache counters is asserted equal
-    between the two runs.
+    An authenticated run is repeated with a cache-less registry: the
+    trajectory must not depend on the caches.
     """
     built = scenario.graph.build()
     system = (built.graph, built.fault_threshold, built.faulty)
-    fast = run_authenticated_sink_discovery(*system, seed=scenario.seed)
-    slow = run_authenticated_sink_discovery(
-        *system, seed=scenario.seed, registry=KeyRegistry(seed=scenario.seed, cached=False)
+    if scenario.label("variant") == "unauth":
+        run = run_unauthenticated_sink_discovery(*system, seed=scenario.seed)
+        counters = {}
+    else:
+        run = run_authenticated_sink_discovery(*system, seed=scenario.seed)
+        slow = run_authenticated_sink_discovery(
+            *system, seed=scenario.seed, registry=KeyRegistry(seed=scenario.seed, cached=False)
+        )
+        if (run.identified, run.identification_times, run.messages_sent) != (
+            slow.identified,
+            slow.identification_times,
+            slow.messages_sent,
+        ):
+            raise AssertionError("crypto caches changed the discovery trajectory")
+        counters = {
+            "verify_calls": run.verify_calls,
+            "verify_cache_hits": run.verify_cache_hits,
+            "canonical_cache_hits": run.canonical_cache_hits,
+        }
+    return {
+        "n": len(built.graph),
+        "messages": run.messages_sent,
+        "latency": max(run.identification_times.values()),
+        "agreement": run.agreement_on_members,
+        "all_identified": run.all_correct_identified,
+        **counters,
+    }
+
+
+def _cells() -> list[Scenario]:
+    cells = [
+        Scenario(
+            name=f"{workload} [{variant}]",
+            graph=graph,
+            seed=1,
+            labels=(("variant", variant), ("workload", workload)),
+        )
+        for workload, graph in sorted(WORKLOADS.items())
+        for variant in VARIANTS
+    ]
+    cells.append(
+        Scenario(
+            name=AUTH_ONLY,
+            # Extra edges densify the knowledge graph: every record travels
+            # (and is re-verified) along more paths, which is exactly the
+            # repeat verification the fast path exists to absorb.
+            graph=GraphSpec.bft_cup(
+                f=1, non_sink_size=LARGE_NON_SINK, extra_edge_probability=0.05, seed=7
+            ),
+            seed=1,
+            labels=(("variant", "auth"), ("workload", AUTH_ONLY)),
+        )
     )
-    if (fast.identified, fast.identification_times, fast.messages_sent) != (
-        slow.identified,
-        slow.identification_times,
-        slow.messages_sent,
-    ):
-        raise AssertionError("crypto caches changed the discovery trajectory")
-    return {"n": len(built.graph), **_auth_summary(fast)}
+    return cells
 
 
-def _run(workload: str) -> dict:
-    scenario = Scenario(name=workload, graph=WORKLOADS[workload], seed=1)
-    suite = SuiteRunner(executor=discovery_executor, fail_fast=True).run([scenario])
-    return suite.outcomes[0].summary
-
-
-def _run_auth_only():
-    scenario = Scenario(
-        name=AUTH_ONLY,
-        # Extra edges densify the knowledge graph: every record travels (and
-        # is re-verified) along more paths, which is exactly the repeat
-        # verification the fast path exists to absorb.
-        graph=GraphSpec.bft_cup(
-            f=1, non_sink_size=LARGE_NON_SINK, extra_edge_probability=0.05, seed=7
-        ),
-        seed=1,
-    )
-    return SuiteRunner(executor=auth_fast_path_executor, fail_fast=True).run([scenario])
+@pytest.fixture(scope="module")
+def discovery(suite_export):
+    """Every cell's summary by ``(workload, variant)``; the trajectory is exported once."""
+    suite = SuiteRunner(executor=discovery_executor, fail_fast=True).run(_cells())
+    suite_export("auth_vs_unauth", suite, group_by=lambda scenario: scenario.name)
+    return {
+        (outcome.scenario.label("workload"), outcome.scenario.label("variant")): outcome.summary
+        for outcome in suite.outcomes
+    }
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_auth_vs_unauth_sink_discovery(experiment_report, workload):
-    summary = _run(workload)
+def test_auth_vs_unauth_sink_discovery(experiment_report, discovery, workload):
+    auth, unauth = discovery[workload, "auth"], discovery[workload, "unauth"]
     rows = [
-        [
-            "authenticated (Algorithm 1)",
-            summary["auth_messages"],
-            summary["auth_latency"],
-            summary["auth_agreement"],
-        ],
+        ["authenticated (Algorithm 1)", auth["messages"], auth["latency"], auth["agreement"]],
         [
             "unauthenticated (reachable reliable broadcast)",
-            summary["unauth_messages"],
-            summary["unauth_latency"],
-            summary["unauth_agreement"],
+            unauth["messages"],
+            unauth["latency"],
+            unauth["agreement"],
         ],
         [
             "message ratio (unauth / auth)",
-            round(summary["unauth_messages"] / max(summary["auth_messages"], 1), 2),
+            round(unauth["messages"] / max(auth["messages"], 1), 2),
             "-",
             "-",
         ],
     ]
     experiment_report(
-        f"Authenticated vs unauthenticated sink discovery ({workload}, n={summary['n']})",
+        f"Authenticated vs unauthenticated sink discovery ({workload}, n={auth['n']})",
         render_table(["variant", "messages", "identification latency", "agreement"], rows),
     )
-    assert summary["auth_all_identified"] and summary["unauth_all_identified"]
-    assert summary["auth_messages"] < summary["unauth_messages"]
+    assert auth["all_identified"] and unauth["all_identified"]
+    assert auth["messages"] < unauth["messages"]
     # The authenticated variant verifies signatures; the registry's caches
     # must have absorbed repeat verifications of the shared records.
-    assert summary["verify_calls"] > 0
-    assert summary["verify_cache_hits"] > 0
+    assert auth["verify_calls"] > 0
+    assert auth["verify_cache_hits"] > 0
 
 
-def test_auth_fast_path_large_n(experiment_report, suite_export):
-    suite = _run_auth_only()
-    summary = suite.outcomes[0].summary
-    suite_export("auth_vs_unauth", suite, group_by=lambda scenario: scenario.name)
+def test_auth_fast_path_large_n(experiment_report, discovery):
+    summary = discovery[AUTH_ONLY, "auth"]
     experiment_report(
         f"Crypto fast path at n={summary['n']} (authenticated discovery)",
         render_table(
@@ -165,6 +164,6 @@ def test_auth_fast_path_large_n(experiment_report, suite_export):
             [[summary["verify_calls"], summary["verify_cache_hits"], summary["canonical_cache_hits"]]],
         ),
     )
-    assert summary["auth_all_identified"] and summary["auth_agreement"]
+    assert summary["all_identified"] and summary["agreement"]
     assert summary["verify_cache_hits"] > 0
     assert summary["canonical_cache_hits"] > 0

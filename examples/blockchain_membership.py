@@ -32,7 +32,7 @@ def healthy_deployment() -> None:
         f=2, non_core_size=10, byzantine_placement="sink", seed=42
     )
     proposals = {pid: f"genesis-candidate-{pid}" for pid in scenario.graph.processes}
-    faulty = {pid: FaultSpec.wrong_value(poison_value="forged-genesis") for pid in scenario.faulty}
+    faulty = {pid: FaultSpec("wrong_value", poison_value="forged-genesis") for pid in scenario.faulty}
     config = RunConfig(
         graph=scenario.graph,
         protocol=ProtocolConfig.bft_cupft(),

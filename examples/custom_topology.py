@@ -70,7 +70,7 @@ def main() -> None:
     config = RunConfig(
         graph=repaired,
         protocol=ProtocolConfig.bft_cupft(),
-        faulty={5: FaultSpec.silent()},
+        faulty={5: FaultSpec("silent")},
         proposals={pid: f"config-v{pid}" for pid in repaired.processes},
     )
     result = run_consensus(config)

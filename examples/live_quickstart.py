@@ -21,7 +21,7 @@ from repro.analysis.tables import render_table
 from repro.core import ProtocolMode
 from repro.graphs.figures import figure_4b
 from repro.runtime import check_fidelity, run_live_consensus
-from repro.workloads import figure_run_config
+from repro.workloads import graph_run_config
 
 TIME_SCALE = 0.01  # wall seconds per protocol time unit
 
@@ -30,7 +30,7 @@ def live_single_run() -> None:
     scenario = figure_4b()
     print(f"Scenario: {scenario.description}\n")
 
-    config = figure_run_config(
+    config = graph_run_config(
         scenario,
         mode=ProtocolMode.BFT_CUP,
         behaviour="silent",
@@ -68,7 +68,7 @@ def live_single_run() -> None:
 def fidelity_gate() -> None:
     # The live runtime is only trustworthy if it computes the same answer
     # as the simulator; check_fidelity runs both and compares.
-    config = figure_run_config(figure_4b(), behaviour="crash")
+    config = graph_run_config(figure_4b(), mode=ProtocolMode.BFT_CUP, behaviour="crash")
     report = check_fidelity(config, time_scale=TIME_SCALE)
     print("\nFidelity gate (same config, both runtimes, crash adversary):")
     print(report.describe())

@@ -23,7 +23,7 @@ from repro.core import ProtocolMode
 from repro.experiments import GraphSpec, ScenarioMatrix, SuiteRunner
 from repro.graphs import StaticOracle
 from repro.graphs.figures import figure_1b
-from repro.workloads import figure_run_config
+from repro.workloads import graph_run_config
 
 
 def single_run() -> None:
@@ -41,7 +41,7 @@ def single_run() -> None:
 
     # Dynamic run: every process proposes its own value; the silent
     # Byzantine process never takes a step.
-    config = figure_run_config(
+    config = graph_run_config(
         scenario,
         mode=ProtocolMode.BFT_CUP,
         behaviour="silent",

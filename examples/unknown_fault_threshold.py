@@ -22,7 +22,7 @@ from repro.analysis import run_consensus
 from repro.analysis.impossibility import describe, run_impossibility_experiment
 from repro.core import ProtocolMode
 from repro.graphs.figures import figure_4a, figure_4b
-from repro.workloads import figure_run_config
+from repro.workloads import graph_run_config
 
 
 def impossibility() -> None:
@@ -35,7 +35,7 @@ def impossibility() -> None:
 def cupft_possibility() -> None:
     print("=== 2. Unknown fault threshold on extended k-OSR graphs (Fig. 4) ===\n")
     for scenario, behaviour in ((figure_4a(), "silent"), (figure_4b(), "lying_pd")):
-        config = figure_run_config(scenario, mode=ProtocolMode.BFT_CUPFT, behaviour=behaviour)
+        config = graph_run_config(scenario, mode=ProtocolMode.BFT_CUPFT, behaviour=behaviour)
         result = run_consensus(config)
         cores = {tuple(sorted(members)) for members in result.identified.values()}
         estimates = {

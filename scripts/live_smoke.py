@@ -31,17 +31,18 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.adversary.schedule import NetworkSchedule, PartitionRule  # noqa: E402
+from repro.core import ProtocolMode  # noqa: E402
 from repro.graphs.figures import figure_4b  # noqa: E402
 from repro.graphs.generators import generate_bft_cup_graph  # noqa: E402
 from repro.runtime.fidelity import check_fidelity  # noqa: E402
-from repro.workloads.builders import figure_run_config, generated_run_config  # noqa: E402
+from repro.workloads.builders import graph_run_config  # noqa: E402
 
 HARD_TIMEOUT_SECONDS = 120
 TIME_SCALE = 0.01
 
 
 def _scenarios():
-    yield "fig4b benign", figure_run_config(figure_4b())
+    yield "fig4b benign", graph_run_config(figure_4b(), mode=ProtocolMode.BFT_CUP)
     partition = NetworkSchedule(
         rules=(
             PartitionRule(
@@ -53,9 +54,9 @@ def _scenarios():
         ),
         name="early-split",
     )
-    yield "fig4b partition", figure_run_config(figure_4b(), schedule=partition)
+    yield "fig4b partition", graph_run_config(figure_4b(), mode=ProtocolMode.BFT_CUP, schedule=partition)
     generated = generate_bft_cup_graph(f=1, non_sink_size=3, seed=5)
-    yield "generated f=1 crash", generated_run_config(generated, behaviour="crash")
+    yield "generated f=1 crash", graph_run_config(generated, mode=ProtocolMode.BFT_CUPFT, behaviour="crash")
 
 
 def _on_alarm(signum, frame):  # pragma: no cover - only fires on a hang

@@ -48,9 +48,9 @@ The canonical workflow declares a scenario matrix and runs it as a suite
 Single executions remain available through the lower-level harness:
 
 >>> from repro.graphs.figures import figure_1b
->>> from repro.workloads import figure_run_config
+>>> from repro.workloads import graph_run_config
 >>> from repro.analysis import run_consensus
->>> result = run_consensus(figure_run_config(figure_1b(), mode=ProtocolMode.BFT_CUP))
+>>> result = run_consensus(graph_run_config(figure_1b(), mode=ProtocolMode.BFT_CUP))
 >>> result.consensus_solved
 True
 """

@@ -2,20 +2,11 @@
 
 The paper assumes a static Byzantine adversary: the set of faulty processes
 is fixed before the execution and the faulty processes may behave
-arbitrarily and collude.  This package provides a catalogue of concrete
-behaviours used by the tests and experiments:
-
-* ``silent``          -- never sends a message (the behaviour used in the
-  paper's Fig. 1a and Scenario I discussions);
-* ``crash``           -- behaves correctly until a given time, then stops
-  (the weaker fault model used by the impossibility proof of Theorem 7);
-* ``lying_pd``        -- advertises a fabricated participant detector
-  (signed with its own key, which the model allows);
-* ``equivocating_pd`` -- advertises different participant detectors to
-  different processes;
-* ``wrong_value``     -- participates correctly in discovery but proposes a
-  poisoned value, equivocates when it is the inner-consensus leader and
-  returns a bogus decided value to non-member queries.
+arbitrarily and collude.  The concrete behaviours, one node class each, are
+declared once in :data:`repro.adversary.nodes.BEHAVIOURS`; DESIGN.md
+("Behaviours") lists them with their parameters and defaults.  A
+:class:`~repro.adversary.spec.FaultSpec` names the behaviour of one faulty
+process.
 
 Heterogeneous compositions of these behaviours ("one equivocator + rest
 silent") are declared with :class:`~repro.adversary.mix.AdversaryMix`,
@@ -35,6 +26,7 @@ from repro.adversary.schedule import (
 )
 from repro.adversary.spec import FaultSpec
 from repro.adversary.nodes import (
+    BEHAVIOURS,
     CrashNode,
     EquivocatingLeaderNode,
     EquivocatingPdNode,
@@ -56,6 +48,7 @@ __all__ = [
     "ScheduleError",
     "ScheduleContractError",
     "FaultSpec",
+    "BEHAVIOURS",
     "SilentNode",
     "CrashNode",
     "LyingPdNode",

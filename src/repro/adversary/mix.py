@@ -1,8 +1,7 @@
 """Declarative per-process adversary mixes.
 
-A :class:`FaultSpec` describes *one* faulty process; scenarios historically
-applied a single behaviour string to *every* faulty process.  An
-:class:`AdversaryMix` lifts the fault assignment to a first-class,
+A :class:`~repro.adversary.spec.FaultSpec` describes *one* faulty process.
+An :class:`AdversaryMix` lifts the fault assignment to a first-class,
 declarative axis: an ordered list of :class:`MixEntry` roles — a behaviour
 name, how many faulty processes play it (an exact count or ``"rest"``),
 optional parameter overrides and an optional placement *target*
@@ -13,9 +12,9 @@ placement of those roles onto the faulty set.
 The mix is plain data: it is hashable, picklable and JSON round-trippable
 (:meth:`AdversaryMix.to_dict` / :meth:`AdversaryMix.from_dict`), so it
 crosses the work-queue job codec losslessly alongside the rest of a
-:class:`~repro.experiments.scenario.Scenario`.  The concrete
-:class:`FaultSpec` objects are only materialised by the workload builders,
-inside the executing process.
+:class:`~repro.experiments.scenario.Scenario`.  The workload builders turn
+each placed entry into a ``FaultSpec`` inside the executing process
+(:func:`repro.workloads.builders.fault_assignment`).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
-from repro.adversary.spec import BEHAVIOUR_PARAMS, KNOWN_BEHAVIOURS
+from repro.adversary.nodes import behaviour_params
 from repro.core.seeding import derive_seed
 from repro.graphs.knowledge_graph import ProcessId
 
@@ -46,11 +45,13 @@ class MixEntry:
     """One role of a mix: a behaviour, a head-count and parameter overrides.
 
     ``count`` is a non-negative integer or :data:`REST` (``"rest"``); at
-    most one entry of a mix may claim the rest.  ``params`` are keyword
-    overrides forwarded to
-    :func:`repro.workloads.builders.default_fault_spec` (e.g. ``at`` for
-    ``crash``, ``poison_value`` for ``wrong_value``); values must be JSON
-    scalars so the entry round-trips through job files.
+    most one entry of a mix may claim the rest.  ``params`` override the
+    behaviour's fixed parameter defaults (its node class's ``PARAMS`` in
+    :data:`repro.adversary.nodes.BEHAVIOURS`: ``at`` for ``crash``,
+    ``poison_value`` for ``wrong_value`` and ``equivocating_leader``), each
+    with a value of its default's type.  Those defaults are JSON scalars, so
+    the entry round-trips through job files; a participant-detector set
+    would not, and a mix cannot set one.
 
     ``target`` optionally restricts *which* faulty processes may play the
     role: :data:`INSIDE_CORE` / :data:`OUTSIDE_CORE` (relative to the
@@ -66,23 +67,13 @@ class MixEntry:
     target: str | tuple[ProcessId, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.behaviour not in KNOWN_BEHAVIOURS:
-            raise ValueError(
-                f"unknown behaviour {self.behaviour!r}; expected one of {sorted(KNOWN_BEHAVIOURS)}"
-            )
+        params = behaviour_params(self.behaviour, dict(self.params), fixed_only=True)
+        object.__setattr__(self, "params", params)
         if isinstance(self.count, bool) or not (
             self.count == REST or (isinstance(self.count, int) and self.count >= 0)
         ):
             raise ValueError(
                 f"entry count must be a non-negative integer or {REST!r}, got {self.count!r}"
-            )
-        object.__setattr__(self, "params", tuple(sorted(self.params)))
-        allowed = BEHAVIOUR_PARAMS[self.behaviour]
-        unknown = {name for name, _value in self.params} - allowed
-        if unknown:
-            raise ValueError(
-                f"behaviour {self.behaviour!r} accepts no parameter named "
-                f"{sorted(unknown)}; allowed: {sorted(allowed)}"
             )
         if self.target is not None:
             if self.count == REST:

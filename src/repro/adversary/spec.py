@@ -2,89 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.graphs.knowledge_graph import ProcessId
-
-#: The behaviours understood by :func:`repro.adversary.nodes.build_faulty_node`.
-KNOWN_BEHAVIOURS = frozenset(
-    {"silent", "crash", "lying_pd", "equivocating_pd", "wrong_value", "equivocating_leader"}
-)
-
-#: Per-behaviour parameter overrides accepted by
-#: :func:`repro.workloads.builders.default_fault_spec` (and therefore by
-#: :class:`repro.adversary.mix.MixEntry` params).  Anything else is rejected
-#: up front: a misspelled override must fail the declaration, not silently
-#: run the experiment with the default.
-BEHAVIOUR_PARAMS: dict[str, frozenset[str]] = {
-    "silent": frozenset(),
-    "crash": frozenset({"at"}),
-    "lying_pd": frozenset(),
-    "equivocating_pd": frozenset(),
-    "wrong_value": frozenset({"poison_value"}),
-    "equivocating_leader": frozenset({"poison_value"}),
-}
+from repro.adversary.nodes import behaviour_params
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FaultSpec:
-    """How one faulty process behaves during the execution.
+    """How one faulty process behaves: a behaviour name and the parameters it sets.
 
-    Parameters
-    ----------
-    behaviour:
-        One of :data:`KNOWN_BEHAVIOURS`.
-    crash_time:
-        Virtual time at which a ``crash`` process stops (ignored otherwise).
-    claimed_pd:
-        The participant detector advertised by a ``lying_pd`` process; for
-        ``equivocating_pd`` this is the PD shown to the first half of the
-        peers while ``alternate_pd`` is shown to the rest.
-    alternate_pd:
-        Second fabricated PD for ``equivocating_pd``.
-    poison_value:
-        The value a ``wrong_value`` / ``equivocating_leader`` process pushes.
+    ``FaultSpec("crash", at=10.0)``.  The behaviour and every parameter are
+    checked against :data:`repro.adversary.nodes.BEHAVIOURS` here, so a typo
+    fails on every path.  A parameter left unset takes its node class's
+    default when the node is built.
     """
 
-    behaviour: str = "silent"
-    crash_time: float = 0.0
-    claimed_pd: frozenset[ProcessId] | None = None
-    alternate_pd: frozenset[ProcessId] | None = None
-    poison_value: Any = "poisoned-value"
-    metadata: dict[str, Any] = field(default_factory=dict, hash=False, compare=False)
+    behaviour: str
+    params: tuple[tuple[str, Any], ...]
 
-    def __post_init__(self) -> None:
-        if self.behaviour not in KNOWN_BEHAVIOURS:
-            raise ValueError(
-                f"unknown behaviour {self.behaviour!r}; expected one of {sorted(KNOWN_BEHAVIOURS)}"
-            )
-
-    # Convenience constructors --------------------------------------------------
-    @classmethod
-    def silent(cls) -> "FaultSpec":
-        return cls(behaviour="silent")
-
-    @classmethod
-    def crash(cls, at: float) -> "FaultSpec":
-        return cls(behaviour="crash", crash_time=at)
-
-    @classmethod
-    def lying_pd(cls, claimed_pd: frozenset[ProcessId]) -> "FaultSpec":
-        return cls(behaviour="lying_pd", claimed_pd=frozenset(claimed_pd))
-
-    @classmethod
-    def equivocating_pd(
-        cls, first: frozenset[ProcessId], second: frozenset[ProcessId]
-    ) -> "FaultSpec":
-        return cls(
-            behaviour="equivocating_pd", claimed_pd=frozenset(first), alternate_pd=frozenset(second)
-        )
-
-    @classmethod
-    def wrong_value(cls, poison_value: Any = "poisoned-value") -> "FaultSpec":
-        return cls(behaviour="wrong_value", poison_value=poison_value)
-
-    @classmethod
-    def equivocating_leader(cls, poison_value: Any = "poisoned-value") -> "FaultSpec":
-        return cls(behaviour="equivocating_leader", poison_value=poison_value)
+    def __init__(self, behaviour: str = "silent", **params: Any) -> None:
+        object.__setattr__(self, "behaviour", behaviour)
+        object.__setattr__(self, "params", behaviour_params(behaviour, params))

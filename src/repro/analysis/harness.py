@@ -21,11 +21,11 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.adversary.nodes import build_faulty_node
+from repro.adversary.nodes import BEHAVIOURS, build_faulty_node
 from repro.adversary.schedule import NetworkSchedule, install_schedule
 from repro.adversary.spec import FaultSpec
 from repro.analysis.properties import ConsensusProperties, check_properties
-from repro.core.config import ProtocolConfig
+from repro.core.config import DEFAULT_HORIZON, ProtocolConfig
 from repro.core.node import ConsensusNode
 from repro.core.seeding import derive_seed
 from repro.crypto.signatures import KeyRegistry
@@ -57,7 +57,7 @@ class RunConfig:
     seed: int = 0
     #: Simulation horizon (virtual time).  Runs that do not terminate by the
     #: horizon are reported with ``termination=False``.
-    horizon: float = 5_000.0
+    horizon: float = DEFAULT_HORIZON
     max_events: int = 2_000_000
     #: Restrict which processes call ``propose``; ``None`` means everyone.
     participants: frozenset[ProcessId] | None = None
@@ -172,7 +172,8 @@ def build_protocol_nodes(
     simulator and over live sockets.
     """
     nodes: dict[ProcessId, Process] = {}
-    for process_id in sorted(config.graph.processes, key=repr):
+    processes = config.graph.processes
+    for process_id in sorted(processes, key=repr):
         common: dict[str, Any] = dict(
             process_id=process_id,
             participant_detector=config.graph.participant_detector(process_id),
@@ -183,7 +184,9 @@ def build_protocol_nodes(
         )
         spec = config.faulty.get(process_id)
         nodes[process_id] = (
-            ConsensusNode(**common) if spec is None else build_faulty_node(spec, **common)
+            ConsensusNode(**common)
+            if spec is None
+            else build_faulty_node(spec, processes, **common)
         )
     return nodes
 
@@ -303,11 +306,11 @@ def collect_run_result(
     proposals = {
         process_id: config.proposal_of(process_id) for process_id in config.graph.processes
     }
-    # Faulty "wrong value" processes can inject their poison value, which is
-    # still a proposed value in the Byzantine validity sense.
+    # A faulty process whose behaviour has a poison value can inject it, and
+    # it is still a proposed value in the Byzantine validity sense.
     for process_id, spec in config.faulty.items():
-        if spec.behaviour in {"wrong_value", "equivocating_leader"}:
-            proposals[f"poison::{process_id!r}"] = spec.poison_value
+        if "poison_value" in BEHAVIOURS[spec.behaviour].PARAMS:
+            proposals[f"poison::{process_id!r}"] = nodes[process_id].poison_value
 
     properties = check_properties(
         correct=correct,

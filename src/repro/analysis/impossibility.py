@@ -65,7 +65,7 @@ class ImpossibilityOutcome:
 
 def _run_single_system(scenario, value: str, seed: int) -> RunResult:
     proposals = {process: value for process in scenario.graph.processes}
-    faulty = {process: FaultSpec.silent() for process in scenario.faulty}
+    faulty = {process: FaultSpec("silent") for process in scenario.faulty}
     config = RunConfig(
         graph=scenario.graph,
         protocol=ProtocolConfig.bft_cupft(),

@@ -74,22 +74,22 @@ def _complete_graph(size: int = 4) -> KnowledgeGraph:
 
 
 def _knowledge_workload(knowledge: str) -> tuple[KnowledgeGraph, dict[ProcessId, FaultSpec], ProtocolConfig, frozenset[ProcessId]]:
-    """Return (graph, faulty, protocol, sink_or_core_of_safe_graph) for a knowledge model."""
+    """Return (graph, faulty, protocol, expected sink or core of the safe graph) for a knowledge model."""
     if knowledge == "known n, known f":
         graph = _complete_graph(4)
-        faulty = {4: FaultSpec.silent()}
+        faulty = {4: FaultSpec("silent")}
         protocol = ProtocolConfig.bft_cup(1)
         safe_group = frozenset({1, 2, 3})
     elif knowledge == "unknown n, known f":
         scenario = figure_1b()
         graph = scenario.graph
-        faulty = {process: FaultSpec.silent() for process in scenario.faulty}
+        faulty = {process: FaultSpec("silent") for process in scenario.faulty}
         protocol = ProtocolConfig.bft_cup(scenario.fault_threshold)
         safe_group = scenario.expected_safe_sink
     elif knowledge == "unknown n, unknown f":
         scenario = figure_4b()
         graph = scenario.graph
-        faulty = {process: FaultSpec.silent() for process in scenario.faulty}
+        faulty = {process: FaultSpec("silent") for process in scenario.faulty}
         protocol = ProtocolConfig.bft_cupft()
         safe_group = scenario.expected_safe_core
     else:

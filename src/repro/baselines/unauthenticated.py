@@ -207,7 +207,7 @@ def _discover(
     config = RunConfig(
         graph=graph,
         protocol=ProtocolConfig.bft_cup(fault_threshold),
-        faulty={process_id: FaultSpec.silent() for process_id in sorted(faulty, key=repr)},
+        faulty={process_id: FaultSpec("silent") for process_id in sorted(faulty, key=repr)},
         synchrony=synchrony,
         seed=seed,
         horizon=horizon,

@@ -22,6 +22,10 @@ import enum
 from dataclasses import dataclass
 from typing import Any
 
+#: Virtual time a run may take before it is reported undecided
+#: (``termination=False``): the default of every run config and scenario.
+DEFAULT_HORIZON = 5_000.0
+
 
 class ProtocolMode(enum.Enum):
     """Which of the paper's two models the node runs."""

@@ -34,12 +34,12 @@ from itertools import product
 from typing import Any
 
 from repro.adversary.mix import AdversaryMix
+from repro.adversary.nodes import behaviour_params
 from repro.adversary.schedule import NetworkSchedule
-from repro.core.config import ProtocolMode
+from repro.core.config import DEFAULT_HORIZON, ProtocolMode
 from repro.core.seeding import derive_seed
-from repro.graphs.figures import FigureScenario, paper_figures
+from repro.graphs.figures import GraphScenario, paper_figures
 from repro.graphs.generators import (
-    GeneratedScenario,
     generate_bft_cup_graph,
     generate_bft_cupft_graph,
     generate_split_brain_graph,
@@ -145,7 +145,7 @@ class GraphSpec:
     def parameters(self) -> dict[str, Any]:
         return dict(self.params)
 
-    def build(self) -> FigureScenario | GeneratedScenario:
+    def build(self) -> GraphScenario:
         """Materialise the graph scenario (deterministic for a given spec)."""
         params = self.parameters()
         if self.family == "figure":
@@ -245,7 +245,7 @@ class Scenario:
     schedule: NetworkSchedule | None = None
     synchrony: SynchronySpec = SynchronySpec(kind="partial")
     seed: int = 0
-    horizon: float = 5_000.0
+    horizon: float = DEFAULT_HORIZON
     #: Extra keyword arguments forwarded to the :class:`ProtocolConfig`
     #: constructor (e.g. ``(("quorum_rule", QuorumRule.CLASSIC),)``).
     protocol_options: Params = ()
@@ -253,7 +253,10 @@ class Scenario:
     labels: Params = ()
 
     def __post_init__(self) -> None:
-        if self.mix is not None and self.behaviour == "silent":
+        if self.mix is None:
+            # An unknown behaviour fails the declaration, not the run.
+            behaviour_params(self.behaviour, {})
+        elif self.behaviour == "silent":
             # A mix supersedes the behaviour string; leaving the constructor
             # default in place would let reports misattribute heterogeneous
             # cells to "silent".  (The matrix sets this explicitly; this
@@ -368,7 +371,7 @@ class ScenarioMatrix:
     #: Number of seed replicates per cell.
     replicates: int = 1
     base_seed: int = 0
-    horizon: float = 5_000.0
+    horizon: float = DEFAULT_HORIZON
     protocol_options: Params = field(default_factory=tuple)
 
     def __post_init__(self) -> None:

@@ -22,24 +22,35 @@ from repro.graphs.knowledge_graph import KnowledgeGraph, ProcessId
 
 
 @dataclass(frozen=True)
-class FigureScenario:
-    """A fully specified scenario reconstructed from one of the paper's figures."""
+class GraphScenario:
+    """A knowledge connectivity graph, its faulty processes and its ground truth.
+
+    ``expected_safe_sink`` / ``expected_safe_core`` are the sink and the core
+    of the safe subgraph (the core is empty when the graph has no unique one).
+    The generators of :mod:`repro.graphs.generators` return this type.
+    """
 
     name: str
-    description: str
     graph: KnowledgeGraph
     faulty: frozenset[ProcessId]
     fault_threshold: int
     expected_safe_sink: frozenset[ProcessId]
     expected_safe_core: frozenset[ProcessId]
-    satisfies_bft_cup: bool
-    satisfies_bft_cupft: bool
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def correct(self) -> frozenset[ProcessId]:
         """The correct processes of the scenario."""
         return frozenset(self.graph.processes - self.faulty)
+
+
+@dataclass(frozen=True)
+class FigureScenario(GraphScenario):
+    """A fully specified scenario reconstructed from one of the paper's figures."""
+
+    description: str
+    satisfies_bft_cup: bool
+    satisfies_bft_cupft: bool
+    notes: tuple[str, ...] = field(default_factory=tuple)
 
 
 def _complete(graph: KnowledgeGraph, members: list[int]) -> None:
@@ -360,6 +371,7 @@ def paper_figures() -> dict[str, FigureScenario]:
 
 
 __all__ = [
+    "GraphScenario",
     "FigureScenario",
     "figure_1a",
     "figure_1b",

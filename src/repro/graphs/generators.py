@@ -12,9 +12,9 @@ simulations and benchmarks reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Literal
 
+from repro.graphs.figures import GraphScenario
 from repro.graphs.knowledge_graph import KnowledgeGraph, ProcessId
 
 FaultPlacement = Literal["sink", "non_sink", "mixed", "none"]
@@ -36,22 +36,6 @@ def _extra_layer_edges(
     for earlier in members[:position]:
         if rng.random() < probability:
             graph.add_edge(member, earlier)
-
-
-@dataclass(frozen=True)
-class GeneratedScenario:
-    """A generated knowledge connectivity graph plus its ground truth."""
-
-    name: str
-    graph: KnowledgeGraph
-    faulty: frozenset[ProcessId]
-    fault_threshold: int
-    sink_of_safe_graph: frozenset[ProcessId]
-    core_of_safe_graph: frozenset[ProcessId]
-
-    @property
-    def correct(self) -> frozenset[ProcessId]:
-        return frozenset(self.graph.processes - self.faulty)
 
 
 def _circulant_edges(members: list[ProcessId], degree: int) -> list[tuple[ProcessId, ProcessId]]:
@@ -81,7 +65,7 @@ def generate_bft_cup_graph(
     byzantine_count: int | None = None,
     extra_edge_probability: float = 0.1,
     seed: int = 0,
-) -> GeneratedScenario:
+) -> GraphScenario:
     """Generate a graph satisfying the BFT-CUP requirements (Theorem 1).
 
     Construction:
@@ -164,13 +148,13 @@ def generate_bft_cup_graph(
                 graph.add_edge(rng.choice(non_sink_members), member)
 
     faulty = frozenset(byzantine_members)
-    return GeneratedScenario(
+    return GraphScenario(
         name=f"bft_cup(f={f},sink={sink_size},non_sink={non_sink_size},seed={seed})",
         graph=graph,
         faulty=faulty,
         fault_threshold=f,
-        sink_of_safe_graph=frozenset(sink_members),
-        core_of_safe_graph=frozenset(sink_members) if sink_size == 2 * f + 1 else frozenset(),
+        expected_safe_sink=frozenset(sink_members),
+        expected_safe_core=frozenset(sink_members) if sink_size == 2 * f + 1 else frozenset(),
     )
 
 
@@ -183,7 +167,7 @@ def generate_bft_cupft_graph(
     byzantine_count: int | None = None,
     extra_edge_probability: float = 0.1,
     seed: int = 0,
-) -> GeneratedScenario:
+) -> GraphScenario:
     """Generate a graph satisfying the BFT-CUPFT requirements (Section V).
 
     Construction: the correct core is a *complete* digraph on
@@ -249,17 +233,17 @@ def generate_bft_cupft_graph(
                 graph.add_edge(member, target)
 
     faulty = frozenset(byzantine_members)
-    return GeneratedScenario(
+    return GraphScenario(
         name=f"bft_cupft(f={f},core={core_size},non_core={non_core_size},seed={seed})",
         graph=graph,
         faulty=faulty,
         fault_threshold=f,
-        sink_of_safe_graph=frozenset(core_members),
-        core_of_safe_graph=frozenset(core_members),
+        expected_safe_sink=frozenset(core_members),
+        expected_safe_core=frozenset(core_members),
     )
 
 
-def generate_split_brain_graph(*, group_size: int = 4) -> GeneratedScenario:
+def generate_split_brain_graph(*, group_size: int = 4) -> GraphScenario:
     """Generate a Fig. 2c-style graph: two cliques joined by a single bridge.
 
     The graph satisfies the BFT-CUP requirements only for ``f = 0`` and is
@@ -276,13 +260,13 @@ def generate_split_brain_graph(*, group_size: int = 4) -> GeneratedScenario:
     graph.add_edges(_complete_edges(group_b))
     graph.add_edge(group_a[-1], group_b[0])
     graph.add_edge(group_b[0], group_a[-1])
-    return GeneratedScenario(
+    return GraphScenario(
         name=f"split_brain(group={group_size})",
         graph=graph,
         faulty=frozenset(),
         fault_threshold=0,
-        sink_of_safe_graph=frozenset(group_a + group_b),
-        core_of_safe_graph=frozenset(),
+        expected_safe_sink=frozenset(group_a + group_b),
+        expected_safe_core=frozenset(),
     )
 
 
@@ -312,7 +296,6 @@ def generate_random_digraph(
 
 __all__ = [
     "FaultPlacement",
-    "GeneratedScenario",
     "generate_bft_cup_graph",
     "generate_bft_cupft_graph",
     "generate_split_brain_graph",

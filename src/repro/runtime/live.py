@@ -17,14 +17,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.adversary.spec import KNOWN_BEHAVIOURS
+from repro.adversary.nodes import BEHAVIOURS
 from repro.analysis.harness import RunConfig, RunResult
 from repro.core.config import ProtocolMode
 from repro.graphs.figures import paper_figures
 from repro.graphs.generators import generate_bft_cup_graph, generate_bft_cupft_graph
 from repro.runtime.fidelity import check_fidelity
 from repro.runtime.harness import run_live_consensus
-from repro.workloads.builders import figure_run_config, generated_run_config
+from repro.workloads.builders import graph_run_config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--behaviour",
         default="silent",
-        choices=sorted(KNOWN_BEHAVIOURS),
+        choices=sorted(BEHAVIOURS),
         help="behaviour of the faulty processes (default: silent)",
     )
     parser.add_argument("--seed", type=int, default=0, help="run seed (keys and proposals)")
@@ -85,26 +85,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    if args.family is not None:
-        if args.family == "bft_cup":
-            scenario = generate_bft_cup_graph(
-                f=args.f, non_sink_size=args.layer_size, seed=args.graph_seed
-            )
-            default_mode = ProtocolMode.BFT_CUP
-        else:
-            scenario = generate_bft_cupft_graph(
-                f=args.f, non_core_size=args.layer_size, seed=args.graph_seed
-            )
-            default_mode = ProtocolMode.BFT_CUPFT
-        mode = ProtocolMode(args.mode) if args.mode else default_mode
-        return generated_run_config(
-            scenario, mode=mode, behaviour=args.behaviour, seed=args.seed, horizon=args.horizon
+    if args.family == "bft_cup":
+        scenario = generate_bft_cup_graph(f=args.f, non_sink_size=args.layer_size, seed=args.graph_seed)
+    elif args.family == "bft_cupft":
+        scenario = generate_bft_cupft_graph(
+            f=args.f, non_core_size=args.layer_size, seed=args.graph_seed
         )
-    figure = args.figure or "fig4b"
-    scenario = paper_figures()[figure]
-    mode = ProtocolMode(args.mode) if args.mode else ProtocolMode.BFT_CUP
-    return figure_run_config(
-        scenario, mode=mode, behaviour=args.behaviour, seed=args.seed, horizon=args.horizon
+    else:
+        scenario = paper_figures()[args.figure or "fig4b"]
+    default_mode = ProtocolMode.BFT_CUPFT if args.family == "bft_cupft" else ProtocolMode.BFT_CUP
+    return graph_run_config(
+        scenario,
+        mode=ProtocolMode(args.mode) if args.mode else default_mode,
+        behaviour=args.behaviour,
+        seed=args.seed,
+        horizon=args.horizon,
     )
 
 

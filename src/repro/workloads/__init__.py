@@ -2,22 +2,16 @@
 
 from repro.workloads.builders import (
     core_attached_faulty,
-    default_fault_spec,
     expected_core_of,
     fault_assignment,
-    figure_run_config,
-    generated_run_config,
-    mix_fault_specs,
+    graph_run_config,
     scenario_run_config,
 )
 
 __all__ = [
-    "figure_run_config",
-    "generated_run_config",
+    "graph_run_config",
     "scenario_run_config",
-    "default_fault_spec",
     "fault_assignment",
-    "mix_fault_specs",
     "core_attached_faulty",
     "expected_core_of",
 ]

@@ -18,7 +18,7 @@ from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.synchrony import SynchronousModel
 from repro.sim.tracing import SimulationTrace
-from repro.workloads import figure_run_config
+from repro.workloads import graph_run_config
 
 
 class TestFaultSpec:
@@ -27,12 +27,13 @@ class TestFaultSpec:
             FaultSpec(behaviour="teleport")
 
     def test_constructors(self):
-        assert FaultSpec.silent().behaviour == "silent"
-        assert FaultSpec.crash(at=10.0).crash_time == 10.0
-        assert FaultSpec.lying_pd(frozenset({1, 2})).claimed_pd == {1, 2}
-        equivocating = FaultSpec.equivocating_pd(frozenset({1}), frozenset({2}))
-        assert equivocating.alternate_pd == {2}
-        assert FaultSpec.wrong_value("bad").poison_value == "bad"
+        assert FaultSpec() == FaultSpec("silent")
+        assert FaultSpec("silent").params == ()
+        assert FaultSpec("crash", at=10.0).params == (("at", 10.0),)
+        equivocating = FaultSpec("equivocating_pd", alternate_pd=frozenset({2}), claimed_pd=frozenset({1}))
+        assert equivocating.params == (("alternate_pd", frozenset({2})), ("claimed_pd", frozenset({1})))
+        assert FaultSpec("wrong_value", poison_value="bad") == FaultSpec("wrong_value", poison_value="bad")
+        assert hash(FaultSpec("crash", at=1.0)) == hash(FaultSpec("crash", at=1.0))
 
 
 class TestAdversaryMix:
@@ -61,6 +62,9 @@ class TestAdversaryMix:
             MixEntry(behaviour="crash", params=(("crash_at", 10.0),))
         with pytest.raises(ValueError):
             MixEntry(behaviour="lying_pd", params=(("at", 5.0),))
+        with pytest.raises(ValueError, match="in a mix entry"):
+            # A PD is a set: it would not survive a job file.
+            MixEntry(behaviour="lying_pd", params=(("claimed_pd", (1, 2)),))
         assert MixEntry(behaviour="crash", params=(("at", 10.0),)).params == (("at", 10.0),)
 
     def test_assign_covers_every_faulty_process(self):
@@ -244,6 +248,7 @@ def build_world(figures, behaviour_spec):
     registry = KeyRegistry(seed=0)
     node = build_faulty_node(
         behaviour_spec,
+        scenario.graph.processes,
         process_id=4,
         participant_detector=scenario.graph.participant_detector(4),
         runtime=SimRuntime(simulator, network),
@@ -256,7 +261,7 @@ def build_world(figures, behaviour_spec):
 
 class TestFaultyNodeBehaviours:
     def test_silent_node_never_sends(self, figures):
-        scenario, simulator, network, registry, trace, node = build_world(figures, FaultSpec.silent())
+        scenario, simulator, network, registry, trace, node = build_world(figures, FaultSpec("silent"))
         trace.record_messages = True
         node.propose("x")
         observer = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
@@ -265,13 +270,13 @@ class TestFaultyNodeBehaviours:
         assert [envelope.sender for envelope in trace.message_log] == [1]
 
     def test_lying_pd_node_advertises_the_claim(self, figures):
-        spec = FaultSpec.lying_pd(frozenset({1, 2, 3, 5, 6, 7, 8}))
+        spec = FaultSpec("lying_pd", claimed_pd=frozenset({1, 2, 3, 5, 6, 7, 8}))
         scenario, simulator, network, registry, trace, node = build_world(figures, spec)
         assert node.discovery.records[4].message.pd == {1, 2, 3, 5, 6, 7, 8}
         assert registry.verify(node.discovery.records[4])
 
     def test_equivocating_pd_node_shows_different_records(self, figures):
-        spec = FaultSpec.equivocating_pd(frozenset({1, 2}), frozenset({3, 5}))
+        spec = FaultSpec("equivocating_pd", claimed_pd=frozenset({1, 2}), alternate_pd=frozenset({3, 5}))
         scenario, simulator, network, registry, trace, node = build_world(figures, spec)
         low = node._set_pds_entries(1)     # repr("1") < repr("4")
         high = node._set_pds_entries(7)    # repr("7") > repr("4")
@@ -281,7 +286,7 @@ class TestFaultyNodeBehaviours:
         assert pd_high == {frozenset({3, 5})}
 
     def test_crash_node_stops_at_crash_time(self, figures):
-        spec = FaultSpec.crash(at=5.0)
+        spec = FaultSpec("crash", at=5.0)
         scenario, simulator, network, registry, trace, node = build_world(figures, spec)
         node.propose("x")
         simulator.run(until=lambda: simulator.now > 10.0)
@@ -294,7 +299,7 @@ class TestFaultyNodeBehaviours:
     def test_wrong_value_node_poisons_replies(self, figures):
         from repro.core.messages import DecidedValue, GetDecidedValue
 
-        spec = FaultSpec.wrong_value("poison")
+        spec = FaultSpec("wrong_value", poison_value="poison")
         scenario, simulator, network, registry, trace, node = build_world(figures, spec)
         received = []
         observer = Process(1, frozenset(), runtime=SimRuntime(simulator, network))
@@ -303,31 +308,17 @@ class TestFaultyNodeBehaviours:
         simulator.run()
         assert received == ["poison"]
 
-    def test_build_faulty_node_rejects_unknown_behaviour(self, figures):
-        scenario = figures["fig1b"]
-        spec = FaultSpec.silent()
-        object.__setattr__(spec, "behaviour", "weird")
-        simulator = Simulator()
-        network = Network(simulator, SynchronousModel(), seed=0)
-        registry = KeyRegistry(seed=0)
-        with pytest.raises(ValueError):
-            build_faulty_node(
-                spec,
-                process_id=4,
-                participant_detector=frozenset(),
-                runtime=SimRuntime(simulator, network),
-                registry=registry,
-                key=registry.generate(4),
-                config=ProtocolConfig.bft_cup(1),
-            )
-
 
 class TestAdversaryEndToEnd:
     def test_equivocating_pd_does_not_break_consensus(self, figures):
         scenario = figures["fig1b"]
-        config = figure_run_config(scenario, mode=ProtocolMode.BFT_CUP, behaviour="silent")
+        config = graph_run_config(scenario, mode=ProtocolMode.BFT_CUP, behaviour="silent")
         config.faulty = {
-            4: FaultSpec.equivocating_pd(frozenset({1, 2, 3}), frozenset({1, 2, 3, 5, 6}))
+            4: FaultSpec(
+                "equivocating_pd",
+                claimed_pd=frozenset({1, 2, 3}),
+                alternate_pd=frozenset({1, 2, 3, 5, 6}),
+            )
         }
         result = run_consensus(config)
         assert result.agreement and result.validity and result.termination
@@ -335,7 +326,7 @@ class TestAdversaryEndToEnd:
     def test_byzantine_cannot_forge_a_correct_process_pd(self, figures):
         """Even a lying process can only lie about itself (signature layer)."""
         scenario = figures["fig1b"]
-        config = figure_run_config(scenario, mode=ProtocolMode.BFT_CUP, behaviour="lying_pd")
+        config = graph_run_config(scenario, mode=ProtocolMode.BFT_CUP, behaviour="lying_pd")
         result = run_consensus(config)
         assert result.consensus_solved
         # The identified sink still matches the oracle's expectation.

@@ -96,7 +96,7 @@ class TestPropertyChecker:
         config = RunConfig(
             graph=figures["fig1b"].graph,
             protocol=ProtocolConfig.bft_cup(1),
-            faulty={4: FaultSpec.silent()},
+            faulty={4: FaultSpec("silent")},
         )
         result = run_consensus(config)
         assert result.termination and result.agreement and result.validity
@@ -111,7 +111,7 @@ class TestHarness:
         config = RunConfig(
             graph=scenario.graph,
             protocol=ProtocolConfig.bft_cup(1),
-            faulty={4: FaultSpec.silent()},
+            faulty={4: FaultSpec("silent")},
         )
         result = run_consensus(config)
         summary = result.summary()
@@ -128,7 +128,7 @@ class TestHarness:
         config = RunConfig(
             graph=scenario.graph,
             protocol=ProtocolConfig.bft_cup(1),
-            faulty={4: FaultSpec.silent()},
+            faulty={4: FaultSpec("silent")},
             participants=frozenset(scenario.graph.processes - {8}),
             horizon=500.0,
         )
@@ -188,7 +188,7 @@ class TestEngineTuning:
         config = RunConfig(
             graph=scenario.graph,
             protocol=ProtocolConfig.bft_cup(1),
-            faulty={4: FaultSpec.silent()},
+            faulty={4: FaultSpec("silent")},
         )
         result = run_consensus(config)
         summary = result.summary()
@@ -214,7 +214,7 @@ class TestEngineTuning:
             config = RunConfig(
                 graph=scenario.graph,
                 protocol=ProtocolConfig.bft_cup(1),
-                faulty={4: FaultSpec.silent()},
+                faulty={4: FaultSpec("silent")},
             )
             result = run_consensus(config)
             summary = result.summary()

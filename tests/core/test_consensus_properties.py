@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis import run_consensus
 from repro.core import ProtocolMode
 from repro.graphs.generators import generate_bft_cup_graph, generate_bft_cupft_graph
-from repro.workloads import generated_run_config
+from repro.workloads import graph_run_config
 
 BEHAVIOURS = ["silent", "crash", "lying_pd", "wrong_value"]
 
@@ -33,7 +33,7 @@ class TestBftCupInvariants:
     )
     def test_f1_workloads(self, seed, non_sink, behaviour, schedule_seed):
         scenario = generate_bft_cup_graph(f=1, non_sink_size=non_sink, seed=seed)
-        config = generated_run_config(
+        config = graph_run_config(
             scenario, mode=ProtocolMode.BFT_CUP, behaviour=behaviour, seed=schedule_seed
         )
         result = run_consensus(config)
@@ -47,7 +47,7 @@ class TestBftCupInvariants:
     @given(seed=st.integers(0, 20), behaviour=st.sampled_from(["silent", "lying_pd"]))
     def test_f2_workloads(self, seed, behaviour):
         scenario = generate_bft_cup_graph(f=2, non_sink_size=3, seed=seed)
-        config = generated_run_config(
+        config = graph_run_config(
             scenario, mode=ProtocolMode.BFT_CUP, behaviour=behaviour, seed=seed
         )
         result = run_consensus(config)
@@ -64,7 +64,7 @@ class TestBftCupftInvariants:
     )
     def test_f1_workloads(self, seed, non_core, behaviour, schedule_seed):
         scenario = generate_bft_cupft_graph(f=1, non_core_size=non_core, seed=seed)
-        config = generated_run_config(
+        config = graph_run_config(
             scenario, mode=ProtocolMode.BFT_CUPFT, behaviour=behaviour, seed=schedule_seed
         )
         result = run_consensus(config)
@@ -77,7 +77,7 @@ class TestBftCupftInvariants:
     @given(seed=st.integers(0, 15), behaviour=st.sampled_from(["silent", "wrong_value"]))
     def test_f2_workloads(self, seed, behaviour):
         scenario = generate_bft_cupft_graph(f=2, non_core_size=4, seed=seed)
-        config = generated_run_config(
+        config = graph_run_config(
             scenario, mode=ProtocolMode.BFT_CUPFT, behaviour=behaviour, seed=seed
         )
         result = run_consensus(config)
@@ -88,7 +88,7 @@ class TestBftCupftInvariants:
         scenario = generate_bft_cupft_graph(
             f=2, non_core_size=5, byzantine_placement=placement, seed=17
         )
-        config = generated_run_config(scenario, mode=ProtocolMode.BFT_CUPFT, behaviour="silent")
+        config = graph_run_config(scenario, mode=ProtocolMode.BFT_CUPFT, behaviour="silent")
         result = run_consensus(config)
         assert result.consensus_solved
 
@@ -99,14 +99,14 @@ class TestFaultFreeRuns:
         scenario = generate_bft_cupft_graph(
             f=f, non_core_size=3, byzantine_placement="none", seed=4
         )
-        config = generated_run_config(scenario, mode=ProtocolMode.BFT_CUPFT)
+        config = graph_run_config(scenario, mode=ProtocolMode.BFT_CUPFT)
         result = run_consensus(config)
         assert result.consensus_solved
 
     def test_all_propose_the_same_value(self):
         scenario = generate_bft_cupft_graph(f=1, non_core_size=3, seed=2)
         proposals = {pid: "common" for pid in scenario.graph.processes}
-        config = generated_run_config(
+        config = graph_run_config(
             scenario, mode=ProtocolMode.BFT_CUPFT, behaviour="silent", proposals=proposals
         )
         result = run_consensus(config)

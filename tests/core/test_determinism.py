@@ -91,8 +91,8 @@ config = RunConfig(
     graph=graph,
     protocol=ProtocolConfig.bft_cup(1),
     faulty={
-        ids[4]: FaultSpec.equivocating_pd(
-            first=ids[:3], second=ids[1:4]
+        ids[4]: FaultSpec(
+            "equivocating_pd", claimed_pd=frozenset(ids[:3]), alternate_pd=frozenset(ids[1:4])
         )
     },
     seed=7,

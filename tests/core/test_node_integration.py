@@ -11,7 +11,7 @@ from repro.analysis import run_consensus
 from repro.core import ProtocolMode
 from repro.graphs.requirements import StaticOracle
 from repro.runtime.sim import SimRuntime
-from repro.workloads import figure_run_config
+from repro.workloads import graph_run_config
 
 BEHAVIOURS = ["silent", "crash", "lying_pd", "wrong_value", "equivocating_leader"]
 
@@ -19,7 +19,7 @@ BEHAVIOURS = ["silent", "crash", "lying_pd", "wrong_value", "equivocating_leader
 class TestBftCupOnFig1b:
     @pytest.mark.parametrize("behaviour", BEHAVIOURS)
     def test_consensus_solved_under_every_behaviour(self, figures, behaviour):
-        config = figure_run_config(
+        config = graph_run_config(
             figures["fig1b"], mode=ProtocolMode.BFT_CUP, behaviour=behaviour
         )
         result = run_consensus(config)
@@ -29,7 +29,7 @@ class TestBftCupOnFig1b:
         scenario = figures["fig1b"]
         oracle = StaticOracle(scenario.graph, scenario.faulty)
         result = run_consensus(
-            figure_run_config(scenario, mode=ProtocolMode.BFT_CUP, behaviour="silent")
+            graph_run_config(scenario, mode=ProtocolMode.BFT_CUP, behaviour="silent")
         )
         assert set(result.identified) == set(result.correct)
         assert set(result.identified.values()) == {oracle.expected_sink}
@@ -38,7 +38,7 @@ class TestBftCupOnFig1b:
         scenario = figures["fig1b"]
         proposals = {pid: f"v{pid}" for pid in scenario.graph.processes}
         result = run_consensus(
-            figure_run_config(
+            graph_run_config(
                 scenario, mode=ProtocolMode.BFT_CUP, behaviour="silent", proposals=proposals
             )
         )
@@ -49,7 +49,7 @@ class TestBftCupOnFig1b:
     def test_non_sink_members_decide_after_sink_members(self, figures):
         scenario = figures["fig1b"]
         result = run_consensus(
-            figure_run_config(scenario, mode=ProtocolMode.BFT_CUP, behaviour="silent")
+            graph_run_config(scenario, mode=ProtocolMode.BFT_CUP, behaviour="silent")
         )
         sink_times = [result.decision_times[p] for p in (1, 2, 3)]
         non_sink_times = [result.decision_times[p] for p in (5, 6, 7, 8)]
@@ -57,7 +57,7 @@ class TestBftCupOnFig1b:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_different_schedules(self, figures, seed):
-        config = figure_run_config(
+        config = graph_run_config(
             figures["fig1b"], mode=ProtocolMode.BFT_CUP, behaviour="silent", seed=seed
         )
         result = run_consensus(config)
@@ -68,7 +68,7 @@ class TestBftCupftOnFig4:
     @pytest.mark.parametrize("name", ["fig4a", "fig4b"])
     @pytest.mark.parametrize("behaviour", BEHAVIOURS)
     def test_consensus_without_fault_threshold(self, figures, name, behaviour):
-        config = figure_run_config(
+        config = graph_run_config(
             figures[name], mode=ProtocolMode.BFT_CUPFT, behaviour=behaviour
         )
         result = run_consensus(config)
@@ -79,21 +79,21 @@ class TestBftCupftOnFig4:
         scenario = figures[name]
         oracle = StaticOracle(scenario.graph, scenario.faulty)
         result = run_consensus(
-            figure_run_config(scenario, mode=ProtocolMode.BFT_CUPFT, behaviour="silent")
+            graph_run_config(scenario, mode=ProtocolMode.BFT_CUPFT, behaviour="silent")
         )
         assert set(result.identified.values()) == {oracle.expected_core}
 
     def test_fault_threshold_estimate_matches_core_connectivity(self, figures):
         scenario = figures["fig4b"]
         result = run_consensus(
-            figure_run_config(scenario, mode=ProtocolMode.BFT_CUPFT, behaviour="silent")
+            graph_run_config(scenario, mode=ProtocolMode.BFT_CUPFT, behaviour="silent")
         )
         estimates = {e for e in result.estimated_fault_thresholds.values() if e is not None}
         assert estimates == {1}
 
     def test_fig3b_with_two_byzantine_processes(self, figures):
         result = run_consensus(
-            figure_run_config(figures["fig3b"], mode=ProtocolMode.BFT_CUPFT, behaviour="silent")
+            graph_run_config(figures["fig3b"], mode=ProtocolMode.BFT_CUPFT, behaviour="silent")
         )
         assert result.consensus_solved
         assert set(result.identified.values()) == {frozenset(range(1, 8))}
@@ -103,7 +103,7 @@ class TestNegativeScenarios:
     def test_fig1a_silent_byzantine_splits_the_system(self, figures):
         """Fig. 1a: the graph violates the requirements, and the protocol splits."""
         result = run_consensus(
-            figure_run_config(figures["fig1a"], mode=ProtocolMode.BFT_CUP, behaviour="silent")
+            graph_run_config(figures["fig1a"], mode=ProtocolMode.BFT_CUP, behaviour="silent")
         )
         assert not result.properties.identification_agreement
         assert not result.agreement
@@ -119,7 +119,7 @@ class TestNegativeScenarios:
         # Knowing f does not help when the knowledge connectivity graph does
         # not satisfy the Theorem 1 requirements.
         result = run_consensus(
-            figure_run_config(figures["fig1a"], mode=ProtocolMode.BFT_CUP, behaviour="silent", seed=5)
+            graph_run_config(figures["fig1a"], mode=ProtocolMode.BFT_CUP, behaviour="silent", seed=5)
         )
         assert not result.agreement
 
@@ -127,7 +127,7 @@ class TestNegativeScenarios:
 class TestProtocolDetails:
     def test_integrity_every_process_decides_once(self, figures):
         result = run_consensus(
-            figure_run_config(figures["fig1b"], mode=ProtocolMode.BFT_CUP, behaviour="silent")
+            graph_run_config(figures["fig1b"], mode=ProtocolMode.BFT_CUP, behaviour="silent")
         )
         assert result.properties.integrity
         # the trace records exactly one decision per correct process
@@ -155,7 +155,7 @@ class TestProtocolDetails:
 
     def test_message_counts_are_recorded(self, figures):
         result = run_consensus(
-            figure_run_config(figures["fig1b"], mode=ProtocolMode.BFT_CUP, behaviour="silent")
+            graph_run_config(figures["fig1b"], mode=ProtocolMode.BFT_CUP, behaviour="silent")
         )
         assert result.messages_sent > 0
         assert result.trace.sent_by_kind["GetPds"] > 0
@@ -185,7 +185,7 @@ class TestTimerLifecycle:
         config = RunConfig(
             graph=scenario.graph,
             protocol=ProtocolConfig.bft_cupft(),
-            faulty={4: FaultSpec.silent()},
+            faulty={4: FaultSpec("silent")},
             horizon=horizon,
         )
         simulator = Simulator(max_time=horizon)

@@ -71,7 +71,7 @@ class TestFindCoreIsTheOnlineRuleOnTheFullGraph:
             core = find_core(safe)
             assert core == online_core(safe), (generate.__name__, seed)
             if generate is generate_bft_cupft_graph:
-                assert core is not None and core.members == scenario.core_of_safe_graph
+                assert core is not None and core.members == scenario.expected_safe_core
 
 
 class TestExtendedOsr:

@@ -29,7 +29,7 @@ class TestCupGenerator:
     def test_sink_of_safe_graph_matches_oracle(self):
         scenario = generate_bft_cup_graph(f=1, non_sink_size=4, seed=3)
         oracle = StaticOracle(scenario.graph, scenario.faulty)
-        assert oracle.safe_sink == scenario.sink_of_safe_graph
+        assert oracle.safe_sink == scenario.expected_safe_sink
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -60,7 +60,7 @@ class TestCupGenerator:
     def test_larger_sink_than_minimum(self):
         scenario = generate_bft_cup_graph(f=1, sink_size=6, non_sink_size=3, seed=4)
         assert satisfies_bft_cup(scenario.graph, 1, scenario.faulty)
-        assert len(scenario.sink_of_safe_graph) == 6
+        assert len(scenario.expected_safe_sink) == 6
 
 
 class TestCupftGenerator:
@@ -77,8 +77,8 @@ class TestCupftGenerator:
     def test_core_matches_oracle(self):
         scenario = generate_bft_cupft_graph(f=2, non_core_size=5, seed=8)
         oracle = StaticOracle(scenario.graph, scenario.faulty)
-        assert oracle.safe_core == scenario.core_of_safe_graph
-        assert len(scenario.core_of_safe_graph) == 5
+        assert oracle.safe_core == scenario.expected_safe_core
+        assert len(scenario.expected_safe_core) == 5
 
 
 def _edge_digest(scenario) -> str:
@@ -99,7 +99,7 @@ def _layered(family, *, f, layer_size, probability, seed):
 
 def _layer(scenario) -> list:
     """The correct processes outside the sink, in generation (index) order."""
-    return sorted(scenario.correct - scenario.sink_of_safe_graph)
+    return sorted(scenario.correct - scenario.expected_safe_sink)
 
 
 class TestExtraEdgeSampling:
@@ -127,7 +127,7 @@ class TestExtraEdgeSampling:
         layer = _layer(scenario)
         for member in layer:
             # Only the f + 1 edges into the sink remain.
-            assert scenario.graph.successors(member) <= scenario.sink_of_safe_graph
+            assert scenario.graph.successors(member) <= scenario.expected_safe_sink
             assert scenario.graph.out_degree(member) == 3
 
     @pytest.mark.parametrize("family", ["cup", "cupft"])

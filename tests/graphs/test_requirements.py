@@ -71,5 +71,5 @@ class TestGeneratedGraphs:
         scenario = generate_bft_cupft_graph(f=1, non_core_size=3, seed=9)
         report = bft_cupft_report(scenario.graph, 1, scenario.faulty)
         assert report.satisfied
-        assert report.core == scenario.core_of_safe_graph
+        assert report.core == scenario.expected_safe_core
         assert report.core_size == 3

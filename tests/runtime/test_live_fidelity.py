@@ -8,18 +8,19 @@ leaving localhost latency far below every scaled protocol timeout.
 import pytest
 
 from repro.adversary.schedule import NetworkSchedule, PartitionRule
+from repro.core import ProtocolMode
 from repro.graphs.figures import figure_4b
 from repro.graphs.generators import generate_bft_cup_graph
 from repro.runtime.fidelity import FidelityError, assert_fidelity, check_fidelity
 from repro.runtime.harness import run_live_consensus
-from repro.workloads.builders import figure_run_config, generated_run_config
+from repro.workloads.builders import graph_run_config
 
 TIME_SCALE = 0.01
 
 
 class TestBenignFidelity:
     def test_fig4b_decides_identically(self):
-        config = figure_run_config(figure_4b())
+        config = graph_run_config(figure_4b(), mode=ProtocolMode.BFT_CUP)
         report = assert_fidelity(config, time_scale=TIME_SCALE)
         assert report.ok
         assert report.live.consensus_solved
@@ -29,7 +30,7 @@ class TestBenignFidelity:
 
     def test_generated_f1_graph(self):
         scenario = generate_bft_cup_graph(f=1, non_sink_size=3, seed=5)
-        config = generated_run_config(scenario, behaviour="silent")
+        config = graph_run_config(scenario, mode=ProtocolMode.BFT_CUPFT, behaviour="silent")
         report = assert_fidelity(config, time_scale=TIME_SCALE)
         assert report.ok
         assert report.live.consensus_solved
@@ -48,7 +49,7 @@ class TestScheduledFaultFidelity:
             ),
             name="early-split",
         )
-        config = figure_run_config(figure_4b(), schedule=schedule)
+        config = graph_run_config(figure_4b(), mode=ProtocolMode.BFT_CUP, schedule=schedule)
         report = assert_fidelity(config, time_scale=TIME_SCALE)
         assert report.ok
         assert report.live.consensus_solved
@@ -59,7 +60,7 @@ class TestScheduledFaultFidelity:
 
 class TestLiveCounters:
     def test_live_summary_carries_socket_counters(self):
-        config = figure_run_config(figure_4b())
+        config = graph_run_config(figure_4b(), mode=ProtocolMode.BFT_CUP)
         result = run_live_consensus(config, time_scale=TIME_SCALE)
         summary = result.summary()
         assert summary["runtime"] == "live"
@@ -81,7 +82,7 @@ class TestLiveCounters:
     def test_sim_summary_stays_clean(self):
         from repro.analysis.harness import run_consensus
 
-        config = figure_run_config(figure_4b())
+        config = graph_run_config(figure_4b(), mode=ProtocolMode.BFT_CUP)
         result = run_consensus(config)
         assert result.runtime_name == "sim"
         summary = result.summary()
@@ -93,7 +94,7 @@ class TestLiveCounters:
 
 class TestFidelityReporting:
     def test_check_fidelity_report_shape(self):
-        config = figure_run_config(figure_4b())
+        config = graph_run_config(figure_4b(), mode=ProtocolMode.BFT_CUP)
         report = check_fidelity(config, time_scale=TIME_SCALE)
         assert report.decisions_match
         assert report.identified_match
@@ -107,7 +108,7 @@ class TestFidelityReporting:
         import repro.runtime.fidelity as fidelity_module
         from repro.analysis.harness import run_consensus
 
-        config = figure_run_config(figure_4b())
+        config = graph_run_config(figure_4b(), mode=ProtocolMode.BFT_CUP)
         sim = run_consensus(config)
         forged = copy.copy(sim)
         forged.decisions = dict(sim.decisions)

@@ -33,7 +33,7 @@ from repro.sim.gate import WITHHOLD, NetworkRule
 from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.synchrony import SynchronousModel
-from repro.workloads.builders import figure_run_config
+from repro.workloads.builders import graph_run_config
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ class TestOneDriver:
                 CrashRule(process=faulty_id, at=2.0, name="crash-faulty"),
             )
         )
-        config = figure_run_config(scenario, schedule=schedule)
+        config = graph_run_config(scenario, mode=ProtocolMode.BFT_CUP, schedule=schedule)
         runtime = make_runtime(config)
         rules, timers = [], []
         add_rule, arm = runtime.add_rule, runtime.schedule
@@ -170,7 +170,7 @@ class TestOneDriver:
         """A schedule the model forbids fails both run paths alike, sockets closed."""
         scenario = figure_4b()
         correct_id = min(scenario.graph.processes - scenario.faulty)
-        config = figure_run_config(
+        config = graph_run_config(
             scenario,
             mode=ProtocolMode.BFT_CUPFT,
             schedule=NetworkSchedule(rules=(CrashRule(process=correct_id, at=1.0),)),

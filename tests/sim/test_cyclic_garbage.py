@@ -14,13 +14,13 @@ import itertools
 import pytest
 
 from repro.adversary.schedule import CrashRule, NetworkSchedule, PartitionRule
-from repro.adversary.spec import KNOWN_BEHAVIOURS
+from repro.adversary.nodes import BEHAVIOURS
 from repro.analysis.harness import run_consensus
 from repro.core.config import ProtocolMode
 from repro.experiments.scenario import GraphSpec, Scenario
 from repro.graphs.figures import figure_4b
 from repro.sim.engine import Simulator
-from repro.workloads.builders import figure_run_config, scenario_run_config
+from repro.workloads.builders import graph_run_config, scenario_run_config
 
 COLLECT_EVERY = 300
 
@@ -59,7 +59,7 @@ def cyclic_garbage(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", list(GRAPHS), ids=lambda mode: mode.value)
-@pytest.mark.parametrize("behaviour", sorted(KNOWN_BEHAVIOURS))
+@pytest.mark.parametrize("behaviour", sorted(BEHAVIOURS))
 def test_a_run_makes_no_cyclic_garbage(cyclic_garbage, mode, behaviour):
     scenario = Scenario(name="cycles", graph=GRAPHS[mode], mode=mode, behaviour=behaviour, seed=7)
     result = run_consensus(scenario_run_config(scenario))
@@ -77,7 +77,7 @@ def test_a_scheduled_run_makes_no_cyclic_garbage(cyclic_garbage):
             CrashRule(process=faulty_id, at=2.0),
         )
     )
-    result = run_consensus(figure_run_config(scenario, schedule=schedule))
+    result = run_consensus(graph_run_config(scenario, mode=ProtocolMode.BFT_CUP, schedule=schedule))
     assert result.consensus_solved
     assert result.events_processed > COLLECT_EVERY
     assert cyclic_garbage == []

@@ -10,77 +10,36 @@ from repro.graphs.figures import figure_1b
 from repro.graphs.generators import generate_bft_cupft_graph
 from repro.graphs.knowledge_graph import KnowledgeGraph
 from repro.graphs.requirements import StaticOracle, satisfies_bft_cupft
-from repro.workloads import default_fault_spec, figure_run_config, generated_run_config
+from repro.workloads import graph_run_config
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestWorkloadBuilders:
     def test_figure_run_config_defaults(self):
-        config = figure_run_config(figure_1b(), mode=ProtocolMode.BFT_CUP)
+        config = graph_run_config(figure_1b(), mode=ProtocolMode.BFT_CUP)
         assert config.protocol.fault_threshold == 1
         assert set(config.faulty) == {4}
         assert config.faulty[4].behaviour == "silent"
 
     def test_figure_run_config_cupft_mode(self):
-        config = figure_run_config(figure_1b(), mode=ProtocolMode.BFT_CUPFT)
+        config = graph_run_config(figure_1b(), mode=ProtocolMode.BFT_CUPFT)
         assert config.protocol.fault_threshold is None
 
     def test_generated_run_config(self):
         scenario = generate_bft_cupft_graph(f=1, non_core_size=2, seed=1)
-        config = generated_run_config(scenario, behaviour="lying_pd")
+        config = graph_run_config(scenario, mode=ProtocolMode.BFT_CUPFT, behaviour="lying_pd")
         assert set(config.faulty) == set(scenario.faulty)
         assert all(spec.behaviour == "lying_pd" for spec in config.faulty.values())
 
-    def test_default_fault_spec_variants(self):
-        processes = frozenset({1, 2, 3})
-        assert default_fault_spec("silent", processes).behaviour == "silent"
-        assert default_fault_spec("crash", processes).crash_time > 0
-        assert default_fault_spec("lying_pd", processes).claimed_pd == processes
-        with pytest.raises(ValueError):
-            default_fault_spec("nonsense", processes)
-
-    def test_default_fault_spec_covers_every_known_behaviour(self):
-        # Regression: "equivocating_pd" is in KNOWN_BEHAVIOURS and has a
-        # faulty-node implementation, but the builder used to raise on it,
-        # crashing any matrix sweep over all known behaviours.
-        from repro.adversary.spec import KNOWN_BEHAVIOURS
-
-        processes = frozenset(range(1, 9))
-        for behaviour in sorted(KNOWN_BEHAVIOURS):
-            spec = default_fault_spec(behaviour, processes)
-            assert spec.behaviour == behaviour
-
-    def test_default_equivocating_pd_tells_two_different_stories(self):
-        processes = frozenset(range(1, 9))
-        spec = default_fault_spec("equivocating_pd", processes)
-        assert spec.claimed_pd and spec.alternate_pd
-        assert spec.claimed_pd != spec.alternate_pd
-        assert spec.claimed_pd | spec.alternate_pd == processes
-        # Degenerate single-process graphs still build (both halves equal).
-        tiny = default_fault_spec("equivocating_pd", frozenset({1}))
-        assert tiny.claimed_pd == tiny.alternate_pd == frozenset({1})
-
-    def test_default_fault_spec_param_overrides(self):
-        processes = frozenset({1, 2, 3})
-        assert default_fault_spec("crash", processes, at=99.0).crash_time == 99.0
-        assert default_fault_spec("wrong_value", processes, poison_value="zz").poison_value == "zz"
-
-    def test_default_fault_spec_rejects_unknown_params(self):
-        processes = frozenset({1, 2, 3})
-        with pytest.raises(ValueError):
-            default_fault_spec("crash", processes, crash_at=99.0)  # typo for "at"
-        with pytest.raises(ValueError):
-            default_fault_spec("silent", processes, at=1.0)
-
     def test_sweep_over_all_known_behaviours_runs(self):
         # End-to-end: every known behaviour materialises and simulates.
-        from repro.adversary.spec import KNOWN_BEHAVIOURS
+        from repro.adversary.nodes import BEHAVIOURS
         from repro.analysis import run_consensus
 
         scenario = figure_1b()
-        for behaviour in sorted(KNOWN_BEHAVIOURS):
-            config = figure_run_config(scenario, mode=ProtocolMode.BFT_CUP, behaviour=behaviour)
+        for behaviour in sorted(BEHAVIOURS):
+            config = graph_run_config(scenario, mode=ProtocolMode.BFT_CUP, behaviour=behaviour)
             result = run_consensus(config)
             assert result.consensus_solved, (behaviour, result.summary())
 
@@ -91,12 +50,12 @@ class TestMixBuilders:
 
         scenario = generate_bft_cupft_graph(f=2, non_core_size=3, seed=1)
         mix = AdversaryMix.of(equivocating_pd=1, silent="rest")
-        config = generated_run_config(scenario, behaviour=mix, seed=7)
+        config = graph_run_config(scenario, mode=ProtocolMode.BFT_CUPFT, behaviour=mix, seed=7)
         assert set(config.faulty) == set(scenario.faulty)
         behaviours = sorted(spec.behaviour for spec in config.faulty.values())
         assert behaviours == ["equivocating_pd", "silent"]
         # Placement is part of the run seed: same seed, same assignment.
-        again = generated_run_config(scenario, behaviour=mix, seed=7)
+        again = graph_run_config(scenario, mode=ProtocolMode.BFT_CUPFT, behaviour=mix, seed=7)
         assert {p: s.behaviour for p, s in config.faulty.items()} == {
             p: s.behaviour for p, s in again.faulty.items()
         }
@@ -107,7 +66,7 @@ class TestMixBuilders:
 
         scenario = generate_bft_cupft_graph(f=2, non_core_size=3, seed=1)
         mix = AdversaryMix.of(equivocating_pd=1, silent="rest")
-        result = run_consensus(generated_run_config(scenario, behaviour=mix, seed=3))
+        result = run_consensus(graph_run_config(scenario, mode=ProtocolMode.BFT_CUPFT, behaviour=mix, seed=3))
         assert result.consensus_solved, result.summary()
 
 
@@ -149,7 +108,7 @@ class TestCoreAttachment:
                 seed=seed,
             )
             oracle = StaticOracle(scenario.graph, scenario.faulty)
-            assert oracle.safe_core == scenario.core_of_safe_graph
+            assert oracle.safe_core == scenario.expected_safe_core
             assert core_attached_faulty(scenario) == oracle.expected_core - oracle.safe_core, seed
 
     def test_targeted_mix_through_the_builders(self):
@@ -167,7 +126,7 @@ class TestCoreAttachment:
                 MixEntry(behaviour="silent", count=REST),
             )
         )
-        config = generated_run_config(
+        config = graph_run_config(
             scenario, mode=ProtocolMode.BFT_CUP, behaviour=mix, seed=11
         )
         equivocator = next(
